@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,6 +171,8 @@ def parse_instance(path: str) -> Instance:
 
 
 def instance_from_dict(raw: dict) -> Instance:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"an instance must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema {raw.get('schema')!r}")
     kind = raw.get("kind")
@@ -180,21 +181,24 @@ def instance_from_dict(raw: dict) -> Instance:
     policy = _parse_policy(raw.get("policy"))
     family: list = []
     cylinders: list = []
-    if kind in ("discrete", "bridge"):
-        group = _parse_discrete_group(raw["group"])
-        endo = _parse_banded_endo(group, raw["endo"])
-        for fspec in raw.get("family", []):
-            gens = [_parse_element(g, group.is_abelian) for g in fspec["gens"]]
-            family.append(gens)
-        if kind == "bridge" and not group.is_abelian:
-            raise ValidationError("bridge instances must be abelian")
-    else:
-        group = _parse_pro_group(raw["group"])
-        endo = _parse_rowfinite_endo(group, raw["endo"])
-        for cspec in raw.get("cylinders", []):
-            cylinders.append(_parse_cylinder(group, cspec))
-        if kind == "depth" and group.index_set != "Z":
-            raise ValidationError("depth instances need a Z-indexed group")
+    try:
+        if kind in ("discrete", "bridge"):
+            group = _parse_discrete_group(raw["group"])
+            endo = _parse_banded_endo(group, raw["endo"])
+            for fspec in raw.get("family", []):
+                gens = [_parse_element(g, group.is_abelian) for g in fspec["gens"]]
+                family.append(gens)
+            if kind == "bridge" and not group.is_abelian:
+                raise ValidationError("bridge instances must be abelian")
+        else:
+            group = _parse_pro_group(raw["group"])
+            endo = _parse_rowfinite_endo(group, raw["endo"])
+            for cspec in raw.get("cylinders", []):
+                cylinders.append(_parse_cylinder(group, cspec))
+            if kind == "depth" and group.index_set != "Z":
+                raise ValidationError("depth instances need a Z-indexed group")
+    except KeyError as exc:
+        raise ValidationError(f"instance is missing the key {exc.args[0]!r}") from exc
     return Instance(kind, policy, _normalize_raw(raw), group, endo, family, cylinders)
 
 
@@ -296,14 +300,7 @@ def _cotrajectory_result(idx: int, rep: profinite.CotrajectoryReport) -> dict:
     return out
 
 
-def _map_over(items, fn, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_command(cmd: str, inst: Instance, method: str | None = None, jobs: int = 1) -> Report:
+def run_command(cmd: str, inst: Instance, method: str | None = None) -> Report:
     """Dispatch a command against a parsed instance."""
     compatible = {
         "alg-entropy": ("discrete",),
@@ -318,14 +315,14 @@ def run_command(cmd: str, inst: Instance, method: str | None = None, jobs: int =
         raise ValidationError(f"command {cmd!r} incompatible with kind {inst.kind!r}")
 
     if cmd == "alg-entropy":
-        return _run_alg_entropy(inst, jobs)
+        return _run_alg_entropy(inst)
     if cmd == "top-entropy":
-        return _run_top_entropy(inst, method, jobs)
+        return _run_top_entropy(inst, method)
     if cmd == "bridge-check":
         return _run_bridge(inst)
     if cmd == "depth":
-        return _run_depth(inst, jobs)
-    return _run_verify(inst, jobs)
+        return _run_depth(inst)
+    return _run_verify(inst)
 
 
 def _status_of(results) -> str:
@@ -337,13 +334,12 @@ def _status_of(results) -> str:
     return "ok"
 
 
-def _run_alg_entropy(inst: Instance, jobs: int) -> Report:
-    def one(pair):
-        idx, gens = pair
+def _run_alg_entropy(inst: Instance) -> Report:
+    def one(idx, gens):
         rep = discrete.trajectory_limits(inst.endo, gens, inst.policy)
         return _trajectory_result(idx, rep)
 
-    results = _map_over(list(enumerate(inst.family)), one, jobs)
+    results = [one(i, gens) for i, gens in enumerate(inst.family)]
     report = Report("alg-entropy", inst.kind, results, _status_of(results))
     if all(r["status"] == "certified" for r in results) and results:
         best = max(
@@ -353,9 +349,8 @@ def _run_alg_entropy(inst: Instance, jobs: int) -> Report:
     return report
 
 
-def _run_top_entropy(inst: Instance, method: str | None, jobs: int) -> Report:
-    def one(pair):
-        idx, cyl = pair
+def _run_top_entropy(inst: Instance, method: str | None) -> Report:
+    def one(idx, cyl):
         rep = profinite.cotrajectory_limits(inst.endo, cyl, inst.policy)
         out = _cotrajectory_result(idx, rep)
         if rep.certified and method == "surjective":
@@ -366,7 +361,7 @@ def _run_top_entropy(inst: Instance, method: str | None, jobs: int) -> Report:
                 out["entropy_surjective_error"] = str(exc)
         return out
 
-    results = _map_over(list(enumerate(inst.cylinders)), one, jobs)
+    results = [one(i, cyl) for i, cyl in enumerate(inst.cylinders)]
     report = Report("top-entropy", inst.kind, results, _status_of(results))
     if all(r["status"] == "certified" for r in results) and results:
         best = max(
@@ -401,8 +396,8 @@ def _run_bridge(inst: Instance) -> Report:
     return Report("bridge-check", inst.kind, results, "ok" if rep.ok else "inconclusive")
 
 
-def _run_depth(inst: Instance, jobs: int = 1) -> Report:
-    rep = depth_mod.depth_report(inst.endo, inst.cylinders, inst.policy, jobs=jobs)
+def _run_depth(inst: Instance) -> Report:
+    rep = depth_mod.depth_report(inst.endo, inst.cylinders, inst.policy)
     results = []
     for i, cand in enumerate(rep.candidates):
         results.append(
@@ -430,9 +425,8 @@ def _run_depth(inst: Instance, jobs: int = 1) -> Report:
     return Report("depth", inst.kind, results, "ok" if ok else "inconclusive")
 
 
-def _verify_discrete(inst: Instance, jobs: int) -> list:
-    def one(pair):
-        idx, gens = pair
+def _verify_discrete(inst: Instance) -> list:
+    def one(idx, gens):
         rep = discrete.trajectory_limits(inst.endo, gens, inst.policy)
         checks = []
         if inst.group.is_abelian:
@@ -465,12 +459,11 @@ def _verify_discrete(inst: Instance, jobs: int) -> list:
             out["status"] = "inconclusive"
         return out
 
-    return _map_over(list(enumerate(inst.family)), one, jobs)
+    return [one(i, gens) for i, gens in enumerate(inst.family)]
 
 
-def _verify_profinite(inst: Instance, jobs: int) -> list:
-    def one(pair):
-        idx, cyl = pair
+def _verify_profinite(inst: Instance) -> list:
+    def one(idx, cyl):
         rep = profinite.cotrajectory_limits(inst.endo, cyl, inst.policy)
         checks = []
         div_c = all(rep.c[i + 1] % rep.c[i] == 0 for i in range(len(rep.c) - 1))
@@ -508,18 +501,18 @@ def _verify_profinite(inst: Instance, jobs: int) -> list:
             out["status"] = "inconclusive"
         return out
 
-    return _map_over(list(enumerate(inst.cylinders)), one, jobs)
+    return [one(i, cyl) for i, cyl in enumerate(inst.cylinders)]
 
 
-def _run_verify(inst: Instance, jobs: int) -> Report:
+def _run_verify(inst: Instance) -> Report:
     if inst.kind == "discrete":
-        results = _verify_discrete(inst, jobs)
+        results = _verify_discrete(inst)
     elif inst.kind == "profinite":
-        results = _verify_profinite(inst, jobs)
+        results = _verify_profinite(inst)
     elif inst.kind == "bridge":
         results = _run_bridge(inst).results
     else:
-        results = _run_depth(inst, jobs).results
+        results = _run_depth(inst).results
     return Report("verify", inst.kind, results, _status_of(results))
 
 
@@ -549,7 +542,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, dest="max_n")
     parser.add_argument("--stall", type=int)
     parser.add_argument("--format", choices=["text", "json"], default="json")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -560,7 +552,7 @@ def main(argv=None) -> int:
                 stall_window=args.stall or inst.policy.stall_window,
                 window_budget=inst.policy.window_budget,
             )
-        report = run_command(args.command, inst, method=args.method, jobs=args.jobs)
+        report = run_command(args.command, inst, method=args.method)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION

@@ -479,15 +479,13 @@ def depth_report(
     candidates,
     policy: StabilizationPolicy = DEFAULT_POLICY,
     base_len: int = 4,
-    jobs: int = 1,
 ) -> DepthReport:
     """Full depth analysis over candidate subgroups.
 
     Requires at least one antistable certificate; verifies depth
     independence across candidates, the two-sided index equality, the
     entropy-depth identity over the shrinking base, and depth(psi) =
-    depth(psi^{-1}).  Candidates are independent and may be evaluated in
-    parallel with ``jobs``."""
+    depth(psi^{-1})."""
     inverse = invert(endo, policy)
 
     def evaluate(u):
@@ -503,13 +501,7 @@ def depth_report(
         )
 
     candidates = list(candidates)
-    if jobs > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(u) for u in candidates]
+    results = [evaluate(u) for u in candidates]
     depths = [
         (r.depth_via_minus, r.depth_via_plus)
         for r in results

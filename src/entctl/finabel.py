@@ -309,7 +309,10 @@ class Hom:
 
     def image(self, sub: AbSubgroup | None = None) -> AbSubgroup:
         if sub is None:
-            sub = self.source.whole_subgroup()
+            # f(A) is spanned by the images of the unit vectors: the columns.
+            return canonical_subgroup(
+                self.target, [self.column(j) for j in range(self.source.rank)]
+            )
         if sub.ambient != self.source:
             raise AmbientMismatchError("image of subgroup from a different group")
         rows = [self.apply(self.source.reduce(r)) for r in sub.basis]

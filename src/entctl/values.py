@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True, eq=False)
 class EntropyValue:
@@ -107,7 +109,7 @@ class StabilizationPolicy:
 
     def __post_init__(self):
         if self.max_n < 1 or self.stall_window < 1 or self.window_budget < 1:
-            raise ValueError("policy budgets must be positive")
+            raise ValidationError("policy budgets must be positive")
 
 
 DEFAULT_POLICY = StabilizationPolicy()

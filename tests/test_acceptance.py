@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` (add -s to see the lines).
 Randomized criteria use fixed seeds, so the suite is deterministic.
 """
 
+import math
 import pathlib
 import random
 import time
@@ -109,6 +110,18 @@ def random_rowfinite(rng, index_set="N"):
     ]
     u = cylinder(kgrp, (0, w), gens)
     return kgrp, endo, u
+
+
+def _random_hom_matrix(rng, src_mods, tgt_mods):
+    """A random well-defined matrix: entry (i, j) is a multiple of d_i / gcd(d_i, d_j)."""
+    mat = []
+    for dt in tgt_mods:
+        row = []
+        for ds in src_mods:
+            step = dt // math.gcd(dt, ds)
+            row.append(step * rng.randrange(0, dt // step))
+        mat.append(row)
+    return mat
 
 
 # -- criteria ------------------------------------------------------------------
@@ -220,16 +233,7 @@ def test_criterion_5_duality_identity_suite():
         a = FiniteAbelianGroup(mods)
         if a.order > 10**4:
             continue
-        import math
-
-        mat = []
-        for i in range(a.rank):
-            row = []
-            for j in range(a.rank):
-                dt, ds = a.moduli[i], a.moduli[j]
-                step = dt // math.gcd(dt, ds)
-                row.append(step * rng.randrange(0, dt // step))
-            mat.append(row)
+        mat = _random_hom_matrix(rng, mods, mods)
         f = hom_validate(mat, a, a)
         h = canonical_subgroup(
             a, [tuple(rng.randrange(d) for d in mods)]
@@ -307,6 +311,7 @@ def test_criterion_8_logarithmic_law():
 
 def test_criterion_9_oracle_equivalence():
     rng = random.Random(90009)
+    rng_b = random.Random(90010)
     discrepancies = 0
     types = [t for t in oracles.abelian_types_up_to(256) if t]
     for mods in types:
@@ -322,20 +327,19 @@ def test_criterion_9_oracle_equivalence():
         assert set(h.intersect_with(l).elements()) == (hs & ls)
         assert subgroup_index(h, a.whole_subgroup()) == a.order // len(hs)
         # a random valid endomorphism: kernel/image/preimage
-        import math
-
-        mat = []
-        for i in range(a.rank):
-            row = []
-            for j in range(a.rank):
-                dt, ds = a.moduli[i], a.moduli[j]
-                step = dt // math.gcd(dt, ds)
-                row.append(step * rng.randrange(0, dt // step))
-            mat.append(row)
+        mat = _random_hom_matrix(rng, mods, mods)
         f = hom_validate(mat, a, a)
         assert set(f.kernel().elements()) == oracles.kernel_set(mat, mods, mods)
         assert set(f.image().elements()) == oracles.image_set(mat, mods, oracles.all_elements(mods))
         assert set(f.preimage(h).elements()) == oracles.preimage_set(mat, mods, mods, hs)
+        # a random non-square map into mixed moduli, like a window map
+        rank_b = rng_b.choice([r for r in (1, 2, 3) if r != a.rank])
+        mods_b = tuple(rng_b.choice((2, 3, 4, 6, 9)) for _ in range(rank_b))
+        mat_b = _random_hom_matrix(rng_b, mods, mods_b)
+        f_b = hom_validate(mat_b, a, FiniteAbelianGroup(mods_b))
+        assert set(f_b.image().elements()) == oracles.image_set(
+            mat_b, mods_b, oracles.all_elements(mods)
+        )
         _, pairing = dual_group(a)
         assert set(annihilator(h, pairing).elements()) == oracles.annihilator_set(mods, hs)
     cayley_tables = [

@@ -126,13 +126,6 @@ def test_text_format():
     assert text.startswith("alg-entropy")
 
 
-def test_jobs_flag_same_output():
-    inst = parse_instance(str(INSTANCES / "shift_sum_z2.json"))
-    a = emit_report(run_command("alg-entropy", inst, jobs=1), "json")
-    b = emit_report(run_command("alg-entropy", parse_instance(str(INSTANCES / "shift_sum_z2.json")), jobs=4), "json")
-    assert a == b
-
-
 def test_main_exit_codes(tmp_path, capsys):
     ok = main(["alg-entropy", str(INSTANCES / "shift_sum_z2.json")])
     assert ok == EXIT_OK
@@ -183,3 +176,33 @@ def test_schema_rejections(tmp_path):
     p.write_text(json.dumps({"schema": 1, "kind": "nope"}))
     with pytest.raises(ValidationError):
         parse_instance(str(p))
+
+
+@pytest.mark.parametrize("drop", ["group", "endo"])
+def test_missing_key_exits_validation(tmp_path, capsys, drop):
+    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+    del raw[drop]
+    p = tmp_path / "missing.json"
+    p.write_text(json.dumps(raw))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert repr(drop) in err["message"]
+
+
+def test_nonpositive_budget_exits_validation(tmp_path, capsys):
+    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+    raw["policy"] = {"window_budget": 0}
+    p = tmp_path / "budget.json"
+    p.write_text(json.dumps(raw))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_top_level_array_exits_validation(tmp_path, capsys):
+    p = tmp_path / "array.json"
+    p.write_text(json.dumps([{"schema": 1, "kind": "profinite"}]))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "list" in err["message"]

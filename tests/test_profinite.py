@@ -151,6 +151,23 @@ def test_surjectivity_detection():
     assert surjective_on_windows(identity_endo(k))
 
 
+def test_surjectivity_fails_late():
+    # Identity on a prefix of R mixed blocks, except a zero row at index
+    # R - 1: the first window that is not onto has radius R.  R = 20 is not
+    # a power of two and a budget of 24 is not either, so only the final
+    # budget radius sees the failure.
+    r_fail = 20
+    prefix = [Z2 if i % 2 else Z3 for i in range(r_fail)]
+    k = pro_group(prefix, [Z2], "N")
+    prefix_rows = [[(0, [[1]])] for _ in range(r_fail)]
+    prefix_rows[r_fail - 1] = [(0, [[0]])]
+    endo = rowfinite_endo(k, 0, 1, 1, [[(0, [[1]])]], prefix_rows)
+    assert not surjective_on_windows(endo, StabilizationPolicy(window_budget=24))
+    assert not surjective_on_windows(endo)
+    # below R every window is onto: the verdict only covers the budget
+    assert surjective_on_windows(endo, StabilizationPolicy(window_budget=r_fail - 1))
+
+
 def test_h_top_base():
     k = k_z2()
     sig = left_shift(k)
