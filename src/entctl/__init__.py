@@ -20,10 +20,8 @@ from .finabel import (
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
-    hom_calculus,
     hom_validate,
     quotient_invariants,
-    subgroup_combine,
     subgroup_index,
 )
 from .gengroup import (
@@ -33,7 +31,6 @@ from .gengroup import (
     closure,
     heart,
     is_normal,
-    normal_tools,
     subgroup_product,
 )
 from .lattice import smith_normal_form

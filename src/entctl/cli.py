@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,31 +179,50 @@ def instance_from_dict(raw: dict) -> Instance:
     kind = raw.get("kind")
     if kind not in ("discrete", "profinite", "bridge", "depth"):
         raise ValidationError(f"unknown kind {kind!r}")
-    policy = _parse_policy(raw.get("policy"))
+    with _section("policy"):
+        policy = _parse_policy(raw.get("policy"))
     family: list = []
     cylinders: list = []
-    try:
-        if kind in ("discrete", "bridge"):
+    if kind in ("discrete", "bridge"):
+        with _section("group"):
             group = _parse_discrete_group(raw["group"])
+        with _section("endo"):
             endo = _parse_banded_endo(group, raw["endo"])
+        with _section("family"):
             for fspec in raw.get("family", []):
-                gens = [_parse_element(g, group.is_abelian) for g in fspec["gens"]]
-                family.append(gens)
-            if kind == "bridge" and not group.is_abelian:
-                raise ValidationError("bridge instances must be abelian")
-        else:
+                family.append([_parse_element(g, group.is_abelian) for g in fspec["gens"]])
+        if kind == "bridge" and not group.is_abelian:
+            raise ValidationError("bridge instances must be abelian")
+    else:
+        with _section("group"):
             group = _parse_pro_group(raw["group"])
+        with _section("endo"):
             endo = _parse_rowfinite_endo(group, raw["endo"])
+        with _section("cylinders"):
             for cspec in raw.get("cylinders", []):
                 cylinders.append(_parse_cylinder(group, cspec))
-            if kind == "depth" and group.index_set != "Z":
-                raise ValidationError("depth instances need a Z-indexed group")
+        if kind == "depth" and group.index_set != "Z":
+            raise ValidationError("depth instances need a Z-indexed group")
+    with _section("instance"):
+        normalized = _normalize_raw(raw, policy)
+    return Instance(kind, policy, normalized, group, endo, family, cylinders)
+
+
+@contextmanager
+def _section(name: str):
+    """Turn a missing key or a value of the wrong JSON type in one section of
+    an instance into a ValidationError naming it."""
+    try:
+        yield
     except KeyError as exc:
         raise ValidationError(f"instance is missing the key {exc.args[0]!r}") from exc
-    return Instance(kind, policy, _normalize_raw(raw), group, endo, family, cylinders)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"malformed {name!r} section: {exc}") from exc
 
 
-def _normalize_raw(raw: dict) -> dict:
+def _normalize_raw(raw: dict, policy: StabilizationPolicy) -> dict:
     out = {
         "schema": SCHEMA_VERSION,
         "kind": raw["kind"],
@@ -217,7 +237,7 @@ def _normalize_raw(raw: dict) -> dict:
             },
         },
         "endo": raw["endo"],
-        "policy": _policy_to_spec(_parse_policy(raw.get("policy"))),
+        "policy": _policy_to_spec(policy),
     }
     if raw["kind"] in ("discrete", "bridge"):
         out["family"] = raw.get("family", [])

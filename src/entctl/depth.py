@@ -93,11 +93,6 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
                 if any(piece):
                     out[i] = piece
             return out
-    # combos are echelon rows; the first row's leading entry divides every
-    # achievable s, so s = 1 is impossible if it is not 1
-    for combo in combos:
-        if combo[0] != 0:
-            return None
     return None
 
 

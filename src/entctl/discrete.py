@@ -360,7 +360,6 @@ class _GrowingLattice:
     def __init__(self, layout: _WindowLayout):
         self.layout = layout
         self.lat = ZLattice(0, moduli=[])
-        self.seeded = 0  # number of coordinates whose relation row is present
         self.total = 1  # order of the window group
 
     def sync(self) -> None:
@@ -370,7 +369,6 @@ class _GrowingLattice:
             self.lat.extend(w, new_moduli=new_mods)
             for d in new_mods:
                 self.total *= d
-            self.seeded = w
 
     def add_elem(self, elem: dict) -> None:
         self.sync()

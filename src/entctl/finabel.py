@@ -255,14 +255,6 @@ def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
     return AbSubgroup(ambient, lat.basis())
 
 
-def subgroup_combine(h: AbSubgroup, l: AbSubgroup, op: str) -> AbSubgroup:
-    if op == "sum":
-        return h.sum_with(l)
-    if op == "intersect":
-        return h.intersect_with(l)
-    raise ValueError(f"unknown subgroup op {op!r}")
-
-
 def subgroup_index(h: AbSubgroup, l: AbSubgroup) -> int:
     """[L : H] for H <= L, exactly."""
     if h.ambient != l.ambient:
@@ -381,16 +373,3 @@ def zero_hom(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> Hom:
     return hom_validate(
         [[0] * source.rank for _ in range(target.rank)], source, target
     )
-
-
-def hom_calculus(f: Hom, query: str, sub: AbSubgroup | None = None) -> AbSubgroup:
-    """kernel / image / preimage dispatch used by the CLI layer."""
-    if query == "kernel":
-        return f.kernel()
-    if query == "image":
-        return f.image(sub)
-    if query == "preimage":
-        if sub is None:
-            raise ValidationError("preimage query needs a subgroup")
-        return f.preimage(sub)
-    raise ValueError(f"unknown hom query {query!r}")

@@ -195,20 +195,6 @@ def heart(group: FiniteGroup, sub: GenSubgroup) -> GenSubgroup:
     return GenSubgroup(group, frozenset(core))
 
 
-def subgroup_index_gen(group: FiniteGroup, sub: GenSubgroup) -> int:
-    return group.order // sub.order
-
-
-def normal_tools(group: FiniteGroup, sub: GenSubgroup, query: str):
-    if query == "is_normal":
-        return is_normal(group, sub)
-    if query == "heart":
-        return heart(group, sub)
-    if query == "index":
-        return subgroup_index_gen(group, sub)
-    raise ValueError(f"unknown normal_tools query {query!r}")
-
-
 def subgroup_product(h: GenSubgroup, n: GenSubgroup) -> GenSubgroup:
     """H * N as an element set; requires N normal in <H u N>."""
     if h.parent != n.parent:

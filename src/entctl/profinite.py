@@ -7,10 +7,19 @@ finite window of coordinates.  Continuous endomorphisms are row-finite:
 each output coordinate depends on a band of input coordinates, given on
 one period and shifted.  Preimages of cylinders are cylinders, so the
 whole cotrajectory calculus happens in finite windows, exactly.
+
+The chain questions (cotrajectory limits and exact end, window
+surjectivity, kernel and cokernel order) are deterministic in the map,
+the subgroup and the policy.  A map object remembers the outcomes it has
+computed, keyed per question, subgroup and policy, so that the checks of
+one run ask each of them once; the memory is never shared between maps
+and goes away with the map.  Outcomes are kept, never the chains.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -282,7 +291,9 @@ class RowFiniteEndo:
     N-indexed group are dropped.
     """
 
-    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows", "_horizon")
+    __slots__ = (
+        "parent", "offset", "width", "period", "rows", "prefix_rows", "_horizon", "_memo",
+    )
 
     def __init__(
         self, parent: ProGroup, offset: int, width: int, period: int, rows,
@@ -311,6 +322,7 @@ class RowFiniteEndo:
         span = _lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
         self._horizon = span + abs(self.offset) + self.width + 1
         self._validate()
+        self._memo: dict = {}
 
     def row_terms(self, i: int):
         if 0 <= i < len(self.prefix_rows):
@@ -488,6 +500,7 @@ class PowerEndo:
         self.base = base
         self.k = k
         self.parent = base.parent
+        self._memo: dict = {}
 
     def apply(self, elem: dict) -> dict:
         for _ in range(self.k):
@@ -522,6 +535,36 @@ def identity_endo(parent: ProGroup) -> RowFiniteEndo:
     rows = [eye(parent.period[(r - shift) % p]) for r in range(p)]
     prefix_rows = [eye(b) for b in parent.prefix]
     return RowFiniteEndo(parent, 0, 1, p, rows, prefix_rows)
+
+
+def _memoized(fn):
+    """Compute ``fn(endo, ...)`` once per map object and equal arguments.
+
+    The outcome is stored on the map under the function and its remaining
+    arguments with defaults filled in, so ``f(endo, u)`` and
+    ``f(endo, u, DEFAULT_POLICY)`` share one entry.  An Inconclusive
+    outcome is stored too; every later call raises a fresh exception with
+    the same message and report.
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(endo, *args, **kwargs):
+        bound = sig.bind(endo, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *bound.args[1:])
+        if key not in endo._memo:
+            try:
+                endo._memo[key] = (fn(endo, *args, **kwargs), None)
+            except Inconclusive as exc:
+                endo._memo[key] = (None, (str(exc), exc.report))
+                raise
+        value, failure = endo._memo[key]
+        if failure is not None:
+            raise Inconclusive(*failure)
+        return value
+
+    return wrapper
 
 
 def cotrajectory(endo, u: CylinderSubgroup, n: int) -> CylinderSubgroup:
@@ -559,6 +602,7 @@ def _image_l_index(endo, c: CylinderSubgroup) -> int:
     return im.sum_with(c.core).index
 
 
+@_memoized
 def cotrajectory_limits(
     endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> CotrajectoryReport:
@@ -642,6 +686,7 @@ def cotrajectory_limits(
     return report(policy.max_n, None, None, None, None, None, False, "inconclusive")
 
 
+@_memoized
 def surjective_on_windows(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> bool:
     """Check window surjectivity up to the budget.
 
@@ -717,6 +762,7 @@ def h_top(
     return best
 
 
+@_memoized
 def cotrajectory_exact(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY):
     """Determine C(psi, U) exactly when possible.
 
@@ -748,6 +794,7 @@ def cotrajectory_exact(endo, u: CylinderSubgroup, policy: StabilizationPolicy = 
     raise Inconclusive("cotrajectory neither stalls nor pins coordinates", None)
 
 
+@_memoized
 def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     """|ker psi| certified through stable images of window kernels.
 
@@ -829,6 +876,7 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     raise Inconclusive("kernel order did not stabilize within budget", None)
 
 
+@_memoized
 def cokernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     """|K / Im psi| certified through stalled window cokernels."""
     g = endo.parent

@@ -47,6 +47,8 @@ from entctl.values import EntropyValue
 import oracles
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+# canonical reports of every bundled instance x {main command, verify}
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _passline(n, text):
@@ -373,14 +375,20 @@ def test_criterion_10_determinism():
         first = None
         for _ in range(3):
             inst = parse_instance(str(path))
-            out = emit_report(run_command(command_of[inst.kind], inst), "json")
+            command = command_of[inst.kind]
+            out = emit_report(run_command(command, inst), "json")
             if first is None:
                 first = out
             assert out == first, f"nondeterministic output for {path.name}"
+        golden = GOLDEN / f"{path.stem}.{command}.json"
+        assert first == golden.read_text(encoding="utf-8"), f"report differs from {golden.name}"
         # verify is deterministic too
         inst = parse_instance(str(path))
         v1 = emit_report(run_command("verify", inst), "json")
         v2 = emit_report(run_command("verify", parse_instance(str(path))), "json")
         assert v1 == v2
+        golden = GOLDEN / f"{path.stem}.verify.json"
+        assert v1 == golden.read_text(encoding="utf-8"), f"report differs from {golden.name}"
         count += 1
-    _passline(10, f"{count} bundled instances, byte-identical reports across runs")
+    assert count == len(list(GOLDEN.glob("*.verify.json")))
+    _passline(10, f"{count} bundled instances, reports byte-identical across runs and to tests/golden")

@@ -190,6 +190,29 @@ def test_missing_key_exits_validation(tmp_path, capsys, drop):
     assert repr(drop) in err["message"]
 
 
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("group", lambda raw: raw.update(group=5)),
+        ("group", lambda raw: raw["group"].update(blocks=[])),
+        ("endo", lambda raw: raw["endo"].update(rows="x")),
+        ("policy", lambda raw: raw["policy"].update(max_n="abc")),
+        ("policy", lambda raw: raw["policy"].update(max_n=float("inf"))),
+        ("cylinders", lambda raw: raw["cylinders"][0].update(window=[0, "q"])),
+    ],
+    ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str"],
+)
+def test_wrong_json_type_exits_validation(tmp_path, capsys, section, edit):
+    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+    edit(raw)
+    p = tmp_path / "wrong_type.json"
+    p.write_text(json.dumps(raw))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert repr(section) in err["message"]
+
+
 def test_nonpositive_budget_exits_validation(tmp_path, capsys):
     raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
     raw["policy"] = {"window_budget": 0}

@@ -6,11 +6,9 @@ from entctl.errors import AmbientMismatchError, ContainmentError, DimensionError
 from entctl.finabel import (
     FiniteAbelianGroup,
     canonical_subgroup,
-    hom_calculus,
     hom_validate,
     identity_hom,
     quotient_invariants,
-    subgroup_combine,
     subgroup_index,
     zero_hom,
 )
@@ -35,15 +33,15 @@ def test_canonical_subgroup_dimension_error():
         canonical_subgroup(a, [(1, 2, 3)])
 
 
-def test_subgroup_combine_examples():
+def test_subgroup_sum_intersect_examples():
     a = FiniteAbelianGroup((4, 4))
     h = canonical_subgroup(a, [(1, 0)])
     l = canonical_subgroup(a, [(1, 2)])
-    inter = subgroup_combine(h, l, "intersect")
+    inter = h.intersect_with(l)
     assert inter.order == 2
     assert inter == canonical_subgroup(a, [(2, 0)])
-    assert subgroup_combine(h, l, "sum").order == 8
-    assert subgroup_combine(h, canonical_subgroup(a, []), "sum") == h
+    assert h.sum_with(l).order == 8
+    assert h.sum_with(canonical_subgroup(a, [])) == h
 
 
 def test_subgroup_index_examples():
@@ -67,19 +65,19 @@ def test_hom_validate_examples():
     zero_hom(z2, z4)  # zero map is always fine
 
 
-def test_hom_calculus_examples():
+def test_hom_kernel_image_preimage_examples():
     z8 = FiniteAbelianGroup((8,))
     f = hom_validate([[2]], z8, z8)
-    assert hom_calculus(f, "kernel") == canonical_subgroup(z8, [(4,)])
-    assert hom_calculus(f, "image") == canonical_subgroup(z8, [(2,)])
-    pre = hom_calculus(f, "preimage", canonical_subgroup(z8, [(4,)]))
+    assert f.kernel() == canonical_subgroup(z8, [(4,)])
+    assert f.image() == canonical_subgroup(z8, [(2,)])
+    pre = f.preimage(canonical_subgroup(z8, [(4,)]))
     assert pre == canonical_subgroup(z8, [(2,)])
 
 
 def test_ambient_mismatch():
     a, b = FiniteAbelianGroup((4,)), FiniteAbelianGroup((8,))
     with pytest.raises(AmbientMismatchError):
-        subgroup_combine(a.whole_subgroup(), b.whole_subgroup(), "sum")
+        a.whole_subgroup().sum_with(b.whole_subgroup())
     f = hom_validate([[2]], a, a)
     with pytest.raises(AmbientMismatchError):
         f.preimage(b.whole_subgroup())

@@ -9,7 +9,6 @@ from entctl.gengroup import (
     closure,
     heart,
     is_normal,
-    normal_tools,
     subgroup_product,
 )
 
@@ -61,17 +60,17 @@ def test_closure_examples():
     assert again == a3
 
 
-def test_normal_tools_examples():
+def test_is_normal_and_heart_examples():
     g = cayley_group(S3_TABLE)
     h = closure(g, [T12])
     a3 = closure(g, [T123])
-    assert normal_tools(g, h, "is_normal") is False
-    assert normal_tools(g, h, "heart").order == 1
-    assert normal_tools(g, h, "index") == 3
-    assert normal_tools(g, a3, "is_normal") is True
-    assert normal_tools(g, a3, "heart") == a3
+    assert is_normal(g, h) is False
+    assert heart(g, h).order == 1
+    assert g.order // h.order == 3
+    assert is_normal(g, a3) is True
+    assert heart(g, a3) == a3
     whole = closure(g, list(range(6)))
-    assert normal_tools(g, whole, "heart") == whole
+    assert heart(g, whole) == whole
 
 
 def test_subgroup_product_examples():

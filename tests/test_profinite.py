@@ -1,10 +1,15 @@
+import pathlib
+import sys
+
 import pytest
 
+from entctl.cli import parse_instance, run_command
 from entctl.errors import Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
 from entctl.profinite import (
     CylinderSubgroup,
     PowerEndo,
+    RowFiniteEndo,
     cokernel_order,
     cotrajectory,
     cotrajectory_exact,
@@ -20,7 +25,7 @@ from entctl.profinite import (
     surjective_on_windows,
     topological_entropy,
 )
-from entctl.values import EntropyValue, StabilizationPolicy
+from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -381,3 +386,84 @@ def test_inconclusive_on_tiny_budget():
     assert not rep.certified
     with pytest.raises(Inconclusive):
         topological_entropy(sig, u0(k), "limit", tiny)
+
+
+def count_calls(monkeypatch, method: str) -> list:
+    """Record the calling function's name for every call to a RowFiniteEndo method."""
+    calls = []
+    original = getattr(RowFiniteEndo, method)
+
+    def counting(self, *args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(self, *args)
+
+    monkeypatch.setattr(RowFiniteEndo, method, counting)
+    return calls
+
+
+def z_shift():
+    kz = pro_group([], [Z2], "Z")
+    return kz, rowfinite_endo(kz, 1, 1, 1, [[(1, [[1]])]])
+
+
+def test_memo_repeats_inconclusive_outcome_without_walking(monkeypatch):
+    calls = count_calls(monkeypatch, "preimage_cylinder")
+    kz, shift_z = z_shift()
+    u = cylinder(kz, (-1, 2), [])
+    with pytest.raises(Inconclusive) as first:
+        cotrajectory_exact(shift_z, u)
+    walked = len(calls)
+    assert walked == DEFAULT_POLICY.max_n
+    with pytest.raises(Inconclusive) as second:
+        cotrajectory_exact(shift_z, u)
+    assert len(calls) == walked
+    assert second.value is not first.value
+    assert str(second.value) == str(first.value)
+    assert second.value.report == first.value.report
+
+
+def test_memo_is_not_shared_between_equal_maps(monkeypatch):
+    calls = count_calls(monkeypatch, "preimage_cylinder")
+    kz, shift_z = z_shift()
+    _, again = z_shift()
+    assert again.equals_spec(shift_z)
+    u = cylinder(kz, (-1, 2), [])
+    for endo in (shift_z, again):
+        with pytest.raises(Inconclusive):
+            cotrajectory_exact(endo, u)
+    assert len(calls) == 2 * DEFAULT_POLICY.max_n
+
+
+def test_memo_normalizes_default_policy(monkeypatch):
+    calls = count_calls(monkeypatch, "preimage_cylinder")
+    k = k_z2()
+    sig = left_shift(k)
+    rep = cotrajectory_limits(sig, u0(k))
+    walked = len(calls)
+    assert walked > 0
+    assert cotrajectory_limits(sig, u0(k), DEFAULT_POLICY) is rep
+    assert cotrajectory_limits(sig, u=u0(k), policy=DEFAULT_POLICY) is rep
+    assert len(calls) == walked
+
+
+def test_memo_keys_on_policy():
+    k = k_z2()
+    sig = left_shift(k)
+    assert cotrajectory_limits(sig, u0(k)).certified
+    tiny = StabilizationPolicy(max_n=2, stall_window=5, window_budget=4)
+    rep = cotrajectory_limits(sig, u0(k), tiny)
+    assert not rep.certified and rep.n_max == 2
+    with pytest.raises(Inconclusive):
+        topological_entropy(sig, u0(k), "limit", tiny)
+    assert topological_entropy(sig, u0(k), "limit") == EntropyValue.of_log(2)
+
+
+def test_verify_decides_surjectivity_once_per_map(monkeypatch):
+    calls = count_calls(monkeypatch, "window_map")
+    path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "left_shift_pro_z2.json"
+    inst = parse_instance(str(path))
+    assert len(inst.cylinders) == 2
+    report = run_command("verify", inst)
+    assert report.status == "ok"
+    # radii 1, 2, 4, ..., window_budget, walked for one cylinder only
+    assert calls.count("surjective_on_windows") == 6
