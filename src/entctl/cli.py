@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_VALIDATION = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -55,25 +56,12 @@ def _block_from_spec(spec):
     raise ValidationError(f"bad block spec {spec!r}")
 
 
-def _block_to_spec(block):
-    if isinstance(block, FiniteAbelianGroup):
-        return [int(d) for d in block.moduli]
-    return {"cayley": [list(r) for r in block.table]}
-
-
 def _parse_element(spec, abelian: bool) -> dict:
     out = {}
     for item in spec:
         idx, val = int(item[0]), item[1]
         out[idx] = tuple(int(x) for x in val) if abelian else int(val)
     return out
-
-
-def _element_to_spec(elem: dict, abelian: bool):
-    return [
-        [i, list(v) if abelian else int(v)]
-        for i, v in sorted(elem.items())
-    ]
 
 
 def _parse_policy(spec: dict | None) -> StabilizationPolicy:
@@ -582,6 +570,10 @@ def main(argv=None) -> int:
     except Inconclusive as exc:
         print(json.dumps({"error": "inconclusive", "message": str(exc)}), file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except AssertionError as exc:
+        # a library invariant broke: a defect in entctl, not in the instance
+        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
+        return EXIT_INTERNAL
 
     sys.stdout.write(emit_report(report, args.format))
     if report.status == "hypothesis_failure":

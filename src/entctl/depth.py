@@ -7,22 +7,31 @@ from band geometry: the partial two-sided cotrajectories must pin every
 coordinate of monotonically growing windows.  The depth index is computed
 through both one-sided cotrajectories and must agree; the entropy-depth
 identity is cross-checked over the canonical shrinking base.
+
+Every one-sided chain here (antistability, U_+/U_-, the shrinking base)
+is walked by the generator ``profinite.chain_steps`` or its lazy view
+``profinite.chain``, and pinning is decided by
+``profinite.pins_growing_windows``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
-from .finabel import FiniteAbelianGroup, canonical_subgroup
+from .finabel import canonical_subgroup
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
     PowerEndo,
     ProGroup,
     RowFiniteEndo,
+    chain,
+    chain_steps,
     cotrajectory_limits,
     identity_endo,
+    pins_growing_windows,
     topological_entropy,
     h_top,
 )
@@ -49,28 +58,11 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
             rows_idx.append(j)
     if target_block not in rows_idx:
         return None
-    tgt_mods: list[int] = []
-    for j in rows_idx:
-        tgt_mods.extend(g.block(j).moduli)
-    tgt = FiniteAbelianGroup(tuple(tgt_mods))
-    mat = [[0] * wg.rank for _ in range(tgt.rank)]
-    row_at = {}
-    pos = 0
-    for j in rows_idx:
-        row_at[j] = pos
-        pos += g.block(j).rank
-    for j in rows_idx:
-        for o, m in endo.row_terms(j):
-            src = j + o
-            if not (lo <= src < hi):
-                continue
-            ss = starts[src - lo]
-            for u in range(len(m)):
-                for v in range(len(m[u])):
-                    mat[row_at[j] + u][ss + v] += m[u][v]
+    mat, _, tgt = endo.band_matrix(rows_idx, lo, hi)
+    t_at = sum(g.block(j).rank for j in rows_idx[: rows_idx.index(target_block)])
     t_dense = [0] * tgt.rank
     for u, c in enumerate(target_vec):
-        t_dense[row_at[target_block] + u] = c
+        t_dense[t_at + u] = c
 
     # kernel of (s, y) -> s * (-t) + y * M  modulo the target relations
     from math import lcm as _lcm
@@ -184,36 +176,24 @@ def antistable_check(
     """
     if inverse is None:
         inverse = invert(endo, policy)
-    g = endo.parent
-    w = policy.stall_window
-    cp, cm = u, u
+    steps_p, steps_m = chain_steps(endo, u), chain_steps(inverse, u)
     stalled_p = stalled_m = False
     history = []
     for n in range(1, policy.max_n + 1):
         if not stalled_p:
-            np_ = u.intersect(endo.preimage_cylinder(cp))
-            stalled_p = np_ == cp
-            cp = np_
+            prev, _, cp = next(steps_p)
+            stalled_p = cp == prev
         if not stalled_m:
-            nm = u.intersect(inverse.preimage_cylinder(cm))
-            stalled_m = nm == cm
-            cm = nm
+            prev, _, cm = next(steps_m)
+            stalled_m = cm == prev
         d = cp.intersect(cm)
         if d.is_trivial_subgroup():
             return AntistableCertificate("antistable", n, (d.lo, d.hi))
         if stalled_p and stalled_m:
             return AntistableCertificate("not_antistable", n, (d.lo, d.hi), witness=d)
         history.append((d.lo, d.hi, d.core.order == 1))
-        if len(history) >= w:
-            recent = history[-w:]
-            pinned = all(r[2] for r in recent)
-            grow_hi = all(recent[i][1] < recent[i + 1][1] for i in range(w - 1))
-            grow_lo = all(recent[i][0] > recent[i + 1][0] for i in range(w - 1))
-            if pinned and (
-                (g.index_set == "Z" and grow_hi and grow_lo)
-                or (g.index_set == "N" and grow_hi and recent[-1][0] == 0)
-            ):
-                return AntistableCertificate("antistable", n, (d.lo, d.hi))
+        if pins_growing_windows(endo.parent, history, policy.stall_window):
+            return AntistableCertificate("antistable", n, (d.lo, d.hi))
     return AntistableCertificate("unknown", None, None)
 
 
@@ -336,13 +316,6 @@ def _residual_of(cyl: CylinderSubgroup, parent: ProGroup, boundary: int, side: i
     return CylinderSubgroup(parent, lo, hi, canonical_subgroup(sub_wg, rows))
 
 
-def _chain_of(endo, u: CylinderSubgroup):
-    c = u
-    while True:
-        yield c
-        c = u.intersect(endo.preimage_cylinder(c))
-
-
 def plus_minus(
     endo: RowFiniteEndo,
     u: CylinderSubgroup,
@@ -358,8 +331,8 @@ def plus_minus(
     """
     if inverse is None:
         inverse = invert(endo, policy)
-    u_minus = _detect_tail(_chain_of(endo, u), endo.parent, policy)
-    u_plus = _detect_tail(_chain_of(inverse, u), endo.parent, policy)
+    u_minus = _detect_tail(chain(endo, u), endo.parent, policy)
+    u_plus = _detect_tail(chain(inverse, u), endo.parent, policy)
 
     def validate(res, the_endo):
         kind, obj = res
@@ -442,13 +415,8 @@ def base_sequence(
     """U_k = C_k(psi, U) n C_k(psi^{-1}, U) for k = 1..n, a shrinking base."""
     if inverse is None:
         inverse = invert(endo, policy)
-    out = []
-    cp, cm = u, u
-    for _ in range(n):
-        out.append(cp.intersect(cm))
-        cp = u.intersect(endo.preimage_cylinder(cp))
-        cm = u.intersect(inverse.preimage_cylinder(cm))
-    return out
+    pairs = zip(chain(endo, u), chain(inverse, u))
+    return [cp.intersect(cm) for cp, cm in itertools.islice(pairs, n)]
 
 
 @dataclass(frozen=True)

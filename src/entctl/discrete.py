@@ -15,6 +15,7 @@ required before a stall is certified.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -551,14 +552,20 @@ def _make_engine(endo: BandedEndo, f_gens):
     return eng, gens
 
 
+def trajectory_chain(endo: BandedEndo, f_gens):
+    """Yield T_1 = F, T_2, ... from one engine; T_{n+1} is computed only
+    when asked for."""
+    engine, _ = _make_engine(endo, f_gens)
+    while True:
+        yield engine.snapshot()
+        engine.step()
+
+
 def trajectory(endo: BandedEndo, f_gens, n: int) -> LFSubgroup:
     """T_n = F phi(F) ... phi^{n-1}(F) inside its inferred window."""
     if n < 1:
         raise ValidationError("trajectory index must be >= 1")
-    engine, _ = _make_engine(endo, f_gens)
-    for _ in range(n - 1):
-        engine.step()
-    return engine.snapshot()
+    return next(itertools.islice(trajectory_chain(endo, f_gens), n - 1, None))
 
 
 def trajectory_limits(

@@ -10,11 +10,12 @@ the bridge check exercises.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .discrete import BandedEndo, LFGroup, trajectory, trajectory_limits
+from .discrete import BandedEndo, LFGroup, trajectory_chain, trajectory_limits
 from .errors import AmbientMismatchError, ValidationError
 from .finabel import (
     AbSubgroup,
@@ -29,7 +30,7 @@ from .profinite import (
     CylinderSubgroup,
     ProGroup,
     RowFiniteEndo,
-    cotrajectory,
+    chain,
     cotrajectory_limits,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
@@ -260,15 +261,14 @@ def weiss_bridge_check(
         records.append(CheckRecord("both_sides_certified", certified))
         n_cmp = min(compare_n, rep_d.n_max, rep_t.n_max)
         tc_a = True
-        for n in range(1, n_cmp + 1):
-            t_n = trajectory(endo, f_gens, n)
+        pairs = zip(trajectory_chain(endo, f_gens), chain(psi, u))
+        for t_n, c_n in itertools.islice(pairs, n_cmp):
             if t_n.subgroup is None:
                 raise ValidationError("bridge comparison needs abelian trajectories")
             wg = t_n.subgroup.ambient
             _, pairing = dual_group(wg)
             perp_core = annihilator(t_n.subgroup, pairing)
             perp = CylinderSubgroup(k_group, 0, t_n.window_hi, perp_core)
-            c_n = cotrajectory(psi, u, n)
             if perp != c_n:
                 tc_a = False
                 break

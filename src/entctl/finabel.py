@@ -101,13 +101,6 @@ class FiniteAbelianGroup:
     def whole_subgroup(self) -> "AbSubgroup":
         return canonical_subgroup(self, [self.unit(i) for i in range(self.rank)])
 
-    @staticmethod
-    def direct_sum(*groups: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
-        mods: tuple[int, ...] = ()
-        for g in groups:
-            mods = mods + g.moduli
-        return FiniteAbelianGroup(mods)
-
 
 class AbSubgroup:
     """Subgroup of a FiniteAbelianGroup in canonical (HNF) form.

@@ -181,9 +181,6 @@ class ZLattice:
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self.rows)
 
-    def is_full_rank(self) -> bool:
-        return len(self.rows) == self.width
-
     def pivot_product(self) -> int:
         """Product of the pivots; for a full-rank lattice this is [Z^k : L]."""
         return prod(r[p] for r, p in zip(self.rows, self.pivots))

@@ -8,6 +8,11 @@ each output coordinate depends on a band of input coordinates, given on
 one period and shifted.  Preimages of cylinders are cylinders, so the
 whole cotrajectory calculus happens in finite windows, exactly.
 
+Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
+in ``depth`` and ``duality``, runs on the one generator ``chain_steps``
+(or its lazy view ``chain``) and stops by its caller's own rule; the
+pinning of growing windows is decided by ``pins_growing_windows`` alone.
+
 The chain questions (cotrajectory limits and exact end, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
 the subgroup and the policy.  A map object remembers the outcomes it has
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -389,6 +395,33 @@ class RowFiniteEndo:
                     out[j] = red
         return out
 
+    def band_matrix(self, rows, lo: int, hi: int):
+        """(matrix, source group, target group) of the output rows ``rows``
+        read on the source window [lo, hi).
+
+        The target stacks the blocks of ``rows`` in the given order; terms
+        whose source coordinate lies outside the window are left out, and
+        the entries are not reduced.
+        """
+        g = self.parent
+        src_g, starts = g.window_layout(lo, hi)
+        tgt_mods: list[int] = []
+        for i in rows:
+            tgt_mods.extend(g.block(i).moduli)
+        mat = [[0] * src_g.rank for _ in tgt_mods]
+        at = 0
+        for i in rows:
+            for o, m in self.row_terms(i):
+                if not (lo <= i + o < hi):
+                    continue
+                ss = starts[i + o - lo]
+                for u, m_row in enumerate(m):
+                    row = mat[at + u]
+                    for v, x in enumerate(m_row):
+                        row[ss + v] += x
+            at += g.block(i).rank
+        return mat, src_g, FiniteAbelianGroup(tuple(tgt_mods))
+
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
         """Induced map window(src) -> window([lo,hi)) capturing all dependencies."""
         g = self.parent
@@ -402,20 +435,7 @@ class RowFiniteEndo:
             src_lo = src_hi = 0
         else:
             src_lo, src_hi = min(deps), max(deps) + 1
-        tgt_g, tgt_starts = g.window_layout(lo, hi)
-        src_g, src_starts = g.window_layout(src_lo, src_hi)
-        mat = [[0] * src_g.rank for _ in range(tgt_g.rank)]
-        for i in range(lo, hi):
-            ts = tgt_starts[i - lo]
-            for o, m in self.row_terms(i):
-                j = i + o
-                if not g.valid_index(j):
-                    continue
-                ss = src_starts[j - src_lo]
-                for u in range(len(m)):
-                    row = mat[ts + u]
-                    for v in range(len(m[u])):
-                        row[ss + v] += m[u][v]
+        mat, src_g, tgt_g = self.band_matrix(range(lo, hi), src_lo, src_hi)
         return src_lo, src_hi, hom_validate(mat, src_g, tgt_g)
 
     def preimage_cylinder(self, u: CylinderSubgroup) -> CylinderSubgroup:
@@ -567,14 +587,52 @@ def _memoized(fn):
     return wrapper
 
 
+def chain_steps(endo, u: CylinderSubgroup):
+    """Yield (C_n, psi^{-1}(C_n), C_{n+1}) for n = 1, 2, ...
+
+    C_1 = U and C_{n+1} = U n psi^{-1}(C_n).  This is the only place the
+    recurrence is written; every cotrajectory walk runs on it.  Only the
+    current cylinder is held, and the walk never ends by itself: each
+    caller stops it by its own rule.
+    """
+    c = u
+    while True:
+        p = endo.preimage_cylinder(c)
+        c_next = u.intersect(p)
+        yield c, p, c_next
+        c = c_next
+
+
+def chain(endo, u: CylinderSubgroup):
+    """Yield C_1 = U, C_2, ...; C_{n+1} is computed only when asked for."""
+    yield u
+    for _, _, c in chain_steps(endo, u):
+        yield c
+
+
+def pins_growing_windows(parent: ProGroup, windows, w: int) -> bool:
+    """True when the last ``w`` cylinders of a chain are fully pinned on
+    windows that grow on both sides over Z, or grow to the right from 0
+    over N; band geometry then pins every coordinate in the limit.
+
+    ``windows`` lists (lo, hi, core is trivial) for each cylinder so far.
+    """
+    if len(windows) < w:
+        return False
+    recent = windows[-w:]
+    if not all(r[2] for r in recent):
+        return False
+    growing_hi = all(recent[i][1] < recent[i + 1][1] for i in range(w - 1))
+    if parent.index_set == "N":
+        return growing_hi and recent[-1][0] == 0
+    return growing_hi and all(recent[i][0] > recent[i + 1][0] for i in range(w - 1))
+
+
 def cotrajectory(endo, u: CylinderSubgroup, n: int) -> CylinderSubgroup:
     """C_n = U n psi^{-1}(U) n ... n psi^{-(n-1)}(U)."""
     if n < 1:
         raise ValidationError("cotrajectory index must be >= 1")
-    c = u
-    for _ in range(n - 1):
-        c = u.intersect(endo.preimage_cylinder(c))
-    return c
+    return next(itertools.islice(chain(endo, u), n - 1, None))
 
 
 @dataclass(frozen=True)
@@ -612,8 +670,7 @@ def cotrajectory_limits(
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
     """
     w = policy.stall_window
-    c_cyl = u
-    cs = [c_cyl.index]
+    cs = [u.index]
     alphas: list[int] = []
     ds: list[int] = []
     ls: list[int] = []
@@ -632,9 +689,8 @@ def cotrajectory_limits(
             status=status,
         )
 
-    for n in range(1, policy.max_n + 1):
-        p_cyl = endo.preimage_cylinder(c_cyl)
-        c_next = u.intersect(p_cyl)
+    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
+    for n, (c_cyl, p_cyl, c_next) in enumerate(steps, 1):
         cs.append(c_next.index)
         if cs[n] % cs[n - 1]:
             raise AssertionError("c_n must divide c_{n+1}")
@@ -678,7 +734,6 @@ def cotrajectory_limits(
                 else:
                     n0 = 1
                 return report(n, n0, alpha, n1, psi_inv, kml, True, "certified")
-        c_cyl = c_next
 
     half = max(2, policy.max_n // 2)
     if len(ls) >= half and all(ls[i] < ls[i + 1] for i in range(len(ls) - half, len(ls) - 1)):
@@ -771,26 +826,14 @@ def cotrajectory_exact(endo, u: CylinderSubgroup, policy: StabilizationPolicy = 
     growing windows (so the intersection is the one-element subgroup), and
     raises Inconclusive otherwise.
     """
-    g = endo.parent
-    c_cyl = u
     windows = []
-    for n in range(1, policy.max_n + 1):
-        c_next = u.intersect(endo.preimage_cylinder(c_cyl))
+    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
+    for n, (c_cyl, _, c_next) in enumerate(steps, 1):
         if c_next == c_cyl:
             return ("stalled", c_cyl)
-        c_cyl = c_next
-        windows.append((c_cyl.lo, c_cyl.hi, c_cyl.core.order == 1))
-        w = policy.stall_window
-        if len(windows) >= w:
-            recent = windows[-w:]
-            fully_pinned = all(r[2] for r in recent)
-            growing_hi = all(recent[i][1] < recent[i + 1][1] for i in range(w - 1))
-            growing_lo = all(recent[i][0] > recent[i + 1][0] for i in range(w - 1))
-            if fully_pinned:
-                if g.index_set == "N" and growing_hi and c_cyl.lo == 0:
-                    return ("trivial", n)
-                if g.index_set == "Z" and growing_hi and growing_lo:
-                    return ("trivial", n)
+        windows.append((c_next.lo, c_next.hi, c_next.core.order == 1))
+        if pins_growing_windows(endo.parent, windows, policy.stall_window):
+            return ("trivial", n)
     raise Inconclusive("cotrajectory neither stalls nor pins coordinates", None)
 
 
@@ -820,28 +863,10 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
             deps = [i + o for o, _ in endo.row_terms(i) if g.valid_index(i + o)]
             if deps and all(lo <= d < hi for d in deps):
                 rows_idx.append(i)
-        wg, starts = g.window_layout(lo, hi)
         if not rows_idx:
-            return wg.whole_subgroup()
-        tgt_mods: list[int] = []
-        for i in rows_idx:
-            tgt_mods.extend(g.block(i).moduli)
-        tgt = FiniteAbelianGroup(tuple(tgt_mods))
-        mat = [[0] * wg.rank for _ in range(tgt.rank)]
-        row_at = 0
-        for i in rows_idx:
-            blk = g.block(i)
-            for o, m in endo.row_terms(i):
-                j = i + o
-                if not g.valid_index(j):
-                    continue
-                ss = starts[j - lo]
-                for uu in range(blk.rank):
-                    for vv in range(len(m[uu])):
-                        mat[row_at + uu][ss + vv] += m[uu][vv]
-            row_at += blk.rank
-        h = hom_validate(mat, wg, tgt)
-        return h.kernel()
+            return g.window_layout(lo, hi)[0].whole_subgroup()
+        mat, wg, tgt = endo.band_matrix(rows_idx, lo, hi)
+        return hom_validate(mat, wg, tgt).kernel()
 
     def restrict(sub: AbSubgroup, big: tuple[int, int], small: tuple[int, int]) -> AbSubgroup:
         (blo, bhi), (slo, shi) = big, small

@@ -6,6 +6,7 @@ import pytest
 from entctl.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     emit_report,
@@ -166,6 +167,19 @@ def test_main_exit_codes(tmp_path, capsys):
     rc = main(["depth", str(p2)])
     assert rc == EXIT_HYPOTHESIS
     capsys.readouterr()
+
+
+def test_broken_invariant_exits_internal(capsys, monkeypatch):
+    import entctl.profinite as profinite
+
+    def broken(*args, **kwargs):
+        raise AssertionError("c_n must divide c_{n+1}")
+
+    monkeypatch.setattr(profinite, "cotrajectory_limits", broken)
+    rc = main(["top-entropy", str(INSTANCES / "left_shift_pro_z2.json")])
+    assert rc == EXIT_INTERNAL
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "internal", "message": "c_n must divide c_{n+1}"}
 
 
 def test_schema_rejections(tmp_path):

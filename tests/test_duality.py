@@ -19,8 +19,8 @@ from entctl.finabel import (
     identity_hom,
     zero_hom,
 )
-from entctl.profinite import cotrajectory
-from entctl.values import EntropyValue
+from entctl.profinite import RowFiniteEndo, cotrajectory, cotrajectory_limits
+from entctl.values import EntropyValue, StabilizationPolicy
 
 import oracles
 from test_finabel import random_moduli, random_valid_matrix, random_elems
@@ -178,6 +178,56 @@ def test_weiss_bridge_check_examples():
     ident = banded_endo(g, 0, 1, 1, [[[(0, (1,))]]])
     repi = weiss_bridge_check(g, ident, [[{0: (1,)}]])
     assert repi.ok and repi.h_alg_value.is_zero
+
+
+def test_bridge_comparison_walks_each_chain_once(monkeypatch):
+    import entctl.discrete as discrete
+
+    g, beta = shift_group_and_endo()
+    family = [[{0: (1,)}], [{0: (1,)}, {1: (1,)}]]
+    policy = StabilizationPolicy(max_n=64, stall_window=8, window_budget=32)
+    budget = 0
+    for f in family:
+        _, psi, u = bridge(g, beta, f)
+        n_cot = cotrajectory_limits(psi, u, policy).n_max
+        n_cmp = min(8, trajectory_limits(beta, f, policy).n_max, n_cot)
+        assert n_cmp == 8
+        # the bridge's own cotrajectory_limits walk, then the comparison
+        budget += n_cot + n_cmp
+
+    counts = {"preimage": 0, "engine": 0}
+    preimage, make_engine = RowFiniteEndo.preimage_cylinder, discrete._make_engine
+
+    def counted_preimage(self, c):
+        counts["preimage"] += 1
+        return preimage(self, c)
+
+    def counted_engine(*args):
+        counts["engine"] += 1
+        return make_engine(*args)
+
+    monkeypatch.setattr(RowFiniteEndo, "preimage_cylinder", counted_preimage)
+    monkeypatch.setattr(discrete, "_make_engine", counted_engine)
+    rep = weiss_bridge_check(g, beta, family, policy)
+    assert rep.ok
+    assert counts["preimage"] <= budget
+    # one engine for trajectory_limits and one for the comparison, per member
+    assert counts["engine"] == 2 * len(family)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="cotrajectory_limits certifies a premature stall (ROADMAP item 2)",
+)
+def test_premature_stall_is_not_certified():
+    # e_i -> 2 e_{i+1} for even i and 3 e_{i+1} for odd i on (Z/4)^(N):
+    # [C_n : C_{n+1}] reads 2, 2, 2 and then 1 for good, so the stall
+    # window of 3 certifies alpha = 2 one step too early
+    g = locally_finite_group([], [FiniteAbelianGroup((4,))])
+    phi = banded_endo(g, 1, 1, 2, [[[(1, (2,))]], [[(1, (3,))]]])
+    _, psi, u = bridge(g, phi, [{1: (1,)}, {2: (2,)}])
+    rep = cotrajectory_limits(psi, u)
+    assert not rep.certified or rep.alpha == 1
 
 
 def test_weiss_bridge_sum_rule():

@@ -10,6 +10,7 @@ from entctl.profinite import (
     CylinderSubgroup,
     PowerEndo,
     RowFiniteEndo,
+    chain,
     cokernel_order,
     cotrajectory,
     cotrajectory_exact,
@@ -399,6 +400,19 @@ def count_calls(monkeypatch, method: str) -> list:
 
     monkeypatch.setattr(RowFiniteEndo, method, counting)
     return calls
+
+
+def test_chain_computes_each_cylinder_on_demand(monkeypatch):
+    k = k_z2()
+    sig = left_shift(k)
+    u = u0(k)
+    calls = count_calls(monkeypatch, "preimage_cylinder")
+    cs = chain(sig, u)
+    assert next(cs) == u and calls == []
+    next(cs)
+    c3 = next(cs)
+    assert len(calls) == 2
+    assert c3 == cotrajectory(sig, u, 3)
 
 
 def z_shift():
