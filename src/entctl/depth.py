@@ -72,8 +72,7 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
     for i in range(wg.rank):
         map_rows.append([mat[r][i] for r in range(tgt.rank)])
     combos = congruence_kernel(
-        map_rows, tgt.rank, [], coeff_moduli=[c] * (wg.rank + 1),
-        image_moduli=tgt.moduli,
+        map_rows, tgt.rank, tgt.relation_lattice(), coeff_moduli=[c] * (wg.rank + 1)
     )
     for combo in combos:
         if combo[0] == 1:

@@ -422,11 +422,7 @@ class _AbelianTrajectory:
             row[c] = 1
             map_rows.append(row)
         combos = congruence_kernel(
-            map_rows,
-            width,
-            self.lat_phit.lat.rows,
-            coeff_moduli=[self.layout.moduli[c] for c in range(kf)],
-            image_moduli=self.layout.moduli,
+            map_rows, width, self.lat_phit.lat, coeff_moduli=self.layout.moduli[:kf]
         )
         inside = canonical_subgroup(self.f_group, combos)
         return self.f_sub.intersect_with(inside).order
@@ -444,8 +440,7 @@ class _AbelianTrajectory:
             map_rows.append(tgt_layout.dense(img))
         w = tgt_layout.width
         combos = congruence_kernel(
-            map_rows, w, [], coeff_moduli=[c] * len(map_rows),
-            image_moduli=tgt_layout.moduli,
+            map_rows, w, ZLattice(w, tgt_layout.moduli), coeff_moduli=[c] * len(map_rows)
         )
         width = self.layout.width
         rows = []

@@ -25,7 +25,7 @@ from .finabel import (
     hom_validate,
     quotient_invariants,
 )
-from .lattice import congruence_kernel
+from .lattice import ZLattice, congruence_kernel
 from .profinite import (
     CylinderSubgroup,
     ProGroup,
@@ -106,8 +106,7 @@ def annihilator(h: AbSubgroup, pairing: DualPairing) -> AbSubgroup:
     for i in range(k):
         map_rows.append([(g[i] * pairing.weights[i]) % m for g in gens])
     combos = congruence_kernel(
-        map_rows, len(gens), [], coeff_moduli=[m] * k,
-        image_moduli=[m] * len(gens),
+        map_rows, len(gens), ZLattice(len(gens), [m] * len(gens)), coeff_moduli=[m] * k
     )
     return canonical_subgroup(pairing.dual, combos)
 

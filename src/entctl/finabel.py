@@ -112,6 +112,10 @@ class AbSubgroup:
     __slots__ = ("ambient", "basis", "order", "_lat")
 
     def __init__(self, ambient: FiniteAbelianGroup, basis: tuple[tuple[int, ...], ...]):
+        k = ambient.rank
+        assert len(basis) == k and all(
+            len(row) == k and row[j] > 0 for j, row in enumerate(basis)
+        ), f"not a full-rank triangular basis of rank {k}: {basis}"
         self.ambient = ambient
         self.basis = basis
         self._lat = ZLattice.from_echelon(
@@ -174,7 +178,11 @@ class AbSubgroup:
     def sum_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup sum across ambient groups")
-        return canonical_subgroup(self.ambient, list(self.basis) + list(other.basis))
+        lat = self._lat.copy()
+        for row in other.basis:
+            lat.add(row)
+        lat.normalize()
+        return AbSubgroup(self.ambient, lat.basis())
 
     def intersect_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
@@ -182,13 +190,7 @@ class AbSubgroup:
         amb = self.ambient
         k = amb.rank
         c = lcm(1, *amb.moduli)
-        combos = congruence_kernel(
-            [list(r) for r in self.basis],
-            k,
-            [list(r) for r in other.basis],
-            coeff_moduli=[c] * k,
-            image_moduli=amb.moduli,
-        )
+        combos = congruence_kernel(self.basis, k, other._lat, coeff_moduli=[c] * k)
         rows = []
         for combo in combos:
             row = [0] * k
@@ -243,7 +245,7 @@ def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
     lat = ambient.relation_lattice()
     for g in gens:
         ambient.check_vector(g)
-        lat.add(list(ambient.reduce(g)))
+        lat.add(g)
     lat.normalize()
     return AbSubgroup(ambient, lat.basis())
 
@@ -310,11 +312,7 @@ class Hom:
         kb = self.target.rank
         c = lcm(1, *self.target.moduli)
         combos = congruence_kernel(
-            [self.column(j) for j in range(ka)],
-            kb,
-            [list(r) for r in sub.basis],
-            coeff_moduli=[c] * ka,
-            image_moduli=self.target.moduli,
+            [self.column(j) for j in range(ka)], kb, sub._lat, coeff_moduli=[c] * ka
         )
         return canonical_subgroup(self.source, combos)
 

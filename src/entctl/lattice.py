@@ -186,26 +186,26 @@ class ZLattice:
         return prod(r[p] for r, p in zip(self.rows, self.pivots))
 
 
-def congruence_kernel(
-    map_rows, image_width: int, relation_rows, coeff_moduli=None, image_moduli=None
-):
-    """Basis of {c in Z^n : sum_i c_i * map_rows[i] lies in the relation lattice}.
+def congruence_kernel(map_rows, image_width: int, relation: ZLattice, coeff_moduli=None):
+    """Basis of {c in Z^n : sum_i c_i * map_rows[i] lies in ``relation``}.
 
-    ``coeff_moduli`` are integers m_i (0 to skip) such that m_i * map_rows[i]
-    is already known to lie in the relation lattice; ``image_moduli`` are
-    per-column kill moduli of the relation lattice itself.  Both change
-    nothing mathematically but keep every intermediate entry bounded.
+    ``relation`` is an echelon lattice of width ``image_width`` (passed too
+    because ``perfbench/tracer.py`` buckets calls by it); its ``moduli`` are
+    per-column kill moduli.  ``coeff_moduli`` are integers m_i (0 to skip)
+    with m_i * map_rows[i] known to lie in ``relation``; they are used only
+    when ``relation`` declares moduli.  Moduli change nothing
+    mathematically but keep every intermediate entry bounded.
+
+    The elimination on rows (image | coefficients) is seeded with the rows
+    of ``relation`` padded with zeros, then the rows m_i e_i; every relation
+    pivot precedes the new columns, so the seed is in echelon form and only
+    the map rows are eliminated.
     """
+    if relation.width != image_width:
+        raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
     n = len(map_rows)
-    width = image_width + n
-    moduli = None
-    if coeff_moduli is not None or image_moduli is not None:
-        img = list(image_moduli) if image_moduli is not None else [0] * image_width
-        cof = list(coeff_moduli) if coeff_moduli is not None else [0] * n
-        moduli = img + cof
-    lat = ZLattice(width, moduli)
-    for rel in relation_rows:
-        lat.add(list(rel) + [0] * n)
+    lat = relation.copy()
+    lat.extend(image_width + n, coeff_moduli if coeff_moduli is not None else [0] * n)
     for i, mrow in enumerate(map_rows):
         unit = [0] * n
         unit[i] = 1

@@ -120,22 +120,22 @@ class CylinderSubgroup:
         wg, starts = parent.window_layout(lo, hi)
         if core.ambient != wg:
             raise AmbientMismatchError("core does not live in the window group")
-        # shrink free boundary blocks
+        # shrink free boundary blocks: a block is free when the core contains
+        # its unit vectors, i.e. when its HNF rows are those unit vectors
         while lo < hi:
-            blk = parent.block(hi - 1)
             s = starts[-2]
-            if all(core.contains(_unit(wg.rank, s + j)) for j in range(blk.rank)):
-                core = _project_out(core, s, parent, lo, hi - 1)
+            if all(core.basis[j][j] == 1 for j in range(s, wg.rank)):
                 hi -= 1
                 wg, starts = parent.window_layout(lo, hi)
+                core = _project_out(core, s, wg)
             else:
                 break
         while lo < hi:
-            blk = parent.block(lo)
-            if all(core.contains(_unit(wg.rank, j)) for j in range(blk.rank)):
-                core = _project_out_front(core, blk.rank, parent, lo + 1, hi)
+            r = parent.block(lo).rank
+            if core.basis[:r] == _unit_rows(wg.rank, 0, r):
                 lo += 1
                 wg, starts = parent.window_layout(lo, hi)
+                core = _project_out_front(core, r, wg)
             else:
                 break
         if lo == hi:
@@ -160,26 +160,28 @@ class CylinderSubgroup:
         return self.core.order == 1 and self.parent.all_trivial_outside(self.lo, self.hi)
 
     def extended_core(self, lo: int, hi: int) -> AbSubgroup:
-        """The same subgroup presented on the larger window [lo, hi)."""
+        """The same subgroup presented on the larger window [lo, hi).
+
+        The unit rows e_j of the added blocks and the core's HNF rows padded
+        with zeros are upper triangular, with pivots dividing the moduli and
+        reduced entries above them (unit pivots are 1, padding is 0): the
+        unique HNF of the extension, built without elimination.
+        """
         if self.is_whole():
             wg, _ = self.parent.window_layout(lo, hi)
             return wg.whole_subgroup()
         if lo > self.lo or hi < self.hi:
             raise ValidationError("extension window must contain the current window")
         wg, starts = self.parent.window_layout(lo, hi)
+        k = wg.rank
         off = starts[self.lo - lo]
-        gens = []
-        for row in self.core.generators():
-            v = [0] * wg.rank
-            v[off : off + len(row)] = row
-            gens.append(v)
-        for i in range(lo, hi):
-            if self.lo <= i < self.hi:
-                continue
-            s = starts[i - lo]
-            for j in range(self.parent.block(i).rank):
-                gens.append(_unit(wg.rank, s + j))
-        return canonical_subgroup(wg, gens)
+        end = off + self.core.ambient.rank
+        basis = (
+            _unit_rows(k, 0, off)
+            + tuple((0,) * off + row + (0,) * (k - end) for row in self.core.basis)
+            + _unit_rows(k, end, k)
+        )
+        return AbSubgroup(wg, basis)
 
     def hull_with(self, other: "CylinderSubgroup") -> tuple[int, int]:
         if self.parent != other.parent:
@@ -242,22 +244,29 @@ class CylinderSubgroup:
         return f"Cylinder([{self.lo},{self.hi}) index={self.index})"
 
 
-def _unit(width: int, i: int) -> list[int]:
-    v = [0] * width
-    v[i] = 1
-    return v
+def _unit_rows(width: int, start: int, stop: int) -> tuple[tuple[int, ...], ...]:
+    """The rows e_start, ..., e_{stop-1} of Z^width."""
+    return tuple(tuple(int(t == j) for t in range(width)) for j in range(start, stop))
 
 
-def _project_out(core: AbSubgroup, cut: int, parent, lo, hi) -> AbSubgroup:
-    wg, _ = parent.window_layout(lo, hi)
-    gens = [list(row[:cut]) for row in core.generators()]
-    return canonical_subgroup(wg, gens)
+def _project_out(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
+    """The projection of ``core`` onto its first ``cut`` coordinates, in ``wg``.
+
+    HNF rows from ``cut`` on vanish there, so the first ``cut`` rows cut to
+    ``cut`` columns span it, and they are still in HNF.
+    """
+    return AbSubgroup(wg, tuple(row[:cut] for row in core.basis[:cut]))
 
 
-def _project_out_front(core: AbSubgroup, cut: int, parent, lo, hi) -> AbSubgroup:
-    wg, _ = parent.window_layout(lo, hi)
-    gens = [list(row[cut:]) for row in core.generators()]
-    return canonical_subgroup(wg, gens)
+def _project_out_front(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
+    """The projection of ``core`` onto its coordinates from ``cut`` on, in ``wg``,
+    for a core containing every e_j with j < ``cut`` (a free front block).
+
+    Those e_j are then the first ``cut`` HNF rows, and the other rows vanish
+    on the first ``cut`` columns, so cutting them to the columns from ``cut``
+    on gives the HNF of the projection.
+    """
+    return AbSubgroup(wg, tuple(row[cut:] for row in core.basis[cut:]))
 
 
 def pro_group(prefix, period, index_set: str = "N") -> ProGroup:
@@ -282,9 +291,7 @@ def cylinder(parent: ProGroup, window, core_gens) -> CylinderSubgroup:
     # blocks inside the hull but not named in the window are unconstrained
     for i in range(lo, hi):
         if i not in idx:
-            s = starts[i - lo]
-            for j in range(parent.block(i).rank):
-                gens.append(_unit(wg.rank, s + j))
+            gens.extend(_unit_rows(wg.rank, starts[i - lo], starts[i - lo + 1]))
     return CylinderSubgroup(parent, lo, hi, canonical_subgroup(wg, gens))
 
 

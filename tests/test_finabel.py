@@ -1,9 +1,12 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entctl.errors import AmbientMismatchError, ContainmentError, DimensionError, ValidationError
 from entctl.finabel import (
+    AbSubgroup,
     FiniteAbelianGroup,
     canonical_subgroup,
     hom_validate,
@@ -12,6 +15,7 @@ from entctl.finabel import (
     subgroup_index,
     zero_hom,
 )
+from entctl.lattice import ZLattice, congruence_kernel
 
 import oracles
 
@@ -215,3 +219,125 @@ def test_invariants_and_quotients():
     assert quotient_invariants(canonical_subgroup(a, [(2, 0)]), a.whole_subgroup()) == (2, 4)
     z12 = FiniteAbelianGroup((12,))
     assert canonical_subgroup(z12, [(4,)]).invariants() == (3,)
+
+
+# -- direct constructions from the HNF against elimination from generators --
+
+FAMILIES = ((2, 4, 8), (3, 9), (2, 3, 6))
+
+
+def mixed_group(rng, max_rank=4):
+    """Moduli mixed inside one family, with some Z/1 coordinates."""
+    fam = rng.choice(FAMILIES)
+    return FiniteAbelianGroup(
+        tuple(rng.choice(fam + (1,)) for _ in range(rng.randrange(1, max_rank + 1)))
+    )
+
+
+def sparse_elems(rng, group, count):
+    """Elements with multiples and zeros, so subgroups come in every size."""
+    return [
+        tuple(rng.choice((0, 1, 2, 3)) * rng.randrange(d) for d in group.moduli)
+        for _ in range(count)
+    ]
+
+
+def eliminated_kernel(map_rows, moduli, relation_rows, coeff):
+    """congruence_kernel with the relation lattice built by adding its rows
+    one by one to its moduli: the kernel rows elimination from generators
+    gives."""
+    relation = ZLattice(len(moduli), moduli)
+    for r in relation_rows:
+        relation.add(list(r))
+    return congruence_kernel(map_rows, len(moduli), relation, coeff_moduli=coeff)
+
+
+def combine(combos, basis, k):
+    rows = []
+    for combo in combos:
+        row = [0] * k
+        for ci, brow in zip(combo, basis):
+            for t in range(k):
+                row[t] += ci * brow[t]
+        rows.append(row)
+    return rows
+
+
+def test_sum_and_intersection_match_elimination_from_generators():
+    rng = random.Random(4096)
+    enumerated = 0
+    for _ in range(120):
+        g = mixed_group(rng)
+        h = canonical_subgroup(g, sparse_elems(rng, g, rng.randrange(0, 3)))
+        l = canonical_subgroup(g, sparse_elems(rng, g, rng.randrange(0, 3)))
+        tot = h.sum_with(l)
+        assert tot.basis == canonical_subgroup(g, list(h.basis) + list(l.basis)).basis
+        k = g.rank
+        combos = eliminated_kernel(h.basis, g.moduli, l.basis, [lcm(1, *g.moduli)] * k)
+        inter = h.intersect_with(l)
+        assert inter.basis == canonical_subgroup(g, combine(combos, h.basis, k)).basis
+        if g.order <= 4096:
+            enumerated += 1
+            hs = oracles.subgroup_elements(g.moduli, h.generators())
+            ls = oracles.subgroup_elements(g.moduli, l.generators())
+            assert set(tot.elements()) == oracles.sum_sets(g.moduli, hs, ls)
+            assert set(inter.elements()) == hs & ls
+    assert enumerated > 60
+
+
+def test_preimage_matches_elimination_from_generators():
+    rng = random.Random(4097)
+    enumerated = 0
+    for _ in range(120):
+        a = mixed_group(rng, 3)
+        b = mixed_group(rng, 3)
+        f = hom_validate(random_valid_matrix(rng, a, b), a, b)
+        sub = canonical_subgroup(b, sparse_elems(rng, b, rng.randrange(0, 3)))
+        columns = [f.column(j) for j in range(a.rank)]
+        combos = eliminated_kernel(columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
+        pre = f.preimage(sub)
+        assert pre.basis == canonical_subgroup(a, combos).basis
+        if a.order * b.order <= 4096:
+            enumerated += 1
+            target = oracles.subgroup_elements(b.moduli, sub.generators())
+            assert set(pre.elements()) == oracles.preimage_set(f.matrix, a.moduli, b.moduli, target)
+    assert enumerated > 60
+
+
+@st.composite
+def group_and_generators(draw):
+    mods = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9)), max_size=4))
+    gens = draw(st.lists(st.tuples(*(st.integers(-20, 20) for _ in mods)), max_size=4))
+    return FiniteAbelianGroup(tuple(mods)), gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_generators(), st.randoms(use_true_random=False))
+def test_canonical_basis_is_the_hermite_normal_form(case, rnd):
+    g, gens = case
+    h = canonical_subgroup(g, gens)
+    k = g.rank
+    assert len(h.basis) == k
+    for j, row in enumerate(h.basis):
+        assert len(row) == k
+        assert all(row[t] == 0 for t in range(j))
+        p = row[j]
+        assert p > 0 and g.moduli[j] % p == 0
+        assert all(0 <= h.basis[i][j] < p for i in range(j))
+    permuted = list(gens)
+    rnd.shuffle(permuted)
+    assert canonical_subgroup(g, permuted + permuted[: rnd.randrange(len(gens) + 1)]).basis == h.basis
+
+
+def test_malformed_basis_is_an_internal_error():
+    g = FiniteAbelianGroup((2, 4))
+    for basis in (
+        ((1, 0),),  # too few rows
+        ((1, 0), (0, 4), (0, 2)),  # too many rows
+        ((1, 0), (0,)),  # short row
+        ((1, 0), (0, 0)),  # zero pivot
+        ((2, 1), (0, -4)),  # negative pivot
+    ):
+        with pytest.raises(AssertionError):
+            AbSubgroup(g, basis)
+    assert AbSubgroup(g, ((1, 0), (0, 2))).order == 4

@@ -1,9 +1,12 @@
+import itertools
 import random
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 from entctl.lattice import ZLattice, congruence_kernel, mat_mul, smith_normal_form, xgcd
 
+import oracles
 from oracles import det_bareiss
 
 small_int = st.integers(min_value=-30, max_value=30)
@@ -98,7 +101,10 @@ def test_congruence_kernel_is_exact():
         map_rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
         mods = [rng.choice([2, 3, 4, 6]) for _ in range(m)]
         rel = [[mods[i] if j == i else 0 for j in range(m)] for i in range(m)]
-        combos = congruence_kernel(map_rows, m, rel)
+        relation = ZLattice(m)
+        for r in rel:
+            relation.add(r)
+        combos = congruence_kernel(map_rows, m, relation)
         # every kernel basis row really maps into the relation lattice
         for c in combos:
             img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
@@ -107,9 +113,46 @@ def test_congruence_kernel_is_exact():
         lat = ZLattice(n)
         for c in combos:
             lat.add(list(c))
-        import itertools
-
         for c in itertools.product(range(-2, 3), repeat=n):
             img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
             if all(img[j] % mods[j] == 0 for j in range(m)):
                 assert lat.contains(list(c))
+
+
+def test_congruence_kernel_with_an_echelon_relation():
+    """A relation lattice in echelon but not diagonal form, with declared
+    moduli, as the discrete side passes its growing phi(T_n) lattice."""
+    rng = random.Random(12)
+    off_diagonal = 0
+    for _ in range(60):
+        m = rng.randrange(1, 4)
+        mods = [rng.choice([1, 2, 4, 8, 3, 9, 6]) for _ in range(m)]
+        rel_rows = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(rng.randrange(1, 3))]
+        relation = ZLattice(m, mods)
+        for r in rel_rows:
+            relation.add(r)
+        off_diagonal += any(row[t] % mods[t] for row, p in zip(relation.rows, relation.pivots)
+                            for t in range(p + 1, m))
+        in_relation = oracles.subgroup_elements(mods, rel_rows)
+        if rng.random() < 0.5:
+            # unit map rows e_c with the kill moduli as coefficient moduli
+            n = rng.randrange(1, m + 1)
+            map_rows = [[int(t == c) for t in range(m)] for c in range(n)]
+            coeff = mods[:n]
+        else:
+            n = rng.randrange(1, 4)
+            map_rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
+            coeff = [lcm(*mods)] * n
+        combos = congruence_kernel(map_rows, m, relation, coeff_moduli=coeff)
+
+        def maps_into_relation(c):
+            img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
+            return oracles.reduce_vec(mods, img) in in_relation
+
+        assert all(maps_into_relation(c) for c in combos)
+        lat = ZLattice(n)
+        for c in combos:
+            lat.add(list(c))
+        for c in itertools.product(range(-2, 3), repeat=n):
+            assert lat.contains(list(c)) == maps_into_relation(c)
+    assert off_diagonal > 10

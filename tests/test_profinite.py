@@ -1,8 +1,10 @@
 import pathlib
+import random
 import sys
 
 import pytest
 
+import oracles
 from entctl.cli import parse_instance, run_command
 from entctl.errors import Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
@@ -25,6 +27,8 @@ from entctl.profinite import (
     rowfinite_endo,
     surjective_on_windows,
     topological_entropy,
+    _project_out,
+    _project_out_front,
 )
 from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
 
@@ -481,3 +485,106 @@ def test_verify_decides_surjectivity_once_per_map(monkeypatch):
     assert report.status == "ok"
     # radii 1, 2, 4, ..., window_budget, walked for one cylinder only
     assert calls.count("surjective_on_windows") == 6
+
+
+# -- window changes built from the HNF against elimination from generators --
+
+FAMILIES = ((2, 4, 8), (3, 9), (2, 3, 6))
+
+
+def mixed_block(rng):
+    """A block with moduli mixed inside one family, sometimes Z/1."""
+    if rng.random() < 0.15:
+        return FiniteAbelianGroup((1,))
+    fam = rng.choice(FAMILIES)
+    return FiniteAbelianGroup(tuple(rng.choice(fam) for _ in range(rng.randrange(1, 3))))
+
+
+def mixed_pro_group(rng):
+    index_set = rng.choice("NZ")
+    period = [mixed_block(rng) for _ in range(rng.choice((1, 2)))]
+    prefix = [mixed_block(rng) for _ in range(rng.randrange(3))] if index_set == "N" else []
+    return pro_group(prefix, period, index_set)
+
+
+def sparse_elems(rng, group, count):
+    return [
+        tuple(rng.choice((0, 1, 2, 3)) * rng.randrange(d) for d in group.moduli)
+        for _ in range(count)
+    ]
+
+
+def units(width, coords):
+    return [tuple(int(t == j) for t in range(width)) for j in coords]
+
+
+def random_cylinder(rng, k):
+    lo = rng.randrange(0, 3) if k.index_set == "N" else rng.randrange(-3, 3)
+    hi = lo + rng.randrange(1, 3)
+    wg, _ = k.window_layout(lo, hi)
+    return cylinder(k, (lo, hi), sparse_elems(rng, wg, rng.randrange(0, 3)))
+
+
+def test_extended_core_matches_elimination_from_generators():
+    rng = random.Random(808)
+    grown_both_sides = enumerated = 0
+    for _ in range(200):
+        k = mixed_pro_group(rng)
+        c = random_cylinder(rng, k)
+        if c.is_whole():
+            continue
+        lo = c.lo - rng.randrange(0, 3)
+        if k.index_set == "N":
+            lo = max(lo, 0)
+        hi = c.hi + rng.randrange(0, 3)
+        grown_both_sides += lo < c.lo and hi > c.hi
+        ext = c.extended_core(lo, hi)
+        wg, starts = k.window_layout(lo, hi)
+        off = starts[c.lo - lo]
+        end = off + c.core.ambient.rank
+        # the padded core generators plus the unit vectors of the new blocks
+        gens = [(0,) * off + g + (0,) * (wg.rank - end) for g in c.core.generators()]
+        gens += units(wg.rank, [t for t in range(wg.rank) if not off <= t < end])
+        assert ext.basis == canonical_subgroup(wg, gens).basis
+        if wg.order <= 4096:
+            enumerated += 1
+            core = oracles.subgroup_elements(c.core.ambient.moduli, c.core.generators())
+            expect = {x for x in oracles.all_elements(wg.moduli) if x[off:end] in core}
+            assert set(ext.elements()) == expect
+    assert grown_both_sides > 20 and enumerated > 40
+
+
+def test_window_projections_match_elimination_from_generators():
+    rng = random.Random(909)
+    cases = {"back": 0, "front": 0}
+    enumerated = 0
+    for _ in range(200):
+        k = mixed_pro_group(rng)
+        lo = rng.randrange(0, 3) if k.index_set == "N" else rng.randrange(-3, 3)
+        hi = lo + rng.randrange(2, 4)
+        wg, starts = k.window_layout(lo, hi)
+        side = rng.choice(("back", "front"))
+        # a core on which the last (or first) block is free
+        free = range(starts[-2], wg.rank) if side == "back" else range(starts[1])
+        core = canonical_subgroup(
+            wg, sparse_elems(rng, wg, rng.randrange(0, 3)) + units(wg.rank, free)
+        )
+        if side == "back":
+            cut = starts[-2]
+            small, _ = k.window_layout(lo, hi - 1)
+            got = _project_out(core, cut, small)
+            gens = [g[:cut] for g in core.generators()]
+            keep = slice(0, cut)
+        else:
+            cut = starts[1]
+            small, _ = k.window_layout(lo + 1, hi)
+            got = _project_out_front(core, cut, small)
+            gens = [g[cut:] for g in core.generators()]
+            keep = slice(cut, wg.rank)
+        cases[side] += 1
+        assert got.basis == canonical_subgroup(small, gens).basis
+        if wg.order <= 4096:
+            enumerated += 1
+            elems = oracles.subgroup_elements(wg.moduli, core.generators())
+            assert set(got.elements()) == {x[keep] for x in elems}
+    assert min(cases.values()) > 50 and enumerated > 60
