@@ -206,7 +206,7 @@ def _section(name: str):
         raise ValidationError(f"instance is missing the key {exc.args[0]!r}") from exc
     except ValidationError:
         raise
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError, IndexError) as exc:
         raise ValidationError(f"malformed {name!r} section: {exc}") from exc
 
 

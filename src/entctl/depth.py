@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
 from .finabel import canonical_subgroup
@@ -65,14 +66,12 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
         t_dense[t_at + u] = c
 
     # kernel of (s, y) -> s * (-t) + y * M  modulo the target relations
-    from math import lcm as _lcm
-
-    c = _lcm(1, *tgt.moduli)
+    c = lcm(1, *tgt.moduli)
     map_rows = [[-x for x in t_dense]]
     for i in range(wg.rank):
         map_rows.append([mat[r][i] for r in range(tgt.rank)])
     combos = congruence_kernel(
-        map_rows, tgt.rank, tgt.relation_lattice(), coeff_moduli=[c] * (wg.rank + 1)
+        map_rows, tgt.rank, tgt.relation_lattice(), payload_moduli=[c] * (wg.rank + 1)
     )
     for combo in combos:
         if combo[0] == 1:
@@ -100,9 +99,7 @@ def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
         raise ValidationError("inversion is implemented for Z-indexed groups")
     band = abs(endo.offset) + endo.width
     radius_cap = max(4 * band, policy.stall_window)
-    from math import lcm as _lcm
-
-    p = _lcm(endo.period, len(g.period))
+    p = lcm(endo.period, len(g.period))
     solutions = {}
     for r in range(p):
         blk = g.block(r)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DimensionError,
@@ -380,6 +380,11 @@ class _GrowingLattice:
         return self.total // self.lat.pivot_product()
 
 
+def _order_from_echelon(group: FiniteAbelianGroup, rows) -> int:
+    """Order of the subgroup with an echelon basis of one row per column."""
+    return group.order // prod(row[i] for i, row in enumerate(rows))
+
+
 class _AbelianTrajectory:
     def __init__(self, endo: BandedEndo, f_gens: list[dict]):
         self.endo = endo
@@ -414,18 +419,16 @@ class _AbelianTrajectory:
     def f_cap_phit_order(self) -> int:
         """|F n phi(T_n)| for the current n."""
         self.lat_phit.sync()
-        kf = self.f_group.rank
-        width = self.layout.width
-        map_rows = []
-        for c in range(kf):
-            row = [0] * width
-            row[c] = 1
-            map_rows.append(row)
-        combos = congruence_kernel(
-            map_rows, width, self.lat_phit.lat, coeff_moduli=self.layout.moduli[:kf]
+        pad = [0] * (self.layout.width - self.f_group.rank)
+        f_rows = self.f_sub.basis
+        rows = congruence_kernel(
+            [list(r) + pad for r in f_rows],
+            self.layout.width,
+            self.lat_phit.lat,
+            self.f_group.moduli,
+            f_rows,
         )
-        inside = canonical_subgroup(self.f_group, combos)
-        return self.f_sub.intersect_with(inside).order
+        return _order_from_echelon(self.f_group, rows)
 
     def kernel_cap_t_order(self) -> int:
         """|ker phi n T_n| computed honestly from the lattice basis."""
@@ -433,26 +436,12 @@ class _AbelianTrajectory:
         basis = self.lat_t.lat.basis()
         tgt_layout = _WindowLayout(self.group)
         tgt_layout.grow_to(self.endo.image_reach(self.layout.hi))
-        c = lcm(1, *tgt_layout.moduli)
-        map_rows = []
-        for row in basis:
-            img = self.endo.apply(self.layout.sparse(row))
-            map_rows.append(tgt_layout.dense(img))
+        map_rows = [tgt_layout.dense(self.endo.apply(self.layout.sparse(row))) for row in basis]
         w = tgt_layout.width
-        combos = congruence_kernel(
-            map_rows, w, ZLattice(w, tgt_layout.moduli), coeff_moduli=[c] * len(map_rows)
+        rows = congruence_kernel(
+            map_rows, w, ZLattice(w, tgt_layout.moduli), self.layout.moduli, basis
         )
-        width = self.layout.width
-        rows = []
-        for combo in combos:
-            acc = [0] * width
-            for ci, brow in zip(combo, basis):
-                if ci:
-                    for t in range(width):
-                        acc[t] += ci * brow[t]
-            rows.append(acc)
-        ker_sub = canonical_subgroup(self.layout.window_group(), rows)
-        return ker_sub.order
+        return _order_from_echelon(self.layout.window_group(), rows)
 
     def snapshot(self) -> LFSubgroup:
         self.lat_t.sync()

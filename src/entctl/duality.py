@@ -22,6 +22,7 @@ from .finabel import (
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
+    echelon_subgroup,
     hom_validate,
     quotient_invariants,
 )
@@ -105,10 +106,11 @@ def annihilator(h: AbSubgroup, pairing: DualPairing) -> AbSubgroup:
     map_rows = []
     for i in range(k):
         map_rows.append([(g[i] * pairing.weights[i]) % m for g in gens])
+    # d_i * w_i = m, so the relations d_i e_i of the dual solve every row
     combos = congruence_kernel(
-        map_rows, len(gens), ZLattice(len(gens), [m] * len(gens)), coeff_moduli=[m] * k
+        map_rows, len(gens), ZLattice(len(gens), [m] * len(gens)), pairing.dual.moduli
     )
-    return canonical_subgroup(pairing.dual, combos)
+    return echelon_subgroup(pairing.dual, combos)
 
 
 def _endo_block_ranks_ok(group: LFGroup) -> None:

@@ -7,13 +7,19 @@ with the relation lattice, which makes equality a tuple comparison and
 membership a back-substitution.  Homomorphisms are integer matrices with a
 well-definedness certificate; kernel, image and preimage are computed on
 the lattice side, never by enumeration.
+
+A n B and f^-1(S) are one elimination each: rows (b|_W | b) for B's HNF rows
+b, or (f(e_j)|_W | e_j), against A's (or S's) rows on W, the coordinates whose
+HNF row is not e_j.  That is exact: a unit row's pivot is 1, so the other rows
+vanish in its column, and x is in A iff x_W is in the span of A's rows on W.
+The result rows come out echelon, so ``normalize`` alone gives the HNF.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 
 from .errors import (
     AmbientMismatchError,
@@ -187,19 +193,27 @@ class AbSubgroup:
     def intersect_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup intersection across ambient groups")
-        amb = self.ambient
-        k = amb.rank
-        c = lcm(1, *amb.moduli)
-        combos = congruence_kernel(self.basis, k, other._lat, coeff_moduli=[c] * k)
-        rows = []
-        for combo in combos:
-            row = [0] * k
-            for ci, brow in zip(combo, self.basis):
-                if ci:
-                    for t in range(k):
-                        row[t] += ci * brow[t]
-            rows.append(row)
-        return canonical_subgroup(amb, rows)
+        # eliminate on the side with fewer constrained coordinates
+        wa, wb = self._constrained(), other._constrained()
+        if len(wb) < len(wa):
+            return other._pull_back(wb, self.basis, self.ambient, self.basis)
+        return self._pull_back(wa, other.basis, self.ambient, other.basis)
+
+    def _constrained(self) -> list[int]:
+        """W: the j whose HNF row is not e_j.  HNF entries are >= 0, so row j
+        is e_j iff its pivot and its sum are both 1."""
+        return [j for j, row in enumerate(self.basis) if row[j] != 1 or sum(row) != 1]
+
+    def _pull_back(self, w, map_rows, ambient, payload=None) -> "AbSubgroup":
+        """{sum_i c_i payload[i] : sum_i c_i map_rows[i] in this subgroup} in ``ambient``
+        (payload rows default to unit rows), eliminating on W = ``w`` only."""
+        rows = [[self.basis[i][j] for j in w] for i in w]
+        mods = [self.ambient.moduli[j] for j in w]
+        relation = ZLattice.from_echelon(len(w), rows, range(len(w)), mods)
+        images = [[row[j] for j in w] for row in map_rows]
+        return echelon_subgroup(
+            ambient, congruence_kernel(images, len(w), relation, ambient.moduli, payload)
+        )
 
     def invariants(self) -> tuple[int, ...]:
         """Invariant factors of this subgroup as an abstract group."""
@@ -246,6 +260,13 @@ def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
     for g in gens:
         ambient.check_vector(g)
         lat.add(g)
+    lat.normalize()
+    return AbSubgroup(ambient, lat.basis())
+
+
+def echelon_subgroup(ambient: FiniteAbelianGroup, rows) -> AbSubgroup:
+    """Subgroup with an echelon basis of one row per column, relations included."""
+    lat = ZLattice.from_echelon(ambient.rank, rows, range(ambient.rank))
     lat.normalize()
     return AbSubgroup(ambient, lat.basis())
 
@@ -308,13 +329,8 @@ class Hom:
     def preimage(self, sub: AbSubgroup) -> AbSubgroup:
         if sub.ambient != self.target:
             raise AmbientMismatchError("preimage of subgroup from a different group")
-        ka = self.source.rank
-        kb = self.target.rank
-        c = lcm(1, *self.target.moduli)
-        combos = congruence_kernel(
-            [self.column(j) for j in range(ka)], kb, sub._lat, coeff_moduli=[c] * ka
-        )
-        return canonical_subgroup(self.source, combos)
+        columns = [self.column(j) for j in range(self.source.rank)]
+        return sub._pull_back(sub._constrained(), columns, self.source)
 
     def compose(self, inner: "Hom") -> "Hom":
         """self o inner."""

@@ -3,6 +3,9 @@
 Row lattices over Z kept in Hermite echelon form, congruence kernels, and
 Smith normal form with unimodular transforms.  All arithmetic is
 arbitrary-precision integer arithmetic; nothing here ever rounds.
+
+``congruence_kernel`` is the one elimination behind intersections, preimages,
+annihilators and kernel orders, as in Zassenhaus's intersection algorithm.
 """
 
 from __future__ import annotations
@@ -186,35 +189,31 @@ class ZLattice:
         return prod(r[p] for r, p in zip(self.rows, self.pivots))
 
 
-def congruence_kernel(map_rows, image_width: int, relation: ZLattice, coeff_moduli=None):
-    """Basis of {c in Z^n : sum_i c_i * map_rows[i] lies in ``relation``}.
+def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, payload=None):
+    """Echelon basis of {sum_i c_i payload[i] : sum_i c_i map_rows[i] in ``relation``}
+    plus the m_j e_j of ``payload_moduli`` (0 to skip; its length is the payload
+    width).  The payload defaults to the unit rows: the coefficients c.
 
     ``relation`` is an echelon lattice of width ``image_width`` (passed too
     because ``perfbench/tracer.py`` buckets calls by it); its ``moduli`` are
-    per-column kill moduli.  ``coeff_moduli`` are integers m_i (0 to skip)
-    with m_i * map_rows[i] known to lie in ``relation``; they are used only
-    when ``relation`` declares moduli.  Moduli change nothing
-    mathematically but keep every intermediate entry bounded.
+    per-column kill moduli.  Each m_j e_j must lie in the result; moduli are
+    used only when ``relation`` declares them, and only keep entries bounded.
 
-    The elimination on rows (image | coefficients) is seeded with the rows
-    of ``relation`` padded with zeros, then the rows m_i e_i; every relation
-    pivot precedes the new columns, so the seed is in echelon form and only
-    the map rows are eliminated.
+    The rows (image | payload) are eliminated, seeded with the rows of
+    ``relation`` padded with zeros and the rows m_j e_j, which are already
+    echelon.  The rows left with a pivot right of the image columns have
+    image 0 modulo ``relation``; their right halves are the result.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
-    n = len(map_rows)
+    if payload is None:
+        payload = _identity(len(map_rows))
+    width = len(payload_moduli) if payload_moduli is not None else len(map_rows)
     lat = relation.copy()
-    lat.extend(image_width + n, coeff_moduli if coeff_moduli is not None else [0] * n)
-    for i, mrow in enumerate(map_rows):
-        unit = [0] * n
-        unit[i] = 1
-        lat.add(list(mrow) + unit)
-    out = []
-    for r, row in enumerate(lat.rows):
-        if lat.pivots[r] >= image_width:
-            out.append(row[image_width:])
-    return out
+    lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
+    for mrow, prow in zip(map_rows, payload):
+        lat.add(list(mrow) + list(prow))
+    return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
 
 
 def _identity(n: int) -> list[list[int]]:

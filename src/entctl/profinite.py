@@ -28,6 +28,7 @@ import inspect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AmbientMismatchError,
@@ -330,9 +331,7 @@ class RowFiniteEndo:
         self.prefix_rows = tuple(norm(res) for res in prefix_rows)
         if len(self.rows) != period:
             raise ValidationError("rows must cover one full period")
-        from math import lcm as _lcm
-
-        span = _lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
+        span = lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
         self._horizon = span + abs(self.offset) + self.width + 1
         self._validate()
         self._memo: dict = {}
@@ -460,9 +459,7 @@ class RowFiniteEndo:
             raise AmbientMismatchError("composition across groups")
         if self.parent.index_set != "Z":
             raise ValidationError("spec composition requires a Z-indexed group")
-        from math import lcm as _lcm
-
-        p = _lcm(self.period, inner.period)
+        p = lcm(self.period, inner.period)
         new_rows = []
         for r in range(p):
             acc: dict[int, list[list[int]]] = {}
@@ -501,11 +498,9 @@ class RowFiniteEndo:
 
     def equals_spec(self, other: "RowFiniteEndo") -> bool:
         """Same map, compared as reduced banded specs on one lcm period."""
-        from math import lcm as _lcm
-
         if self.parent != other.parent:
             return False
-        p = _lcm(self.period, other.period)
+        p = lcm(self.period, other.period)
         for r in range(p):
             a = {o: m for o, m in self.row_terms(r) if any(any(row) for row in m)}
             b = {o: m for o, m in other.row_terms(r) if any(any(row) for row in m)}

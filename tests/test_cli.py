@@ -204,24 +204,32 @@ def test_missing_key_exits_validation(tmp_path, capsys, drop):
     assert repr(drop) in err["message"]
 
 
+PRO_SHIFT = ("left_shift_pro_z2.json", "top-entropy")
+
+
 @pytest.mark.parametrize(
-    "section, edit",
+    "instance, section, edit",
     [
-        ("group", lambda raw: raw.update(group=5)),
-        ("group", lambda raw: raw["group"].update(blocks=[])),
-        ("endo", lambda raw: raw["endo"].update(rows="x")),
-        ("policy", lambda raw: raw["policy"].update(max_n="abc")),
-        ("policy", lambda raw: raw["policy"].update(max_n=float("inf"))),
-        ("cylinders", lambda raw: raw["cylinders"][0].update(window=[0, "q"])),
+        (PRO_SHIFT, "group", lambda raw: raw.update(group=5)),
+        (PRO_SHIFT, "group", lambda raw: raw["group"].update(blocks=[])),
+        (PRO_SHIFT, "endo", lambda raw: raw["endo"].update(rows="x")),
+        (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n="abc")),
+        (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n=float("inf"))),
+        (PRO_SHIFT, "cylinders", lambda raw: raw["cylinders"][0].update(window=[0, "q"])),
+        # a generator term [index] without its value
+        (("bridge_shift_z2.json", "bridge-check"), "family",
+         lambda raw: raw["family"][1].update(gens=[[[0, [1]]], [[1]]])),
     ],
-    ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str"],
+    ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str",
+         "gens-short-term"],
 )
-def test_wrong_json_type_exits_validation(tmp_path, capsys, section, edit):
-    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+def test_wrong_json_type_exits_validation(tmp_path, capsys, instance, section, edit):
+    name, command = instance
+    raw = json.loads((INSTANCES / name).read_text())
     edit(raw)
     p = tmp_path / "wrong_type.json"
     p.write_text(json.dumps(raw))
-    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    assert main([command, str(p)]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert repr(section) in err["message"]

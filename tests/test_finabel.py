@@ -249,7 +249,7 @@ def eliminated_kernel(map_rows, moduli, relation_rows, coeff):
     relation = ZLattice(len(moduli), moduli)
     for r in relation_rows:
         relation.add(list(r))
-    return congruence_kernel(map_rows, len(moduli), relation, coeff_moduli=coeff)
+    return congruence_kernel(map_rows, len(moduli), relation, payload_moduli=coeff)
 
 
 def combine(combos, basis, k):

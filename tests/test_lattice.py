@@ -143,7 +143,7 @@ def test_congruence_kernel_with_an_echelon_relation():
             n = rng.randrange(1, 4)
             map_rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
             coeff = [lcm(*mods)] * n
-        combos = congruence_kernel(map_rows, m, relation, coeff_moduli=coeff)
+        combos = congruence_kernel(map_rows, m, relation, payload_moduli=coeff)
 
         def maps_into_relation(c):
             img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
