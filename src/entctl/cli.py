@@ -48,28 +48,37 @@ class Instance:
     cylinders: list
 
 
+def _int(value) -> int:
+    """An integer field of an instance.  ``int`` would truncate a JSON float
+    (2.5 -> 2) and read true as 1, so both are malformed; the section names
+    the field's place."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _block_from_spec(spec):
     if isinstance(spec, dict) and "cayley" in spec:
-        return cayley_group(spec["cayley"])
+        return cayley_group([[_int(x) for x in row] for row in spec["cayley"]])
     if isinstance(spec, list):
-        return FiniteAbelianGroup(tuple(int(d) for d in spec))
+        return FiniteAbelianGroup(tuple(_int(d) for d in spec))
     raise ValidationError(f"bad block spec {spec!r}")
 
 
 def _parse_element(spec, abelian: bool) -> dict:
     out = {}
     for item in spec:
-        idx, val = int(item[0]), item[1]
-        out[idx] = tuple(int(x) for x in val) if abelian else int(val)
+        idx, val = _int(item[0]), item[1]
+        out[idx] = tuple(_int(x) for x in val) if abelian else _int(val)
     return out
 
 
 def _parse_policy(spec: dict | None) -> StabilizationPolicy:
     spec = spec or {}
     return StabilizationPolicy(
-        max_n=int(spec.get("max_n", 64)),
-        stall_window=int(spec.get("stall_window", 3)),
-        window_budget=int(spec.get("window_budget", 32)),
+        max_n=_int(spec.get("max_n", 64)),
+        stall_window=_int(spec.get("stall_window", 3)),
+        window_budget=_int(spec.get("window_budget", 32)),
     )
 
 
@@ -85,7 +94,7 @@ def _parse_discrete_group(gspec: dict) -> discrete.LFGroup:
     blocks = gspec["blocks"]
     prefix = [_block_from_spec(b) for b in blocks.get("prefix", [])]
     period = [_block_from_spec(b) for b in blocks["types"]]
-    if int(blocks.get("period", len(period))) != len(period):
+    if _int(blocks.get("period", len(period))) != len(period):
         raise ValidationError("blocks.period must equal the number of types")
     return discrete.locally_finite_group(prefix, period)
 
@@ -94,7 +103,7 @@ def _parse_pro_group(gspec: dict) -> profinite.ProGroup:
     blocks = gspec["blocks"]
     prefix = [_block_from_spec(b) for b in blocks.get("prefix", [])]
     period = [_block_from_spec(b) for b in blocks["types"]]
-    if int(blocks.get("period", len(period))) != len(period):
+    if _int(blocks.get("period", len(period))) != len(period):
         raise ValidationError("blocks.period must equal the number of types")
     for b in prefix + period:
         if not isinstance(b, FiniteAbelianGroup):
@@ -111,14 +120,14 @@ def _parse_banded_endo(group: discrete.LFGroup, espec: dict) -> discrete.BandedE
             for term in gen_terms:
                 o, val = term
                 if group.is_abelian:
-                    terms.append((int(o), tuple(int(x) for x in val)))
+                    terms.append((_int(o), tuple(_int(x) for x in val)))
                 else:
-                    terms.append((int(o), int(val)))
+                    terms.append((_int(o), _int(val)))
             res_images.append(terms)
         images.append(res_images)
     return discrete.banded_endo(
-        group, int(espec["offset"]), int(espec["width"]),
-        int(espec.get("period", len(images))), images,
+        group, _int(espec["offset"]), _int(espec["width"]),
+        _int(espec.get("period", len(images))), images,
     )
 
 
@@ -129,27 +138,31 @@ def _parse_rowfinite_endo(group: profinite.ProGroup, espec: dict) -> profinite.R
             terms = []
             for term in res:
                 o, mat = term
-                terms.append((int(o), [[int(x) for x in r] for r in mat]))
+                terms.append((_int(o), [[_int(x) for x in r] for r in mat]))
             rows.append(terms)
         return rows
 
     rows = parse_rows(espec["rows"])
     prefix_rows = parse_rows(espec.get("prefix_rows", []))
     return profinite.rowfinite_endo(
-        group, int(espec["offset"]), int(espec["width"]),
-        int(espec.get("period", len(rows))), rows, prefix_rows,
+        group, _int(espec["offset"]), _int(espec["width"]),
+        _int(espec.get("period", len(rows))), rows, prefix_rows,
     )
 
 
 def _parse_cylinder(group: profinite.ProGroup, spec: dict) -> profinite.CylinderSubgroup:
     if "window_indices" in spec:
-        idx = [int(i) for i in spec["window_indices"]]
+        idx = [_int(i) for i in spec["window_indices"]]
     else:
         window = spec.get("window", [])
         if len(window) not in (0, 2):
             raise ValidationError("window must be a [lo, hi) pair or window_indices a list")
-        idx = list(range(int(window[0]), int(window[1]))) if window else []
-    return profinite.cylinder(group, idx, [list(g) for g in spec.get("core_gens", [])])
+        lo, hi = (_int(window[0]), _int(window[1])) if window else (0, 0)
+        if lo > hi:
+            raise ValueError(f"window [{lo}, {hi}) is reversed")
+        idx = list(range(lo, hi))
+    gens = [[_int(x) for x in g] for g in spec.get("core_gens", [])]
+    return profinite.cylinder(group, idx, gens)
 
 
 def parse_instance(path: str) -> Instance:
@@ -217,7 +230,7 @@ def _normalize_raw(raw: dict, policy: StabilizationPolicy) -> dict:
         "group": {
             "index_set": raw["group"].get("index_set", "N"),
             "blocks": {
-                "period": int(raw["group"]["blocks"].get(
+                "period": _int(raw["group"]["blocks"].get(
                     "period", len(raw["group"]["blocks"]["types"])
                 )),
                 "types": raw["group"]["blocks"]["types"],

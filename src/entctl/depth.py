@@ -139,7 +139,7 @@ def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
     for r in range(p):
         terms = sorted(acc.get(r, {}).items())
         if not terms:
-            terms = [(0, [[0] * g.block(r).rank for _ in range(g.block(r).rank)])]
+            terms = [(o_lo, [[0] * g.block(r).rank for _ in range(g.block(r).rank)])]
         rows.append(terms)
     inv = RowFiniteEndo(g, o_lo, o_hi - o_lo + 1, p, rows)
     ident = identity_endo(g)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import prod
+from operator import mod
 
 from .errors import (
     AmbientMismatchError,
@@ -112,7 +114,8 @@ class AbSubgroup:
     """Subgroup of a FiniteAbelianGroup in canonical (HNF) form.
 
     Two AbSubgroups are equal as sets iff their bases are identical tuples.
-    Instances are immutable; the backing lattice is built once.
+    Instances are immutable; the order is read off the HNF diagonal, and the
+    backing lattice is built once, when membership or a sum first needs it.
     """
 
     __slots__ = ("ambient", "basis", "order", "_lat")
@@ -124,10 +127,15 @@ class AbSubgroup:
         ), f"not a full-rank triangular basis of rank {k}: {basis}"
         self.ambient = ambient
         self.basis = basis
-        self._lat = ZLattice.from_echelon(
-            ambient.rank, basis, range(ambient.rank), moduli=ambient.moduli
-        )
-        self.order = ambient.order // self._lat.pivot_product()
+        self.order = ambient.order // prod(row[j] for j, row in enumerate(basis))
+        self._lat = None
+
+    def _lattice(self) -> ZLattice:
+        if self._lat is None:
+            self._lat = ZLattice.from_echelon(
+                self.ambient.rank, self.basis, range(self.ambient.rank), self.ambient.moduli
+            )
+        return self._lat
 
     def __eq__(self, other):
         return (
@@ -149,12 +157,13 @@ class AbSubgroup:
 
     def contains(self, vec) -> bool:
         self.ambient.check_vector(vec)
-        return self._lat.contains(list(vec))
+        return self._lattice().contains(vec)
 
     def contains_subgroup(self, other: "AbSubgroup") -> bool:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups of different ambient groups")
-        return all(self._lat.contains(list(r)) for r in other.basis)
+        lat = self._lattice()
+        return all(lat.contains(r) for r in other.basis)
 
     def generators(self) -> list[tuple[int, ...]]:
         gens = []
@@ -184,7 +193,7 @@ class AbSubgroup:
     def sum_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup sum across ambient groups")
-        lat = self._lat.copy()
+        lat = self._lattice().copy()
         for row in other.basis:
             lat.add(row)
         lat.normalize()
@@ -207,10 +216,11 @@ class AbSubgroup:
     def _pull_back(self, w, map_rows, ambient, payload=None) -> "AbSubgroup":
         """{sum_i c_i payload[i] : sum_i c_i map_rows[i] in this subgroup} in ``ambient``
         (payload rows default to unit rows), eliminating on W = ``w`` only."""
-        rows = [[self.basis[i][j] for j in w] for i in w]
+        pos = {j: i for i, j in enumerate(w)}
+        rows = [_restrict(self.basis[j], pos) for j in w]
         mods = [self.ambient.moduli[j] for j in w]
         relation = ZLattice.from_echelon(len(w), rows, range(len(w)), mods)
-        images = [[row[j] for j in w] for row in map_rows]
+        images = [_restrict(row, pos) for row in map_rows]
         return echelon_subgroup(
             ambient, congruence_kernel(images, len(w), relation, ambient.moduli, payload)
         )
@@ -223,6 +233,12 @@ class AbSubgroup:
             for row in self.ambient.relation_rows()
         ]
         return _invariants_of_cokernel(coeffs)
+
+
+def _restrict(row, pos: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries of ``row`` at the coordinates in ``pos``, as a
+    {column: value} map renumbered by ``pos``."""
+    return {pos[j]: row[j] for j in compress(range(len(row)), row) if j in pos}
 
 
 def _coords_in_triangular_basis(basis, vec) -> list[int]:
@@ -309,8 +325,9 @@ class Hom:
             out.append(sum(m * x for m, x in zip(row, vec)) % self.target.moduli[i])
         return tuple(out)
 
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.matrix]
+    def columns(self) -> list[tuple[int, ...]]:
+        """The columns of the matrix: the images of the unit vectors."""
+        return list(zip(*self.matrix)) if self.matrix else [()] * self.source.rank
 
     def kernel(self) -> AbSubgroup:
         return self.preimage(self.target.trivial_subgroup())
@@ -318,9 +335,7 @@ class Hom:
     def image(self, sub: AbSubgroup | None = None) -> AbSubgroup:
         if sub is None:
             # f(A) is spanned by the images of the unit vectors: the columns.
-            return canonical_subgroup(
-                self.target, [self.column(j) for j in range(self.source.rank)]
-            )
+            return canonical_subgroup(self.target, self.columns())
         if sub.ambient != self.source:
             raise AmbientMismatchError("image of subgroup from a different group")
         rows = [self.apply(self.source.reduce(r)) for r in sub.basis]
@@ -329,8 +344,7 @@ class Hom:
     def preimage(self, sub: AbSubgroup) -> AbSubgroup:
         if sub.ambient != self.target:
             raise AmbientMismatchError("preimage of subgroup from a different group")
-        columns = [self.column(j) for j in range(self.source.rank)]
-        return sub._pull_back(sub._constrained(), columns, self.source)
+        return sub._pull_back(sub._constrained(), self.columns(), self.source)
 
     def compose(self, inner: "Hom") -> "Hom":
         """self o inner."""
@@ -350,22 +364,27 @@ class Hom:
 
 def hom_validate(matrix, source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> Hom:
     """Validate well-definedness: d_j^src * M e_j must die in the target."""
-    rows = [tuple(int(x) for x in r) for r in matrix]
+    rows = [tuple(map(int, r)) for r in matrix]
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
         raise DimensionError(
             f"matrix {len(rows)}x{len(rows[0]) if rows else 0} for map "
             f"rank {source.rank} -> rank {target.rank}"
         )
-    for j, dj in enumerate(source.moduli):
-        for i, di in enumerate(target.moduli):
-            if (dj * rows[i][j]) % di:
-                raise ValidationError(
-                    f"ill-defined map: generator {j} of order {dj} maps to a "
-                    f"vector with coordinate {i} = {rows[i][j]} mod {di}"
-                )
-    reduced = tuple(
-        tuple(x % target.moduli[i] for x in row) for i, row in enumerate(rows)
-    )
+    # a zero entry always passes; report the first failure in column-major order
+    src = source.moduli
+    bad = [
+        (j, i)
+        for i, (row, di) in enumerate(zip(rows, target.moduli))
+        for j in compress(range(len(row)), row)
+        if (src[j] * row[j]) % di
+    ]
+    if bad:
+        j, i = min(bad)
+        raise ValidationError(
+            f"ill-defined map: generator {j} of order {src[j]} maps to a "
+            f"vector with coordinate {i} = {rows[i][j]} mod {target.moduli[i]}"
+        )
+    reduced = tuple(tuple(map(mod, row, repeat(d))) for row, d in zip(rows, target.moduli))
     return Hom(source, target, reduced)
 
 

@@ -4,13 +4,20 @@ Row lattices over Z kept in Hermite echelon form, congruence kernels, and
 Smith normal form with unimodular transforms.  All arithmetic is
 arbitrary-precision integer arithmetic; nothing here ever rounds.
 
+Lattice rows are stored sparse, as {column: value} maps of their nonzero
+entries, so an elimination step costs the entries it touches rather than
+the lattice width; rows may be passed in dense or as such maps, and the
+dense views ``rows``, ``pivots`` and ``basis()`` are built on demand.  The
+arithmetic is the textbook dense elimination's, step for step, so the raw
+echelon rows are the same as a dense implementation's.
+
 ``congruence_kernel`` is the one elimination behind intersections, preimages,
 annihilators and kernel orders, as in Zassenhaus's intersection algorithm.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import compress
 from math import prod
 
 
@@ -30,12 +37,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class ZLattice:
-    """Mutable integer row lattice in echelon form.
+    """Mutable integer row lattice in echelon form, stored sparse.
 
-    Rows are sorted by pivot column and pivots are positive, so membership
-    tests are a single back-substitution pass.  ``normalize`` additionally
-    reduces the entries above each pivot, after which ``basis`` is the
-    unique Hermite normal form of the lattice and can be compared directly.
+    Each row is kept as a ``{column: value}`` map of its nonzero entries,
+    keyed by its pivot column, so an elimination step costs the nonzeros it
+    touches, not the width.  Pivots are positive, so membership tests are a
+    single back-substitution pass.  ``normalize`` additionally reduces the
+    entries above each pivot, after which ``basis`` is the unique Hermite
+    normal form of the lattice and can be compared directly.  ``rows``,
+    ``pivots`` and ``basis()`` are dense read-only views in pivot order.
 
     ``moduli`` optionally declares per-column integers m_j whose multiples
     m_j * e_j belong to the lattice (0 disables a column).  Declaring them
@@ -44,149 +54,172 @@ class ZLattice:
     lattice itself is unchanged.
     """
 
-    __slots__ = ("width", "rows", "pivots", "moduli")
+    __slots__ = ("width", "moduli", "_rows")
 
     def __init__(self, width: int, moduli=None):
         self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
         self.moduli: list[int] | None = None
         if moduli is not None:
             self.moduli = [int(m) for m in moduli]
             if len(self.moduli) != width:
                 raise ValueError("moduli length must match width")
-            for j, m in enumerate(self.moduli):
-                if m:
-                    row = [0] * width
-                    row[j] = m
-                    self.pivots.append(j)
-                    self.rows.append(row)
+            self._seed(0)
+
+    def _seed(self, start: int) -> None:
+        for j in range(start, self.width):
+            m = self.moduli[j]
+            if m:
+                self._rows[j] = {j: m}
 
     @classmethod
     def from_echelon(cls, width: int, rows, pivots, moduli=None) -> "ZLattice":
+        """The lattice with these echelon rows, dense or {column: value} maps."""
         lat = cls(width)
-        lat.rows = [list(r) for r in rows]
-        lat.pivots = list(pivots)
+        lat._rows = {p: _sparse(r, width) for r, p in zip(rows, pivots)}
         lat.moduli = list(moduli) if moduli is not None else None
         return lat
 
     def copy(self) -> "ZLattice":
-        return ZLattice.from_echelon(self.width, self.rows, self.pivots, self.moduli)
+        lat = ZLattice(self.width)
+        lat._rows = {p: dict(r) for p, r in self._rows.items()}
+        lat.moduli = list(self.moduli) if self.moduli is not None else None
+        return lat
 
-    def _reduce_tail(self, v, start: int) -> None:
-        mods = self.moduli
-        if mods is None:
-            return
-        for t in range(start, self.width):
-            m = mods[t]
-            if m and v[t]:
-                v[t] %= m
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return [_dense(self._rows[p], self.width) for p in self.pivots]
+
+    def _entries(self, vec) -> dict[int, int]:
+        """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
+        v: dict[int, int] = {}
+        _add_multiple(v, 1, _sparse(vec, self.width), -1, self.moduli)  # every column is > -1
+        return v
 
     def add(self, vec) -> bool:
-        """Add a row to the lattice; return True if the lattice grew."""
-        v = list(vec)
-        if len(v) != self.width:
-            raise ValueError(f"row of width {len(v)} in lattice of width {self.width}")
-        rows, pivots, width = self.rows, self.pivots, self.width
-        self._reduce_tail(v, 0)
+        """Add a row, dense or a {column: value} map; return True if the
+        lattice grew."""
+        v = self._entries(vec)
+        rows, mods = self._rows, self.moduli
         changed = False
-        j = 0
-        while True:
-            while j < width and v[j] == 0:
-                j += 1
-            if j == width:
-                return changed
-            pos = bisect_left(pivots, j)
-            if pos < len(pivots) and pivots[pos] == j:
-                row = rows[pos]
-                p = row[j]
-                a = v[j]
-                if a % p == 0:
-                    q = a // p
-                    for t in range(j, width):
-                        v[t] -= q * row[t]
-                    self._reduce_tail(v, j + 1)
-                else:
-                    g, x, y = xgcd(p, a)
-                    pg = p // g
-                    ag = a // g
-                    new_row = [0] * j + [x * row[t] + y * v[t] for t in range(j, width)]
-                    new_v = [0] * (j + 1) + [pg * v[t] - ag * row[t] for t in range(j + 1, width)]
-                    self._reduce_tail(new_row, j + 1)
-                    self._reduce_tail(new_v, j + 1)
-                    rows[pos] = new_row
-                    v = new_v
-                    changed = True
-            else:
+        while v:
+            j = min(v)
+            row = rows.get(j)
+            if row is None:
                 if v[j] < 0:
-                    v = [-t for t in v]
-                    self._reduce_tail(v, j + 1)
-                rows.insert(pos, v)
-                pivots.insert(pos, j)
+                    v, negated = {}, v
+                    _add_multiple(v, -1, negated, j, mods)
+                rows[j] = v
                 return True
+            p = row[j]
+            a = v[j]
+            if a % p == 0:
+                _add_multiple(v, -(a // p), row, j, mods)
+            else:
+                # (row, v) <- (x row + y v, (p/g) v - (a/g) row), unimodular
+                g, x, y = xgcd(p, a)
+                pg, ag = p // g, a // g
+                new_row, new_v = {}, {}
+                for t in row.keys() | v.keys():
+                    r, s = row.get(t, 0), v.get(t, 0)
+                    r, s = x * r + y * s, pg * s - ag * r
+                    if t > j and mods is not None and mods[t]:
+                        r %= mods[t]
+                        s %= mods[t]
+                    if r:
+                        new_row[t] = r
+                    if s:
+                        new_v[t] = s
+                rows[j] = new_row
+                v = new_v
+                changed = True
+        return changed
 
     def contains(self, vec) -> bool:
-        v = list(vec)
-        if len(v) != self.width:
-            raise ValueError("row width mismatch")
-        rows, pivots, width = self.rows, self.pivots, self.width
-        self._reduce_tail(v, 0)
-        for j in range(width):
-            if v[j] == 0:
-                continue
-            pos = bisect_left(pivots, j)
-            if pos == len(pivots) or pivots[pos] != j:
+        v = self._entries(vec)
+        rows, mods = self._rows, self.moduli
+        while v:
+            j = min(v)
+            row = rows.get(j)
+            if row is None or v[j] % row[j]:
                 return False
-            row = rows[pos]
-            if v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for t in range(j, width):
-                v[t] -= q * row[t]
-            self._reduce_tail(v, j + 1)
+            _add_multiple(v, -(v[j] // row[j]), row, j, mods)
         return True
 
     def extend(self, new_width: int, new_moduli=None) -> None:
-        """Pad every row with zero columns on the right."""
+        """Add zero columns on the right (sparse rows need no padding)."""
         if new_width < self.width:
             raise ValueError("lattices only grow")
         delta = new_width - self.width
         if delta:
-            for row in self.rows:
-                row.extend([0] * delta)
             old_width = self.width
             self.width = new_width
             if self.moduli is not None:
                 if new_moduli is None or len(new_moduli) != delta:
                     raise ValueError("extension of a reduced lattice needs new moduli")
                 self.moduli.extend(int(m) for m in new_moduli)
-                for j in range(old_width, new_width):
-                    m = self.moduli[j]
-                    if m:
-                        row = [0] * new_width
-                        row[j] = m
-                        self.rows.append(row)
-                        self.pivots.append(j)
+                self._seed(old_width)
 
     def normalize(self) -> None:
         """Reduce entries above each pivot into [0, pivot)."""
-        rows, pivots, width = self.rows, self.pivots, self.width
-        for r in range(len(rows)):
-            row_r = rows[r]
-            for s in range(r + 1, len(rows)):
-                j = pivots[s]
-                row_s = rows[s]
+        rows = self._rows
+        for p in sorted(rows):
+            row_r = rows[p]
+            j = p
+            while len(row_r) > 1:
+                # the next column right of j where this row meets a pivot
+                j = min((t for t in row_r if t > j and t in rows), default=None)
+                if j is None:
+                    break
+                row_s = rows[j]
                 q = row_r[j] // row_s[j]
                 if q:
-                    for t in range(j, width):
-                        row_r[t] -= q * row_s[t]
+                    _add_multiple(row_r, -q, row_s, j, None)
 
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r) for r in self.rows)
+        return tuple(tuple(_dense(self._rows[p], self.width)) for p in sorted(self._rows))
 
     def pivot_product(self) -> int:
         """Product of the pivots; for a full-rank lattice this is [Z^k : L]."""
-        return prod(r[p] for r, p in zip(self.rows, self.pivots))
+        return prod(r[p] for p, r in self._rows.items())
+
+
+def _sparse(vec, width: int, offset: int = 0) -> dict[int, int]:
+    """A fresh {column: value} map of the nonzero entries of ``vec``, a dense
+    row of length ``width`` or a map with columns in [0, width), its columns
+    shifted right by ``offset``."""
+    if isinstance(vec, dict):
+        if vec and (min(vec) < 0 or max(vec) >= width):
+            raise ValueError(f"row with columns outside [0, {width})")
+        return {t + offset: x for t, x in vec.items() if x}
+    if len(vec) != width:
+        raise ValueError(f"row of width {len(vec)}, expected {width}")
+    return {t + offset: vec[t] for t in compress(range(width), vec)}
+
+
+def _dense(row: dict[int, int], width: int, offset: int = 0) -> list[int]:
+    """The dense row of width ``width`` of a map's columns from ``offset`` on."""
+    out = [0] * width
+    for t, x in row.items():
+        out[t - offset] = x
+    return out
+
+
+def _add_multiple(v: dict[int, int], c: int, row: dict[int, int], j: int, mods) -> None:
+    """v += c * row in place, over row's entries only; those right of column
+    j are reduced modulo ``mods`` (when given), and zeros are dropped."""
+    for t, r in row.items():
+        x = v.get(t, 0) + c * r
+        if x and t > j and mods is not None and mods[t]:
+            x %= mods[t]
+        if x:
+            v[t] = x
+        else:
+            v.pop(t, None)
 
 
 def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, payload=None):
@@ -199,21 +232,25 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     per-column kill moduli.  Each m_j e_j must lie in the result; moduli are
     used only when ``relation`` declares them, and only keep entries bounded.
 
-    The rows (image | payload) are eliminated, seeded with the rows of
-    ``relation`` padded with zeros and the rows m_j e_j, which are already
-    echelon.  The rows left with a pivot right of the image columns have
-    image 0 modulo ``relation``; their right halves are the result.
+    ``map_rows`` and ``payload`` rows may be dense or {column: value} maps.
+    The rows (image | payload), built sparse, are eliminated, seeded with the
+    rows of ``relation`` and the rows m_j e_j, which are already echelon.  The
+    rows left with a pivot right of the image columns have image 0 modulo
+    ``relation``; their right halves are the result.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
-    if payload is None:
-        payload = _identity(len(map_rows))
     width = len(payload_moduli) if payload_moduli is not None else len(map_rows)
     lat = relation.copy()
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
-    for mrow, prow in zip(map_rows, payload):
-        lat.add(list(mrow) + list(prow))
-    return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
+    for i, mrow in enumerate(map_rows):
+        row = _sparse(mrow, image_width)
+        if payload is None:
+            row[image_width + i] = 1
+        else:
+            row.update(_sparse(payload[i], width, image_width))
+        lat.add(row)
+    return [_dense(lat._rows[p], width, image_width) for p in lat.pivots if p >= image_width]
 
 
 def _identity(n: int) -> list[list[int]]:

@@ -247,7 +247,7 @@ class CylinderSubgroup:
 
 def _unit_rows(width: int, start: int, stop: int) -> tuple[tuple[int, ...], ...]:
     """The rows e_start, ..., e_{stop-1} of Z^width."""
-    return tuple(tuple(int(t == j) for t in range(width)) for j in range(start, stop))
+    return tuple((0,) * j + (1,) + (0,) * (width - j - 1) for j in range(start, stop))
 
 
 def _project_out(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
@@ -500,17 +500,19 @@ class RowFiniteEndo:
         """Same map, compared as reduced banded specs on one lcm period."""
         if self.parent != other.parent:
             return False
+
+        def nonzero_terms(endo, r):
+            # reduce first: a term that vanishes modulo the target is no term
+            mods = self.parent.block(r).moduli
+            terms = {}
+            for o, m in endo.row_terms(r):
+                m = tuple(tuple(x % d for x in row) for row, d in zip(m, mods))
+                if any(map(any, m)):
+                    terms[o] = m
+            return terms
+
         p = lcm(self.period, other.period)
-        for r in range(p):
-            a = {o: m for o, m in self.row_terms(r) if any(any(row) for row in m)}
-            b = {o: m for o, m in other.row_terms(r) if any(any(row) for row in m)}
-            tgt = self.parent.block(r)
-            norm = lambda m: tuple(
-                tuple(x % tgt.moduli[u] for x in row) for u, row in enumerate(m)
-            )
-            if {o: norm(m) for o, m in a.items()} != {o: norm(m) for o, m in b.items()}:
-                return False
-        return True
+        return all(nonzero_terms(self, r) == nonzero_terms(other, r) for r in range(p))
 
 
 class PowerEndo:

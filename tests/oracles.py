@@ -3,13 +3,20 @@
 Everything here works by plain enumeration over element tuples or by
 naive textbook algorithms, sharing no code with the lattice-based
 implementations it is used to check.  Keep it dumb.
+
+The one exception is the dense echelon kernel at the end: the reference
+for the sparse ``entctl.lattice`` kernel, which must perform the same
+arithmetic in the same order and so shares its ``xgcd``.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
+
+from entctl.lattice import xgcd
 
 
 # -- finite abelian groups as element sets ----------------------------------
@@ -250,3 +257,138 @@ def abelian_types_up_to(max_order):
 
     rec([], 1)
     return sorted(set(out))
+
+
+# -- dense reference for the sparse lattice kernel -----------------------------
+
+class DenseZLattice:
+    """Echelon row lattice with every row stored dense, entry by entry: the
+    reference for ``entctl.lattice.ZLattice``, whose raw rows must match."""
+
+    def __init__(self, width, moduli=None):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        self.moduli = None
+        if moduli is not None:
+            self.moduli = [int(m) for m in moduli]
+            for j, m in enumerate(self.moduli):
+                if m:
+                    row = [0] * width
+                    row[j] = m
+                    self.pivots.append(j)
+                    self.rows.append(row)
+
+    def copy(self):
+        lat = DenseZLattice(self.width)
+        lat.rows = [list(r) for r in self.rows]
+        lat.pivots = list(self.pivots)
+        lat.moduli = list(self.moduli) if self.moduli is not None else None
+        return lat
+
+    def _reduce_tail(self, v, start):
+        if self.moduli is None:
+            return
+        for t in range(start, self.width):
+            m = self.moduli[t]
+            if m and v[t]:
+                v[t] %= m
+
+    def add(self, vec):
+        v = list(vec)
+        assert len(v) == self.width
+        rows, pivots, width = self.rows, self.pivots, self.width
+        self._reduce_tail(v, 0)
+        changed = False
+        j = 0
+        while True:
+            while j < width and v[j] == 0:
+                j += 1
+            if j == width:
+                return changed
+            pos = bisect_left(pivots, j)
+            if pos < len(pivots) and pivots[pos] == j:
+                row = rows[pos]
+                p, a = row[j], v[j]
+                if a % p == 0:
+                    q = a // p
+                    for t in range(j, width):
+                        v[t] -= q * row[t]
+                    self._reduce_tail(v, j + 1)
+                else:
+                    g, x, y = xgcd(p, a)
+                    pg, ag = p // g, a // g
+                    new_row = [0] * j + [x * row[t] + y * v[t] for t in range(j, width)]
+                    new_v = [0] * (j + 1) + [pg * v[t] - ag * row[t] for t in range(j + 1, width)]
+                    self._reduce_tail(new_row, j + 1)
+                    self._reduce_tail(new_v, j + 1)
+                    rows[pos] = new_row
+                    v = new_v
+                    changed = True
+            else:
+                if v[j] < 0:
+                    v = [-t for t in v]
+                    self._reduce_tail(v, j + 1)
+                rows.insert(pos, v)
+                pivots.insert(pos, j)
+                return True
+
+    def contains(self, vec):
+        v = list(vec)
+        rows, pivots, width = self.rows, self.pivots, self.width
+        self._reduce_tail(v, 0)
+        for j in range(width):
+            if v[j] == 0:
+                continue
+            pos = bisect_left(pivots, j)
+            if pos == len(pivots) or pivots[pos] != j:
+                return False
+            row = rows[pos]
+            if v[j] % row[j]:
+                return False
+            q = v[j] // row[j]
+            for t in range(j, width):
+                v[t] -= q * row[t]
+            self._reduce_tail(v, j + 1)
+        return True
+
+    def extend(self, new_width, new_moduli=None):
+        delta = new_width - self.width
+        for row in self.rows:
+            row.extend([0] * delta)
+        old_width, self.width = self.width, new_width
+        if self.moduli is not None:
+            self.moduli.extend(int(m) for m in new_moduli)
+            for j in range(old_width, new_width):
+                m = self.moduli[j]
+                if m:
+                    row = [0] * new_width
+                    row[j] = m
+                    self.rows.append(row)
+                    self.pivots.append(j)
+
+    def normalize(self):
+        rows, pivots, width = self.rows, self.pivots, self.width
+        for r in range(len(rows)):
+            row_r = rows[r]
+            for s in range(r + 1, len(rows)):
+                j = pivots[s]
+                row_s = rows[s]
+                q = row_r[j] // row_s[j]
+                if q:
+                    for t in range(j, width):
+                        row_r[t] -= q * row_s[t]
+
+
+def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None, payload=None):
+    """``entctl.lattice.congruence_kernel`` on a DenseZLattice ``relation``:
+    the rows (image | payload) concatenated dense, identity payload by default."""
+    n = len(map_rows)
+    if payload is None:
+        payload = [[int(i == j) for j in range(n)] for i in range(n)]
+    width = len(payload_moduli) if payload_moduli is not None else n
+    lat = relation.copy()
+    lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
+    for mrow, prow in zip(map_rows, payload):
+        lat.add(list(mrow) + list(prow))
+    return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]

@@ -216,11 +216,19 @@ PRO_SHIFT = ("left_shift_pro_z2.json", "top-entropy")
         (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n="abc")),
         (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n=float("inf"))),
         (PRO_SHIFT, "cylinders", lambda raw: raw["cylinders"][0].update(window=[0, "q"])),
+        # read as range(3, 1), a reversed window would be the whole group
+        (PRO_SHIFT, "cylinders", lambda raw: raw["cylinders"][0].update(window=[3, 1])),
+        # int() would truncate these: max_n 2, Z/1, a zero matrix, generator [1, 0]
+        (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n=2.5)),
+        (PRO_SHIFT, "group", lambda raw: raw["group"]["blocks"].update(types=[[True]])),
+        (PRO_SHIFT, "endo", lambda raw: raw["endo"].update(rows=[[[1, [[0.5]]]]])),
+        (PRO_SHIFT, "cylinders", lambda raw: raw["cylinders"][1].update(core_gens=[[1, 0.9]])),
         # a generator term [index] without its value
         (("bridge_shift_z2.json", "bridge-check"), "family",
          lambda raw: raw["family"][1].update(gens=[[[0, [1]]], [[1]]])),
     ],
     ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str",
+         "window-reversed", "max_n-float", "modulus-bool", "matrix-float", "core-gen-float",
          "gens-short-term"],
 )
 def test_wrong_json_type_exits_validation(tmp_path, capsys, instance, section, edit):

@@ -50,6 +50,20 @@ def test_invert_triangular_map():
     assert inv.compose(endo).equals_spec(identity_endo(k))
 
 
+def test_invert_with_a_trivial_block():
+    """Z/3 and Z/1 alternating: the Z/1 rows of a composite reduce to zero
+    terms, and a Z/1 residue gets no term from the solved windows."""
+    z1 = FiniteAbelianGroup((1,))
+    k = pro_group([], [Z3, z1], "Z")
+    involution = rowfinite_endo(k, 0, 1, 2, [[(0, [[2]])], [(0, [[1]])]])
+    shift2 = rowfinite_endo(k, 2, 1, 2, [[(2, [[1]])], [(2, [[1]])]])
+    for psi in (involution, shift2):
+        inv = invert(psi)
+        assert psi.compose(inv).equals_spec(identity_endo(k))
+        assert inv.compose(psi).equals_spec(identity_endo(k))
+    assert invert(shift2).offset == -2
+
+
 def test_invert_failure_unbounded_support():
     k, _ = full_shift((2,))
     fold = rowfinite_endo(k, 0, 2, 1, [[(0, [[1]]), (1, [[1]])]])

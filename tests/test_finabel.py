@@ -67,6 +67,10 @@ def test_hom_validate_examples():
     with pytest.raises(ValidationError):
         hom_validate([[1]], z2, z4)
     zero_hom(z2, z4)  # zero map is always fine
+    # two failing entries: the message names the first in column-major order
+    z22, z44 = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((4, 4))
+    with pytest.raises(ValidationError, match="generator 0 of order 2 .* coordinate 1 = 1 mod 4"):
+        hom_validate([[0, 1], [1, 0]], z22, z44)
 
 
 def test_hom_kernel_image_preimage_examples():
@@ -293,7 +297,7 @@ def test_preimage_matches_elimination_from_generators():
         b = mixed_group(rng, 3)
         f = hom_validate(random_valid_matrix(rng, a, b), a, b)
         sub = canonical_subgroup(b, sparse_elems(rng, b, rng.randrange(0, 3)))
-        columns = [f.column(j) for j in range(a.rank)]
+        columns = f.columns()
         combos = eliminated_kernel(columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
         pre = f.preimage(sub)
         assert pre.basis == canonical_subgroup(a, combos).basis
@@ -341,3 +345,23 @@ def test_malformed_basis_is_an_internal_error():
         with pytest.raises(AssertionError):
             AbSubgroup(g, basis)
     assert AbSubgroup(g, ((1, 0), (0, 2))).order == 4
+
+
+def test_order_is_read_off_the_hnf_without_a_lattice(monkeypatch):
+    """Constructing a subgroup and reading its order builds no lattice;
+    membership builds one, once."""
+    g = FiniteAbelianGroup((4, 6))
+    basis = canonical_subgroup(g, [(2, 3)]).basis
+    built = []
+    init = ZLattice.__init__
+
+    def counting_init(self, width, moduli=None):
+        built.append(width)
+        init(self, width, moduli)
+
+    monkeypatch.setattr(ZLattice, "__init__", counting_init)
+    h = AbSubgroup(g, basis)
+    assert (h.order, h.index) == (2, 12)
+    assert built == []
+    assert h.contains((2, 3)) and not h.contains((2, 0))
+    assert built == [2]

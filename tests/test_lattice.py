@@ -156,3 +156,83 @@ def test_congruence_kernel_with_an_echelon_relation():
         for c in itertools.product(range(-2, 3), repeat=n):
             assert lat.contains(list(c)) == maps_into_relation(c)
     assert off_diagonal > 10
+
+
+entry = st.one_of(st.just(0), st.integers(-12, 12))  # half the entries 0
+kill_moduli = st.sampled_from((0, 0, 1, 2, 3, 4, 6, 8, 9))
+
+
+def dense_rows(width, max_rows=6):
+    return st.lists(st.lists(entry, min_size=width, max_size=width), max_size=max_rows)
+
+
+def as_map(row):
+    """The {column: value} form of a dense row, with one explicit zero kept."""
+    out = {t: x for t, x in enumerate(row) if x}
+    if len(row) > len(out):
+        out[row.index(0)] = 0
+    return out
+
+
+def assert_same(lat, ref):
+    assert lat.pivots == ref.pivots
+    assert lat.rows == ref.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_lattice_repeats_the_dense_reference(data):
+    """Raw echelon rows, pivots and every return value equal the dense
+    reference's after each add, extend and normalize, with and without
+    moduli; normalize gives the same HNF, and membership agrees throughout."""
+    width = data.draw(st.integers(0, 6))
+    moduli = data.draw(st.one_of(st.none(), st.lists(kill_moduli, min_size=width, max_size=width)))
+    lat, ref = ZLattice(width, moduli), oracles.DenseZLattice(width, moduli)
+    form = as_map if data.draw(st.booleans()) else list
+    assert_same(lat, ref)
+    for _ in range(data.draw(st.integers(1, 3))):
+        for row in data.draw(dense_rows(lat.width)):
+            assert lat.add(form(row)) == ref.add(row)
+            assert_same(lat, ref)
+        for probe in data.draw(dense_rows(lat.width, 3)):
+            assert lat.contains(form(probe)) == ref.contains(probe)
+        extra = data.draw(st.integers(0, 2))
+        new_moduli = data.draw(st.lists(kill_moduli, min_size=extra, max_size=extra))
+        lat.extend(lat.width + extra, new_moduli)
+        ref.extend(ref.width + extra, new_moduli)
+        assert_same(lat, ref)
+    copy = lat.copy()
+    lat.normalize()
+    ref.normalize()
+    assert_same(lat, ref)
+    assert lat.basis() == tuple(map(tuple, ref.rows))
+    for probe in data.draw(dense_rows(lat.width, 4)) + ref.rows:
+        assert lat.contains(probe) == ref.contains(probe) == copy.contains(probe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_congruence_kernel_repeats_the_dense_reference(data):
+    """Raw congruence_kernel output equals the dense reference's, for
+    relations with and without kill moduli, default and explicit payloads."""
+    image_width = data.draw(st.integers(0, 5))
+    moduli = data.draw(
+        st.one_of(st.none(), st.lists(kill_moduli, min_size=image_width, max_size=image_width))
+    )
+    relation, ref = ZLattice(image_width, moduli), oracles.DenseZLattice(image_width, moduli)
+    for row in data.draw(dense_rows(image_width, 3)):
+        relation.add(row)
+        ref.add(row)
+    map_rows = data.draw(dense_rows(image_width))
+    form = as_map if data.draw(st.booleans()) else list
+    n = len(map_rows)
+    explicit, with_moduli = data.draw(st.booleans()), data.draw(st.booleans())
+    # without payload moduli the payload is n wide, and the default payload is
+    width = data.draw(st.integers(0, 5)) if explicit and with_moduli else n
+    payload_moduli = data.draw(st.lists(kill_moduli, min_size=width, max_size=width)) if with_moduli else None
+    payload = None
+    if explicit:
+        payload = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
+    got = congruence_kernel([form(r) for r in map_rows], image_width, relation, payload_moduli, payload)
+    assert got == oracles.dense_congruence_kernel(map_rows, image_width, ref, payload_moduli, payload)
+    assert relation.rows == ref.rows
