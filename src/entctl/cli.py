@@ -567,10 +567,10 @@ def main(argv=None) -> int:
 
     try:
         inst = parse_instance(args.instance)
-        if args.max_n or args.stall:
+        if args.max_n is not None or args.stall is not None:
             inst.policy = StabilizationPolicy(
-                max_n=args.max_n or inst.policy.max_n,
-                stall_window=args.stall or inst.policy.stall_window,
+                max_n=inst.policy.max_n if args.max_n is None else args.max_n,
+                stall_window=inst.policy.stall_window if args.stall is None else args.stall,
                 window_budget=inst.policy.window_budget,
             )
         report = run_command(args.command, inst, method=args.method)

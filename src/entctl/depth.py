@@ -59,27 +59,21 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
             rows_idx.append(j)
     if target_block not in rows_idx:
         return None
-    mat, _, tgt = endo.band_matrix(rows_idx, lo, hi)
+    cols, _, tgt = endo.band_columns(rows_idx, lo, hi)
     t_at = sum(g.block(j).rank for j in rows_idx[: rows_idx.index(target_block)])
-    t_dense = [0] * tgt.rank
-    for u, c in enumerate(target_vec):
-        t_dense[t_at + u] = c
 
     # kernel of (s, y) -> s * (-t) + y * M  modulo the target relations
     c = lcm(1, *tgt.moduli)
-    map_rows = [[-x for x in t_dense]]
-    for i in range(wg.rank):
-        map_rows.append([mat[r][i] for r in range(tgt.rank)])
+    map_rows = [{t_at + u: -x for u, x in enumerate(target_vec) if x}] + cols
     combos = congruence_kernel(
         map_rows, tgt.rank, tgt.relation_lattice(), payload_moduli=[c] * (wg.rank + 1)
     )
     for combo in combos:
-        if combo[0] == 1:
-            y = combo[1:]
+        if combo.get(0) == 1:
             out = {}
             for i in range(lo, hi):
                 s, e = starts[i - lo], starts[i - lo + 1]
-                piece = g.block(i).reduce(y[s:e])
+                piece = g.block(i).reduce([combo.get(t + 1, 0) for t in range(s, e)])
                 if any(piece):
                     out[i] = piece
             return out

@@ -419,10 +419,9 @@ class _AbelianTrajectory:
     def f_cap_phit_order(self) -> int:
         """|F n phi(T_n)| for the current n."""
         self.lat_phit.sync()
-        pad = [0] * (self.layout.width - self.f_group.rank)
-        f_rows = self.f_sub.basis
+        f_rows = self.f_sub.hnf_rows()
         rows = congruence_kernel(
-            [list(r) + pad for r in f_rows],
+            f_rows,
             self.layout.width,
             self.lat_phit.lat,
             self.f_group.moduli,

@@ -3,15 +3,20 @@
 A group is a quotient Z^k / diag(d_1, ..., d_k); elements are integer
 vectors reduced coordinatewise.  Subgroups are represented by the Hermite
 normal form of the integer lattice spanned by their generators together
-with the relation lattice, which makes equality a tuple comparison and
-membership a back-substitution.  Homomorphisms are integer matrices with a
-well-definedness certificate; kernel, image and preimage are computed on
-the lattice side, never by enumeration.
+with the relation lattice.  Only its rows that are not unit vectors are
+stored, as sparse {column: value} maps keyed by pivot, which makes equality
+a comparison of those maps and membership a back-substitution; the dense
+``basis`` is a view for cold readers.  Homomorphisms store the images of
+the unit vectors as sparse columns, with a well-definedness certificate;
+kernel, image and preimage are computed on the lattice side, never by
+enumeration.
 
 A n B and f^-1(S) are one elimination each: rows (b|_W | b) for B's HNF rows
 b, or (f(e_j)|_W | e_j), against A's (or S's) rows on W, the coordinates whose
 HNF row is not e_j.  That is exact: a unit row's pivot is 1, so the other rows
 vanish in its column, and x is in A iff x_W is in the span of A's rows on W.
+A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
+it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
 """
 
@@ -19,9 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import compress, repeat
 from math import prod
-from operator import mod
 
 from .errors import (
     AmbientMismatchError,
@@ -113,27 +116,71 @@ class FiniteAbelianGroup:
 class AbSubgroup:
     """Subgroup of a FiniteAbelianGroup in canonical (HNF) form.
 
-    Two AbSubgroups are equal as sets iff their bases are identical tuples.
-    Instances are immutable; the order is read off the HNF diagonal, and the
-    backing lattice is built once, when membership or a sum first needs it.
+    Only the HNF rows that are not unit vectors are stored, as
+    ``rows = {pivot: {column: value}}``: row j of the HNF is e_j exactly
+    when j is not a key.  The keys are the constrained coordinates W; the
+    unit pivots being 1, every stored row vanishes outside W.  Two
+    AbSubgroups are equal as sets iff their rows are equal.
+    Instances are immutable; the order is read off the pivots, ``basis``
+    is the dense HNF built on demand, and the backing lattice is built
+    once, when membership or a sum first needs it.
     """
 
-    __slots__ = ("ambient", "basis", "order", "_lat")
+    __slots__ = ("ambient", "rows", "order", "_lat")
 
     def __init__(self, ambient: FiniteAbelianGroup, basis: tuple[tuple[int, ...], ...]):
+        """The subgroup with the dense HNF ``basis``, checked for shape."""
         k = ambient.rank
         assert len(basis) == k and all(
             len(row) == k and row[j] > 0 for j, row in enumerate(basis)
         ), f"not a full-rank triangular basis of rank {k}: {basis}"
+        rows = {}
+        for j, row in enumerate(basis):
+            entries = {t: x for t, x in enumerate(row) if x}
+            if entries != {j: 1}:
+                rows[j] = entries
+        self._init(ambient, rows)
+
+    def _init(self, ambient, rows) -> None:
+        # each row's pivot is its least column, with a positive entry, and
+        # every column is below the rank (checked with C-level maps only)
+        vals = rows.values()
+        assert not rows or (
+            all(vals)
+            and list(map(min, vals)) == list(rows)
+            and min(map(dict.__getitem__, vals, rows)) > 0
+            and max(map(max, vals)) < ambient.rank
+        ), f"not the non-unit rows of a triangular basis of rank {ambient.rank}: {rows}"
         self.ambient = ambient
-        self.basis = basis
-        self.order = ambient.order // prod(row[j] for j, row in enumerate(basis))
+        self.rows = rows
+        self.order = ambient.order // prod(map(dict.__getitem__, vals, rows))
         self._lat = None
+
+    @classmethod
+    def from_rows(cls, ambient: FiniteAbelianGroup, rows: dict) -> "AbSubgroup":
+        """The subgroup whose HNF has the non-unit rows ``rows``, given as
+        ``{pivot: {column: value}}``, the maps shared."""
+        sub = cls.__new__(cls)
+        sub._init(ambient, rows)
+        return sub
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The dense HNF, one row per coordinate."""
+        k = self.ambient.rank
+        return tuple(tuple(row.get(t, 0) for t in range(k)) for row in self.hnf_rows())
+
+    def hnf_rows(self) -> list[dict[int, int]]:
+        """The HNF rows as maps, unit rows included; the stored maps shared."""
+        rows = self.rows
+        return [rows[j] if j in rows else {j: 1} for j in range(self.ambient.rank)]
 
     def _lattice(self) -> ZLattice:
         if self._lat is None:
+            # the lattice only reads the shared maps: membership never changes
+            # a row, and sum_with copies the lattice before adding to it
             self._lat = ZLattice.from_echelon(
-                self.ambient.rank, self.basis, range(self.ambient.rank), self.ambient.moduli
+                self.ambient.rank, dict(enumerate(self.hnf_rows())), self.ambient.moduli
             )
         return self._lat
 
@@ -141,11 +188,12 @@ class AbSubgroup:
         return (
             isinstance(other, AbSubgroup)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        rows = frozenset((p, frozenset(r.items())) for p, r in self.rows.items())
+        return hash((self.ambient, rows))
 
     def __repr__(self):
         return f"AbSubgroup(order={self.order} in {self.ambient})"
@@ -163,7 +211,7 @@ class AbSubgroup:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups of different ambient groups")
         lat = self._lattice()
-        return all(lat.contains(r) for r in other.basis)
+        return all(lat.contains(r) for r in other.hnf_rows())
 
     def generators(self) -> list[tuple[int, ...]]:
         gens = []
@@ -194,51 +242,55 @@ class AbSubgroup:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup sum across ambient groups")
         lat = self._lattice().copy()
-        for row in other.basis:
+        for row in other.hnf_rows():
             lat.add(row)
-        lat.normalize()
-        return AbSubgroup(self.ambient, lat.basis())
+        return _normalized(self.ambient, lat)
 
     def intersect_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup intersection across ambient groups")
         # eliminate on the side with fewer constrained coordinates
-        wa, wb = self._constrained(), other._constrained()
-        if len(wb) < len(wa):
-            return other._pull_back(wb, self.basis, self.ambient, self.basis)
-        return self._pull_back(wa, other.basis, self.ambient, other.basis)
+        if len(other.rows) < len(self.rows):
+            self, other = other, self
+        rows = other.hnf_rows()
+        return self._pull_back(rows, self.ambient, rows)
 
-    def _constrained(self) -> list[int]:
-        """W: the j whose HNF row is not e_j.  HNF entries are >= 0, so row j
-        is e_j iff its pivot and its sum are both 1."""
-        return [j for j, row in enumerate(self.basis) if row[j] != 1 or sum(row) != 1]
+    def _pull_back(self, images, ambient, payload=None) -> "AbSubgroup":
+        """{sum_i c_i payload[i] : sum_i c_i images[i] in this subgroup} in
+        ``ambient``, eliminating on this subgroup's constrained coordinates W.
 
-    def _pull_back(self, w, map_rows, ambient, payload=None) -> "AbSubgroup":
-        """{sum_i c_i payload[i] : sum_i c_i map_rows[i] in this subgroup} in ``ambient``
-        (payload rows default to unit rows), eliminating on W = ``w`` only."""
-        pos = {j: i for i, j in enumerate(w)}
-        rows = [_restrict(self.basis[j], pos) for j in w]
-        mods = [self.ambient.moduli[j] for j in w]
-        relation = ZLattice.from_echelon(len(w), rows, range(len(w)), mods)
-        images = [_restrict(row, pos) for row in map_rows]
-        return echelon_subgroup(
-            ambient, congruence_kernel(images, len(w), relation, ambient.moduli, payload)
+        ``images`` are maps on this subgroup's coordinates and ``payload``
+        maps on ``ambient``'s (unit rows by default).  A unit payload row e_j
+        whose image vanishes on W is in the result: it is seeded as the
+        modulus 1 of column j instead of being eliminated.
+        """
+        pos = {j: i for i, j in enumerate(sorted(self.rows))}
+        relation = ZLattice.from_echelon(
+            len(pos),
+            {pos[p]: {pos[t]: x for t, x in self.rows[p].items()} for p in pos},
+            [self.ambient.moduli[j] for j in pos],
         )
+        moduli = list(ambient.moduli)
+        map_rows, kept = [], []
+        for j, image in enumerate(images):
+            row = payload[j] if payload is not None else {j: 1}
+            image_w = {pos[t]: x for t, x in image.items() if t in pos}
+            if not image_w and len(row) == 1 and row.get(j) == 1:
+                moduli[j] = 1
+            else:
+                map_rows.append(image_w)
+                kept.append(row)
+        return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
 
     def invariants(self) -> tuple[int, ...]:
         """Invariant factors of this subgroup as an abstract group."""
         # H is (own lattice) / (relation lattice); express relations in the basis.
+        basis = self.basis
         coeffs = [
-            _coords_in_triangular_basis(self.basis, row)
+            _coords_in_triangular_basis(basis, row)
             for row in self.ambient.relation_rows()
         ]
         return _invariants_of_cokernel(coeffs)
-
-
-def _restrict(row, pos: dict[int, int]) -> dict[int, int]:
-    """The nonzero entries of ``row`` at the coordinates in ``pos``, as a
-    {column: value} map renumbered by ``pos``."""
-    return {pos[j]: row[j] for j in compress(range(len(row)), row) if j in pos}
 
 
 def _coords_in_triangular_basis(basis, vec) -> list[int]:
@@ -271,20 +323,28 @@ def _invariants_of_cokernel(rows) -> tuple[int, ...]:
 
 
 def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
-    """Subgroup generated by ``gens``, in canonical form."""
+    """Subgroup generated by ``gens`` (vectors, or {coordinate: value} maps),
+    in canonical form."""
     lat = ambient.relation_lattice()
     for g in gens:
-        ambient.check_vector(g)
+        if not isinstance(g, dict):
+            ambient.check_vector(g)
         lat.add(g)
-    lat.normalize()
-    return AbSubgroup(ambient, lat.basis())
+    return _normalized(ambient, lat)
 
 
 def echelon_subgroup(ambient: FiniteAbelianGroup, rows) -> AbSubgroup:
-    """Subgroup with an echelon basis of one row per column, relations included."""
-    lat = ZLattice.from_echelon(ambient.rank, rows, range(ambient.rank))
+    """Subgroup with an echelon basis of one row per column, relations
+    included, given as {column: value} maps that it takes over."""
+    return _normalized(ambient, ZLattice.from_echelon(ambient.rank, dict(enumerate(rows))))
+
+
+def _normalized(ambient: FiniteAbelianGroup, lat: ZLattice) -> AbSubgroup:
+    """The subgroup of a full-rank lattice that contains the relations,
+    read off its HNF; the lattice's rows are taken over, not copied."""
     lat.normalize()
-    return AbSubgroup(ambient, lat.basis())
+    rows = {p: r for p, r in lat.row_maps().items() if len(r) > 1 or r[p] != 1}
+    return AbSubgroup.from_rows(ambient, rows)
 
 
 def subgroup_index(h: AbSubgroup, l: AbSubgroup) -> int:
@@ -302,32 +362,50 @@ def quotient_invariants(inner: AbSubgroup, outer: AbSubgroup) -> tuple[int, ...]
         raise AmbientMismatchError("quotient across ambient groups")
     if not outer.contains_subgroup(inner):
         raise ContainmentError("quotient undefined: inner not inside outer")
-    coeffs = [_coords_in_triangular_basis(outer.basis, row) for row in inner.basis]
+    basis = outer.basis
+    coeffs = [_coords_in_triangular_basis(basis, row) for row in inner.basis]
     return _invariants_of_cokernel(coeffs)
 
 
 @dataclass(frozen=True)
 class Hom:
-    """Homomorphism between finite abelian groups as an integer matrix.
+    """Homomorphism between finite abelian groups, f(x) = M x.
 
-    matrix has target.rank rows and source.rank columns; f(x) = M x.
-    Constructed through hom_validate, which certifies well-definedness.
+    ``columns`` holds the images of the unit vectors, column j as a
+    {target coordinate: value} map of its nonzero entries reduced modulo
+    the target; ``matrix`` is the dense view (target.rank rows, source.rank
+    columns).  Constructed through hom_validate, which certifies
+    well-definedness.
     """
 
     source: FiniteAbelianGroup
     target: FiniteAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(col.get(i, 0) for col in self.columns) for i in range(self.target.rank)
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
+
+    def _combine(self, coeffs) -> dict[int, int]:
+        """sum_j coeffs[j] * column j, for a {j: coefficient} map, unreduced."""
+        out: dict[int, int] = {}
+        cols = self.columns
+        for j, c in coeffs.items():
+            for i, m in cols[j].items():
+                out[i] = out.get(i, 0) + c * m
+        return out
 
     def apply(self, vec) -> tuple[int, ...]:
         self.source.check_vector(vec)
-        out = []
-        for i, row in enumerate(self.matrix):
-            out.append(sum(m * x for m, x in zip(row, vec)) % self.target.moduli[i])
-        return tuple(out)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        """The columns of the matrix: the images of the unit vectors."""
-        return list(zip(*self.matrix)) if self.matrix else [()] * self.source.rank
+        out = [0] * self.target.rank
+        for i, x in self._combine({j: x for j, x in enumerate(vec) if x}).items():
+            out[i] = x
+        return self.target.reduce(out)
 
     def kernel(self) -> AbSubgroup:
         return self.preimage(self.target.trivial_subgroup())
@@ -335,67 +413,79 @@ class Hom:
     def image(self, sub: AbSubgroup | None = None) -> AbSubgroup:
         if sub is None:
             # f(A) is spanned by the images of the unit vectors: the columns.
-            return canonical_subgroup(self.target, self.columns())
+            return canonical_subgroup(self.target, self.columns)
         if sub.ambient != self.source:
             raise AmbientMismatchError("image of subgroup from a different group")
-        rows = [self.apply(self.source.reduce(r)) for r in sub.basis]
-        return canonical_subgroup(self.target, rows)
+        return canonical_subgroup(self.target, [self._combine(r) for r in sub.hnf_rows()])
 
     def preimage(self, sub: AbSubgroup) -> AbSubgroup:
         if sub.ambient != self.target:
             raise AmbientMismatchError("preimage of subgroup from a different group")
-        return sub._pull_back(sub._constrained(), self.columns(), self.source)
+        return sub._pull_back(self.columns, self.source)
 
     def compose(self, inner: "Hom") -> "Hom":
         """self o inner."""
         if inner.target != self.source:
             raise AmbientMismatchError("composition type mismatch")
-        rows = []
-        for i, row in enumerate(self.matrix):
-            d = self.target.moduli[i]
-            rows.append(
-                tuple(
-                    sum(row[t] * inner.matrix[t][j] for t in range(len(row))) % d
-                    for j in range(inner.source.rank)
-                )
-            )
-        return Hom(inner.source, self.target, tuple(rows))
+        mods = self.target.moduli
+        cols = []
+        for col in inner.columns:
+            out = {}
+            for i, x in self._combine(col).items():
+                x %= mods[i]
+                if x:
+                    out[i] = x
+            cols.append(out)
+        return Hom(inner.source, self.target, tuple(cols))
 
 
 def hom_validate(matrix, source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> Hom:
-    """Validate well-definedness: d_j^src * M e_j must die in the target."""
-    rows = [tuple(map(int, r)) for r in matrix]
-    if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-        raise DimensionError(
-            f"matrix {len(rows)}x{len(rows[0]) if rows else 0} for map "
-            f"rank {source.rank} -> rank {target.rank}"
-        )
-    # a zero entry always passes; report the first failure in column-major order
-    src = source.moduli
-    bad = [
-        (j, i)
-        for i, (row, di) in enumerate(zip(rows, target.moduli))
-        for j in compress(range(len(row)), row)
-        if (src[j] * row[j]) % di
-    ]
-    if bad:
-        j, i = min(bad)
-        raise ValidationError(
-            f"ill-defined map: generator {j} of order {src[j]} maps to a "
-            f"vector with coordinate {i} = {rows[i][j]} mod {target.moduli[i]}"
-        )
-    reduced = tuple(tuple(map(mod, row, repeat(d))) for row, d in zip(rows, target.moduli))
-    return Hom(source, target, reduced)
+    """Validate well-definedness: d_j^src * M e_j must die in the target.
+
+    ``matrix`` is dense, target.rank rows of source.rank entries, or the
+    sequence of source.rank columns as {target coordinate: value} maps.
+    """
+    matrix = list(matrix)
+    if all(isinstance(col, dict) for col in matrix) and (matrix or not source.rank):
+        cols = matrix
+        if len(cols) != source.rank or any(
+            col and (min(col) < 0 or max(col) >= target.rank) for col in cols
+        ):
+            raise DimensionError(
+                f"{len(cols)} columns for map rank {source.rank} -> rank {target.rank}"
+            )
+    else:
+        rows = [tuple(map(int, r)) for r in matrix]
+        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+            raise DimensionError(
+                f"matrix {len(rows)}x{len(rows[0]) if rows else 0} for map "
+                f"rank {source.rank} -> rank {target.rank}"
+            )
+        cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*rows)] or [{}] * source.rank
+    src, tgt = source.moduli, target.moduli
+    reduced = []
+    for j, col in enumerate(cols):
+        dj = src[j]
+        out = {}
+        for i, x in col.items():
+            if (dj * x) % tgt[i]:
+                # a zero entry always passes; name the first failure in
+                # column-major order
+                bad = min(t for t, y in col.items() if (dj * y) % tgt[t])
+                raise ValidationError(
+                    f"ill-defined map: generator {j} of order {dj} maps to a "
+                    f"vector with coordinate {bad} = {col[bad]} mod {tgt[bad]}"
+                )
+            x %= tgt[i]
+            if x:
+                out[i] = x
+        reduced.append(out)
+    return Hom(source, target, tuple(reduced))
 
 
 def identity_hom(group: FiniteAbelianGroup) -> Hom:
-    k = group.rank
-    return hom_validate(
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)], group, group
-    )
+    return hom_validate([{j: 1} for j in range(group.rank)], group, group)
 
 
 def zero_hom(source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> Hom:
-    return hom_validate(
-        [[0] * source.rank for _ in range(target.rank)], source, target
-    )
+    return hom_validate([{}] * source.rank, source, target)

@@ -9,10 +9,14 @@ entries, so an elimination step costs the entries it touches rather than
 the lattice width; rows may be passed in dense or as such maps, and the
 dense views ``rows``, ``pivots`` and ``basis()`` are built on demand.  The
 arithmetic is the textbook dense elimination's, step for step, so the raw
-echelon rows are the same as a dense implementation's.
+echelon rows are the same as a dense implementation's.  The maps are the
+currency of the layers above too: ``row_maps`` hands them out uncopied and
+``from_echelon`` takes them over, so a subgroup's rows go from the
+elimination into ``finabel`` without a dense detour.
 
 ``congruence_kernel`` is the one elimination behind intersections, preimages,
-annihilators and kernel orders, as in Zassenhaus's intersection algorithm.
+annihilators and kernel orders, as in Zassenhaus's intersection algorithm;
+it returns its rows as maps.
 """
 
 from __future__ import annotations
@@ -73,10 +77,16 @@ class ZLattice:
                 self._rows[j] = {j: m}
 
     @classmethod
-    def from_echelon(cls, width: int, rows, pivots, moduli=None) -> "ZLattice":
-        """The lattice with these echelon rows, dense or {column: value} maps."""
+    def from_echelon(cls, width: int, rows: dict, moduli=None) -> "ZLattice":
+        """The lattice with the echelon rows ``{pivot: {column: value}}``.
+
+        The maps become the lattice's own, unchecked and uncopied: each must
+        have its least column at its pivot, a positive entry there, no zero
+        entries and columns below ``width``.  ``normalize`` changes rows in
+        place, so a caller that keeps the maps must ``copy`` first.
+        """
         lat = cls(width)
-        lat._rows = {p: _sparse(r, width) for r, p in zip(rows, pivots)}
+        lat._rows = rows
         lat.moduli = list(moduli) if moduli is not None else None
         return lat
 
@@ -94,10 +104,20 @@ class ZLattice:
     def rows(self) -> list[list[int]]:
         return [_dense(self._rows[p], self.width) for p in self.pivots]
 
+    def row_maps(self) -> dict[int, dict[int, int]]:
+        """The rows as ``{pivot: {column: value}}`` in pivot order: the
+        lattice's own maps, not copies, so callers must not change them."""
+        rows = self._rows
+        return {p: rows[p] for p in sorted(rows)}
+
     def _entries(self, vec) -> dict[int, int]:
         """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
+        if isinstance(vec, dict):
+            _check_columns(vec, self.width)
+        else:
+            vec = _sparse(vec, self.width)
         v: dict[int, int] = {}
-        _add_multiple(v, 1, _sparse(vec, self.width), -1, self.moduli)  # every column is > -1
+        _add_multiple(v, 1, vec, -1, self.moduli)  # every column is > -1
         return v
 
     def add(self, vec) -> bool:
@@ -188,24 +208,28 @@ class ZLattice:
         return prod(r[p] for p, r in self._rows.items())
 
 
+def _check_columns(vec: dict, width: int) -> None:
+    if vec and (min(vec) < 0 or max(vec) >= width):
+        raise ValueError(f"row with columns outside [0, {width})")
+
+
 def _sparse(vec, width: int, offset: int = 0) -> dict[int, int]:
-    """A fresh {column: value} map of the nonzero entries of ``vec``, a dense
-    row of length ``width`` or a map with columns in [0, width), its columns
+    """A fresh {column: value} map of ``vec``, a dense row of length ``width``
+    (its nonzero entries) or a map with columns in [0, width), its columns
     shifted right by ``offset``."""
     if isinstance(vec, dict):
-        if vec and (min(vec) < 0 or max(vec) >= width):
-            raise ValueError(f"row with columns outside [0, {width})")
-        return {t + offset: x for t, x in vec.items() if x}
+        _check_columns(vec, width)
+        return {t + offset: x for t, x in vec.items()} if offset else dict(vec)
     if len(vec) != width:
         raise ValueError(f"row of width {len(vec)}, expected {width}")
     return {t + offset: vec[t] for t in compress(range(width), vec)}
 
 
-def _dense(row: dict[int, int], width: int, offset: int = 0) -> list[int]:
-    """The dense row of width ``width`` of a map's columns from ``offset`` on."""
+def _dense(row: dict[int, int], width: int) -> list[int]:
+    """The dense row of width ``width`` of a map."""
     out = [0] * width
     for t, x in row.items():
-        out[t - offset] = x
+        out[t] = x
     return out
 
 
@@ -236,7 +260,8 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     The rows (image | payload), built sparse, are eliminated, seeded with the
     rows of ``relation`` and the rows m_j e_j, which are already echelon.  The
     rows left with a pivot right of the image columns have image 0 modulo
-    ``relation``; their right halves are the result.
+    ``relation``; their right halves, as {column: value} maps in pivot order,
+    are the result.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
@@ -250,7 +275,10 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
         else:
             row.update(_sparse(payload[i], width, image_width))
         lat.add(row)
-    return [_dense(lat._rows[p], width, image_width) for p in lat.pivots if p >= image_width]
+    rows = lat._rows
+    return [
+        {t - image_width: x for t, x in rows[p].items()} for p in sorted(rows) if p >= image_width
+    ]
 
 
 def _identity(n: int) -> list[list[int]]:

@@ -66,6 +66,7 @@ class ProGroup:
             raise ValidationError("profinite blocks must be finite abelian groups")
         object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "period", tuple(self.period))
+        object.__setattr__(self, "_layouts", {})
 
     def block(self, i: int) -> FiniteAbelianGroup:
         if self.index_set == "N":
@@ -95,13 +96,17 @@ class ProGroup:
         return True
 
     def window_layout(self, lo: int, hi: int):
-        """(window group, coordinate starts) of the blocks lo..hi-1."""
-        starts = [0]
-        moduli: list[int] = []
-        for i in range(lo, hi):
-            moduli.extend(self.block(i).moduli)
-            starts.append(len(moduli))
-        return FiniteAbelianGroup(tuple(moduli)), starts
+        """(window group, coordinate starts) of the blocks lo..hi-1, the
+        starts a tuple; computed once per window, the group being frozen."""
+        layout = self._layouts.get((lo, hi))
+        if layout is None:
+            starts = [0]
+            moduli: list[int] = []
+            for i in range(lo, hi):
+                moduli.extend(self.block(i).moduli)
+                starts.append(len(moduli))
+            layout = self._layouts[lo, hi] = (FiniteAbelianGroup(tuple(moduli)), tuple(starts))
+        return layout
 
     def whole(self) -> "CylinderSubgroup":
         g, _ = self.window_layout(0, 0)
@@ -122,27 +127,24 @@ class CylinderSubgroup:
         if core.ambient != wg:
             raise AmbientMismatchError("core does not live in the window group")
         # shrink free boundary blocks: a block is free when the core contains
-        # its unit vectors, i.e. when its HNF rows are those unit vectors
-        while lo < hi:
-            s = starts[-2]
-            if all(core.basis[j][j] == 1 for j in range(s, wg.rank)):
-                hi -= 1
-                wg, starts = parent.window_layout(lo, hi)
-                core = _project_out(core, s, wg)
-            else:
-                break
-        while lo < hi:
-            r = parent.block(lo).rank
-            if core.basis[:r] == _unit_rows(wg.rank, 0, r):
-                lo += 1
-                wg, starts = parent.window_layout(lo, hi)
-                core = _project_out_front(core, r, wg)
-            else:
-                break
-        if lo == hi:
+        # its unit vectors, i.e. when no non-unit HNF row has its pivot there
+        if not core.rows:
             lo = hi = 0
-            wg, _ = parent.window_layout(0, 0)
-            core = wg.whole_subgroup()
+            core = parent.window_layout(0, 0)[0].whole_subgroup()
+        else:
+            new_lo, new_hi = lo, hi
+            last, first = max(core.rows), min(core.rows)
+            while starts[new_hi - 1 - lo] > last:
+                new_hi -= 1
+            if new_hi < hi:
+                core = _project_out(core, starts[new_hi - lo], parent.window_layout(lo, new_hi)[0])
+            while starts[new_lo + 1 - lo] <= first:
+                new_lo += 1
+            if new_lo > lo:
+                core = _project_out_front(
+                    core, starts[new_lo - lo], parent.window_layout(new_lo, new_hi)[0]
+                )
+            lo, hi = new_lo, new_hi
         self.parent = parent
         self.lo = lo
         self.hi = hi
@@ -163,10 +165,10 @@ class CylinderSubgroup:
     def extended_core(self, lo: int, hi: int) -> AbSubgroup:
         """The same subgroup presented on the larger window [lo, hi).
 
-        The unit rows e_j of the added blocks and the core's HNF rows padded
-        with zeros are upper triangular, with pivots dividing the moduli and
-        reduced entries above them (unit pivots are 1, padding is 0): the
-        unique HNF of the extension, built without elimination.
+        The added blocks are free, so their HNF rows are unit rows, which
+        are not stored; the core's rows, shifted to their place in the
+        window, keep their pivots and reduced entries: the unique HNF of the
+        extension, built without elimination.
         """
         if self.is_whole():
             wg, _ = self.parent.window_layout(lo, hi)
@@ -174,15 +176,7 @@ class CylinderSubgroup:
         if lo > self.lo or hi < self.hi:
             raise ValidationError("extension window must contain the current window")
         wg, starts = self.parent.window_layout(lo, hi)
-        k = wg.rank
-        off = starts[self.lo - lo]
-        end = off + self.core.ambient.rank
-        basis = (
-            _unit_rows(k, 0, off)
-            + tuple((0,) * off + row + (0,) * (k - end) for row in self.core.basis)
-            + _unit_rows(k, end, k)
-        )
-        return AbSubgroup(wg, basis)
+        return AbSubgroup.from_rows(wg, _shifted(self.core.rows, starts[self.lo - lo]))
 
     def hull_with(self, other: "CylinderSubgroup") -> tuple[int, int]:
         if self.parent != other.parent:
@@ -222,12 +216,15 @@ class CylinderSubgroup:
     def pinned_blocks(self) -> set[int]:
         """Blocks i in the window forced to 0 for every element."""
         wg, starts = self.parent.window_layout(self.lo, self.hi)
-        out = set()
-        for i in range(self.lo, self.hi):
-            s, e = starts[i - self.lo], starts[i - self.lo + 1]
-            if all(all(row[t] % wg.moduli[t] == 0 for t in range(s, e)) for row in self.core.basis):
-                out.add(i)
-        return out
+        mods, rows = wg.moduli, self.core.rows
+        # coordinate t is forced to 0 iff every HNF row is 0 there mod d_t;
+        # a unit row e_t is 0 there iff d_t = 1
+        free = {t for row in rows.values() for t, x in row.items() if x % mods[t]}
+        free.update(t for t, d in enumerate(mods) if d > 1 and t not in rows)
+        return {
+            i for i in range(self.lo, self.hi)
+            if free.isdisjoint(range(starts[i - self.lo], starts[i - self.lo + 1]))
+        }
 
     def __eq__(self, other):
         return (
@@ -245,18 +242,23 @@ class CylinderSubgroup:
         return f"Cylinder([{self.lo},{self.hi}) index={self.index})"
 
 
-def _unit_rows(width: int, start: int, stop: int) -> tuple[tuple[int, ...], ...]:
-    """The rows e_start, ..., e_{stop-1} of Z^width."""
-    return tuple((0,) * j + (1,) + (0,) * (width - j - 1) for j in range(start, stop))
+def _shifted(rows: dict, off: int) -> dict:
+    """HNF rows ``{pivot: {column: value}}`` with every column moved by ``off``."""
+    if not off:
+        return rows
+    return {p + off: {t + off: x for t, x in row.items()} for p, row in rows.items()}
 
 
 def _project_out(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
-    """The projection of ``core`` onto its first ``cut`` coordinates, in ``wg``.
+    """The projection of ``core`` onto its first ``cut`` coordinates, in ``wg``,
+    for a core containing every e_j with j >= ``cut`` (a free back block).
 
-    HNF rows from ``cut`` on vanish there, so the first ``cut`` rows cut to
-    ``cut`` columns span it, and they are still in HNF.
+    The HNF rows from ``cut`` on are then those e_j, and the unit pivots
+    clear their columns in the other rows, so the stored rows, all with
+    pivots and columns below ``cut``, are the HNF of the projection.
     """
-    return AbSubgroup(wg, tuple(row[:cut] for row in core.basis[:cut]))
+    assert max(core.rows, default=-1) < cut, "the back block is not free"
+    return AbSubgroup.from_rows(wg, core.rows)
 
 
 def _project_out_front(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
@@ -264,10 +266,11 @@ def _project_out_front(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> Ab
     for a core containing every e_j with j < ``cut`` (a free front block).
 
     Those e_j are then the first ``cut`` HNF rows, and the other rows vanish
-    on the first ``cut`` columns, so cutting them to the columns from ``cut``
-    on gives the HNF of the projection.
+    on the first ``cut`` columns, so the stored rows moved ``cut`` columns
+    to the left give the HNF of the projection.
     """
-    return AbSubgroup(wg, tuple(row[cut:] for row in core.basis[cut:]))
+    assert min(core.rows, default=cut) >= cut, "the front block is not free"
+    return AbSubgroup.from_rows(wg, _shifted(core.rows, -cut))
 
 
 def pro_group(prefix, period, index_set: str = "N") -> ProGroup:
@@ -292,7 +295,7 @@ def cylinder(parent: ProGroup, window, core_gens) -> CylinderSubgroup:
     # blocks inside the hull but not named in the window are unconstrained
     for i in range(lo, hi):
         if i not in idx:
-            gens.extend(_unit_rows(wg.rank, starts[i - lo], starts[i - lo + 1]))
+            gens.extend({j: 1} for j in range(starts[i - lo], starts[i - lo + 1]))
     return CylinderSubgroup(parent, lo, hi, canonical_subgroup(wg, gens))
 
 
@@ -401,32 +404,31 @@ class RowFiniteEndo:
                     out[j] = red
         return out
 
-    def band_matrix(self, rows, lo: int, hi: int):
-        """(matrix, source group, target group) of the output rows ``rows``
-        read on the source window [lo, hi).
+    def band_columns(self, rows, lo: int, hi: int):
+        """(columns, source group, target group) of the output rows ``rows``
+        read on the source window [lo, hi), each column of the map a
+        {target coordinate: value} map of its nonzero entries.
 
         The target stacks the blocks of ``rows`` in the given order; terms
         whose source coordinate lies outside the window are left out, and
-        the entries are not reduced.
+        the entries are not reduced.  Offsets in a row are distinct, so each
+        entry comes from one term.
         """
         g = self.parent
         src_g, starts = g.window_layout(lo, hi)
+        cols: list[dict[int, int]] = [{} for _ in range(src_g.rank)]
         tgt_mods: list[int] = []
         for i in rows:
-            tgt_mods.extend(g.block(i).moduli)
-        mat = [[0] * src_g.rank for _ in tgt_mods]
-        at = 0
-        for i in rows:
+            at = len(tgt_mods)
             for o, m in self.row_terms(i):
-                if not (lo <= i + o < hi):
-                    continue
-                ss = starts[i + o - lo]
-                for u, m_row in enumerate(m):
-                    row = mat[at + u]
-                    for v, x in enumerate(m_row):
-                        row[ss + v] += x
-            at += g.block(i).rank
-        return mat, src_g, FiniteAbelianGroup(tuple(tgt_mods))
+                if lo <= i + o < hi:
+                    ss = starts[i + o - lo]
+                    for u, m_row in enumerate(m, at):
+                        for v, x in enumerate(m_row, ss):
+                            if x:
+                                cols[v][u] = x
+            tgt_mods.extend(g.block(i).moduli)
+        return cols, src_g, FiniteAbelianGroup(tuple(tgt_mods))
 
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
         """Induced map window(src) -> window([lo,hi)) capturing all dependencies."""
@@ -441,8 +443,8 @@ class RowFiniteEndo:
             src_lo = src_hi = 0
         else:
             src_lo, src_hi = min(deps), max(deps) + 1
-        mat, src_g, tgt_g = self.band_matrix(range(lo, hi), src_lo, src_hi)
-        return src_lo, src_hi, hom_validate(mat, src_g, tgt_g)
+        cols, src_g, tgt_g = self.band_columns(range(lo, hi), src_lo, src_hi)
+        return src_lo, src_hi, hom_validate(cols, src_g, tgt_g)
 
     def preimage_cylinder(self, u: CylinderSubgroup) -> CylinderSubgroup:
         if u.parent != self.parent:
@@ -869,8 +871,8 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
                 rows_idx.append(i)
         if not rows_idx:
             return g.window_layout(lo, hi)[0].whole_subgroup()
-        mat, wg, tgt = endo.band_matrix(rows_idx, lo, hi)
-        return hom_validate(mat, wg, tgt).kernel()
+        cols, wg, tgt = endo.band_columns(rows_idx, lo, hi)
+        return hom_validate(cols, wg, tgt).kernel()
 
     def restrict(sub: AbSubgroup, big: tuple[int, int], small: tuple[int, int]) -> AbSubgroup:
         (blo, bhi), (slo, shi) = big, small

@@ -1,7 +1,9 @@
+import copy
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entctl.cli import (
     EXIT_HYPOTHESIS,
@@ -252,6 +254,17 @@ def test_nonpositive_budget_exits_validation(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--stall"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_budget_flag_exits_validation(capsys, flag, value):
+    """A budget flag of 0 reaches the policy like any other value, and is
+    rejected there rather than read as absent."""
+    path = str(INSTANCES / "left_shift_pro_z2.json")
+    assert main(["top-entropy", path, flag, value]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "message": "policy budgets must be positive"}
+
+
 def test_top_level_array_exits_validation(tmp_path, capsys):
     p = tmp_path / "array.json"
     p.write_text(json.dumps([{"schema": 1, "kind": "profinite"}]))
@@ -259,3 +272,61 @@ def test_top_level_array_exits_validation(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert "list" in err["message"]
+
+
+def _paths(node, path=()):
+    """Every (container, key) place in a JSON tree, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+BUNDLED = [json.loads(p.read_text()) for p in sorted(INSTANCES.glob("*.json"))]
+
+
+# small values only: a large width or window would make a valid parse slow
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 12), st.sampled_from((0.5, 2.0, -1.5)),
+        st.text("abNZ01", max_size=3),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutants(draw):
+    """A bundled instance with one to three places replaced, deleted,
+    duplicated or wrapped in a list."""
+    raw = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(raw))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = raw
+        for step in parent_path:
+            parent = parent[step]
+        action = draw(st.sampled_from(("replace", "delete", "duplicate", "wrap")))
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key]]
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutants())
+def test_mutated_instances_parse_or_fail_validation(raw):
+    """Every mutant of a bundled instance either parses or is rejected with
+    a ValidationError (exit 3 from the CLI); nothing else escapes."""
+    try:
+        instance_from_dict(raw)
+    except ValidationError:
+        pass

@@ -38,7 +38,7 @@ def subgroups(draw, g, free):
             gens.append(g.unit(j))
     h = canonical_subgroup(g, gens)
     if free:
-        assert len(h._constrained()) < g.rank
+        assert len(h.rows) < g.rank
     return h
 
 
@@ -70,8 +70,7 @@ def test_preimage_matches_elimination_and_element_sets(data, rnd):
     f = hom_validate(random_valid_matrix(rnd, a, b), a, b)
     sub = data.draw(subgroups(b, data.draw(st.booleans())))
     pre = f.preimage(sub)
-    columns = f.columns()
-    combos = eliminated_kernel(columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
+    combos = eliminated_kernel(f.columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
     assert pre.basis == canonical_subgroup(a, combos).basis
     if a.order <= 4096 and b.order <= 4096:
         target = elements(sub)
@@ -209,7 +208,7 @@ def test_one_elimination_on_the_constrained_coordinates(monkeypatch):
     u = canonical_subgroup(g, [g.unit(j) for j in range(1, k)])
     c = canonical_subgroup(g, [tuple((i * j + i) % 3 % 2 for j in range(k)) for i in range(1, 5)])
     shift = hom_validate([[int(j == i + 1) for j in range(k)] for i in range(k)], g, g)
-    assert u._constrained() == [0] and len(c._constrained()) > k // 2
+    assert list(u.rows) == [0] and len(c.rows) > k // 2
 
     widths = []
     init, extend = ZLattice.__init__, ZLattice.extend
@@ -236,3 +235,32 @@ def test_one_elimination_on_the_constrained_coordinates(monkeypatch):
     combos = eliminated_kernel(c.basis, g.moduli, u.basis, [2] * k)
     assert inter == canonical_subgroup(g, combine(combos, c.basis, k))
     assert pre == canonical_subgroup(g, [g.unit(j) for j in range(k) if j != 1])
+
+
+def test_zero_image_unit_rows_are_seeded_not_eliminated(monkeypatch):
+    """A subgroup of (Z/2)^6 constrained on one coordinate, against the whole
+    group: the whole group has no constrained coordinates, so its unit rows
+    and the subgroup's all have image 0 there and are in the intersection
+    already.  Only the one non-unit row is eliminated; the preimage of the
+    subgroup under a map that misses its constrained coordinate is the same."""
+    g = FiniteAbelianGroup((2,) * 6)
+    h = canonical_subgroup(g, [g.unit(j) for j in range(1, 6)])
+    whole = g.whole_subgroup()
+    shift = hom_validate([[int(j == i + 1) for j in range(6)] for i in range(6)], g, g)
+    expected = canonical_subgroup(g, [g.unit(j) for j in range(6) if j != 1])
+    assert h.index == 2
+    adds = []
+    add = ZLattice.add
+
+    def counting_add(self, vec):
+        adds.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(ZLattice, "add", counting_add)
+    assert h.intersect_with(whole) == h
+    assert len(adds) <= 1
+    assert whole.intersect_with(h) == h
+    assert len(adds) <= 2
+    adds.clear()
+    assert shift.preimage(h) == expected
+    assert len(adds) == 1

@@ -238,6 +238,19 @@ def mixed_group(rng, max_rank=4):
     )
 
 
+def assert_forms_agree(subs):
+    """== and hash of the sparse rows agree with equality of dense bases, and
+    the checked dense constructor gives back the same subgroup."""
+    for x in subs:
+        again = AbSubgroup(x.ambient, x.basis)
+        assert again == x and hash(again) == hash(x) and again.order == x.order
+        for y in subs:
+            if x.ambient == y.ambient:
+                assert (x == y) == (x.basis == y.basis)
+                if x == y:
+                    assert hash(x) == hash(y)
+
+
 def sparse_elems(rng, group, count):
     """Elements with multiples and zeros, so subgroups come in every size."""
     return [
@@ -257,12 +270,13 @@ def eliminated_kernel(map_rows, moduli, relation_rows, coeff):
 
 
 def combine(combos, basis, k):
+    """sum_i c_i basis[i] for each kernel row c, a {i: c_i} map."""
     rows = []
     for combo in combos:
         row = [0] * k
-        for ci, brow in zip(combo, basis):
+        for i, ci in combo.items():
             for t in range(k):
-                row[t] += ci * brow[t]
+                row[t] += ci * basis[i][t]
         rows.append(row)
     return rows
 
@@ -297,8 +311,7 @@ def test_preimage_matches_elimination_from_generators():
         b = mixed_group(rng, 3)
         f = hom_validate(random_valid_matrix(rng, a, b), a, b)
         sub = canonical_subgroup(b, sparse_elems(rng, b, rng.randrange(0, 3)))
-        columns = f.columns()
-        combos = eliminated_kernel(columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
+        combos = eliminated_kernel(f.columns, b.moduli, sub.basis, [lcm(1, *b.moduli)] * a.rank)
         pre = f.preimage(sub)
         assert pre.basis == canonical_subgroup(a, combos).basis
         if a.order * b.order <= 4096:

@@ -31,6 +31,7 @@ from entctl.profinite import (
     _project_out_front,
 )
 from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
+from test_finabel import assert_forms_agree
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -546,6 +547,7 @@ def test_extended_core_matches_elimination_from_generators():
         gens = [(0,) * off + g + (0,) * (wg.rank - end) for g in c.core.generators()]
         gens += units(wg.rank, [t for t in range(wg.rank) if not off <= t < end])
         assert ext.basis == canonical_subgroup(wg, gens).basis
+        assert_forms_agree([ext, canonical_subgroup(wg, gens), c.extended_core(lo, hi), c.core])
         if wg.order <= 4096:
             enumerated += 1
             core = oracles.subgroup_elements(c.core.ambient.moduli, c.core.generators())
@@ -583,6 +585,7 @@ def test_window_projections_match_elimination_from_generators():
             keep = slice(cut, wg.rank)
         cases[side] += 1
         assert got.basis == canonical_subgroup(small, gens).basis
+        assert_forms_agree([got, canonical_subgroup(small, gens), core])
         if wg.order <= 4096:
             enumerated += 1
             elems = oracles.subgroup_elements(wg.moduli, core.generators())

@@ -1,0 +1,124 @@
+"""The sparse forms of subgroups and homomorphisms against dense oracles.
+
+A Hom keeps its columns as {row: value} maps and an AbSubgroup only its
+non-unit HNF rows as {pivot: {column: value}} maps; both must behave exactly
+like the dense matrices and bases they stand for."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from entctl.errors import ValidationError
+from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, hom_validate
+from entctl.profinite import PowerEndo, pro_group, rowfinite_endo
+from test_elimination import mixed_groups, subgroups
+from test_finabel import assert_forms_agree, random_valid_matrix
+
+
+def columns_of(matrix, width):
+    """The column maps of a dense matrix with ``width`` columns, their keys
+    in descending order: nothing may depend on the order of a map."""
+    rows = list(enumerate(matrix))[::-1]
+    return [{i: row[j] for i, row in rows if row[j]} for j in range(width)]
+
+
+def reduced(matrix, moduli):
+    return tuple(tuple(x % d for x in row) for row, d in zip(matrix, moduli))
+
+
+def product(outer, inner, moduli):
+    """outer * inner reduced modulo ``moduli``, by the textbook formula."""
+    width = len(inner[0]) if inner else 0
+    return tuple(
+        tuple(sum(row[t] * inner[t][j] for t in range(len(inner))) % d for j in range(width))
+        for row, d in zip(outer, moduli)
+    )
+
+
+def first_failure(matrix, a, b):
+    """(j, i) of the first entry in column-major order with d_j * m_ij != 0 mod d_i."""
+    bad = [
+        (j, i) for j in range(a.rank) for i in range(b.rank)
+        if (a.moduli[j] * matrix[i][j]) % b.moduli[i]
+    ]
+    return min(bad, default=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_groups(4), mixed_groups(4), mixed_groups(4), st.randoms(use_true_random=False))
+def test_hom_from_columns_matches_the_dense_matrix(a, b, c, rnd):
+    m = random_valid_matrix(rnd, a, b)
+    n = random_valid_matrix(rnd, b, c)
+    f = hom_validate(columns_of(m, a.rank), a, b)
+    g = hom_validate(columns_of(n, b.rank), b, c)
+    assert f == hom_validate(m, a, b) and hash(f) == hash(hom_validate(m, a, b))
+    assert f.matrix == reduced(m, b.moduli)
+    assert all(all(col.values()) for col in f.columns)  # maps of nonzeros
+    for _ in range(5):
+        x = tuple(rnd.randrange(d) for d in a.moduli)
+        assert f.apply(x) == oracles.apply_matrix(m, b.moduli, x)
+        assert g.compose(f).apply(x) == g.apply(f.apply(x))
+    assert g.compose(f).matrix == product(n, m, c.moduli)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_groups(4), mixed_groups(4), st.randoms(use_true_random=False))
+def test_hom_validate_names_the_first_failure_in_both_forms(a, b, rnd):
+    m = [[rnd.choice((0, 0, 1, 2, 3, 5)) for _ in range(a.rank)] for _ in range(b.rank)]
+    bad = first_failure(m, a, b)
+    if bad is None:
+        assert hom_validate(columns_of(m, a.rank), a, b) == hom_validate(m, a, b)
+        return
+    messages = []
+    for form in (m, columns_of(m, a.rank)):
+        with pytest.raises(ValidationError) as exc:
+            hom_validate(form, a, b)
+        messages.append(str(exc.value))
+    j, i = bad
+    assert messages[0] == messages[1]
+    assert f"generator {j} of order {a.moduli[j]}" in messages[0]
+    assert f"coordinate {i} = {m[i][j]} mod {b.moduli[i]}" in messages[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_power_window_map_matches_iterated_application(rnd):
+    """psi^2 on a window, composed from sparse window maps, against applying
+    psi twice to elements and against the dense product of the two maps."""
+    fam = rnd.choice(((2, 4, 8), (3, 9), (2, 3, 6)))
+    blk = FiniteAbelianGroup(tuple(rnd.choice(fam + (1,)) for _ in range(rnd.randrange(1, 3))))
+    k = pro_group([], [blk], rnd.choice("NZ"))
+    offset, width = rnd.choice((-1, 0, 1)), rnd.randrange(1, 3)
+    terms = [(o, random_valid_matrix(rnd, blk, blk)) for o in range(offset, offset + width)]
+    endo = rowfinite_endo(k, offset, width, 1, [terms])
+    lo = rnd.randrange(0, 3) if k.index_set == "N" else rnd.randrange(-3, 3)
+    hi = lo + rnd.randrange(1, 3)
+    src_lo, src_hi, h = PowerEndo(endo, 2).window_map(lo, hi)
+    mid_lo, mid_hi, h1 = endo.window_map(lo, hi)
+    _, _, h2 = endo.window_map(mid_lo, mid_hi)
+    assert h.matrix == product(h1.matrix, h2.matrix, h.target.moduli)
+    src, starts = k.window_layout(src_lo, src_hi)
+    tgt, tgt_starts = k.window_layout(lo, hi)
+    for _ in range(5):
+        y = tuple(rnd.randrange(d) for d in src.moduli)
+        elem = {i: y[starts[i - src_lo]:starts[i - src_lo + 1]] for i in range(src_lo, src_hi)}
+        image = endo.apply(endo.apply({i: v for i, v in elem.items() if any(v)}))
+        dense = [0] * tgt.rank
+        for i, vec in image.items():
+            if lo <= i < hi:
+                dense[tgt_starts[i - lo]:tgt_starts[i - lo + 1]] = vec
+        assert h.apply(y) == tuple(dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_subgroup_equality_follows_the_dense_basis(data, rnd):
+    g = data.draw(mixed_groups())
+    h = data.draw(subgroups(g, data.draw(st.booleans())))
+    l = data.draw(subgroups(g, data.draw(st.booleans())))
+    f = hom_validate(random_valid_matrix(rnd, g, g), g, g)
+    subs = [h, l, h.sum_with(l), l.sum_with(h), h.intersect_with(l), l.intersect_with(h),
+            f.preimage(h), f.image(h), g.whole_subgroup(), g.trivial_subgroup()]
+    # the same subgroups again, from generators
+    subs += [canonical_subgroup(g, s.generators()) for s in subs]
+    assert_forms_agree(subs)
