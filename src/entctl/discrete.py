@@ -535,13 +535,24 @@ def _make_engine(endo: BandedEndo, f_gens):
     return eng, gens
 
 
-def trajectory_chain(endo: BandedEndo, f_gens):
-    """Yield T_1 = F, T_2, ... from one engine; T_{n+1} is computed only
-    when asked for."""
+def trajectory_engines(endo: BandedEndo, f_gens):
+    """Yield the one trajectory engine at T_1 = F, T_2, ...: the engine at
+    T_n, before its step n.
+
+    This is the only walk of a trajectory; every reader runs on it.  The
+    engine is one object, stepped in place when the next one is asked for,
+    so a reader that keeps T_n takes its ``snapshot`` as it passes.
+    """
     engine, _ = _make_engine(endo, f_gens)
     while True:
-        yield engine.snapshot()
+        yield engine
         engine.step()
+
+
+def trajectory_chain(endo: BandedEndo, f_gens):
+    """Yield T_1 = F, T_2, ...; T_{n+1} is computed only when asked for."""
+    for engine in trajectory_engines(endo, f_gens):
+        yield engine.snapshot()
 
 
 def trajectory(endo: BandedEndo, f_gens, n: int) -> LFSubgroup:
@@ -554,15 +565,22 @@ def trajectory(endo: BandedEndo, f_gens, n: int) -> LFSubgroup:
 def trajectory_limits(
     endo: BandedEndo, f_gens, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> TrajectoryReport:
-    """Run the trajectory chain until the index stalls and certify the stall.
+    """Run the trajectory chain until the index stalls and certify the stall
+    (see ``classify_trajectory``)."""
+    return classify_trajectory(trajectory_engines(endo, f_gens), policy)
+
+
+def classify_trajectory(engines, policy: StabilizationPolicy) -> TrajectoryReport:
+    """Read the engines at T_1, T_2, ... of ``trajectory_engines`` until the
+    index stalls and certify the stall; at most ``policy.max_n`` steps.
 
     Certification requires the stabilized index alpha together with the
     independent cross-identity [T_{n+1} : phi(T_n)] = alpha * |ker phi n T_n|
     at the stall point; without both it reports inconclusive.
     """
-    engine, gens = _make_engine(endo, f_gens)
+    engine = next(engines)
     w = policy.stall_window
-    if not gens:
+    if not engine.layers[0]:  # F reduces to 0
         return TrajectoryReport(
             n_max=1, orders=(1,), alphas=(), n0=1, alpha=1,
             t_mod_phi_t=1, ker_cap_t=1, certified=True, status="certified", f_order=1,
@@ -590,13 +608,12 @@ def trajectory_limits(
             f_order=f_order,
         )
 
-    for n in range(1, policy.max_n + 1):
-        engine.step()
+    for n, engine in enumerate(itertools.islice(engines, policy.max_n), 1):
         t_next, t_cur = engine.orders[n], engine.orders[n - 1]
         if t_next % t_cur:
             raise AssertionError("trajectory orders must divide")
         alphas.append(t_next // t_cur)
-        if endo.group.is_abelian and n >= 2 and alphas[-2] % alphas[-1]:
+        if engine.group.is_abelian and n >= 2 and alphas[-2] % alphas[-1]:
             raise AssertionError("index divisibility violated in abelian trajectory")
         phi_caps.append(engine.f_cap_phit_order())
         kmon.append(t_cur // engine.phit_orders[n - 1])

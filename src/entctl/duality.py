@@ -3,19 +3,23 @@ between restricted sums and full products of finite blocks.
 
 The dual of Z/d_1 x ... x Z/d_k is the same group; the pairing of x with a
 character chi is sum_i x_i chi_i (m/d_i) mod m for m = lcm(d_i), an exact
-representative of a circle element.  Annihilators translate trajectories on
-the discrete side into cotrajectories on the profinite side, which is what
-the bridge check exercises.
+representative of a circle element.  Annihilators, read off a subgroup's
+stored HNF rows, translate trajectories on the discrete side into
+cotrajectories on the profinite side, which is what the bridge check
+exercises.  The check walks each chain once: the classifiers behind
+``trajectory_limits`` and ``cotrajectory_limits`` read the walks, and the
+T_n and C_n it compares are kept as they pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .discrete import BandedEndo, LFGroup, trajectory_chain, trajectory_limits
+from .discrete import BandedEndo, LFGroup, LFSubgroup, classify_trajectory, trajectory_engines
 from .errors import AmbientMismatchError, ValidationError
 from .finabel import (
     AbSubgroup,
@@ -31,8 +35,8 @@ from .profinite import (
     CylinderSubgroup,
     ProGroup,
     RowFiniteEndo,
-    chain,
-    cotrajectory_limits,
+    chain_steps,
+    classify_cotrajectory,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -97,15 +101,18 @@ def annihilator(h: AbSubgroup, pairing: DualPairing) -> AbSubgroup:
     if h.ambient != pairing.group:
         raise AmbientMismatchError("subgroup does not live in the paired group")
     a = pairing.group
-    k = a.rank
     m = pairing.modulus
-    gens = h.generators()
+    # the HNF rows that are not relations d_j e_j: the generators, in order
+    gens = [
+        row for j, row in enumerate(h.hnf_rows()) if len(row) > 1 or row[j] % a.moduli[j]
+    ]
     if not gens:
         return pairing.dual.whole_subgroup()
     # chi is in H-perp iff sum_i h_i chi_i w_i = 0 mod m for every generator h
-    map_rows = []
-    for i in range(k):
-        map_rows.append([(g[i] * pairing.weights[i]) % m for g in gens])
+    map_rows: list[dict[int, int]] = [{} for _ in range(a.rank)]
+    for c, g in enumerate(gens):
+        for i, x in g.items():
+            map_rows[i][c] = x * pairing.weights[i] % m
     # d_i * w_i = m, so the relations d_i e_i of the dual solve every row
     combos = congruence_kernel(
         map_rows, len(gens), ZLattice(len(gens), [m] * len(gens)), pairing.dual.moduli
@@ -165,15 +172,10 @@ def bridge(
         return k_group, psi, k_group.whole()
     hi = max(max(x.keys()) for x in gens) + 1
     wg, starts = k_group.window_layout(0, hi)
-    dense = []
-    for x in gens:
-        v = [0] * wg.rank
-        for i, vec in x.items():
-            s = starts[i]
-            for t, c in enumerate(vec):
-                v[s + t] = c
-        dense.append(v)
-    f_sub = canonical_subgroup(wg, dense)
+    f_rows = [
+        {starts[i] + t: c for i, vec in x.items() for t, c in enumerate(vec) if c} for x in gens
+    ]
+    f_sub = canonical_subgroup(wg, f_rows)
     _, pairing = dual_group(wg)
     core = annihilator(f_sub, pairing)
     u = CylinderSubgroup(k_group, 0, hi, core)
@@ -240,6 +242,15 @@ class BridgeReport:
     ok: bool
 
 
+def _passing(stream, keep: int, view, kept: list):
+    """Yield the items of ``stream``; of the first ``keep``, ``view(item)``
+    is appended to ``kept`` as the item passes."""
+    for item in itertools.islice(stream, keep):
+        kept.append(view(item))
+        yield item
+    yield from stream
+
+
 def weiss_bridge_check(
     group: LFGroup,
     endo: BandedEndo,
@@ -248,22 +259,37 @@ def weiss_bridge_check(
     compare_n: int = 8,
 ) -> BridgeReport:
     """For each F: dualize, compare T_n-perp with C_n, the two limit-free
-    correction terms, and the entropies; then compare the suprema."""
+    correction terms, and the entropies; then compare the suprema.
+
+    Each chain is walked once.  The two classifiers behind
+    ``cotrajectory_limits`` and ``trajectory_limits`` read the walks, and
+    C_n and a snapshot of T_n are kept as they pass, for n <= ``compare_n``
+    (T_n only up to the cotrajectory's end); exactly
+    n_cmp = min(compare_n, both n_max) pairs are then compared.
+    """
     entries = []
     best_alg = EntropyValue.zero()
     best_top = EntropyValue.zero()
     all_ok = True
     for f_gens in family:
         k_group, psi, u = bridge(group, endo, f_gens)
-        rep_d = trajectory_limits(endo, f_gens, policy)
-        rep_t = cotrajectory_limits(psi, u, policy)
+        cs: list[CylinderSubgroup] = []
+        ts: list[LFSubgroup] = []
+        steps = _passing(chain_steps(psi, u), compare_n, operator.itemgetter(0), cs)
+        rep_t = classify_cotrajectory(psi, u, steps, policy)
+        engines = _passing(
+            trajectory_engines(endo, f_gens),
+            min(compare_n, rep_t.n_max),
+            operator.methodcaller("snapshot"),
+            ts,
+        )
+        rep_d = classify_trajectory(engines, policy)
         records = []
         certified = rep_d.certified and rep_t.certified
         records.append(CheckRecord("both_sides_certified", certified))
         n_cmp = min(compare_n, rep_d.n_max, rep_t.n_max)
         tc_a = True
-        pairs = zip(trajectory_chain(endo, f_gens), chain(psi, u))
-        for t_n, c_n in itertools.islice(pairs, n_cmp):
+        for t_n, c_n in zip(ts[:n_cmp], cs[:n_cmp]):
             if t_n.subgroup is None:
                 raise ValidationError("bridge comparison needs abelian trajectories")
             wg = t_n.subgroup.ambient

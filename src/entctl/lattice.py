@@ -112,18 +112,19 @@ class ZLattice:
 
     def _entries(self, vec) -> dict[int, int]:
         """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
-        if isinstance(vec, dict):
-            _check_columns(vec, self.width)
-        else:
-            vec = _sparse(vec, self.width)
         v: dict[int, int] = {}
-        _add_multiple(v, 1, vec, -1, self.moduli)  # every column is > -1
+        _put(v, vec, self.width, 0, self.moduli)
         return v
 
-    def add(self, vec) -> bool:
+    def add(self, vec, fresh: bool = False) -> bool:
         """Add a row, dense or a {column: value} map; return True if the
-        lattice grew."""
-        v = self._entries(vec)
+        lattice grew.
+
+        With ``fresh``, ``vec`` is a map that nobody else holds, with its
+        columns checked and its entries reduced modulo the moduli (as
+        ``_put`` builds it): the lattice takes it over as it is.
+        """
+        v = vec if fresh else self._entries(vec)
         rows, mods = self._rows, self.moduli
         changed = False
         while v:
@@ -187,18 +188,20 @@ class ZLattice:
     def normalize(self) -> None:
         """Reduce entries above each pivot into [0, pivot)."""
         rows = self._rows
-        for p in sorted(rows):
+        pivots = sorted(rows)
+        for i, p in enumerate(pivots):
             row_r = rows[p]
-            j = p
-            while len(row_r) > 1:
-                # the next column right of j where this row meets a pivot
-                j = min((t for t in row_r if t > j and t in rows), default=None)
-                if j is None:
-                    break
-                row_s = rows[j]
-                q = row_r[j] // row_s[j]
-                if q:
-                    _add_multiple(row_r, -q, row_s, j, None)
+            if len(row_r) == 1:
+                continue
+            # a step at pivot j changes only columns >= j, so one pass over
+            # the later pivots in increasing order meets each of them once
+            for j in pivots[i + 1 :]:
+                x = row_r.get(j)
+                if x is not None:
+                    row_s = rows[j]
+                    q = x // row_s[j]
+                    if q:
+                        _add_multiple(row_r, -q, row_s, j, None)
 
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(_dense(self._rows[p], self.width)) for p in sorted(self._rows))
@@ -213,16 +216,23 @@ def _check_columns(vec: dict, width: int) -> None:
         raise ValueError(f"row with columns outside [0, {width})")
 
 
-def _sparse(vec, width: int, offset: int = 0) -> dict[int, int]:
-    """A fresh {column: value} map of ``vec``, a dense row of length ``width``
-    (its nonzero entries) or a map with columns in [0, width), its columns
-    shifted right by ``offset``."""
+def _put(v: dict[int, int], vec, width: int, offset: int, mods) -> None:
+    """Store the nonzero entries of ``vec``, a dense row of length ``width``
+    or a map with columns in [0, width), into the map ``v``, their columns
+    shifted right by ``offset`` and reduced modulo ``mods`` (when given)."""
     if isinstance(vec, dict):
         _check_columns(vec, width)
-        return {t + offset: x for t, x in vec.items()} if offset else dict(vec)
-    if len(vec) != width:
-        raise ValueError(f"row of width {len(vec)}, expected {width}")
-    return {t + offset: vec[t] for t in compress(range(width), vec)}
+        items = vec.items()
+    else:
+        if len(vec) != width:
+            raise ValueError(f"row of width {len(vec)}, expected {width}")
+        items = ((t, vec[t]) for t in compress(range(width), vec))
+    for t, x in items:
+        t += offset
+        if x and mods is not None and mods[t]:
+            x %= mods[t]
+        if x:
+            v[t] = x
 
 
 def _dense(row: dict[int, int], width: int) -> list[int]:
@@ -257,24 +267,23 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     used only when ``relation`` declares them, and only keep entries bounded.
 
     ``map_rows`` and ``payload`` rows may be dense or {column: value} maps.
-    The rows (image | payload), built sparse, are eliminated, seeded with the
-    rows of ``relation`` and the rows m_j e_j, which are already echelon.  The
-    rows left with a pivot right of the image columns have image 0 modulo
-    ``relation``; their right halves, as {column: value} maps in pivot order,
-    are the result.
+    The rows (image | payload), each built once as a checked and reduced map,
+    are eliminated, seeded with the rows of ``relation`` and the rows m_j e_j,
+    which are already echelon.  The rows left with a pivot right of the image
+    columns have image 0 modulo ``relation``; their right halves, as
+    {column: value} maps in pivot order, are the result.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
     width = len(payload_moduli) if payload_moduli is not None else len(map_rows)
     lat = relation.copy()
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
+    mods = lat.moduli
     for i, mrow in enumerate(map_rows):
-        row = _sparse(mrow, image_width)
-        if payload is None:
-            row[image_width + i] = 1
-        else:
-            row.update(_sparse(payload[i], width, image_width))
-        lat.add(row)
+        row: dict[int, int] = {}
+        _put(row, mrow, image_width, 0, mods)
+        _put(row, {i: 1} if payload is None else payload[i], width, image_width, mods)
+        lat.add(row, fresh=True)
     rows = lat._rows
     return [
         {t - image_width: x for t, x in rows[p].items()} for p in sorted(rows) if p >= image_width

@@ -670,7 +670,16 @@ def _image_l_index(endo, c: CylinderSubgroup) -> int:
 def cotrajectory_limits(
     endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> CotrajectoryReport:
-    """Run the cotrajectory chain until every companion chain stalls.
+    """Run the cotrajectory chain until every companion chain stalls (see
+    ``classify_cotrajectory``)."""
+    return classify_cotrajectory(endo, u, chain_steps(endo, u), policy)
+
+
+def classify_cotrajectory(
+    endo, u: CylinderSubgroup, steps, policy: StabilizationPolicy
+) -> CotrajectoryReport:
+    """Read the ``chain_steps`` of U under ``endo`` until every companion
+    chain stalls; at most ``policy.max_n`` steps.
 
     Certification requires the identity
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
@@ -695,8 +704,7 @@ def cotrajectory_limits(
             status=status,
         )
 
-    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
-    for n, (c_cyl, p_cyl, c_next) in enumerate(steps, 1):
+    for n, (c_cyl, p_cyl, c_next) in enumerate(itertools.islice(steps, policy.max_n), 1):
         cs.append(c_next.index)
         if cs[n] % cs[n - 1]:
             raise AssertionError("c_n must divide c_{n+1}")

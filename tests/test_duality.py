@@ -186,14 +186,12 @@ def test_bridge_comparison_walks_each_chain_once(monkeypatch):
     g, beta = shift_group_and_endo()
     family = [[{0: (1,)}], [{0: (1,)}, {1: (1,)}]]
     policy = StabilizationPolicy(max_n=64, stall_window=8, window_budget=32)
-    budget = 0
+    steps = 0
     for f in family:
         _, psi, u = bridge(g, beta, f)
         n_cot = cotrajectory_limits(psi, u, policy).n_max
-        n_cmp = min(8, trajectory_limits(beta, f, policy).n_max, n_cot)
-        assert n_cmp == 8
-        # the bridge's own cotrajectory_limits walk, then the comparison
-        budget += n_cot + n_cmp
+        assert min(8, trajectory_limits(beta, f, policy).n_max, n_cot) == 8
+        steps += n_cot
 
     counts = {"preimage": 0, "engine": 0}
     preimage, make_engine = RowFiniteEndo.preimage_cylinder, discrete._make_engine
@@ -210,9 +208,58 @@ def test_bridge_comparison_walks_each_chain_once(monkeypatch):
     monkeypatch.setattr(discrete, "_make_engine", counted_engine)
     rep = weiss_bridge_check(g, beta, family, policy)
     assert rep.ok
-    assert counts["preimage"] <= budget
-    # one engine for trajectory_limits and one for the comparison, per member
-    assert counts["engine"] == 2 * len(family)
+    assert all(recs[1].name == "trajectory_perp_is_cotrajectory_n_le_8" for recs, _ in rep.entries)
+    # the comparison reads the walks of the two limits: one step per C_n
+    # and one trajectory engine per member
+    assert counts["preimage"] == steps
+    assert counts["engine"] == len(family)
+
+
+def comparison_record(rep):
+    (records, _), = rep.entries
+    (record,) = [r for r in records if r.name.startswith("trajectory_perp_is_cotrajectory")]
+    return record
+
+
+def test_bridge_comparison_fails_on_a_wrong_cotrajectory_step(monkeypatch):
+    import entctl.duality as duality
+
+    g, beta = shift_group_and_endo()
+    family = [[{0: (1,)}]]
+    policy = StabilizationPolicy(max_n=64, stall_window=8, window_budget=32)
+    record = comparison_record(weiss_bridge_check(g, beta, family, policy))
+    assert record.ok and record.name.endswith("n_le_8")
+    steps = duality.chain_steps
+
+    def wrong_second_step(endo, u):
+        # C_2 replaced by C_1 = U, which is strictly larger for the shift
+        for n, (c, p, c_next) in enumerate(steps(endo, u), 1):
+            yield (u if n == 2 else c), p, c_next
+
+    monkeypatch.setattr(duality, "chain_steps", wrong_second_step)
+    rep = weiss_bridge_check(g, beta, family, policy)
+    assert not comparison_record(rep).ok
+    assert not rep.ok
+
+
+def test_bridge_comparison_of_a_zero_subgroup_runs_once(monkeypatch):
+    import entctl.duality as duality
+
+    g, beta = shift_group_and_endo()
+    calls = []
+    annihilator_ = duality.annihilator
+
+    def counted(h, pairing):
+        calls.append(h)
+        return annihilator_(h, pairing)
+
+    monkeypatch.setattr(duality, "annihilator", counted)
+    # F reduces to 0: both chains end at n = 1, and T_1-perp = C_1 is still compared
+    rep = weiss_bridge_check(g, beta, [[{0: (0,)}, {3: (2,)}]])
+    record = comparison_record(rep)
+    assert record.name == "trajectory_perp_is_cotrajectory_n_le_1" and record.ok
+    assert len(calls) == 1 and calls[0].order == 1
+    assert rep.ok
 
 
 @pytest.mark.xfail(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from entctl import finabel
 from entctl.discrete import _make_engine, _WindowLayout, banded_endo, locally_finite_group
 from entctl.duality import annihilator, dual_group
-from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, hom_validate
+from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, echelon_subgroup, hom_validate
 from entctl.lattice import ZLattice, congruence_kernel
 
 import oracles
@@ -96,14 +96,33 @@ def test_annihilator_matches_elimination_and_element_sets(data):
         assert set(perp.elements()) == oracles.annihilator_set(g.moduli, set(gens))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_annihilator_from_hnf_rows_equals_the_dense_generator_path(data):
+    """The annihilator read off the stored HNF rows equals the one built from
+    the dense generators, eliminated against the dual's moduli."""
+    g = data.draw(mixed_groups())
+    h = data.draw(subgroups(g, data.draw(st.booleans())))
+    dual, pairing = dual_group(g)
+    gens = h.generators()
+    expected = dual.whole_subgroup()
+    if gens:
+        m = pairing.modulus
+        map_rows = [[(x[i] * pairing.weights[i]) % m for x in gens] for i in range(g.rank)]
+        relation = ZLattice(len(gens), [m] * len(gens))
+        combos = congruence_kernel(map_rows, len(gens), relation, dual.moduli)
+        expected = echelon_subgroup(dual, combos)
+    assert annihilator(h, pairing) == expected
+
+
 @contextmanager
 def largest_entry():
     """The largest absolute entry stored in any lattice row while inside."""
     seen = [0]
     add = ZLattice.add
 
-    def recording_add(self, vec):
-        grew = add(self, vec)
+    def recording_add(self, vec, **kwargs):
+        grew = add(self, vec, **kwargs)
         seen[0] = max([seen[0]] + [abs(x) for row in self.rows for x in row])
         return grew
 
@@ -252,9 +271,9 @@ def test_zero_image_unit_rows_are_seeded_not_eliminated(monkeypatch):
     adds = []
     add = ZLattice.add
 
-    def counting_add(self, vec):
+    def counting_add(self, vec, **kwargs):
         adds.append(vec)
-        return add(self, vec)
+        return add(self, vec, **kwargs)
 
     monkeypatch.setattr(ZLattice, "add", counting_add)
     assert h.intersect_with(whole) == h

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from entctl.lattice import ZLattice, congruence_kernel, mat_mul, smith_normal_form, xgcd
@@ -242,3 +243,31 @@ def test_congruence_kernel_repeats_the_dense_reference(data):
     assert all(all(r.values()) for r in got)  # maps of nonzeros
     assert [dense(r, width) for r in got] == oracles.dense_congruence_kernel(map_rows, image_width, ref, payload_moduli, payload)
     assert relation.rows == ref.rows
+
+
+def test_congruence_kernel_adds_each_row_once_and_checks_both_halves(monkeypatch):
+    relation = ZLattice(2, [4, 4])
+    adds = []
+    add = ZLattice.add
+
+    def counting_add(self, vec, **kwargs):
+        adds.append(dict(vec))
+        return add(self, vec, **kwargs)
+
+    monkeypatch.setattr(ZLattice, "add", counting_add)
+    map_rows = [{0: 1}, [2, 0], {1: 3}]
+    payload = [{0: 1}, [0, 5, 0], {2: 6}]
+    got = congruence_kernel(map_rows, 2, relation, [4, 4, 4], payload)
+    assert len(adds) == len(map_rows)
+    # one row, reduced modulo the moduli: 5 and 6 enter as 1 and 2
+    assert adds[1] == {0: 2, 3: 1}
+    assert got == [{0: 2, 1: 1}, {1: 2}, {2: 4}]
+    assert relation.row_maps() == {0: {0: 4}, 1: {1: 4}}
+    for bad_image in ({2: 1}, {-1: 1}, [1, 0, 0]):
+        with pytest.raises(ValueError):
+            congruence_kernel([bad_image], 2, relation, [4, 4, 4], [{0: 1}])
+    for bad_payload in ({3: 1}, {-1: 1}, [1, 0]):
+        with pytest.raises(ValueError):
+            congruence_kernel([{0: 1}], 2, relation, [4, 4, 4], [bad_payload])
+    with pytest.raises(ValueError):
+        congruence_kernel([{0: 1}, {1: 1}], 2, relation, [4])  # default payload past its width
