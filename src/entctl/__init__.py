@@ -82,7 +82,6 @@ from .depth import (
     antistable_check,
     base_sequence,
     depth_report,
-    depth_value,
     invert,
     plus_minus,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
-from .finabel import canonical_subgroup
+from .finabel import AbSubgroup
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
@@ -49,7 +49,7 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
     g = endo.parent
     lo = target_block - radius
     hi = target_block + radius + 1
-    wg, starts = g.window_layout(lo, hi)
+    wg, _ = g.window_layout(lo, hi)
     scan_lo = lo - abs(endo.offset) - endo.width - 1
     scan_hi = hi + abs(endo.offset) + endo.width + 1
     rows_idx = []
@@ -70,13 +70,7 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
     )
     for combo in combos:
         if combo.get(0) == 1:
-            out = {}
-            for i in range(lo, hi):
-                s, e = starts[i - lo], starts[i - lo + 1]
-                piece = g.block(i).reduce([combo.get(t + 1, 0) for t in range(s, e)])
-                if any(piece):
-                    out[i] = piece
-            return out
+            return g.elem_of({t - 1: x for t, x in combo.items() if t}, lo, hi)
     return None
 
 
@@ -202,36 +196,28 @@ class TailCylinder:
     residual: CylinderSubgroup
 
     def truncate(self, m: int) -> CylinderSubgroup:
-        """The cylinder that pins only the part of the half line up to radius m."""
+        """The cylinder that pins only the part of the half line up to radius m.
+
+        Its HNF is read off without elimination: the residual's rows, shifted
+        into the window as by ``extended_core``, and the relation rows d_t e_t
+        of the pinned coordinates; the other blocks are free, with unit rows.
+        """
+        g, res = self.parent, self.residual
         if self.side == +1:
-            lo = min(self.residual.lo, self.pin_from) if not self.residual.is_whole() else self.pin_from
+            lo = min(res.lo, self.pin_from) if not res.is_whole() else self.pin_from
             hi = max(m, self.pin_from)
-            pin_rng = range(self.pin_from, hi)
+            pin_lo, pin_hi = self.pin_from, hi
         else:
-            hi = max(self.residual.hi, self.pin_from + 1) if not self.residual.is_whole() else self.pin_from + 1
+            hi = max(res.hi, self.pin_from + 1) if not res.is_whole() else self.pin_from + 1
             lo = min(-m, self.pin_from)
-            pin_rng = range(lo, self.pin_from + 1)
-        g = self.parent
-        wg, starts = g.window_layout(lo, hi)
-        gens = []
-        if not self.residual.is_whole():
-            off = starts[self.residual.lo - lo]
-            for row in self.residual.core.generators():
-                v = [0] * wg.rank
-                v[off : off + len(row)] = row
-                gens.append(v)
-        # free blocks: those neither pinned nor in the residual window
-        for i in range(lo, hi):
-            if i in pin_rng:
-                continue
-            if not self.residual.is_whole() and self.residual.lo <= i < self.residual.hi:
-                continue
-            s = starts[i - lo]
-            for j in range(g.block(i).rank):
-                v = [0] * wg.rank
-                v[s + j] = 1
-                gens.append(v)
-        return CylinderSubgroup(g, lo, hi, canonical_subgroup(wg, gens))
+            pin_lo, pin_hi = lo, self.pin_from + 1
+        wg, _ = g.window_layout(lo, hi)
+        # the pinned blocks [pin_lo, pin_hi) take the coordinates after those
+        # of [lo, pin_lo) and up to those of [lo, pin_hi)
+        pinned = range(g.window_layout(lo, pin_lo)[0].rank, g.window_layout(lo, pin_hi)[0].rank)
+        rows = {t: {t: wg.moduli[t]} for t in pinned if wg.moduli[t] > 1}
+        rows.update(res.extended_core(lo, hi).rows)
+        return CylinderSubgroup(g, lo, hi, AbSubgroup.from_rows(wg, dict(sorted(rows.items()))))
 
     def __eq__(self, other):
         return (
@@ -292,18 +278,10 @@ def _detect_tail(chain, parent: ProGroup, policy: StabilizationPolicy):
 
 def _residual_of(cyl: CylinderSubgroup, parent: ProGroup, boundary: int, side: int) -> CylinderSubgroup:
     """The finite condition left after removing the pinned half of a cylinder."""
-    wg, starts = parent.window_layout(cyl.lo, cyl.hi)
-    if side == +1:
-        lo, hi = cyl.lo, boundary
-        cut_lo, cut_hi = starts[0], starts[boundary - cyl.lo]
-    else:
-        lo, hi = boundary + 1, cyl.hi
-        cut_lo, cut_hi = starts[boundary + 1 - cyl.lo], starts[cyl.hi - cyl.lo]
+    lo, hi = (cyl.lo, boundary) if side == +1 else (boundary + 1, cyl.hi)
     if lo >= hi:
         return parent.whole()
-    sub_wg, _ = parent.window_layout(lo, hi)
-    rows = [list(r[cut_lo:cut_hi]) for r in cyl.core.generators()]
-    return CylinderSubgroup(parent, lo, hi, canonical_subgroup(sub_wg, rows))
+    return CylinderSubgroup(parent, lo, hi, parent.project(cyl.core, (cyl.lo, cyl.hi), (lo, hi)))
 
 
 def plus_minus(
@@ -365,34 +343,6 @@ def tail_relative_index(big, small, radius: int) -> int:
     if not cb.contains_subgroup(csml):
         raise ValidationError("tail index of non-nested subgroups")
     return cb.order // csml.order
-
-
-def depth_value(
-    endo: RowFiniteEndo,
-    u: CylinderSubgroup,
-    policy: StabilizationPolicy = DEFAULT_POLICY,
-    inverse: RowFiniteEndo | None = None,
-    certificate: AntistableCertificate | None = None,
-) -> int:
-    """[psi(U_+) : U_+] = [psi^{-1}(U_-) : U_-], computed through both
-    one-sided cotrajectories; the two routes must agree exactly."""
-    if inverse is None:
-        inverse = invert(endo, policy)
-    if certificate is None:
-        certificate = antistable_check(endo, u, policy, inverse)
-    if certificate.status != "antistable":
-        raise HypothesisFailure("depth needs an antistable-certified subgroup")
-    rep_minus = cotrajectory_limits(endo, u, policy)
-    rep_plus = cotrajectory_limits(inverse, u, policy)
-    if not (rep_minus.certified and rep_plus.certified):
-        raise Inconclusive("one-sided cotrajectory chains did not certify", rep_minus)
-    via_minus = rep_minus.psi_inv_c_mod_c
-    via_plus = rep_plus.psi_inv_c_mod_c
-    if via_minus != via_plus:
-        raise AssertionError(
-            f"depth disagreement {via_minus} != {via_plus}: uncertified stabilization"
-        )
-    return via_minus
 
 
 def base_sequence(

@@ -7,6 +7,14 @@ index for Cayley blocks.  An endomorphism is specified on one period of
 block generators by finite-support images shifted along the index line,
 so every evaluation stays inside a finite window that can be inferred.
 
+Abelian blocks share their window layout with the full products of
+``profinite`` (``finabel.BlockSequence``): the blocks [0, hi) lie one after
+another in one flat coordinate vector.  The abelian trajectory runs on it
+alone: its layers and lattice rows are {coordinate: value} maps, and the
+endomorphism acts through ``BandedEndo.window_map``, the validated map of
+the window, built once per window.  ``BandedEndo.apply`` acts on block
+elements; the Cayley trajectory and the public API use it.
+
 Entropy is computed two ways: from the stabilized index [T_{n+1} : T_n]
 of the trajectory chain, and limit-free as
 log |T/phi(T)| - log |ker phi n T|, with an independent cross-identity
@@ -26,18 +34,28 @@ from .errors import (
     Inconclusive,
     ValidationError,
 )
-from .finabel import AbSubgroup, FiniteAbelianGroup, canonical_subgroup
+from .finabel import (
+    AbSubgroup,
+    BlockSequence,
+    FiniteAbelianGroup,
+    Hom,
+    canonical_subgroup,
+    echelon_subgroup,
+    hom_validate,
+)
 from .gengroup import FiniteGroup
 from .lattice import ZLattice, congruence_kernel
 from .values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
 
 
 @dataclass(frozen=True)
-class LFGroup:
+class LFGroup(BlockSequence):
     """Restricted direct sum of finite blocks indexed by the naturals.
 
     The block sequence is ``prefix`` followed by ``period`` repeated
-    forever.  Blocks are all FiniteAbelianGroup or all FiniteGroup.
+    forever.  Blocks are all FiniteAbelianGroup or all FiniteGroup; the
+    window layouts and coordinate conversions of ``BlockSequence`` need
+    abelian blocks.
     """
 
     prefix: tuple
@@ -53,17 +71,11 @@ class LFGroup:
             raise ValidationError("blocks must be all abelian or all Cayley groups")
         object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "period", tuple(self.period))
+        object.__setattr__(self, "_layouts", {})
 
     @property
     def is_abelian(self) -> bool:
         return isinstance(self.period[0], FiniteAbelianGroup)
-
-    def block(self, i: int):
-        if i < 0:
-            raise DimensionError(f"negative block index {i}")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def identity(self) -> dict:
         return {}
@@ -277,6 +289,25 @@ class BandedEndo:
         """Exclusive upper bound of the image support of elements in [0, hi)."""
         return max(hi + max(0, self.offset + self.width - 1), 1)
 
+    def window_map(self, hi: int) -> Hom:
+        """The map on the blocks [0, hi), abelian blocks only: window group
+        of [0, hi) -> window group of [0, image_reach(hi)), built from the
+        images and validated.  Column j of block i sums the coordinates of
+        that generator's image terms; terms at negative blocks are dropped.
+        """
+        g = self.group
+        src, _ = g.window_layout(0, hi)
+        reach = self.image_reach(hi)
+        cols = []
+        for i in range(hi):
+            for terms in self._terms_for(i):
+                col: dict[int, int] = {}
+                for o, vec in terms:
+                    for t, c in g.coords({i + o: vec}, 0, reach).items():
+                        col[t] = col.get(t, 0) + c
+                cols.append(col)
+        return hom_validate(cols, src, g.window_layout(0, reach)[0])
+
 
 def banded_endo(group: LFGroup, offset: int, width: int, period: int, images) -> BandedEndo:
     return BandedEndo(group, offset, width, period, images)
@@ -314,140 +345,84 @@ class TrajectoryReport:
     f_order: int
 
 
-class _WindowLayout:
-    """Coordinate layout of blocks 0..hi-1 inside one flat vector."""
-
-    def __init__(self, group: LFGroup):
-        self.group = group
-        self.starts = [0]
-        self.moduli: list[int] = []
-        self.hi = 0
-
-    def grow_to(self, hi: int) -> None:
-        while self.hi < hi:
-            blk = self.group.block(self.hi)
-            self.moduli.extend(blk.moduli)
-            self.starts.append(len(self.moduli))
-            self.hi += 1
-
-    @property
-    def width(self) -> int:
-        return len(self.moduli)
-
-    def dense(self, elem: dict) -> list[int]:
-        v = [0] * self.width
-        for i, vec in elem.items():
-            s = self.starts[i]
-            for j, c in enumerate(vec):
-                v[s + j] = c
-        return v
-
-    def sparse(self, vec) -> dict:
-        out = {}
-        for i in range(self.hi):
-            s, e = self.starts[i], self.starts[i + 1]
-            piece = tuple(vec[s:e])
-            if any(piece):
-                out[i] = self.group.block(i).reduce(piece)
-        return out
-
-    def window_group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(tuple(self.moduli))
-
-
-class _GrowingLattice:
-    """Relation-seeded lattice that tracks a growing window."""
-
-    def __init__(self, layout: _WindowLayout):
-        self.layout = layout
-        self.lat = ZLattice(0, moduli=[])
-        self.total = 1  # order of the window group
-
-    def sync(self) -> None:
-        w = self.layout.width
-        if self.lat.width < w:
-            new_mods = self.layout.moduli[self.lat.width : w]
-            self.lat.extend(w, new_moduli=new_mods)
-            for d in new_mods:
-                self.total *= d
-
-    def add_elem(self, elem: dict) -> None:
-        self.sync()
-        self.lat.add(self.layout.dense(elem))
-
-    def order(self) -> int:
-        self.sync()
-        return self.total // self.lat.pivot_product()
-
-
 def _order_from_echelon(group: FiniteAbelianGroup, rows) -> int:
     """Order of the subgroup with an echelon basis of one row per column."""
     return group.order // prod(row[i] for i, row in enumerate(rows))
 
 
 class _AbelianTrajectory:
+    """T_n and phi(T_n) as lattices on the coordinates of the window [0, hi)
+    of the blocks reached so far, relations included.  Layers and lattice
+    rows are {coordinate: value} maps; phi acts through the window map of
+    the current window, built once per window.
+    """
+
     def __init__(self, endo: BandedEndo, f_gens: list[dict]):
         self.endo = endo
-        self.group = endo.group
-        self.layout = _WindowLayout(self.group)
-        hi = max((self.group.max_support(x) for x in f_gens), default=-1) + 1
-        self.layout.grow_to(max(hi, 1))
-        self.f_hi = self.layout.hi
-        self.lat_t = _GrowingLattice(self.layout)
-        self.lat_phit = _GrowingLattice(self.layout)
-        self.layers = [list(f_gens)]
-        for x in f_gens:
-            self.lat_t.add_elem(x)
-        self.orders = [self.lat_t.order()]  # |T_1|, |T_2|, ...
+        self.group = g = endo.group
+        self.hi = max(max(map(g.max_support, f_gens), default=-1) + 1, 1)
+        self.f_group, _ = g.window_layout(0, self.hi)
+        f_rows = [g.coords(x, 0, self.hi) for x in f_gens]
+        self.f_sub = canonical_subgroup(self.f_group, f_rows)
+        self.lat_t = self.f_group.relation_lattice()
+        self.lat_phit = self.f_group.relation_lattice()
+        self.layers = [f_rows]
+        for x in f_rows:
+            self.lat_t.add(x)
+        self.orders = [self._order(self.lat_t)]  # |T_1|, |T_2|, ...
         self.phit_orders: list[int] = []  # |phi(T_1)|, ...
-        f_group = FiniteAbelianGroup(tuple(self.layout.moduli[: self.layout.starts[self.f_hi]]))
-        f_dense = [self.layout.dense(x)[: f_group.rank] for x in f_gens]
-        self.f_sub = canonical_subgroup(f_group, f_dense)
-        self.f_group = f_group
+        self._map: tuple[int, Hom | None] = (0, None)
+
+    def _order(self, lat: ZLattice) -> int:
+        return self.group.window_layout(0, self.hi)[0].order // lat.pivot_product()
+
+    def _window_map(self) -> Hom:
+        """phi on the current window, rebuilt when the window has grown."""
+        if self._map[0] != self.hi:
+            self._map = (self.hi, self.endo.window_map(self.hi))
+        return self._map[1]
 
     def step(self) -> None:
-        nxt = [self.endo.apply(x) for x in self.layers[-1]]
+        g, h = self.group, self._window_map()
+        nxt = [h.apply_map(x) for x in self.layers[-1]]
         self.layers.append(nxt)
-        hi = max((self.group.max_support(x) for x in nxt), default=-1) + 1
-        self.layout.grow_to(max(hi, self.layout.hi))
+        reach = self.endo.image_reach(self.hi)
+        hi = max((g.max_support(g.elem_of(x, 0, reach)) + 1 for x in nxt), default=0)
+        if hi > self.hi:
+            self.hi = hi
+            wg, _ = g.window_layout(0, hi)
+            new_moduli = wg.moduli[self.lat_t.width :]
+            self.lat_t.extend(wg.rank, new_moduli)
+            self.lat_phit.extend(wg.rank, new_moduli)
         for x in nxt:
-            self.lat_t.add_elem(x)
-            self.lat_phit.add_elem(x)
-        self.orders.append(self.lat_t.order())
-        self.phit_orders.append(self.lat_phit.order())
+            self.lat_t.add(x)
+            self.lat_phit.add(x)
+        self.orders.append(self._order(self.lat_t))
+        self.phit_orders.append(self._order(self.lat_phit))
 
     def f_cap_phit_order(self) -> int:
         """|F n phi(T_n)| for the current n."""
-        self.lat_phit.sync()
         f_rows = self.f_sub.hnf_rows()
         rows = congruence_kernel(
-            f_rows,
-            self.layout.width,
-            self.lat_phit.lat,
-            self.f_group.moduli,
-            f_rows,
+            f_rows, self.lat_phit.width, self.lat_phit, self.f_group.moduli, f_rows
         )
         return _order_from_echelon(self.f_group, rows)
 
     def kernel_cap_t_order(self) -> int:
-        """|ker phi n T_n| computed honestly from the lattice basis."""
-        self.lat_t.sync()
-        basis = self.lat_t.lat.basis()
-        tgt_layout = _WindowLayout(self.group)
-        tgt_layout.grow_to(self.endo.image_reach(self.layout.hi))
-        map_rows = [tgt_layout.dense(self.endo.apply(self.layout.sparse(row))) for row in basis]
-        w = tgt_layout.width
-        rows = congruence_kernel(
-            map_rows, w, ZLattice(w, tgt_layout.moduli), self.layout.moduli, basis
+        """|ker phi n T_n|: the combinations of T_n's echelon rows whose
+        image under the window map vanishes, one elimination."""
+        h = self._window_map()
+        rows = list(self.lat_t.row_maps().values())
+        tgt = h.target
+        kernel = congruence_kernel(
+            [h.apply_map(r) for r in rows], tgt.rank, tgt.relation_lattice(), h.source.moduli, rows
         )
-        return _order_from_echelon(self.layout.window_group(), rows)
+        return _order_from_echelon(h.source, kernel)
 
     def snapshot(self) -> LFSubgroup:
-        self.lat_t.sync()
-        lat = self.lat_t.lat.copy()
-        lat.normalize()
-        sub = AbSubgroup(self.layout.window_group(), lat.basis())
-        return LFSubgroup(self.group, self.layout.hi, subgroup=sub)
+        wg, _ = self.group.window_layout(0, self.hi)
+        rows = [dict(r) for r in self.lat_t.row_maps().values()]
+        return LFSubgroup(self.group, self.hi, subgroup=echelon_subgroup(wg, rows))
 
 
 class _CayleyTrajectory:

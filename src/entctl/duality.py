@@ -171,11 +171,8 @@ def bridge(
     if not gens:
         return k_group, psi, k_group.whole()
     hi = max(max(x.keys()) for x in gens) + 1
-    wg, starts = k_group.window_layout(0, hi)
-    f_rows = [
-        {starts[i] + t: c for i, vec in x.items() for t, c in enumerate(vec) if c} for x in gens
-    ]
-    f_sub = canonical_subgroup(wg, f_rows)
+    wg, _ = k_group.window_layout(0, hi)
+    f_sub = canonical_subgroup(wg, [k_group.coords(x, 0, hi) for x in gens])
     _, pairing = dual_group(wg)
     core = annihilator(f_sub, pairing)
     u = CylinderSubgroup(k_group, 0, hi, core)

@@ -18,6 +18,10 @@ vanish in its column, and x is in A iff x_W is in the span of A's rows on W.
 A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
 it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
+
+``BlockSequence`` is the block rule and window layout shared by restricted
+sums and full products of blocks; its ``coords`` and ``elem_of`` are the one
+place where block elements meet window coordinates.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ class FiniteAbelianGroup:
         return canonical_subgroup(self, [])
 
     def whole_subgroup(self) -> "AbSubgroup":
-        return canonical_subgroup(self, [self.unit(i) for i in range(self.rank)])
+        # every HNF row is a unit row, and those are not stored
+        return AbSubgroup.from_rows(self, {})
 
 
 class AbSubgroup:
@@ -204,7 +209,9 @@ class AbSubgroup:
         return self.ambient.order // self.order
 
     def contains(self, vec) -> bool:
-        self.ambient.check_vector(vec)
+        """Membership of a vector, dense or a {coordinate: value} map."""
+        if not isinstance(vec, dict):
+            self.ambient.check_vector(vec)
         return self._lattice().contains(vec)
 
     def contains_subgroup(self, other: "AbSubgroup") -> bool:
@@ -367,6 +374,79 @@ def quotient_invariants(inner: AbSubgroup, outer: AbSubgroup) -> tuple[int, ...]
     return _invariants_of_cokernel(coeffs)
 
 
+class BlockSequence:
+    """Blocks ``prefix`` followed by ``period`` repeated forever, indexed by
+    N, or by Z when ``index_set`` is "Z" (the prefix then empty).
+
+    A window [lo, hi) lays the blocks lo..hi-1 out one after another in one
+    flat coordinate vector, and ``window_layout`` gives that layout once per
+    window.  Block elements ({block index: coordinate tuple}) go to and from
+    a window's coordinates through ``coords`` and ``elem_of`` only.  The
+    subclasses are frozen dataclasses with ``prefix`` and ``period`` fields
+    that set ``_layouts`` to an empty dict.
+    """
+
+    index_set = "N"
+
+    def block(self, i: int):
+        k = len(self.prefix)
+        if i < k:
+            if i >= 0:
+                return self.prefix[i]
+            if self.index_set == "N":
+                raise DimensionError(f"negative block index {i}")
+        return self.period[(i - k) % len(self.period)]
+
+    def window_layout(self, lo: int, hi: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
+        """(window group, coordinate starts) of the blocks lo..hi-1: block i
+        takes the coordinates from starts[i - lo] on.  Computed once per
+        window, the blocks being fixed; abelian blocks only."""
+        layout = self._layouts.get((lo, hi))
+        if layout is None:
+            starts = [0]
+            moduli: list[int] = []
+            for i in range(lo, hi):
+                moduli.extend(self.block(i).moduli)
+                starts.append(len(moduli))
+            layout = self._layouts[lo, hi] = (FiniteAbelianGroup(tuple(moduli)), tuple(starts))
+        return layout
+
+    def coords(self, elem: dict, lo: int, hi: int) -> dict[int, int]:
+        """The {coordinate: value} map of the nonzero entries of the block
+        element ``elem`` on the window [lo, hi); other blocks are left out."""
+        _, starts = self.window_layout(lo, hi)
+        return {
+            t: c
+            for i, vec in elem.items()
+            if lo <= i < hi
+            for t, c in enumerate(vec, starts[i - lo])
+            if c
+        }
+
+    def elem_of(self, vec, lo: int, hi: int) -> dict:
+        """The reduced block element of a vector on the window [lo, hi),
+        dense or a {coordinate: value} map."""
+        wg, starts = self.window_layout(lo, hi)
+        if isinstance(vec, dict):
+            vec = [vec.get(t, 0) for t in range(wg.rank)]
+        wg.check_vector(vec)
+        out = {}
+        for i in range(lo, hi):
+            piece = self.block(i).reduce(vec[starts[i - lo] : starts[i + 1 - lo]])
+            if any(piece):
+                out[i] = piece
+        return out
+
+    def project(self, core: AbSubgroup, window, sub_window) -> AbSubgroup:
+        """The image of ``core``, a subgroup of the group of ``window``, in
+        the group of ``sub_window`` inside it, read off its HNF rows."""
+        (lo, hi), (slo, shi) = window, sub_window
+        _, starts = self.window_layout(lo, hi)
+        a, b = starts[slo - lo], starts[shi - lo]
+        rows = [{t - a: x for t, x in row.items() if a <= t < b} for row in core.hnf_rows()]
+        return canonical_subgroup(self.window_layout(slo, shi)[0], rows)
+
+
 @dataclass(frozen=True)
 class Hom:
     """Homomorphism between finite abelian groups, f(x) = M x.
@@ -423,20 +503,22 @@ class Hom:
             raise AmbientMismatchError("preimage of subgroup from a different group")
         return sub._pull_back(self.columns, self.source)
 
+    def apply_map(self, coeffs: dict) -> dict[int, int]:
+        """f(x) for x given as a {coordinate: value} map, as the map of the
+        nonzero entries of the reduced image."""
+        mods = self.target.moduli
+        out = {}
+        for i, x in self._combine(coeffs).items():
+            x %= mods[i]
+            if x:
+                out[i] = x
+        return out
+
     def compose(self, inner: "Hom") -> "Hom":
         """self o inner."""
         if inner.target != self.source:
             raise AmbientMismatchError("composition type mismatch")
-        mods = self.target.moduli
-        cols = []
-        for col in inner.columns:
-            out = {}
-            for i, x in self._combine(col).items():
-                x %= mods[i]
-                if x:
-                    out[i] = x
-            cols.append(out)
-        return Hom(inner.source, self.target, tuple(cols))
+        return Hom(inner.source, self.target, tuple(map(self.apply_map, inner.columns)))
 
 
 def hom_validate(matrix, source: FiniteAbelianGroup, target: FiniteAbelianGroup) -> Hom:

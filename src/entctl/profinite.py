@@ -39,6 +39,7 @@ from .errors import (
 )
 from .finabel import (
     AbSubgroup,
+    BlockSequence,
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
@@ -48,7 +49,7 @@ from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPoli
 
 
 @dataclass(frozen=True)
-class ProGroup:
+class ProGroup(BlockSequence):
     """Full product of finite abelian blocks over N or Z."""
 
     prefix: tuple
@@ -68,15 +69,6 @@ class ProGroup:
         object.__setattr__(self, "period", tuple(self.period))
         object.__setattr__(self, "_layouts", {})
 
-    def block(self, i: int) -> FiniteAbelianGroup:
-        if self.index_set == "N":
-            if i < 0:
-                raise DimensionError(f"negative index {i} in an N-indexed group")
-            if i < len(self.prefix):
-                return self.prefix[i]
-            return self.period[(i - len(self.prefix)) % len(self.period)]
-        return self.period[i % len(self.period)]
-
     def valid_index(self, i: int) -> bool:
         return self.index_set == "Z" or i >= 0
 
@@ -94,19 +86,6 @@ class ProGroup:
                 if not (lo <= i < hi)
             )
         return True
-
-    def window_layout(self, lo: int, hi: int):
-        """(window group, coordinate starts) of the blocks lo..hi-1, the
-        starts a tuple; computed once per window, the group being frozen."""
-        layout = self._layouts.get((lo, hi))
-        if layout is None:
-            starts = [0]
-            moduli: list[int] = []
-            for i in range(lo, hi):
-                moduli.extend(self.block(i).moduli)
-                starts.append(len(moduli))
-            layout = self._layouts[lo, hi] = (FiniteAbelianGroup(tuple(moduli)), tuple(starts))
-        return layout
 
     def whole(self) -> "CylinderSubgroup":
         g, _ = self.window_layout(0, 0)
@@ -204,14 +183,7 @@ class CylinderSubgroup:
         return self.extended_core(lo, hi).contains_subgroup(other.extended_core(lo, hi))
 
     def contains_elem(self, elem: dict) -> bool:
-        wg, starts = self.parent.window_layout(self.lo, self.hi)
-        v = [0] * wg.rank
-        for i, vec in elem.items():
-            if self.lo <= i < self.hi:
-                s = starts[i - self.lo]
-                for j, c in enumerate(vec):
-                    v[s + j] = c
-        return self.core.contains(wg.reduce(v))
+        return self.core.contains(self.parent.coords(elem, self.lo, self.hi))
 
     def pinned_blocks(self) -> set[int]:
         """Blocks i in the window forced to 0 for every element."""
@@ -882,14 +854,6 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
         cols, wg, tgt = endo.band_columns(rows_idx, lo, hi)
         return hom_validate(cols, wg, tgt).kernel()
 
-    def restrict(sub: AbSubgroup, big: tuple[int, int], small: tuple[int, int]) -> AbSubgroup:
-        (blo, bhi), (slo, shi) = big, small
-        wg_b, starts_b = g.window_layout(blo, bhi)
-        wg_s, _ = g.window_layout(slo, shi)
-        off = starts_b[slo - blo]
-        rows = [list(r[off : off + wg_s.rank]) for r in sub.generators()]
-        return canonical_subgroup(wg_s, rows)
-
     stable_orders: list[int] = []
     for n in range(1, policy.window_budget + 1):
         small = window_of(n)
@@ -898,7 +862,7 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
         stable: AbSubgroup | None = None
         for m in range(n, policy.window_budget + 1):
             big = window_of(m)
-            r = restrict(partial_kernel(*big), big, small)
+            r = g.project(partial_kernel(*big), big, small)
             if prev is not None and r == prev:
                 agree += 1
                 if agree >= w - 1:
@@ -956,30 +920,29 @@ class QuotientSystem:
     checks: tuple[CheckRecord, ...]
 
 
-def _quotient_data(parent: ProGroup, cyl: CylinderSubgroup):
-    """Present K / cylinder as a finite abelian group with both maps."""
+def _quotient_data(cyl: CylinderSubgroup):
+    """Present K / cylinder as a finite abelian group, with the map of window
+    vectors ({coordinate: value} maps) onto it and a lift of its elements to
+    dense window vectors."""
     from .lattice import smith_normal_form
 
-    wg, starts = parent.window_layout(cyl.lo, cyl.hi)
     basis = [list(r) for r in cyl.core.basis]
     s, uu, vv, uinv, vinv = smith_normal_form(basis, with_inverses=True)
-    diag = [s[i][i] for i in range(len(s))]
+    k = len(basis)
+    diag = [s[i][i] for i in range(k)]
     keep = [i for i, d in enumerate(diag) if d != 1]
     q_group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
 
-    def project(vec) -> tuple[int, ...]:
-        out = []
-        for pos, i in enumerate(keep):
-            out.append(sum(vec[t] * vv[t][i] for t in range(len(vec))) % diag[i])
-        return tuple(out)
+    def to_quotient(vec: dict) -> tuple[int, ...]:
+        return tuple(sum(x * vv[t][i] for t, x in vec.items()) % diag[i] for i in keep)
 
     def lift(qvec) -> list[int]:
-        full = [0] * wg.rank
+        full = [0] * k
         for pos, i in enumerate(keep):
             full[i] = qvec[pos]
-        return [sum(full[t] * vinv[t][j] for t in range(wg.rank)) for j in range(wg.rank)]
+        return [sum(full[t] * vinv[t][j] for t in range(k)) for j in range(k)]
 
-    return wg, starts, q_group, project, lift
+    return q_group, to_quotient, lift
 
 
 def quotient_system(
@@ -1008,40 +971,20 @@ def quotient_system(
         return QuotientSystem("whole", None, g, endo, u, tuple(checks))
 
     u_minus = kind[1]
-    wg, starts, q_group, project, lift = _quotient_data(g, u_minus)
-    # induced endomorphism on the finite quotient
-    cols = []
-    for j in range(q_group.rank):
-        e = [0] * q_group.rank
-        e[j] = 1
-        full = lift(e)
-        sparse = {}
-        for i in range(u_minus.lo, u_minus.hi):
-            s, epos = starts[i - u_minus.lo], starts[i - u_minus.lo + 1]
-            piece = tuple(full[s:epos])
-            if any(x % g.block(i).moduli[t] for t, x in enumerate(piece)):
-                sparse[i] = g.block(i).reduce(piece)
-        img = endo.apply(sparse)
-        dense = [0] * wg.rank
-        for i, vec in img.items():
-            if u_minus.lo <= i < u_minus.hi:
-                s = starts[i - u_minus.lo]
-                for t, x in enumerate(vec):
-                    dense[s + t] = x
-        cols.append(project(dense))
+    window = (u_minus.lo, u_minus.hi)
+    q_group, to_quotient, lift = _quotient_data(u_minus)
+    # induced endomorphism on the finite quotient: lift, apply, project
+    cols = [
+        to_quotient(g.coords(endo.apply(g.elem_of(lift(q_group.unit(j)), *window)), *window))
+        for j in range(q_group.rank)
+    ]
     mat = [[cols[j][i] for j in range(q_group.rank)] for i in range(q_group.rank)]
     endo_q = hom_validate(mat, q_group, q_group)
 
     # image of U in the quotient
-    lo, hi = u.hull_with(u_minus)
-    hull_wg, hull_starts = g.window_layout(lo, hi)
-    u_ext = u.extended_core(lo, hi)
-    off = hull_starts[u_minus.lo - lo]
-    gens = []
-    for row in u_ext.generators():
-        piece = list(row[off : off + wg.rank])
-        gens.append(project(piece))
-    u_image = canonical_subgroup(q_group, gens)
+    hull = u.hull_with(u_minus)
+    u_core = g.project(u.extended_core(*hull), hull, window)
+    u_image = canonical_subgroup(q_group, [to_quotient(row) for row in u_core.hnf_rows()])
 
     c_q = finite_cotrajectory(endo_q, u_image)
     checks.append(

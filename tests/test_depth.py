@@ -5,7 +5,6 @@ from entctl.depth import (
     antistable_check,
     base_sequence,
     depth_report,
-    depth_value,
     invert,
     plus_minus,
     tail_relative_index,
@@ -136,15 +135,9 @@ def test_tail_relative_index():
 def test_depth_of_full_shifts(mods, expected):
     k, shift = full_shift(mods)
     u = cylinder(k, (0, 1), [])
-    assert depth_value(shift, u) == expected
-
-
-def test_depth_value_needs_antistable():
-    k, shift = full_shift((3,))
-    ident = identity_endo(k)
-    u = cylinder(k, (0, 1), [])
-    with pytest.raises(HypothesisFailure):
-        depth_value(ident, u, inverse=ident)
+    rep = depth_report(shift, [u])
+    assert rep.depth == expected
+    assert rep.candidates[0].depth_via_minus == rep.candidates[0].depth_via_plus == expected
 
 
 def test_base_sequence():
@@ -176,6 +169,8 @@ def test_depth_report_no_antistable_candidate():
     ident = identity_endo(k)
     with pytest.raises(HypothesisFailure):
         depth_report(ident, [cylinder(k, (0, 1), [])])
+    with pytest.raises(HypothesisFailure):
+        depth_report(ident, [cylinder(k, (0, 1), []), cylinder(k, (-1, 1), [])])
 
 
 def test_entropy_on_base_members():
@@ -210,7 +205,7 @@ def test_mixing_automorphism_returns_unknown():
     cert = antistable_check(psi, u, inverse=inv)
     assert cert.status == "unknown"
     with pytest.raises(HypothesisFailure):
-        depth_value(psi, u, inverse=inv, certificate=cert)
+        depth_report(psi, [u])
 
 
 def test_alternating_blocks_shift_by_two():

@@ -8,7 +8,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from entctl import finabel
-from entctl.discrete import _make_engine, _WindowLayout, banded_endo, locally_finite_group
+from entctl.discrete import _make_engine, banded_endo, locally_finite_group
 from entctl.duality import annihilator, dual_group
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, echelon_subgroup, hom_validate
 from entctl.lattice import ZLattice, congruence_kernel
@@ -165,24 +165,33 @@ def random_endo(rng):
     return banded_endo(group, offset, width, 1, [terms])
 
 
+def dense(group, elem, hi):
+    """The coordinate vector of a block element on the window [0, hi)."""
+    wg, _ = group.window_layout(0, hi)
+    coords = group.coords(elem, 0, hi)
+    return tuple(coords.get(t, 0) for t in range(wg.rank))
+
+
 def kernel_cap_t_by_generators(engine):
-    """|ker phi n T_n| by multiplying kernel coefficients back and eliminating."""
-    basis = engine.lat_t.lat.basis()
-    tgt = _WindowLayout(engine.group)
-    tgt.grow_to(engine.endo.image_reach(engine.layout.hi))
-    map_rows = [tgt.dense(engine.endo.apply(engine.layout.sparse(row))) for row in basis]
+    """|ker phi n T_n| by applying phi to T_n's echelon rows as block
+    elements, multiplying kernel coefficients back and eliminating."""
+    g, hi = engine.group, engine.hi
+    wg, _ = g.window_layout(0, hi)
+    reach = engine.endo.image_reach(hi)
+    tgt, _ = g.window_layout(0, reach)
+    basis = engine.lat_t.basis()
+    map_rows = [g.coords(engine.endo.apply(g.elem_of(row, 0, hi)), 0, reach) for row in basis]
     combos = eliminated_kernel(map_rows, tgt.moduli, [], [lcm(1, *tgt.moduli)] * len(basis))
-    rows = combine(combos, basis, engine.layout.width)
-    return canonical_subgroup(engine.layout.window_group(), rows).order
+    rows = combine(combos, basis, wg.rank)
+    return canonical_subgroup(wg, rows).order
 
 
 def f_cap_phit_by_generators(engine):
     """|F n phi(T_n)| from the coefficient kernel of the unit rows of F's window."""
-    kf, width = engine.f_group.rank, engine.layout.width
+    kf, width = engine.f_group.rank, engine.lat_phit.width
+    moduli = engine.group.window_layout(0, engine.hi)[0].moduli
     units = [[int(t == c) for t in range(width)] for c in range(kf)]
-    combos = eliminated_kernel(
-        units, engine.layout.moduli, engine.lat_phit.lat.basis(), engine.layout.moduli[:kf]
-    )
+    combos = eliminated_kernel(units, moduli, engine.lat_phit.basis(), moduli[:kf])
     inside = canonical_subgroup(engine.f_group, combos)
     return canonical_subgroup(
         engine.f_group, [x for x in elements(engine.f_sub) if inside.contains(x)]
@@ -192,30 +201,35 @@ def f_cap_phit_by_generators(engine):
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_trajectory_kernel_and_cap_orders(rnd):
+    """The engine's orders against elimination from generators and, on small
+    windows, element sets; the reference layers come from BandedEndo.apply."""
     endo = random_endo(rnd)
-    blk = endo.group.period[0]
+    g = endo.group
+    blk = g.period[0]
     f_gens = [{i: tuple(rnd.randrange(d) for d in blk.moduli)} for i in range(rnd.randrange(1, 3))]
     engine, gens = _make_engine(endo, f_gens)
     if not gens:
         return
+    layers = [gens]
     for _ in range(rnd.randrange(1, 4)):
         engine.step()
+        layers.append([endo.apply(x) for x in layers[-1]])
+        hi = engine.hi
+        assert all(g.max_support(x) < hi for x in layers[-1])
+        assert engine.layers[-1] == [g.coords(x, 0, hi) for x in layers[-1]]
         ker = engine.kernel_cap_t_order()
         cap = engine.f_cap_phit_order()
         assert ker == kernel_cap_t_by_generators(engine)
         assert cap == f_cap_phit_by_generators(engine)
         if engine.orders[-1] > 4096:
             continue
-        layout, mods = engine.layout, engine.layout.moduli
-        t_set = oracles.subgroup_elements(mods, [layout.dense(x) for lay in engine.layers for x in lay])
-        assert ker == sum(1 for x in t_set if not endo.apply(layout.sparse(x)))
-        phit = oracles.subgroup_elements(
-            mods, [layout.dense(x) for lay in engine.layers[1:] for x in lay]
-        )
-        pad = (0,) * (layout.width - engine.f_group.rank)
-        f_set = oracles.subgroup_elements(
-            engine.f_group.moduli, [layout.dense(x)[: engine.f_group.rank] for x in gens]
-        )
+        mods = g.window_layout(0, hi)[0].moduli
+        t_set = oracles.subgroup_elements(mods, [dense(g, x, hi) for lay in layers for x in lay])
+        assert ker == sum(1 for x in t_set if not endo.apply(g.elem_of(x, 0, hi)))
+        phit = oracles.subgroup_elements(mods, [dense(g, x, hi) for lay in layers[1:] for x in lay])
+        kf = engine.f_group.rank
+        pad = (0,) * (len(mods) - kf)
+        f_set = oracles.subgroup_elements(engine.f_group.moduli, [dense(g, x, hi)[:kf] for x in gens])
         assert cap == sum(1 for x in f_set if x + pad in phit)
 
 
