@@ -169,6 +169,12 @@ def test_depth_report_no_antistable_candidate():
     ident = identity_endo(k)
     with pytest.raises(HypothesisFailure):
         depth_report(ident, [cylinder(k, (0, 1), [])])
+
+
+def test_depth_value_needs_antistable():
+    # no candidate is antistable for the identity, so no depth is reported
+    k, shift = full_shift((3,))
+    ident = identity_endo(k)
     with pytest.raises(HypothesisFailure):
         depth_report(ident, [cylinder(k, (0, 1), []), cylinder(k, (-1, 1), [])])
 
