@@ -40,13 +40,10 @@ from .discrete import (
     LFGroup,
     LFSubgroup,
     TrajectoryReport,
-    algebraic_entropy,
     banded_endo,
-    h_alg,
     locally_finite_group,
     trajectory,
     trajectory_limits,
-    yuzvinski_gap,
 )
 from .profinite import (
     CotrajectoryReport,
@@ -58,13 +55,11 @@ from .profinite import (
     cotrajectory,
     cotrajectory_limits,
     cylinder,
-    h_top,
     kernel_order,
     log_law_check,
     pro_group,
     quotient_system,
     rowfinite_endo,
-    topological_entropy,
 )
 from .duality import (
     DualPairing,

@@ -14,7 +14,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import depth as depth_mod
 from . import discrete, duality, profinite
@@ -268,10 +267,6 @@ class Report:
         }
 
 
-def _entropy_json(v: EntropyValue):
-    return v.to_json()
-
-
 def _trajectory_result(idx: int, rep: discrete.TrajectoryReport) -> dict:
     out = {
         "subgroup": idx,
@@ -287,11 +282,9 @@ def _trajectory_result(idx: int, rep: discrete.TrajectoryReport) -> dict:
                 "alpha": rep.alpha,
                 "t_mod_phi_t": rep.t_mod_phi_t,
                 "ker_cap_t": rep.ker_cap_t,
-                "entropy": _entropy_json(
-                    EntropyValue.of_log(Fraction(rep.t_mod_phi_t, rep.ker_cap_t))
-                ),
-                "entropy_limit": _entropy_json(EntropyValue.of_log(rep.alpha)),
-                "yuzvinski_gap": _entropy_json(EntropyValue.of_log(rep.t_mod_phi_t)),
+                "entropy": rep.entropy.to_json(),
+                "entropy_limit": rep.entropy_limit.to_json(),
+                "yuzvinski_gap": rep.yuzvinski_gap.to_json(),
             }
         )
     return out
@@ -312,17 +305,16 @@ def _cotrajectory_result(idx: int, rep: profinite.CotrajectoryReport) -> dict:
                 "alpha": rep.alpha,
                 "psi_inv_c_mod_c": rep.psi_inv_c_mod_c,
                 "k_mod_l": rep.k_mod_l,
-                "entropy": _entropy_json(
-                    EntropyValue.of_log(Fraction(rep.psi_inv_c_mod_c, rep.k_mod_l))
-                ),
-                "entropy_limit": _entropy_json(EntropyValue.of_log(rep.alpha)),
+                "entropy": rep.entropy.to_json(),
+                "entropy_limit": rep.entropy_limit.to_json(),
             }
         )
     return out
 
 
 def run_command(cmd: str, inst: Instance, method: str | None = None) -> Report:
-    """Dispatch a command against a parsed instance."""
+    """Dispatch a command against a parsed instance.  The only method is
+    "surjective", for top-entropy."""
     compatible = {
         "alg-entropy": ("discrete",),
         "top-entropy": ("profinite",),
@@ -334,11 +326,15 @@ def run_command(cmd: str, inst: Instance, method: str | None = None) -> Report:
         raise ValidationError(f"unknown command {cmd!r}")
     if inst.kind not in compatible[cmd]:
         raise ValidationError(f"command {cmd!r} incompatible with kind {inst.kind!r}")
+    if method not in (None, "surjective"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method is not None and cmd != "top-entropy":
+        raise ValidationError(f"--method applies only to top-entropy, not to {cmd!r}")
 
     if cmd == "alg-entropy":
         return _run_alg_entropy(inst)
     if cmd == "top-entropy":
-        return _run_top_entropy(inst, method)
+        return _run_top_entropy(inst, surjective=method == "surjective")
     if cmd == "bridge-check":
         return _run_bridge(inst)
     if cmd == "depth":
@@ -356,39 +352,32 @@ def _status_of(results) -> str:
 
 
 def _run_alg_entropy(inst: Instance) -> Report:
-    def one(idx, gens):
-        rep = discrete.trajectory_limits(inst.endo, gens, inst.policy)
-        return _trajectory_result(idx, rep)
-
-    results = [one(i, gens) for i, gens in enumerate(inst.family)]
+    reps = [discrete.trajectory_limits(inst.endo, gens, inst.policy) for gens in inst.family]
+    results = [_trajectory_result(i, rep) for i, rep in enumerate(reps)]
     report = Report("alg-entropy", inst.kind, results, _status_of(results))
-    if all(r["status"] == "certified" for r in results) and results:
-        best = max(
-            Fraction(r["t_mod_phi_t"], r["ker_cap_t"]) for r in results
-        )
-        report.results.append({"h_alg_lower_bound": _entropy_json(EntropyValue.of_log(best))})
+    if reps and all(rep.certified for rep in reps):
+        best = max(rep.entropy for rep in reps)
+        report.results.append({"h_alg_lower_bound": best.to_json()})
     return report
 
 
-def _run_top_entropy(inst: Instance, method: str | None) -> Report:
-    def one(idx, cyl):
-        rep = profinite.cotrajectory_limits(inst.endo, cyl, inst.policy)
-        out = _cotrajectory_result(idx, rep)
-        if rep.certified and method == "surjective":
-            try:
-                v = profinite.topological_entropy(inst.endo, cyl, "surjective", inst.policy)
-                out["entropy_surjective"] = _entropy_json(v)
-            except ValidationError as exc:
-                out["entropy_surjective_error"] = str(exc)
-        return out
-
-    results = [one(i, cyl) for i, cyl in enumerate(inst.cylinders)]
+def _run_top_entropy(inst: Instance, surjective: bool) -> Report:
+    reps = [profinite.cotrajectory_limits(inst.endo, cyl, inst.policy) for cyl in inst.cylinders]
+    results = [_cotrajectory_result(i, rep) for i, rep in enumerate(reps)]
+    for rep, out in zip(reps, results):
+        if not (surjective and rep.certified):
+            continue
+        # the one-term form log [psi^{-1}(U_-) : U_-], valid for surjective maps
+        if not profinite.surjective_on_windows(inst.endo, inst.policy):
+            out["entropy_surjective_error"] = "surjective method requires a surjective endomorphism"
+        elif rep.k_mod_l != 1:
+            raise AssertionError("surjective map with nontrivial [K:L]")
+        else:
+            out["entropy_surjective"] = EntropyValue.of_log(rep.psi_inv_c_mod_c).to_json()
     report = Report("top-entropy", inst.kind, results, _status_of(results))
-    if all(r["status"] == "certified" for r in results) and results:
-        best = max(
-            Fraction(r["psi_inv_c_mod_c"], r["k_mod_l"]) for r in results
-        )
-        report.results.append({"h_top_lower_bound": _entropy_json(EntropyValue.of_log(best))})
+    if reps and all(rep.certified for rep in reps):
+        best = max(rep.entropy for rep in reps)
+        report.results.append({"h_top_lower_bound": best.to_json()})
     return report
 
 
@@ -409,8 +398,8 @@ def _run_bridge(inst: Instance) -> Report:
         )
     results.append(
         {
-            "h_alg": _entropy_json(rep.h_alg_value),
-            "h_top": _entropy_json(rep.h_top_value),
+            "h_alg": rep.h_alg_value.to_json(),
+            "h_top": rep.h_top_value.to_json(),
             "bridge_equal": rep.ok,
         }
     )
@@ -433,7 +422,7 @@ def _run_depth(inst: Instance) -> Report:
         {
             "depth": rep.depth,
             "depth_inverse": rep.depth_inverse,
-            "h_top": _entropy_json(rep.h_top_value),
+            "h_top": rep.h_top_value.to_json(),
             "inverse_band": {
                 "offset": rep.inverse.offset,
                 "width": rep.inverse.width,
@@ -456,10 +445,9 @@ def _verify_discrete(inst: Instance) -> list:
             )
             checks.append(CheckRecord("index_divisibility_chain", div_ok))
         if rep.certified:
-            lf = Fraction(rep.t_mod_phi_t, rep.ker_cap_t)
+            lf = rep.entropy.log_of
             checks.append(
-                CheckRecord("limit_equals_limitfree", lf == Fraction(rep.alpha),
-                            lhs=lf, rhs=rep.alpha)
+                CheckRecord("limit_equals_limitfree", lf == rep.alpha, lhs=lf, rhs=rep.alpha)
             )
             if rep.ker_cap_t == 1:
                 checks.append(
@@ -494,10 +482,9 @@ def _verify_profinite(inst: Instance) -> list:
         checks.append(CheckRecord("c_divisibility_chain", div_c))
         checks.append(CheckRecord("alpha_divisibility_chain", div_a))
         if rep.certified:
-            lf = Fraction(rep.psi_inv_c_mod_c, rep.k_mod_l)
+            lf = rep.entropy.log_of
             checks.append(
-                CheckRecord("limit_equals_limitfree", lf == Fraction(rep.alpha),
-                            lhs=lf, rhs=rep.alpha)
+                CheckRecord("limit_equals_limitfree", lf == rep.alpha, lhs=lf, rhs=rep.alpha)
             )
             if profinite.surjective_on_windows(inst.endo, inst.policy):
                 checks.append(
@@ -549,8 +536,16 @@ def emit_report(report: Report, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_VALIDATION, as malformed instances do,
+    not with argparse's 2, which entctl reserves for inconclusive runs."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="entctl",
         description="Exact algebraic/topological entropy and depth computations",
     )
@@ -559,13 +554,12 @@ def main(argv=None) -> int:
         choices=["alg-entropy", "top-entropy", "bridge-check", "depth", "verify"],
     )
     parser.add_argument("instance", help="path to an instance JSON file")
-    parser.add_argument("--method", choices=["limit", "limitfree", "surjective"])
+    parser.add_argument("--method", choices=["surjective"], help="top-entropy only")
     parser.add_argument("--max-n", type=int, dest="max_n")
     parser.add_argument("--stall", type=int)
     parser.add_argument("--format", choices=["text", "json"], default="json")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         inst = parse_instance(args.instance)
         if args.max_n is not None or args.stall is not None:
             inst.policy = StabilizationPolicy(

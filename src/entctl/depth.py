@@ -25,7 +25,6 @@ from .finabel import AbSubgroup
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
-    PowerEndo,
     ProGroup,
     RowFiniteEndo,
     chain,
@@ -33,8 +32,6 @@ from .profinite import (
     cotrajectory_limits,
     identity_endo,
     pins_growing_windows,
-    topological_entropy,
-    h_top,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -219,18 +216,6 @@ class TailCylinder:
         rows.update(res.extended_core(lo, hi).rows)
         return CylinderSubgroup(g, lo, hi, AbSubgroup.from_rows(wg, dict(sorted(rows.items()))))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TailCylinder)
-            and self.parent == other.parent
-            and self.side == other.side
-            and self.pin_from == other.pin_from
-            and self.residual == other.residual
-        )
-
-    def __hash__(self):
-        return hash((self.parent, self.side, self.pin_from, self.residual))
-
 
 def _detect_tail(chain, parent: ProGroup, policy: StabilizationPolicy):
     """Detect a stable half-line pattern in a descending cylinder chain.
@@ -359,6 +344,11 @@ def base_sequence(
     return [cp.intersect(cm) for cp, cm in itertools.islice(pairs, n)]
 
 
+# members U_1..U_n of the shrinking base on which depth_report checks
+# the entropy-depth identity
+BASE_LEN = 4
+
+
 @dataclass(frozen=True)
 class CandidateResult:
     status: str
@@ -381,7 +371,6 @@ def depth_report(
     endo: RowFiniteEndo,
     candidates,
     policy: StabilizationPolicy = DEFAULT_POLICY,
-    base_len: int = 4,
 ) -> DepthReport:
     """Full depth analysis over candidate subgroups.
 
@@ -428,16 +417,13 @@ def depth_report(
         raise AssertionError("depth values disagree: uncertified stabilization")
     depth = flat[0]
 
-    base = base_sequence(endo, first_antistable, base_len, inverse, policy)
-    per_base_ok = True
-    for uk in base:
-        val = topological_entropy(endo, uk, "limitfree", policy)
-        if val != EntropyValue.of_log(depth):
-            per_base_ok = False
+    base = base_sequence(endo, first_antistable, BASE_LEN, inverse, policy)
+    values = [cotrajectory_limits(endo, uk, policy).entropy for uk in base]
+    per_base_ok = all(val == EntropyValue.of_log(depth) for val in values)
     checks.append(
         CheckRecord("entropy_on_base_members_is_log_depth", per_base_ok, rhs=depth)
     )
-    h_val = h_top(endo, base, "limitfree", policy)
+    h_val = max(values)
     checks.append(
         CheckRecord(
             "h_top_is_log_depth", h_val == EntropyValue.of_log(depth), lhs=h_val, rhs=depth

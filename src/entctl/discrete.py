@@ -15,8 +15,8 @@ endomorphism acts through ``BandedEndo.window_map``, the validated map of
 the window, built once per window.  ``BandedEndo.apply`` acts on block
 elements; the Cayley trajectory and the public API use it.
 
-Entropy is computed two ways: from the stabilized index [T_{n+1} : T_n]
-of the trajectory chain, and limit-free as
+A certified ``TrajectoryReport`` gives the entropy two ways: from the
+stabilized index [T_{n+1} : T_n] of the trajectory chain, and limit-free as
 log |T/phi(T)| - log |ker phi n T|, with an independent cross-identity
 required before a stall is certified.
 """
@@ -344,6 +344,28 @@ class TrajectoryReport:
     status: str
     f_order: int
 
+    def _certified(self) -> "TrajectoryReport":
+        if not self.certified:
+            raise Inconclusive("trajectory did not stall within budget", self)
+        return self
+
+    @property
+    def entropy(self) -> EntropyValue:
+        """The limit-free entropy log |T/phi(T)| - log |ker phi n T|."""
+        rep = self._certified()
+        return EntropyValue.of_log(Fraction(rep.t_mod_phi_t, rep.ker_cap_t))
+
+    @property
+    def entropy_limit(self) -> EntropyValue:
+        """log alpha, from the stabilized index chain; equals ``entropy``."""
+        return EntropyValue.of_log(self._certified().alpha)
+
+    @property
+    def yuzvinski_gap(self) -> EntropyValue:
+        """log |T/phi(T)| alone, the uncorrected one-term formula: the
+        entropy for injective maps, above it for non-injective ones."""
+        return EntropyValue.of_log(self._certified().t_mod_phi_t)
+
 
 def _order_from_echelon(group: FiniteAbelianGroup, rows) -> int:
     """Order of the subgroup with an echelon basis of one row per column."""
@@ -612,57 +634,3 @@ def classify_trajectory(engines, policy: StabilizationPolicy) -> TrajectoryRepor
                 raise AssertionError("exact trajectory stall failed its cross-identity")
     return report(policy.max_n, None, None, None, None, False)
 
-
-def algebraic_entropy(
-    endo: BandedEndo,
-    f_gens,
-    method: str = "limitfree",
-    policy: StabilizationPolicy = DEFAULT_POLICY,
-) -> EntropyValue:
-    """Entropy of the endomorphism with respect to the subgroup F.
-
-    method "limit" returns log alpha from the stabilized index chain;
-    "limitfree" returns log |T/phi(T)| - log |ker phi n T|.  Certified runs
-    of the two agree; an uncertified run raises Inconclusive.
-    """
-    rep = trajectory_limits(endo, f_gens, policy)
-    if not rep.certified:
-        raise Inconclusive("trajectory did not stall within budget", rep)
-    if method == "limit":
-        return EntropyValue.of_log(rep.alpha)
-    if method == "limitfree":
-        return EntropyValue.of_log(Fraction(rep.t_mod_phi_t, rep.ker_cap_t))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def yuzvinski_gap(
-    endo: BandedEndo, f_gens, policy: StabilizationPolicy = DEFAULT_POLICY
-) -> EntropyValue:
-    """log |T/phi(T)| alone, the uncorrected one-term formula.
-
-    For injective endomorphisms this equals the entropy; for
-    non-injective ones it exhibits the gap.
-    """
-    rep = trajectory_limits(endo, f_gens, policy)
-    if not rep.certified:
-        raise Inconclusive("trajectory did not stall within budget", rep)
-    return EntropyValue.of_log(rep.t_mod_phi_t)
-
-
-def h_alg(
-    endo: BandedEndo,
-    family,
-    method: str = "limitfree",
-    policy: StabilizationPolicy = DEFAULT_POLICY,
-) -> EntropyValue:
-    """Max of the entropy over an explicit family of finite subgroups.
-
-    This is a lower bound for the supremum over all finite subgroups; it
-    is the supremum restricted to the given family.
-    """
-    best = EntropyValue.zero()
-    for f_gens in family:
-        val = algebraic_entropy(endo, f_gens, method, policy)
-        if best < val:
-            best = val
-    return best

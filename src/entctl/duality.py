@@ -229,6 +229,10 @@ def verify_duality_facts(
     return records
 
 
+# leading terms T_n-perp = C_n that weiss_bridge_check compares
+COMPARE_N = 8
+
+
 @dataclass(frozen=True)
 class BridgeReport:
     """Per-subgroup duality comparison of the two entropy computations."""
@@ -253,16 +257,15 @@ def weiss_bridge_check(
     endo: BandedEndo,
     family,
     policy: StabilizationPolicy = DEFAULT_POLICY,
-    compare_n: int = 8,
 ) -> BridgeReport:
     """For each F: dualize, compare T_n-perp with C_n, the two limit-free
     correction terms, and the entropies; then compare the suprema.
 
     Each chain is walked once.  The two classifiers behind
     ``cotrajectory_limits`` and ``trajectory_limits`` read the walks, and
-    C_n and a snapshot of T_n are kept as they pass, for n <= ``compare_n``
+    C_n and a snapshot of T_n are kept as they pass, for n <= ``COMPARE_N``
     (T_n only up to the cotrajectory's end); exactly
-    n_cmp = min(compare_n, both n_max) pairs are then compared.
+    n_cmp = min(COMPARE_N, both n_max) pairs are then compared.
     """
     entries = []
     best_alg = EntropyValue.zero()
@@ -272,11 +275,11 @@ def weiss_bridge_check(
         k_group, psi, u = bridge(group, endo, f_gens)
         cs: list[CylinderSubgroup] = []
         ts: list[LFSubgroup] = []
-        steps = _passing(chain_steps(psi, u), compare_n, operator.itemgetter(0), cs)
+        steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)
         rep_t = classify_cotrajectory(psi, u, steps, policy)
         engines = _passing(
             trajectory_engines(endo, f_gens),
-            min(compare_n, rep_t.n_max),
+            min(COMPARE_N, rep_t.n_max),
             operator.methodcaller("snapshot"),
             ts,
         )
@@ -284,7 +287,7 @@ def weiss_bridge_check(
         records = []
         certified = rep_d.certified and rep_t.certified
         records.append(CheckRecord("both_sides_certified", certified))
-        n_cmp = min(compare_n, rep_d.n_max, rep_t.n_max)
+        n_cmp = min(COMPARE_N, rep_d.n_max, rep_t.n_max)
         tc_a = True
         for t_n, c_n in zip(ts[:n_cmp], cs[:n_cmp]):
             if t_n.subgroup is None:
@@ -308,8 +311,7 @@ def weiss_bridge_check(
                             rep_d.t_mod_phi_t == rep_t.psi_inv_c_mod_c,
                             lhs=rep_d.t_mod_phi_t, rhs=rep_t.psi_inv_c_mod_c)
             )
-            h_alg_f = EntropyValue.of_log(Fraction(rep_d.t_mod_phi_t, rep_d.ker_cap_t))
-            h_top_f = EntropyValue.of_log(Fraction(rep_t.psi_inv_c_mod_c, rep_t.k_mod_l))
+            h_alg_f, h_top_f = rep_d.entropy, rep_t.entropy
             records.append(
                 CheckRecord("entropies_equal", h_alg_f == h_top_f, lhs=h_alg_f, rhs=h_top_f)
             )

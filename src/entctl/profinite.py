@@ -628,6 +628,24 @@ class CotrajectoryReport:
     certified: bool
     status: str
 
+    def _certified(self) -> "CotrajectoryReport":
+        if self.status == "hypothesis_failure":
+            raise HypothesisFailure("[K : Im(psi) C_n] keeps growing; quotient not finite")
+        if not self.certified:
+            raise Inconclusive("cotrajectory did not stall within budget", self)
+        return self
+
+    @property
+    def entropy(self) -> EntropyValue:
+        """The limit-free entropy log |psi^{-1}(C)/C| - log [K : Im(psi) C]."""
+        rep = self._certified()
+        return EntropyValue.of_log(Fraction(rep.psi_inv_c_mod_c, rep.k_mod_l))
+
+    @property
+    def entropy_limit(self) -> EntropyValue:
+        """log alpha, from the stabilized index chain; equals ``entropy``."""
+        return EntropyValue.of_log(self._certified().alpha)
+
 
 def _image_l_index(endo, c: CylinderSubgroup) -> int:
     """[K : Im(psi) * C] computed on the window of the cylinder C."""
@@ -752,55 +770,6 @@ def surjective_on_windows(endo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
         if radius == policy.window_budget:
             return True
         radius = min(2 * radius, policy.window_budget)
-
-
-def topological_entropy(
-    endo,
-    u: CylinderSubgroup,
-    method: str = "limitfree",
-    policy: StabilizationPolicy = DEFAULT_POLICY,
-) -> EntropyValue:
-    """Entropy of the endomorphism with respect to the open subgroup U.
-
-    method "limit" is log alpha from the index chain, "limitfree" is
-    log |psi^{-1}(C)/C| - log [K : Im(psi) C], and "surjective" is the
-    one-term form log [psi^{-1}(U_-) : U_-], valid for surjective maps.
-    """
-    rep = cotrajectory_limits(endo, u, policy)
-    if rep.status == "hypothesis_failure":
-        raise HypothesisFailure("[K : Im(psi) C_n] keeps growing; quotient not finite")
-    if not rep.certified:
-        raise Inconclusive("cotrajectory did not stall within budget", rep)
-    if method == "limit":
-        return EntropyValue.of_log(rep.alpha)
-    if method == "limitfree":
-        return EntropyValue.of_log(Fraction(rep.psi_inv_c_mod_c, rep.k_mod_l))
-    if method == "surjective":
-        if not surjective_on_windows(endo, policy):
-            raise ValidationError("surjective method requires a surjective endomorphism")
-        if rep.k_mod_l != 1:
-            raise AssertionError("surjective map with nontrivial [K:L]")
-        return EntropyValue.of_log(rep.psi_inv_c_mod_c)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def h_top(
-    endo,
-    base,
-    method: str = "limitfree",
-    policy: StabilizationPolicy = DEFAULT_POLICY,
-) -> EntropyValue:
-    """Max of the entropy over an explicit base of open subgroups.
-
-    For a base that is a neighborhood base at the identity this is the
-    entropy of the map; in general it is a lower bound.
-    """
-    best = EntropyValue.zero()
-    for u in base:
-        val = topological_entropy(endo, u, method, policy)
-        if best < val:
-            best = val
-    return best
 
 
 @_memoized
@@ -961,7 +930,7 @@ def quotient_system(
                 CheckRecord("coker_finite", False, note="cokernel not certified finite")
             )
             return QuotientSystem("whole", None, g, endo, u, tuple(checks))
-        h = topological_entropy(endo, u, "limitfree", policy)
+        h = cotrajectory_limits(endo, u, policy).entropy
         expect = EntropyValue.of_log(Fraction(ker, cok))
         checks.append(CheckRecord("ker_order", True, lhs=ker))
         checks.append(CheckRecord("coker_order", True, lhs=cok))
@@ -1036,8 +1005,8 @@ def log_law_check(
             lhs *= rep.psi_inv_c_mod_c
             v = endo.preimage_cylinder(v)
     # entropy form of the law: psi^k with respect to C_k(psi, U)
-    hk = topological_entropy(PowerEndo(endo, k), cotrajectory(endo, u, k), "limit", policy)
-    h1 = topological_entropy(endo, u, "limit", policy)
+    hk = cotrajectory_limits(PowerEndo(endo, k), cotrajectory(endo, u, k), policy).entropy_limit
+    h1 = base_rep.entropy_limit
     ok = lhs == rhs and hk == h1.times(k)
     return CheckRecord(
         f"log_law_k{k}", ok, lhs=lhs, rhs=rhs,

@@ -13,12 +13,10 @@ from fractions import Fraction
 from entctl.cli import emit_report, parse_instance, run_command
 from entctl.depth import depth_report
 from entctl.discrete import (
-    algebraic_entropy,
     banded_endo,
     locally_finite_group,
     trajectory,
     trajectory_limits,
-    yuzvinski_gap,
 )
 from entctl.duality import annihilator, bridge, dual_group, verify_duality_facts
 from entctl.finabel import (
@@ -40,7 +38,6 @@ from entctl.profinite import (
     pro_group,
     rowfinite_endo,
     surjective_on_windows,
-    topological_entropy,
 )
 from entctl.values import EntropyValue
 
@@ -144,6 +141,7 @@ def test_criterion_1_algebraic_formula_agreement():
         limitfree = EntropyValue.of_log(Fraction(rep.t_mod_phi_t, rep.ker_cap_t))
         assert limit == limitfree, (rep,)
         assert limitfree.log_of.denominator == 1
+        assert rep.entropy == limitfree and rep.entropy_limit == limit
     elapsed = time.time() - t0
     assert certified >= 0.9 * total, f"only {certified}/{total} certified"
     assert elapsed < 60, f"took {elapsed:.1f}s"
@@ -169,6 +167,7 @@ def test_criterion_2_topological_formula_agreement():
         limit = EntropyValue.of_log(rep.alpha)
         limitfree = EntropyValue.of_log(Fraction(rep.psi_inv_c_mod_c, rep.k_mod_l))
         assert limit == limitfree
+        assert rep.entropy == limitfree and rep.entropy_limit == limit
         if surjective_on_windows(endo):
             assert rep.k_mod_l == 1
             assert EntropyValue.of_log(rep.psi_inv_c_mod_c) == limit
@@ -185,8 +184,9 @@ def test_criterion_3_zero_endomorphism_gap():
         g = locally_finite_group([], [blk])
         zero = banded_endo(g, 0, 1, 1, [[[] for _ in mods]])
         f = [{0: tuple(1 if i == j else 0 for i in range(len(mods)))} for j in range(len(mods))]
-        assert yuzvinski_gap(zero, f) == EntropyValue.of_log(m)
-        assert algebraic_entropy(zero, f).is_zero
+        rep = trajectory_limits(zero, f)
+        assert rep.yuzvinski_gap == EntropyValue.of_log(m)
+        assert rep.entropy.is_zero
     # injective cases: shifts have zero gap
     for mods in [(2,), (3,), (2, 2)]:
         blk = FiniteAbelianGroup(mods)
@@ -196,7 +196,8 @@ def test_criterion_3_zero_endomorphism_gap():
             g, 1, 1, 1, [[[(1, tuple(ident[i][j] for i in range(len(mods))))] for j in range(len(mods))]]
         )
         f = [{0: tuple(1 if t == 0 else 0 for t in range(len(mods)))}]
-        assert yuzvinski_gap(shift, f) == algebraic_entropy(shift, f)
+        rep = trajectory_limits(shift, f)
+        assert rep.yuzvinski_gap == rep.entropy
     _passline(3, "zero endomorphism gap log m with entropy 0; injective shifts gap-free")
 
 
@@ -215,6 +216,7 @@ def test_criterion_4_weiss_bridge():
         h_alg_v = EntropyValue.of_log(Fraction(rep_d.t_mod_phi_t, rep_d.ker_cap_t))
         h_top_v = EntropyValue.of_log(Fraction(rep_t.psi_inv_c_mod_c, rep_t.k_mod_l))
         assert h_alg_v == h_top_v
+        assert rep_d.entropy == h_alg_v and rep_t.entropy == h_top_v
         for n in range(1, 9):
             t_n = trajectory(endo, f_gens, n)
             wg = t_n.subgroup.ambient
@@ -283,8 +285,8 @@ def test_criterion_7_non_surjective_sanity():
     rep = cotrajectory_limits(rho, u)
     assert rep.certified
     assert rep.psi_inv_c_mod_c == 2 and rep.k_mod_l == 2
-    assert topological_entropy(rho, u, "limitfree").is_zero
-    assert topological_entropy(rho, u, "limit").is_zero
+    assert rep.entropy.is_zero
+    assert rep.entropy_limit.is_zero
     # left shift has trivial cotrajectory on an infinite group, so the
     # kernel must strictly dominate the cokernel
     sigma = rowfinite_endo(k, 1, 1, 1, [[(1, [[1]])]])

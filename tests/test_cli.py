@@ -21,6 +21,7 @@ from entctl.cli import (
 from entctl.errors import ValidationError
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def all_instances():
@@ -72,6 +73,33 @@ def test_top_entropy_commands():
     r = rep2.results[0]
     assert r["psi_inv_c_mod_c"] == 2 and r["k_mod_l"] == 2
     assert r["entropy"]["log_of"] == {"num": 1, "den": 1}
+
+
+def test_top_entropy_surjective_goldens(capsys):
+    # top-entropy --method surjective adds the one-term form, or says why not
+    goldens = sorted((GOLDEN / "surjective").glob("*.top-entropy.json"))
+    assert len(goldens) == 3
+    for golden in goldens:
+        instance = INSTANCES / f"{golden.name.split('.')[0]}.json"
+        assert main(["top-entropy", str(instance), "--method", "surjective"]) == EXIT_OK
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), golden.name
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "zero_endo_z4.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["top-entropy", "left_shift_pro_z2.json", "--method", "limit"], "invalid choice"),
+        (["alg-entropy", "shift_sum_z2.json", "--method", "surjective"], "only to top-entropy"),
+    ],
+)
+def test_usage_errors_exit_validation(capsys, argv, message):
+    command, name, *flags = argv
+    assert main([command, str(INSTANCES / name), *flags]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "validation" and message in err["message"]
 
 
 def test_bridge_and_depth_commands():

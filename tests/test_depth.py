@@ -12,11 +12,11 @@ from entctl.depth import (
 from entctl.errors import HypothesisFailure, InversionFailure
 from entctl.finabel import FiniteAbelianGroup
 from entctl.profinite import (
+    cotrajectory_limits,
     cylinder,
     identity_endo,
     pro_group,
     rowfinite_endo,
-    topological_entropy,
 )
 from entctl.values import EntropyValue
 
@@ -105,6 +105,9 @@ def test_plus_minus_shift():
     assert isinstance(um, TailCylinder) and um.side == +1 and um.pin_from == 0
     assert isinstance(up, TailCylinder) and up.side == -1 and up.pin_from == 0
     assert um.residual.is_whole() and up.residual.is_whole()
+    # equal tails compare and hash equal
+    twin = TailCylinder(um.parent, um.side, um.pin_from, um.residual)
+    assert twin is not um and twin == um and hash(twin) == hash(um) and up != um
     # truncations look right
     t = um.truncate(4)
     assert (t.lo, t.hi) == (0, 4) and t.core.order == 1
@@ -183,7 +186,7 @@ def test_entropy_on_base_members():
     k, shift = full_shift((2,))
     u = cylinder(k, (0, 1), [])
     for uk in base_sequence(shift, u, 3):
-        assert topological_entropy(shift, uk, "limitfree") == EntropyValue.of_log(2)
+        assert cotrajectory_limits(shift, uk).entropy == EntropyValue.of_log(2)
 
 
 def test_involution_certified_not_antistable():

@@ -4,13 +4,10 @@ from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup
 from entctl.gengroup import cayley_group
 from entctl.discrete import (
-    algebraic_entropy,
     banded_endo,
-    h_alg,
     locally_finite_group,
     trajectory,
     trajectory_limits,
-    yuzvinski_gap,
 )
 from entctl.values import EntropyValue, StabilizationPolicy
 
@@ -111,12 +108,13 @@ def test_alpha_divisibility_chain():
 def test_algebraic_entropy_methods_agree():
     g = sum_z2()
     beta = shift_on(g)
-    assert algebraic_entropy(beta, [E0], "limit") == EntropyValue.of_log(2)
-    assert algebraic_entropy(beta, [E0], "limitfree") == EntropyValue.of_log(2)
+    rep = trajectory_limits(beta, [E0])
+    assert rep.entropy_limit == EntropyValue.of_log(2)
+    assert rep.entropy == EntropyValue.of_log(2)
     zero = banded_endo(g, 0, 1, 1, [[[]]])
-    assert algebraic_entropy(zero, [E0], "limitfree").is_zero
+    assert trajectory_limits(zero, [E0]).entropy.is_zero
     ident = banded_endo(g, 0, 1, 1, [[[(0, (1,))]]])
-    assert algebraic_entropy(ident, [E0]).is_zero
+    assert trajectory_limits(ident, [E0]).entropy.is_zero
 
 
 def test_yuzvinski_gap_zero_endomorphism():
@@ -129,18 +127,25 @@ def test_yuzvinski_gap_zero_endomorphism():
     ]:
         g = locally_finite_group([], [FiniteAbelianGroup(mods)])
         zero = banded_endo(g, 0, 1, 1, [[[]]])
-        assert yuzvinski_gap(zero, f_gens) == EntropyValue.of_log(f_order)
-        assert algebraic_entropy(zero, f_gens).is_zero
+        rep = trajectory_limits(zero, f_gens)
+        assert rep.yuzvinski_gap == EntropyValue.of_log(f_order)
+        assert rep.entropy.is_zero
 
 
 def test_yuzvinski_no_gap_for_injective():
     g = sum_z2()
     beta = shift_on(g)
-    assert yuzvinski_gap(beta, [E0]) == algebraic_entropy(beta, [E0])
+    rep = trajectory_limits(beta, [E0])
+    assert rep.yuzvinski_gap == rep.entropy
     sumrule = banded_endo(g, 0, 2, 1, [[[(0, (1,)), (1, (1,))]]])
     rep = trajectory_limits(sumrule, [E0])
     assert rep.ker_cap_t == 1
-    assert yuzvinski_gap(sumrule, [E0]) == algebraic_entropy(sumrule, [E0])
+    assert rep.yuzvinski_gap == rep.entropy
+
+
+def h_alg(endo, family):
+    """The entropy's max over an explicit family of finite subgroups."""
+    return max(trajectory_limits(endo, f_gens).entropy for f_gens in family)
 
 
 def test_h_alg_family():
@@ -151,7 +156,7 @@ def test_h_alg_family():
     assert h_alg(beta, fam) == EntropyValue.of_log(2)
     # a shift by two blocks doubles the growth of a two-block subgroup
     beta2 = banded_endo(g, 2, 1, 1, [[[(2, (1,))]]])
-    assert algebraic_entropy(beta2, [E0, {1: (1,)}]) == EntropyValue.of_log(4)
+    assert trajectory_limits(beta2, [E0, {1: (1,)}]).entropy == EntropyValue.of_log(4)
     assert h_alg(beta2, [[E0], [E0, {1: (1,)}]]) == EntropyValue.of_log(4)
     zero = banded_endo(g, 0, 1, 1, [[[]]])
     assert h_alg(zero, fam).is_zero
@@ -170,8 +175,10 @@ def test_inconclusive_on_tiny_budget():
     tiny = StabilizationPolicy(max_n=2, stall_window=3, window_budget=4)
     rep = trajectory_limits(beta, [E0], tiny)
     assert not rep.certified and rep.status == "inconclusive"
-    with pytest.raises(Inconclusive):
-        algebraic_entropy(beta, [E0], policy=tiny)
+    for formula in ("entropy", "entropy_limit", "yuzvinski_gap"):
+        with pytest.raises(Inconclusive) as exc:
+            getattr(rep, formula)
+        assert exc.value.report is rep
 
 
 def test_prefix_blocks():
@@ -256,7 +263,7 @@ def test_nonabelian_shift_entropy():
     sh = s3_shift(g)
     rep = trajectory_limits(sh, [{0: T123}])
     assert rep.certified and rep.alpha == 3
-    assert algebraic_entropy(sh, [{0: T123}]) == EntropyValue.of_log(3)
+    assert rep.entropy == EntropyValue.of_log(3)
     rep6 = trajectory_limits(sh, [{0: T123}, {0: T12}])
     assert rep6.certified and rep6.alpha == 6
 
@@ -265,8 +272,9 @@ def test_nonabelian_zero_endo_gap():
     g = s3_sum()
     zero = banded_endo(g, 0, 1, 1, [[[] for _ in range(6)]])
     f = [{0: T123}]
-    assert yuzvinski_gap(zero, f) == EntropyValue.of_log(3)
-    assert algebraic_entropy(zero, f).is_zero
+    rep = trajectory_limits(zero, f)
+    assert rep.yuzvinski_gap == EntropyValue.of_log(3)
+    assert rep.entropy.is_zero
 
 
 def test_nonabelian_rejects_nonnormal_f():

@@ -264,7 +264,7 @@ def test_bridge_comparison_of_a_zero_subgroup_runs_once(monkeypatch):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="cotrajectory_limits certifies a premature stall (ROADMAP item 2)",
+    reason="cotrajectory_limits certifies a premature stall (ROADMAP item 1)",
 )
 def test_premature_stall_is_not_certified():
     # e_i -> 2 e_{i+1} for even i and 3 e_{i+1} for odd i on (Z/4)^(N):

@@ -6,9 +6,10 @@ import pytest
 
 import oracles
 from entctl.cli import parse_instance, run_command
-from entctl.errors import Inconclusive, ValidationError
+from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
 from entctl.profinite import (
+    CotrajectoryReport,
     CylinderSubgroup,
     PowerEndo,
     RowFiniteEndo,
@@ -18,7 +19,6 @@ from entctl.profinite import (
     cotrajectory_exact,
     cotrajectory_limits,
     cylinder,
-    h_top,
     identity_endo,
     kernel_order,
     log_law_check,
@@ -26,7 +26,6 @@ from entctl.profinite import (
     quotient_system,
     rowfinite_endo,
     surjective_on_windows,
-    topological_entropy,
     _project_out,
     _project_out_front,
 )
@@ -93,7 +92,7 @@ def test_whole_group_subgroup_gives_zero_entropy():
     assert u.is_whole() and u.index == 1
     rep = cotrajectory_limits(left_shift(k), u)
     assert rep.certified and rep.alpha == 1
-    assert topological_entropy(left_shift(k), u, "limitfree").is_zero
+    assert rep.entropy.is_zero
 
 
 def test_cylinder_membership():
@@ -145,14 +144,17 @@ def test_entropy_methods():
     k = k_z2()
     sig, rho = left_shift(k), right_shift(k)
     u = u0(k)
-    assert topological_entropy(sig, u, "limit") == EntropyValue.of_log(2)
-    assert topological_entropy(sig, u, "limitfree") == EntropyValue.of_log(2)
-    assert topological_entropy(sig, u, "surjective") == EntropyValue.of_log(2)
-    assert topological_entropy(rho, u, "limit").is_zero
-    assert topological_entropy(rho, u, "limitfree").is_zero
-    with pytest.raises(ValidationError):
-        topological_entropy(rho, u, "surjective")
-    assert topological_entropy(identity_endo(k), u, "limitfree").is_zero
+    rep = cotrajectory_limits(sig, u)
+    assert rep.entropy_limit == EntropyValue.of_log(2)
+    assert rep.entropy == EntropyValue.of_log(2)
+    # the one-term form of top-entropy --method surjective
+    assert surjective_on_windows(sig) and rep.k_mod_l == 1
+    assert EntropyValue.of_log(rep.psi_inv_c_mod_c) == EntropyValue.of_log(2)
+    rep = cotrajectory_limits(rho, u)
+    assert rep.entropy_limit.is_zero
+    assert rep.entropy.is_zero
+    assert not surjective_on_windows(rho)
+    assert cotrajectory_limits(identity_endo(k), u).entropy.is_zero
 
 
 def test_surjectivity_detection():
@@ -177,6 +179,11 @@ def test_surjectivity_fails_late():
     assert not surjective_on_windows(endo)
     # below R every window is onto: the verdict only covers the budget
     assert surjective_on_windows(endo, StabilizationPolicy(window_budget=r_fail - 1))
+
+
+def h_top(endo, base):
+    """The entropy's max over an explicit base of open subgroups."""
+    return max(cotrajectory_limits(endo, u).entropy for u in base)
 
 
 def test_h_top_base():
@@ -369,7 +376,7 @@ def test_zero_map_finiteness_hypothesis_holds():
     rep = cotrajectory_limits(zero, u)
     assert rep.certified
     assert rep.psi_inv_c_mod_c == rep.k_mod_l == 2
-    assert topological_entropy(zero, u, "limitfree").is_zero
+    assert rep.entropy.is_zero
 
 
 def test_small_image_maps_still_certify():
@@ -381,7 +388,7 @@ def test_small_image_maps_still_certify():
     rep = cotrajectory_limits(double_shift, u)
     assert rep.certified
     assert rep.alpha == 1 and rep.psi_inv_c_mod_c == 4 and rep.k_mod_l == 4
-    assert topological_entropy(double_shift, u, "limitfree").is_zero
+    assert rep.entropy.is_zero
 
 
 def test_inconclusive_on_tiny_budget():
@@ -390,8 +397,22 @@ def test_inconclusive_on_tiny_budget():
     tiny = StabilizationPolicy(max_n=2, stall_window=5, window_budget=4)
     rep = cotrajectory_limits(sig, u0(k), tiny)
     assert not rep.certified
-    with pytest.raises(Inconclusive):
-        topological_entropy(sig, u0(k), "limit", tiny)
+    for formula in ("entropy", "entropy_limit"):
+        with pytest.raises(Inconclusive) as exc:
+            getattr(rep, formula)
+        assert exc.value.report is rep
+
+
+def test_entropy_of_growing_correction_term_is_hypothesis_failure():
+    # the status classify_cotrajectory gives when [K : Im(psi) C_n] keeps growing
+    rep = CotrajectoryReport(
+        n_max=4, c=(2, 4, 8, 16, 32), alphas=(2, 2, 2, 2), n0=None, alpha=None,
+        n1=None, psi_inv_c_mod_c=None, k_mod_l=None, certified=False,
+        status="hypothesis_failure",
+    )
+    for formula in ("entropy", "entropy_limit"):
+        with pytest.raises(HypothesisFailure, match="keeps growing"):
+            getattr(rep, formula)
 
 
 def count_calls(monkeypatch, method: str) -> list:
@@ -473,8 +494,8 @@ def test_memo_keys_on_policy():
     rep = cotrajectory_limits(sig, u0(k), tiny)
     assert not rep.certified and rep.n_max == 2
     with pytest.raises(Inconclusive):
-        topological_entropy(sig, u0(k), "limit", tiny)
-    assert topological_entropy(sig, u0(k), "limit") == EntropyValue.of_log(2)
+        cotrajectory_limits(sig, u0(k), tiny).entropy_limit
+    assert cotrajectory_limits(sig, u0(k)).entropy_limit == EntropyValue.of_log(2)
 
 
 def test_verify_decides_surjectivity_once_per_map(monkeypatch):
