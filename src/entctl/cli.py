@@ -40,7 +40,6 @@ EXIT_INTERNAL = 5
 class Instance:
     kind: str
     policy: StabilizationPolicy
-    raw: dict
     group: object
     endo: object
     family: list
@@ -79,14 +78,6 @@ def _parse_policy(spec: dict | None) -> StabilizationPolicy:
         stall_window=_int(spec.get("stall_window", 3)),
         window_budget=_int(spec.get("window_budget", 32)),
     )
-
-
-def _policy_to_spec(p: StabilizationPolicy) -> dict:
-    return {
-        "max_n": p.max_n,
-        "stall_window": p.stall_window,
-        "window_budget": p.window_budget,
-    }
 
 
 def _parse_discrete_group(gspec: dict) -> discrete.LFGroup:
@@ -203,9 +194,7 @@ def instance_from_dict(raw: dict) -> Instance:
                 cylinders.append(_parse_cylinder(group, cspec))
         if kind == "depth" and group.index_set != "Z":
             raise ValidationError("depth instances need a Z-indexed group")
-    with _section("instance"):
-        normalized = _normalize_raw(raw, policy)
-    return Instance(kind, policy, normalized, group, endo, family, cylinders)
+    return Instance(kind, policy, group, endo, family, cylinders)
 
 
 @contextmanager
@@ -220,34 +209,6 @@ def _section(name: str):
         raise
     except (TypeError, ValueError, AttributeError, OverflowError, IndexError) as exc:
         raise ValidationError(f"malformed {name!r} section: {exc}") from exc
-
-
-def _normalize_raw(raw: dict, policy: StabilizationPolicy) -> dict:
-    out = {
-        "schema": SCHEMA_VERSION,
-        "kind": raw["kind"],
-        "group": {
-            "index_set": raw["group"].get("index_set", "N"),
-            "blocks": {
-                "period": _int(raw["group"]["blocks"].get(
-                    "period", len(raw["group"]["blocks"]["types"])
-                )),
-                "types": raw["group"]["blocks"]["types"],
-                "prefix": raw["group"]["blocks"].get("prefix", []),
-            },
-        },
-        "endo": raw["endo"],
-        "policy": _policy_to_spec(policy),
-    }
-    if raw["kind"] in ("discrete", "bridge"):
-        out["family"] = raw.get("family", [])
-    else:
-        out["cylinders"] = raw.get("cylinders", [])
-    return out
-
-
-def serialize_instance(inst: Instance) -> str:
-    return json.dumps(inst.raw, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @dataclass

@@ -162,10 +162,10 @@ def antistable_check(
     history = []
     for n in range(1, policy.max_n + 1):
         if not stalled_p:
-            prev, _, cp = next(steps_p)
+            prev, *_, cp = next(steps_p)
             stalled_p = cp == prev
         if not stalled_m:
-            prev, _, cm = next(steps_m)
+            prev, *_, cm = next(steps_m)
             stalled_m = cm == prev
         d = cp.intersect(cm)
         if d.is_trivial_subgroup():
@@ -295,7 +295,7 @@ def plus_minus(
         for extra in range(policy.stall_window):
             m = abs(obj.pin_from) + 2 * band_slack + 2 + extra
             trunc = obj.truncate(m)
-            fixed = u.intersect(the_endo.preimage_cylinder(trunc))
+            fixed = u.intersect(the_endo.preimage_cylinder(trunc)[0])
             extent = fixed.hi if obj.side == +1 else -fixed.lo
             if extent < m - band_slack or fixed != obj.truncate(extent):
                 raise Inconclusive("tail candidate fails the fixed-point equation", None)
@@ -470,12 +470,12 @@ def depth_report(
 def _preimage_halfline(endo: RowFiniteEndo, obj, policy: StabilizationPolicy):
     """psi^{-1} of an exact cylinder or tail cylinder."""
     if isinstance(obj, CylinderSubgroup):
-        return endo.preimage_cylinder(obj)
+        return endo.preimage_cylinder(obj)[0]
 
     def chain():
         m = max(abs(obj.pin_from) + 2, 2)
         while True:
-            yield endo.preimage_cylinder(obj.truncate(m))
+            yield endo.preimage_cylinder(obj.truncate(m))[0]
             m += 1
 
     kind, out = _detect_tail(chain(), endo.parent, policy)

@@ -12,8 +12,10 @@ Abelian blocks share their window layout with the full products of
 another in one flat coordinate vector.  The abelian trajectory runs on it
 alone: its layers and lattice rows are {coordinate: value} maps, and the
 endomorphism acts through ``BandedEndo.window_map``, the validated map of
-the window, built once per window.  ``BandedEndo.apply`` acts on block
-elements; the Cayley trajectory and the public API use it.
+the window.  Windows start at 0, so when a step reaches new blocks the
+trajectory appends their columns to its map and keeps the old ones; each
+column is built and validated once per walk.  ``BandedEndo.apply`` acts
+on block elements; the Cayley trajectory and the public API use it.
 
 A certified ``TrajectoryReport`` gives the entropy two ways: from the
 stabilized index [T_{n+1} : T_n] of the trajectory chain, and limit-free as
@@ -23,6 +25,7 @@ required before a stall is certified.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,17 +292,21 @@ class BandedEndo:
         """Exclusive upper bound of the image support of elements in [0, hi)."""
         return max(hi + max(0, self.offset + self.width - 1), 1)
 
-    def window_map(self, hi: int) -> Hom:
-        """The map on the blocks [0, hi), abelian blocks only: window group
-        of [0, hi) -> window group of [0, image_reach(hi)), built from the
+    def window_map(self, lo: int, hi: int) -> Hom:
+        """The map on the blocks [lo, hi), abelian blocks only: window group
+        of [lo, hi) -> window group of [0, image_reach(hi)), built from the
         images and validated.  Column j of block i sums the coordinates of
         that generator's image terms; terms at negative blocks are dropped.
+
+        Targets start at 0, so a column has the same entries in the map of
+        every window that holds its block: the map of [0, hi) is those of
+        [0, lo) and [lo, hi) side by side.
         """
         g = self.group
-        src, _ = g.window_layout(0, hi)
+        src, _ = g.window_layout(lo, hi)
         reach = self.image_reach(hi)
         cols = []
-        for i in range(hi):
+        for i in range(lo, hi):
             for terms in self._terms_for(i):
                 col: dict[int, int] = {}
                 for o, vec in terms:
@@ -376,7 +383,8 @@ class _AbelianTrajectory:
     """T_n and phi(T_n) as lattices on the coordinates of the window [0, hi)
     of the blocks reached so far, relations included.  Layers and lattice
     rows are {coordinate: value} maps; phi acts through the window map of
-    the current window, built once per window.
+    the current window, grown by the columns of the new blocks when the
+    window grows.
     """
 
     def __init__(self, endo: BandedEndo, f_gens: list[dict]):
@@ -393,26 +401,23 @@ class _AbelianTrajectory:
             self.lat_t.add(x)
         self.orders = [self._order(self.lat_t)]  # |T_1|, |T_2|, ...
         self.phit_orders: list[int] = []  # |phi(T_1)|, ...
-        self._map: tuple[int, Hom | None] = (0, None)
+        self.map = endo.window_map(0, self.hi)
 
     def _order(self, lat: ZLattice) -> int:
         return self.group.window_layout(0, self.hi)[0].order // lat.pivot_product()
 
-    def _window_map(self) -> Hom:
-        """phi on the current window, rebuilt when the window has grown."""
-        if self._map[0] != self.hi:
-            self._map = (self.hi, self.endo.window_map(self.hi))
-        return self._map[1]
-
     def step(self) -> None:
-        g, h = self.group, self._window_map()
+        g, h = self.group, self.map
         nxt = [h.apply_map(x) for x in self.layers[-1]]
         self.layers.append(nxt)
-        reach = self.endo.image_reach(self.hi)
-        hi = max((g.max_support(g.elem_of(x, 0, reach)) + 1 for x in nxt), default=0)
+        # the block after the one that holds the largest coordinate reached
+        _, starts = g.window_layout(0, self.endo.image_reach(self.hi))
+        hi = bisect.bisect_right(starts, max((max(x) for x in nxt if x), default=-1))
         if hi > self.hi:
-            self.hi = hi
+            new = self.endo.window_map(self.hi, hi)
             wg, _ = g.window_layout(0, hi)
+            self.map = Hom(wg, new.target, h.columns + new.columns)
+            self.hi = hi
             new_moduli = wg.moduli[self.lat_t.width :]
             self.lat_t.extend(wg.rank, new_moduli)
             self.lat_phit.extend(wg.rank, new_moduli)
@@ -433,7 +438,7 @@ class _AbelianTrajectory:
     def kernel_cap_t_order(self) -> int:
         """|ker phi n T_n|: the combinations of T_n's echelon rows whose
         image under the window map vanishes, one elimination."""
-        h = self._window_map()
+        h = self.map
         rows = list(self.lat_t.row_maps().values())
         tgt = h.target
         kernel = congruence_kernel(
@@ -546,17 +551,11 @@ def trajectory_engines(endo: BandedEndo, f_gens):
         engine.step()
 
 
-def trajectory_chain(endo: BandedEndo, f_gens):
-    """Yield T_1 = F, T_2, ...; T_{n+1} is computed only when asked for."""
-    for engine in trajectory_engines(endo, f_gens):
-        yield engine.snapshot()
-
-
 def trajectory(endo: BandedEndo, f_gens, n: int) -> LFSubgroup:
     """T_n = F phi(F) ... phi^{n-1}(F) inside its inferred window."""
     if n < 1:
         raise ValidationError("trajectory index must be >= 1")
-    return next(itertools.islice(trajectory_chain(endo, f_gens), n - 1, None))
+    return next(itertools.islice(trajectory_engines(endo, f_gens), n - 1, None)).snapshot()
 
 
 def trajectory_limits(

@@ -276,7 +276,7 @@ def weiss_bridge_check(
         cs: list[CylinderSubgroup] = []
         ts: list[LFSubgroup] = []
         steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)
-        rep_t = classify_cotrajectory(psi, u, steps, policy)
+        rep_t = classify_cotrajectory(u, steps, policy)
         engines = _passing(
             trajectory_engines(endo, f_gens),
             min(COMPARE_N, rep_t.n_max),

@@ -12,6 +12,10 @@ Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
 in ``depth`` and ``duality``, runs on the one generator ``chain_steps``
 (or its lazy view ``chain``) and stops by its caller's own rule; the
 pinning of growing windows is decided by ``pins_growing_windows`` alone.
+A cylinder is pulled back by ``RowFiniteEndo.preimage_cylinder`` alone,
+for powers too, and it returns the window map it read psi^{-1}(C) from:
+a step builds the map of C_n once, and the classifier reads
+[K : Im(psi) * C_n] off the same map.
 
 The chain questions (cotrajectory limits and exact end, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
@@ -418,14 +422,17 @@ class RowFiniteEndo:
         cols, src_g, tgt_g = self.band_columns(range(lo, hi), src_lo, src_hi)
         return src_lo, src_hi, hom_validate(cols, src_g, tgt_g)
 
-    def preimage_cylinder(self, u: CylinderSubgroup) -> CylinderSubgroup:
+    def preimage_cylinder(self, u: CylinderSubgroup) -> tuple[CylinderSubgroup, Hom]:
+        """(psi^{-1}(U), the window map of U's window it is read from).
+
+        The one pull-back of a cylinder, for this map and for ``PowerEndo``
+        alike: it needs only ``parent`` and ``window_map``.  The whole group
+        has the empty window, whose map is the zero map of trivial groups.
+        """
         if u.parent != self.parent:
             raise AmbientMismatchError("cylinder over a different group")
-        if u.is_whole():
-            return self.parent.whole()
         src_lo, src_hi, h = self.window_map(u.lo, u.hi)
-        core = h.preimage(u.core)
-        return CylinderSubgroup(self.parent, src_lo, src_hi, core)
+        return CylinderSubgroup(self.parent, src_lo, src_hi, h.preimage(u.core)), h
 
     def compose(self, inner: "RowFiniteEndo") -> "RowFiniteEndo":
         """self after inner, as a banded spec; Z-indexed groups only."""
@@ -505,10 +512,7 @@ class PowerEndo:
             elem = self.base.apply(elem)
         return elem
 
-    def preimage_cylinder(self, u: CylinderSubgroup) -> CylinderSubgroup:
-        for _ in range(self.k):
-            u = self.base.preimage_cylinder(u)
-        return u
+    preimage_cylinder = RowFiniteEndo.preimage_cylinder
 
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
         cur_lo, cur_hi, h = self.base.window_map(lo, hi)
@@ -566,7 +570,7 @@ def _memoized(fn):
 
 
 def chain_steps(endo, u: CylinderSubgroup):
-    """Yield (C_n, psi^{-1}(C_n), C_{n+1}) for n = 1, 2, ...
+    """Yield (C_n, psi^{-1}(C_n), window map of C_n, C_{n+1}) for n = 1, 2, ...
 
     C_1 = U and C_{n+1} = U n psi^{-1}(C_n).  This is the only place the
     recurrence is written; every cotrajectory walk runs on it.  Only the
@@ -575,16 +579,16 @@ def chain_steps(endo, u: CylinderSubgroup):
     """
     c = u
     while True:
-        p = endo.preimage_cylinder(c)
+        p, h = endo.preimage_cylinder(c)
         c_next = u.intersect(p)
-        yield c, p, c_next
+        yield c, p, h, c_next
         c = c_next
 
 
 def chain(endo, u: CylinderSubgroup):
     """Yield C_1 = U, C_2, ...; C_{n+1} is computed only when asked for."""
     yield u
-    for _, _, c in chain_steps(endo, u):
+    for *_, c in chain_steps(endo, u):
         yield c
 
 
@@ -647,29 +651,21 @@ class CotrajectoryReport:
         return EntropyValue.of_log(self._certified().alpha)
 
 
-def _image_l_index(endo, c: CylinderSubgroup) -> int:
-    """[K : Im(psi) * C] computed on the window of the cylinder C."""
-    if c.is_whole():
-        return 1
-    _, _, h = endo.window_map(c.lo, c.hi)
-    im = h.image()
-    return im.sum_with(c.core).index
-
-
 @_memoized
 def cotrajectory_limits(
     endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> CotrajectoryReport:
     """Run the cotrajectory chain until every companion chain stalls (see
     ``classify_cotrajectory``)."""
-    return classify_cotrajectory(endo, u, chain_steps(endo, u), policy)
+    return classify_cotrajectory(u, chain_steps(endo, u), policy)
 
 
 def classify_cotrajectory(
-    endo, u: CylinderSubgroup, steps, policy: StabilizationPolicy
+    u: CylinderSubgroup, steps, policy: StabilizationPolicy
 ) -> CotrajectoryReport:
-    """Read the ``chain_steps`` of U under ``endo`` until every companion
-    chain stalls; at most ``policy.max_n`` steps.
+    """Read the ``chain_steps`` of U until every companion chain stalls; at
+    most ``policy.max_n`` steps.  [K : Im(psi) * C_n] is read off the window
+    map of C_n that the step carries.
 
     Certification requires the identity
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
@@ -694,7 +690,7 @@ def classify_cotrajectory(
             status=status,
         )
 
-    for n, (c_cyl, p_cyl, c_next) in enumerate(itertools.islice(steps, policy.max_n), 1):
+    for n, (c_cyl, p_cyl, h, c_next) in enumerate(itertools.islice(steps, policy.max_n), 1):
         cs.append(c_next.index)
         if cs[n] % cs[n - 1]:
             raise AssertionError("c_n must divide c_{n+1}")
@@ -702,7 +698,7 @@ def classify_cotrajectory(
         if n >= 2 and alphas[-2] % alphas[-1]:
             raise AssertionError("alpha divisibility violated")
         ds.append(p_cyl.sum_with(u).index)
-        ls.append(_image_l_index(endo, c_cyl))
+        ls.append(h.image().sum_with(c_cyl.core).index)
 
         if c_next == c_cyl:
             # exact fixed point: C = C_n, psi^{-1}(C) = P exactly
@@ -783,7 +779,7 @@ def cotrajectory_exact(endo, u: CylinderSubgroup, policy: StabilizationPolicy = 
     """
     windows = []
     steps = itertools.islice(chain_steps(endo, u), policy.max_n)
-    for n, (c_cyl, _, c_next) in enumerate(steps, 1):
+    for n, (c_cyl, _, _, c_next) in enumerate(steps, 1):
         if c_next == c_cyl:
             return ("stalled", c_cyl)
         windows.append((c_next.lo, c_next.hi, c_next.core.order == 1))
@@ -992,7 +988,7 @@ def log_law_check(
         kind = ("chain", None)
     if kind[0] == "stalled":
         u_minus = kind[1]
-        pk = PowerEndo(endo, k).preimage_cylinder(u_minus)
+        pk, _ = PowerEndo(endo, k).preimage_cylinder(u_minus)
         lhs = u_minus.index // pk.index
     else:
         # telescope [psi^{-k}(C) : C] through psi^{-j}(C) = C(psi, psi^{-j}(U))
@@ -1003,7 +999,7 @@ def log_law_check(
             if not rep.certified:
                 raise Inconclusive("telescoped cotrajectory did not certify", rep)
             lhs *= rep.psi_inv_c_mod_c
-            v = endo.preimage_cylinder(v)
+            v, _ = endo.preimage_cylinder(v)
     # entropy form of the law: psi^k with respect to C_k(psi, U)
     hk = cotrajectory_limits(PowerEndo(endo, k), cotrajectory(endo, u, k), policy).entropy_limit
     h1 = base_rep.entropy_limit

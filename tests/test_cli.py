@@ -16,7 +16,6 @@ from entctl.cli import (
     main,
     parse_instance,
     run_command,
-    serialize_instance,
 )
 from entctl.errors import ValidationError
 
@@ -33,15 +32,6 @@ def test_bundled_instances_parse():
     for path in all_instances():
         inst = parse_instance(str(path))
         assert inst.kind in ("discrete", "profinite", "bridge", "depth")
-
-
-def test_round_trip_identity():
-    for path in all_instances():
-        inst = parse_instance(str(path))
-        text = serialize_instance(inst)
-        again = instance_from_dict(json.loads(text))
-        assert serialize_instance(again) == text
-        assert again.raw == inst.raw
 
 
 def test_alg_entropy_command():

@@ -232,9 +232,12 @@ def test_bridge_comparison_fails_on_a_wrong_cotrajectory_step(monkeypatch):
     steps = duality.chain_steps
 
     def wrong_second_step(endo, u):
-        # C_2 replaced by C_1 = U, which is strictly larger for the shift
-        for n, (c, p, c_next) in enumerate(steps(endo, u), 1):
-            yield (u if n == 2 else c), p, c_next
+        # C_2 replaced by C_1 = U, which is strictly larger for the shift,
+        # together with the window map of U
+        for n, (c, p, h, c_next) in enumerate(steps(endo, u), 1):
+            if n == 2:
+                c, h = u, endo.preimage_cylinder(u)[1]
+            yield c, p, h, c_next
 
     monkeypatch.setattr(duality, "chain_steps", wrong_second_step)
     rep = weiss_bridge_check(g, beta, family, policy)

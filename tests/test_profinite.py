@@ -276,7 +276,7 @@ def test_power_endo_consistency():
     x = {3: (1,)}
     assert p2.apply(x) == sig.apply(sig.apply(x))
     u = u0(k)
-    assert p2.preimage_cylinder(u) == sig.preimage_cylinder(sig.preimage_cylinder(u))
+    assert p2.preimage_cylinder(u)[0] == sig.preimage_cylinder(sig.preimage_cylinder(u)[0])[0]
     rep = cotrajectory_limits(p2, u)
     assert rep.certified and rep.alpha == 2  # same U sees one new pin per step
 
@@ -439,6 +439,19 @@ def test_chain_computes_each_cylinder_on_demand(monkeypatch):
     c3 = next(cs)
     assert len(calls) == 2
     assert c3 == cotrajectory(sig, u, 3)
+
+
+def test_walk_builds_one_window_map_per_step(monkeypatch):
+    # psi^{-1}(C_n) and [K : Im(psi) C_n] are read off the same map of C_n;
+    # psi^2 composes two maps of the base per window
+    calls = count_calls(monkeypatch, "window_map")
+    k = k_z2()
+    sig = left_shift(k)
+    for endo, per_step in ((sig, 1), (PowerEndo(sig, 2), 2)):
+        calls.clear()
+        rep = cotrajectory_limits(endo, u0(k, 2))
+        assert rep.certified
+        assert len(calls) == per_step * rep.n_max
 
 
 def z_shift():

@@ -4,12 +4,15 @@ A Hom keeps its columns as {row: value} maps and an AbSubgroup only its
 non-unit HNF rows as {pivot: {column: value}} maps; both must behave exactly
 like the dense matrices and bases they stand for."""
 
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from entctl.discrete import banded_endo, locally_finite_group
 from entctl.errors import ValidationError
-from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, hom_validate
+from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup, hom_validate
 from entctl.profinite import PowerEndo, pro_group, rowfinite_endo
 from test_elimination import mixed_groups, subgroups
 from test_finabel import assert_forms_agree, random_valid_matrix
@@ -108,6 +111,62 @@ def test_power_window_map_matches_iterated_application(rnd):
             if lo <= i < hi:
                 dense[tgt_starts[i - lo]:tgt_starts[i - lo + 1]] = vec
         assert h.apply(y) == tuple(dense)
+
+
+def random_banded_endo(rnd):
+    """An abelian banded map on prefix blocks and a period of one or two
+    blocks of one rank, moduli mixed inside one family, map period 1 or 2.
+    A coefficient from coordinate j to coordinate u is a multiple of
+    L_u / gcd(L_u, G_j), with L_u the lcm of the moduli at u over all
+    blocks and G_j the gcd at j, so the map is well defined at every block."""
+    fam = rnd.choice(((2, 4, 8), (3, 9), (2, 3, 6)))
+    rank = rnd.randrange(1, 3)
+    blocks = [
+        FiniteAbelianGroup(tuple(rnd.choice(fam + (1,)) for _ in range(rank)))
+        for _ in range(rnd.randrange(1, 5))
+    ]
+    n_prefix = rnd.randrange(len(blocks))
+    g = locally_finite_group(blocks[:n_prefix], blocks[n_prefix:])
+    lcm_at = [lcm(*(b.moduli[u] for b in blocks)) for u in range(rank)]
+    gcd_at = [gcd(*(b.moduli[j] for b in blocks)) for j in range(rank)]
+    offset, width, period = rnd.choice((-1, 0, 1)), rnd.randrange(1, 3), rnd.randrange(1, 3)
+    images = [
+        [
+            [
+                (o, tuple(
+                    rnd.randrange(lcm_at[u]) * (lcm_at[u] // gcd(lcm_at[u], gcd_at[j]))
+                    for u in range(rank)
+                ))
+                for o in range(offset, offset + width)
+                if rnd.random() < 0.8
+            ]
+            for j in range(rank)
+        ]
+        for _ in range(period)
+    ]
+    return g, banded_endo(g, offset, width, period, images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_banded_window_map_matches_apply_built_whole_or_grown(rnd):
+    """The window map of [0, hi) against BandedEndo.apply on elements, built
+    whole and grown block by block as the abelian trajectory grows it: each
+    column keeps its entries in every window that holds its block."""
+    g, endo = random_banded_endo(rnd)
+    hi = rnd.randrange(1, 7)
+    whole = endo.window_map(0, hi)
+    grown = endo.window_map(0, 1)
+    for lo in range(1, hi):
+        new = endo.window_map(lo, lo + 1)
+        grown = Hom(g.window_layout(0, lo + 1)[0], new.target, grown.columns + new.columns)
+    assert grown.source == whole.source and grown.target == whole.target
+    assert grown.columns == whole.columns
+    reach = endo.image_reach(hi)
+    for _ in range(5):
+        elem = {i: tuple(rnd.randrange(d) for d in g.block(i).moduli) for i in range(hi)}
+        image = g.coords(endo.apply(elem), 0, reach)
+        assert whole.apply_map(g.coords(elem, 0, hi)) == image
 
 
 @settings(max_examples=150, deadline=None)
