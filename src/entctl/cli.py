@@ -67,6 +67,9 @@ def _parse_element(spec, abelian: bool) -> dict:
     out = {}
     for item in spec:
         idx, val = _int(item[0]), item[1]
+        if idx in out:
+            # keeping either entry would make the element depend on the order
+            raise ValueError(f"block index {idx} appears twice in one element")
         out[idx] = tuple(_int(x) for x in val) if abelian else _int(val)
     return out
 

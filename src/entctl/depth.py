@@ -74,10 +74,10 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
 def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) -> RowFiniteEndo:
     """Banded inverse of a banded automorphism, verified exactly.
 
-    Solves psi(y) = e blockwise on windows up to four band widths (or the
-    window budget), assembles the candidate, and requires both spec
-    compositions to equal the identity.  Raises InversionFailure when no
-    banded inverse exists within the budget.
+    Solves psi(y) = e blockwise on windows up to four band widths (or
+    ``policy.stall_window``, if larger), assembles the candidate, and
+    requires both spec compositions to equal the identity.  Raises
+    InversionFailure when no banded inverse exists within the budget.
     """
     g = endo.parent
     if g.index_set != "Z":

@@ -12,10 +12,11 @@ Abelian blocks share their window layout with the full products of
 another in one flat coordinate vector.  The abelian trajectory runs on it
 alone: its layers and lattice rows are {coordinate: value} maps, and the
 endomorphism acts through ``BandedEndo.window_map``, the validated map of
-the window.  Windows start at 0, so when a step reaches new blocks the
-trajectory appends their columns to its map and keeps the old ones; each
-column is built and validated once per walk.  ``BandedEndo.apply`` acts
-on block elements; the Cayley trajectory and the public API use it.
+the window read off the endomorphism's ``finabel.Band``.  Windows start at
+0, so when a step reaches new blocks the trajectory appends their columns
+to its map and keeps the old ones; each column is built and validated
+once per walk.  ``BandedEndo.apply`` acts on block elements; the Cayley
+trajectory and the public API use it.
 
 A certified ``TrajectoryReport`` gives the entropy two ways: from the
 stabilized index [T_{n+1} : T_n] of the trajectory chain, and limit-free as
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .finabel import (
     AbSubgroup,
+    Band,
     BlockSequence,
     FiniteAbelianGroup,
     Hom,
@@ -140,11 +142,15 @@ class BandedEndo:
     generator of block i (i = r mod period) maps to the sum of those
     vectors placed at blocks i + offset.  Terms landing at negative indices
     are dropped, which is the restriction homomorphism at the boundary.
-    For Cayley blocks, images[r][x] gives the full image of block element x
-    as a list of (offset, element index) factors.
+    The images are read once into ``band``, the ``finabel.Band`` that
+    checks and applies the map: output block t reads input block t - o
+    through the matrix whose column j sums generator j's image terms at
+    offset o.  For Cayley blocks, images[r][x] gives the full image of
+    block element x as a list of (offset, element index) factors, and
+    ``band`` is None.
     """
 
-    __slots__ = ("group", "offset", "width", "period", "images", "_horizon")
+    __slots__ = ("group", "offset", "width", "period", "images", "_horizon", "band")
 
     def __init__(self, group: LFGroup, offset: int, width: int, period: int, images):
         if width < 1 or period < 1:
@@ -165,83 +171,61 @@ class BandedEndo:
             len(group.prefix) + lcm(period, p_blocks) + abs(self.offset) + self.width + 1
         )
         self._validate()
+        self.band = self._band() if group.is_abelian else None
 
     def _terms_for(self, i: int):
         return self.images[i % self.period]
 
     def _validate(self) -> None:
         g = self.group
+        abelian = g.is_abelian
         lo, hi = self.offset, self.offset + self.width
         for i in range(self._horizon + 1):
             blk = g.block(i)
             res = self._terms_for(i)
-            if g.is_abelian:
-                if len(res) != blk.rank:
-                    raise ValidationError(
-                        f"block {i} has rank {blk.rank} but {len(res)} generator images given"
-                    )
-                for j, terms in enumerate(res):
-                    d = blk.moduli[j]
-                    for o, vec in terms:
-                        if not (lo <= o < hi):
-                            raise ValidationError(
-                                f"offset {o} outside band [{lo}, {hi}) at block {i}"
-                            )
-                        t = i + o
-                        if t < 0:
-                            continue
-                        tb = g.block(t)
-                        if len(vec) != tb.rank:
-                            raise ValidationError(
-                                f"image term at block {t} has wrong rank"
-                            )
-                        for u, (c, du) in enumerate(zip(vec, tb.moduli)):
-                            if (d * c) % du:
-                                raise ValidationError(
-                                    f"generator {j} of block {i} (order {d}) maps to "
-                                    f"coordinate {u} of block {t}: {d}*{c} != 0 mod {du}"
-                                )
-            else:
-                if len(res) != blk.order:
-                    raise ValidationError(
-                        f"block {i} has order {blk.order} but {len(res)} element images given"
-                    )
-                for x, terms in enumerate(res):
-                    for o, idx in terms:
-                        if not (lo <= o < hi):
-                            raise ValidationError(
-                                f"offset {o} outside band [{lo}, {hi}) at block {i}"
-                            )
-                        t = i + o
-                        if t >= 0 and not (0 <= idx < g.block(t).order):
-                            raise ValidationError(
-                                f"image index {idx} invalid at block {t}"
-                            )
-        if not g.is_abelian:
+            size = blk.rank if abelian else blk.order
+            if len(res) != size:
+                raise ValidationError(f"block {i} needs {size} images but {len(res)} are given")
+            if abelian:
+                continue
+            for x, terms in enumerate(res):
+                for o, idx in terms:
+                    if not (lo <= o < hi):
+                        raise ValidationError(
+                            f"offset {o} outside band [{lo}, {hi}) at block {i}"
+                        )
+                    t = i + o
+                    if t >= 0 and not (0 <= idx < g.block(t).order):
+                        raise ValidationError(
+                            f"image index {idx} invalid at block {t}"
+                        )
+        if not abelian:
             self._validate_cayley_homomorphism()
 
-    def _image_of_block_elem(self, i: int, x) -> dict:
-        """Image of a single-block element, as a sparse element."""
+    def _band(self) -> Band:
+        """The abelian images as a band, checked by it: the term of output
+        block t at offset -o has as column j the sum of generator j's image
+        terms at offset o from block t - o."""
+        rows: list[dict] = [{} for _ in range(self.period)]
+        for s, res in enumerate(self.images):
+            for j, terms in enumerate(res):
+                for o, vec in terms:
+                    mat = rows[(s + o) % self.period].setdefault(-o, [[0] * len(res) for _ in vec])
+                    if len(vec) != len(mat):
+                        raise ValidationError(
+                            f"image terms at offset {o} from the blocks {s} mod {self.period} "
+                            f"differ in length"
+                        )
+                    for row, c in zip(mat, vec):
+                        row[j] += c
+        return Band(self.group, 1 - self.offset - self.width, self.width, self.period,
+                    [row.items() for row in rows])
+
+    def _image_of_block_elem(self, i: int, x: int) -> dict:
+        """Image of a single-block element of a Cayley block, as a sparse element."""
         g = self.group
         out: dict = {}
-        if g.is_abelian:
-            terms_per_gen = self._terms_for(i)
-            for j, c in enumerate(x):
-                if c == 0:
-                    continue
-                for o, vec in terms_per_gen[j]:
-                    t = i + o
-                    if t < 0:
-                        continue
-                    tb = g.block(t)
-                    add = tb.scale(c, vec)
-                    if t in out:
-                        out[t] = tb.add(out[t], add)
-                    else:
-                        out[t] = add
-            return g.reduce_elem(out)
-        terms = self._terms_for(i)[x]
-        for o, idx in terms:
+        for o, idx in self._terms_for(i)[x]:
             t = i + o
             if t < 0:
                 continue
@@ -275,15 +259,10 @@ class BandedEndo:
                             )
 
     def apply(self, elem: dict) -> dict:
+        if self.band is not None:
+            return self.band.apply(elem)
         g = self.group
         out: dict = {}
-        if g.is_abelian:
-            for i, vec in sorted(elem.items()):
-                piece = self._image_of_block_elem(i, vec)
-                for t, v in piece.items():
-                    tb = g.block(t)
-                    out[t] = tb.add(out[t], v) if t in out else v
-            return g.reduce_elem(out)
         for i, x in sorted(elem.items()):
             out = g.add(out, self._image_of_block_elem(i, x))
         return g.reduce_elem(out)
@@ -294,26 +273,14 @@ class BandedEndo:
 
     def window_map(self, lo: int, hi: int) -> Hom:
         """The map on the blocks [lo, hi), abelian blocks only: window group
-        of [lo, hi) -> window group of [0, image_reach(hi)), built from the
-        images and validated.  Column j of block i sums the coordinates of
-        that generator's image terms; terms at negative blocks are dropped.
+        of [lo, hi) -> window group of [0, image_reach(hi)), read off the
+        band and validated.
 
         Targets start at 0, so a column has the same entries in the map of
         every window that holds its block: the map of [0, hi) is those of
         [0, lo) and [lo, hi) side by side.
         """
-        g = self.group
-        src, _ = g.window_layout(lo, hi)
-        reach = self.image_reach(hi)
-        cols = []
-        for i in range(lo, hi):
-            for terms in self._terms_for(i):
-                col: dict[int, int] = {}
-                for o, vec in terms:
-                    for t, c in g.coords({i + o: vec}, 0, reach).items():
-                        col[t] = col.get(t, 0) + c
-                cols.append(col)
-        return hom_validate(cols, src, g.window_layout(0, reach)[0])
+        return hom_validate(*self.band.band_columns(range(self.image_reach(hi)), lo, hi))
 
 
 def banded_endo(group: LFGroup, offset: int, width: int, period: int, images) -> BandedEndo:

@@ -154,12 +154,21 @@ def bridge(
                     o, [[0] * tgt_blk.rank for _ in range(src_blk.rank)]
                 )
                 for u, c in enumerate(vec):
-                    du = tgt_blk.moduli[u]
-                    num = c * dj
-                    if num % du:
-                        raise AssertionError("validated endo must dualize integrally")
-                    mat[j][u] = (mat[j][u] + num // du) % dj
-        terms_out = [(o, m) for o, m in sorted(acc.items()) if any(any(row) for row in m)]
+                    mat[j][u] += c * dj
+        # the entries are numerators over the target moduli: a generator's
+        # terms at one offset are one entry of the map, so only their sum
+        # need dualize integrally
+        terms_out = []
+        for o, num in sorted(acc.items()):
+            mods = group.period[(r + o) % p_blocks].moduli
+            if any(x % du for row in num for x, du in zip(row, mods)):
+                raise AssertionError("validated endo must dualize integrally")
+            mat = [
+                [x // du % dj for x, du in zip(row, mods)]
+                for row, dj in zip(num, src_blk.moduli)
+            ]
+            if any(map(any, mat)):
+                terms_out.append((o, mat))
         if not terms_out:
             tgt_blk = group.period[(r + endo.offset) % p_blocks]
             terms_out = [(endo.offset, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])]

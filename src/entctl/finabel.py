@@ -21,14 +21,16 @@ The result rows come out echelon, so ``normalize`` alone gives the HNF.
 
 ``BlockSequence`` is the block rule and window layout shared by restricted
 sums and full products of blocks; its ``coords`` and ``elem_of`` are the one
-place where block elements meet window coordinates.
+place where block elements meet window coordinates.  ``Band`` is the one band
+rule over it: the row-finite maps of products are bands, and the abelian
+banded maps of restricted sums read their generator images into one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     AmbientMismatchError,
@@ -397,6 +399,9 @@ class BlockSequence:
                 raise DimensionError(f"negative block index {i}")
         return self.period[(i - k) % len(self.period)]
 
+    def valid_index(self, i: int) -> bool:
+        return self.index_set == "Z" or i >= 0
+
     def window_layout(self, lo: int, hi: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
         """(window group, coordinate starts) of the blocks lo..hi-1: block i
         takes the coordinates from starts[i - lo] on.  Computed once per
@@ -445,6 +450,141 @@ class BlockSequence:
         a, b = starts[slo - lo], starts[shi - lo]
         rows = [{t - a: x for t, x in row.items() if a <= t < b} for row in core.hnf_rows()]
         return canonical_subgroup(self.window_layout(slo, shi)[0], rows)
+
+
+class Band:
+    """A banded map of a ``BlockSequence`` of abelian blocks into itself.
+
+    rows[r] lists (offset, matrix) terms: output block i (with
+    i = r mod period) receives matrix * x_{i+offset}, the matrix mapping
+    block(i+offset) into block(i); ``prefix_rows`` replace the rows of the
+    first blocks of an N-indexed sequence.  Offsets lie in
+    [offset, offset + width), and terms whose input block is outside the
+    index set are dropped.  Construction checks the shapes, and that the
+    map is well defined, on every block up to a horizon past one period of
+    both the blocks and the rows.
+    """
+
+    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows", "_horizon")
+
+    def __init__(
+        self, parent: BlockSequence, offset: int, width: int, period: int, rows,
+        prefix_rows=(),
+    ):
+        if width < 1 or period < 1:
+            raise ValidationError("band width and period must be positive")
+        if prefix_rows and parent.index_set != "N":
+            raise ValidationError("prefix rows only make sense over N")
+
+        def norm(res):
+            return tuple((int(o), tuple(tuple(map(int, r)) for r in mat)) for o, mat in res)
+
+        self.parent = parent
+        self.offset = int(offset)
+        self.width = int(width)
+        self.period = int(period)
+        self.rows = tuple(norm(res) for res in rows)
+        self.prefix_rows = tuple(norm(res) for res in prefix_rows)
+        if len(self.rows) != period:
+            raise ValidationError("rows must cover one full period")
+        span = lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
+        self._horizon = span + abs(self.offset) + self.width + 1
+        self._validate()
+
+    def row_terms(self, i: int):
+        if 0 <= i < len(self.prefix_rows):
+            return self.prefix_rows[i]
+        return self.rows[i % self.period]
+
+    def _validate(self) -> None:
+        g = self.parent
+        lo_o, hi_o = self.offset, self.offset + self.width
+        rng = (
+            range(0, self._horizon + 1)
+            if g.index_set == "N"
+            else range(-self._horizon, self._horizon + 1)
+        )
+        for i in rng:
+            tgt = g.block(i)
+            seen = set()
+            for o, mat in self.row_terms(i):
+                j = i + o
+                if not (lo_o <= o < hi_o):
+                    raise ValidationError(
+                        f"block {i} reads block {j}: offset {o} is outside the band "
+                        f"[{lo_o}, {hi_o})"
+                    )
+                if o in seen:
+                    raise ValidationError(f"block {i} reads block {j} through two terms")
+                seen.add(o)
+                if not g.valid_index(j):
+                    continue
+                src = g.block(j)
+                if list(map(len, mat)) != [src.rank] * tgt.rank:
+                    raise ValidationError(
+                        f"the matrix by which block {i} reads block {j} is not "
+                        f"{tgt.rank}x{src.rank}"
+                    )
+                for u, (row, du) in enumerate(zip(mat, tgt.moduli)):
+                    for v, (c, d) in enumerate(zip(row, src.moduli)):
+                        if (d * c) % du:
+                            raise ValidationError(
+                                f"ill-defined map: generator {v} of block {j} (order {d}) "
+                                f"maps to coordinate {u} of block {i}: {d}*{c} != 0 mod {du}"
+                            )
+
+    def apply(self, elem: dict) -> dict:
+        """Image of a finite-support element."""
+        g = self.parent
+        out: dict = {}
+        targets = set()
+        for i in elem:
+            for o in range(self.offset, self.offset + self.width):
+                j = i - o
+                if g.valid_index(j):
+                    targets.add(j)
+        for j in targets:
+            tgt = g.block(j)
+            acc = [0] * tgt.rank
+            hit = False
+            for o, mat in self.row_terms(j):
+                src_i = j + o
+                if src_i in elem:
+                    vec = elem[src_i]
+                    for u in range(tgt.rank):
+                        acc[u] += sum(m * x for m, x in zip(mat[u], vec))
+                    hit = True
+            if hit:
+                red = tgt.reduce(acc)
+                if any(red):
+                    out[j] = red
+        return out
+
+    def band_columns(self, rows, lo: int, hi: int):
+        """(columns, source group, target group) of the output rows ``rows``
+        read on the source window [lo, hi), each column of the map a
+        {target coordinate: value} map of its nonzero entries.
+
+        The target stacks the blocks of ``rows`` in the given order; terms
+        whose source coordinate lies outside the window are left out, and
+        the entries are not reduced.  Offsets in a row are distinct, so each
+        entry comes from one term.
+        """
+        g = self.parent
+        src_g, starts = g.window_layout(lo, hi)
+        cols: list[dict[int, int]] = [{} for _ in range(src_g.rank)]
+        tgt_mods: list[int] = []
+        for i in rows:
+            at = len(tgt_mods)
+            for o, m in self.row_terms(i):
+                if lo <= i + o < hi:
+                    ss = starts[i + o - lo]
+                    for u, m_row in enumerate(m, at):
+                        for v, x in enumerate(m_row, ss):
+                            if x:
+                                cols[v][u] = x
+            tgt_mods.extend(g.block(i).moduli)
+        return cols, src_g, FiniteAbelianGroup(tuple(tgt_mods))
 
 
 @dataclass(frozen=True)

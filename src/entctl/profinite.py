@@ -43,6 +43,7 @@ from .errors import (
 )
 from .finabel import (
     AbSubgroup,
+    Band,
     BlockSequence,
     FiniteAbelianGroup,
     Hom,
@@ -72,9 +73,6 @@ class ProGroup(BlockSequence):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "period", tuple(self.period))
         object.__setattr__(self, "_layouts", {})
-
-    def valid_index(self, i: int) -> bool:
-        return self.index_set == "Z" or i >= 0
 
     def is_infinite(self) -> bool:
         return any(b.order > 1 for b in self.period)
@@ -275,136 +273,21 @@ def cylinder(parent: ProGroup, window, core_gens) -> CylinderSubgroup:
     return CylinderSubgroup(parent, lo, hi, canonical_subgroup(wg, gens))
 
 
-class RowFiniteEndo:
-    """Continuous endomorphism with banded coordinate dependence.
-
-    rows[r] lists (offset, matrix) terms: output coordinate i (with
-    i = r mod period) receives matrix * x_{i+offset}.  The matrix maps
-    block(i+offset) into block(i).  Terms referring to indices outside an
-    N-indexed group are dropped.
+class RowFiniteEndo(Band):
+    """Continuous endomorphism of a full product: a ``finabel.Band``, whose
+    output block i (with i = r mod period) receives matrix * x_{i+offset}
+    for each term of rows[r].  The outcomes of the chain questions asked of
+    it are remembered in ``_memo``.
     """
 
-    __slots__ = (
-        "parent", "offset", "width", "period", "rows", "prefix_rows", "_horizon", "_memo",
-    )
+    __slots__ = ("_memo",)
 
     def __init__(
         self, parent: ProGroup, offset: int, width: int, period: int, rows,
         prefix_rows=(),
     ):
-        if width < 1 or period < 1:
-            raise ValidationError("band width and period must be positive")
-        if prefix_rows and parent.index_set != "N":
-            raise ValidationError("prefix rows only make sense over N")
-
-        def norm(res):
-            return tuple(
-                (int(o), tuple(tuple(int(x) for x in r) for r in mat)) for o, mat in res
-            )
-
-        self.parent = parent
-        self.offset = int(offset)
-        self.width = int(width)
-        self.period = int(period)
-        self.rows = tuple(norm(res) for res in rows)
-        self.prefix_rows = tuple(norm(res) for res in prefix_rows)
-        if len(self.rows) != period:
-            raise ValidationError("rows must cover one full period")
-        span = lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
-        self._horizon = span + abs(self.offset) + self.width + 1
-        self._validate()
+        super().__init__(parent, offset, width, period, rows, prefix_rows)
         self._memo: dict = {}
-
-    def row_terms(self, i: int):
-        if 0 <= i < len(self.prefix_rows):
-            return self.prefix_rows[i]
-        return self.rows[i % self.period]
-
-    def _validate(self) -> None:
-        g = self.parent
-        lo_o, hi_o = self.offset, self.offset + self.width
-        rng = (
-            range(0, self._horizon + 1)
-            if g.index_set == "N"
-            else range(-self._horizon, self._horizon + 1)
-        )
-        for i in rng:
-            tgt = g.block(i)
-            seen = set()
-            for o, mat in self.row_terms(i):
-                if not (lo_o <= o < hi_o):
-                    raise ValidationError(f"offset {o} outside band [{lo_o},{hi_o})")
-                if o in seen:
-                    raise ValidationError(f"duplicate offset {o} in row {i}")
-                seen.add(o)
-                j = i + o
-                if not g.valid_index(j):
-                    continue
-                src = g.block(j)
-                if len(mat) != tgt.rank or any(len(r) != src.rank for r in mat):
-                    raise ValidationError(
-                        f"row {i}, offset {o}: matrix shape does not match blocks"
-                    )
-                for u in range(tgt.rank):
-                    for v in range(src.rank):
-                        if (src.moduli[v] * mat[u][v]) % tgt.moduli[u]:
-                            raise ValidationError(
-                                f"row {i}, offset {o}: entry ({u},{v}) is not a "
-                                f"homomorphism of blocks"
-                            )
-
-    def apply(self, elem: dict) -> dict:
-        """Image of a finite-support element."""
-        g = self.parent
-        out: dict = {}
-        targets = set()
-        for i in elem:
-            for o in range(self.offset, self.offset + self.width):
-                j = i - o
-                if g.valid_index(j):
-                    targets.add(j)
-        for j in targets:
-            tgt = g.block(j)
-            acc = [0] * tgt.rank
-            hit = False
-            for o, mat in self.row_terms(j):
-                src_i = j + o
-                if src_i in elem:
-                    vec = elem[src_i]
-                    for u in range(tgt.rank):
-                        acc[u] += sum(m * x for m, x in zip(mat[u], vec))
-                    hit = True
-            if hit:
-                red = tgt.reduce(acc)
-                if any(red):
-                    out[j] = red
-        return out
-
-    def band_columns(self, rows, lo: int, hi: int):
-        """(columns, source group, target group) of the output rows ``rows``
-        read on the source window [lo, hi), each column of the map a
-        {target coordinate: value} map of its nonzero entries.
-
-        The target stacks the blocks of ``rows`` in the given order; terms
-        whose source coordinate lies outside the window are left out, and
-        the entries are not reduced.  Offsets in a row are distinct, so each
-        entry comes from one term.
-        """
-        g = self.parent
-        src_g, starts = g.window_layout(lo, hi)
-        cols: list[dict[int, int]] = [{} for _ in range(src_g.rank)]
-        tgt_mods: list[int] = []
-        for i in rows:
-            at = len(tgt_mods)
-            for o, m in self.row_terms(i):
-                if lo <= i + o < hi:
-                    ss = starts[i + o - lo]
-                    for u, m_row in enumerate(m, at):
-                        for v, x in enumerate(m_row, ss):
-                            if x:
-                                cols[v][u] = x
-            tgt_mods.extend(g.block(i).moduli)
-        return cols, src_g, FiniteAbelianGroup(tuple(tgt_mods))
 
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
         """Induced map window(src) -> window([lo,hi)) capturing all dependencies."""

@@ -9,16 +9,15 @@ from fractions import Fraction
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class EntropyValue:
-    """log q for an exact positive rational q, or +infinity.
+    """log q for an exact positive rational q.
 
-    The rational is the value that is stored and compared; floats exist
-    only behind the as_float accessor.
+    The rational is the value that is stored, compared and hashed; floats
+    exist only behind the as_float accessor.
     """
 
     log_of: Fraction
-    infinite: bool = False
 
     def __post_init__(self):
         q = Fraction(self.log_of)
@@ -38,52 +37,20 @@ class EntropyValue:
     def zero(cls) -> "EntropyValue":
         return cls(Fraction(1))
 
-    @classmethod
-    def infinity(cls) -> "EntropyValue":
-        return cls(Fraction(1), infinite=True)
-
     @property
     def is_zero(self) -> bool:
-        return not self.infinite and self.log_of == 1
+        return self.log_of == 1
 
     def times(self, k: int) -> "EntropyValue":
-        if self.infinite:
-            return self
         return EntropyValue(self.log_of**k)
 
     def as_float(self) -> float:
-        if self.infinite:
-            return math.inf
         return math.log(self.log_of.numerator) - math.log(self.log_of.denominator)
 
-    def __eq__(self, other):
-        if not isinstance(other, EntropyValue):
-            return NotImplemented
-        if self.infinite or other.infinite:
-            return self.infinite == other.infinite
-        return self.log_of == other.log_of
-
-    def __hash__(self):
-        return hash((self.infinite, None if self.infinite else self.log_of))
-
-    def __lt__(self, other):
-        if self.infinite:
-            return False
-        if other.infinite:
-            return True
-        return self.log_of < other.log_of
-
-    def __le__(self, other):
-        return self == other or self < other
-
     def __repr__(self):
-        if self.infinite:
-            return "EntropyValue(infinite)"
         return f"EntropyValue(log {self.log_of})"
 
     def to_json(self):
-        if self.infinite:
-            return "infinite"
         return {
             "log_of": {
                 "num": self.log_of.numerator,
@@ -95,12 +62,23 @@ class EntropyValue:
 
 @dataclass(frozen=True)
 class StabilizationPolicy:
-    """Budgets for the stall-detection loops.
+    """Budgets of the chain walks and window searches.
 
-    max_n bounds the trajectory / cotrajectory length, stall_window is the
-    number of consecutive agreeing steps required before a stall is
-    trusted, window_budget bounds auxiliary window growth (kernel and
-    cokernel certification, inverse search, antistability checks).
+    ``max_n`` bounds the steps of every chain walk: the trajectory and
+    cotrajectory limits, ``cotrajectory_exact``, ``depth.antistable_check``
+    and the tail search of ``depth.plus_minus``.  A cotrajectory whose
+    correction term grows on each of its last max(2, max_n // 2) steps is
+    a hypothesis failure.
+
+    ``stall_window`` is the number of consecutive agreeing values that are
+    taken as a stall: of the chain indices, of the pinned growing windows
+    and half-line patterns, and of the window kernels and cokernels.  Two
+    places use it otherwise: ``depth.invert`` searches windows up to the
+    radius max(4 * band, stall_window), and ``depth.plus_minus`` checks a
+    half-line tail on stall_window truncations.
+
+    ``window_budget`` bounds the window radius of ``surjective_on_windows``,
+    ``kernel_order`` and ``cokernel_order``, and nothing else.
     """
 
     max_n: int = 64

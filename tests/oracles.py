@@ -51,6 +51,23 @@ def subgroup_elements(moduli, gens):
     return seen
 
 
+def apply_images(group, images, period, elem):
+    """phi(elem) for an abelian banded map given by its generator images:
+    generator j of block i goes to the sum of its terms (o, vec) placed at
+    the blocks i + o, terms at negative blocks dropped; each image block is
+    reduced by its moduli, and zero blocks are left out."""
+    acc = {}
+    for i, vec in elem.items():
+        for terms, c in zip(images[i % period], vec):
+            for o, img in terms:
+                if i + o >= 0:
+                    block = acc.setdefault(i + o, [0] * len(img))
+                    for u, x in enumerate(img):
+                        block[u] += c * x
+    out = {t: reduce_vec(group.block(t).moduli, v) for t, v in acc.items()}
+    return {t: v for t, v in out.items() if any(v)}
+
+
 def sum_sets(moduli, h, l):
     out = set()
     for a in h:

@@ -17,7 +17,8 @@ from entctl.cli import (
     parse_instance,
     run_command,
 )
-from entctl.errors import ValidationError
+from entctl.errors import HypothesisFailure, Inconclusive, InversionFailure, ValidationError
+from entctl.values import StabilizationPolicy
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -246,10 +247,13 @@ PRO_SHIFT = ("left_shift_pro_z2.json", "top-entropy")
         # a generator term [index] without its value
         (("bridge_shift_z2.json", "bridge-check"), "family",
          lambda raw: raw["family"][1].update(gens=[[[0, [1]]], [[1]]])),
+        # one block index twice: keeping the last entry read F = 0 here
+        (("shift_sum_z2.json", "alg-entropy"), "family",
+         lambda raw: raw["family"][0].update(gens=[[[0, [1]], [0, [0]]]])),
     ],
     ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str",
          "window-reversed", "max_n-float", "modulus-bool", "matrix-float", "core-gen-float",
-         "gens-short-term"],
+         "gens-short-term", "gens-repeated-index"],
 )
 def test_wrong_json_type_exits_validation(tmp_path, capsys, instance, section, edit):
     name, command = instance
@@ -348,3 +352,31 @@ def test_mutated_instances_parse_or_fail_validation(raw):
         instance_from_dict(raw)
     except ValidationError:
         pass
+
+
+MAIN_COMMAND = {
+    "discrete": "alg-entropy", "profinite": "top-entropy", "bridge": "bridge-check", "depth": "depth",
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutants())
+def test_parsed_mutants_run_or_fail_documented(raw):
+    """Every mutant that parses, run through its kind's command and through
+    verify with a small policy, gives a report or fails in a documented
+    way: invalid input, an inconclusive run, a failed hypothesis or no
+    banded inverse.  Nothing else escapes."""
+    try:
+        instance_from_dict(raw)
+    except ValidationError:
+        return
+    for command in (MAIN_COMMAND[raw["kind"]], "verify"):
+        inst = instance_from_dict(raw)
+        p = inst.policy
+        inst.policy = StabilizationPolicy(
+            min(p.max_n, 8), min(p.stall_window, 3), min(p.window_budget, 8)
+        )
+        try:
+            emit_report(run_command(command, inst))
+        except (ValidationError, Inconclusive, HypothesisFailure, InversionFailure):
+            pass

@@ -152,6 +152,19 @@ def test_bridge_identity_and_zero():
     assert all(not any(any(r) for r in m) for _, m in psi0.rows[0])
 
 
+def test_terms_at_one_offset_are_one_entry():
+    """A generator's terms at one offset are summed into one entry before the
+    map is checked and dualized: two terms (1,) from Z/2 into Z/4, each
+    ill-defined alone, are the well-defined term (2,)."""
+    g = locally_finite_group([], [Z2, FiniteAbelianGroup((4,))])
+    split = banded_endo(g, 1, 1, 2, [[[(1, (1,)), (1, (1,))]], [[(1, (1,))]]])
+    whole = banded_endo(g, 1, 1, 2, [[[(1, (2,))]], [[(1, (1,))]]])
+    assert split.window_map(0, 4) == whole.window_map(0, 4)
+    f = [{0: (1,)}]
+    assert bridge(g, split, f)[1].rows == bridge(g, whole, f)[1].rows
+    assert weiss_bridge_check(g, split, [f]).ok
+
+
 def test_trajectory_annihilator_is_cotrajectory():
     from entctl.discrete import trajectory
     from entctl.profinite import CylinderSubgroup

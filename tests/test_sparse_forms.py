@@ -118,7 +118,8 @@ def random_banded_endo(rnd):
     blocks of one rank, moduli mixed inside one family, map period 1 or 2.
     A coefficient from coordinate j to coordinate u is a multiple of
     L_u / gcd(L_u, G_j), with L_u the lcm of the moduli at u over all
-    blocks and G_j the gcd at j, so the map is well defined at every block."""
+    blocks and G_j the gcd at j, so the map is well defined at every block.
+    A generator has no, one or two image terms at each offset."""
     fam = rnd.choice(((2, 4, 8), (3, 9), (2, 3, 6)))
     rank = rnd.randrange(1, 3)
     blocks = [
@@ -138,7 +139,7 @@ def random_banded_endo(rnd):
                     for u in range(rank)
                 ))
                 for o in range(offset, offset + width)
-                if rnd.random() < 0.8
+                for _ in range(rnd.choice((0, 1, 1, 1, 2)))
             ]
             for j in range(rank)
         ]
@@ -150,9 +151,10 @@ def random_banded_endo(rnd):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_banded_window_map_matches_apply_built_whole_or_grown(rnd):
-    """The window map of [0, hi) against BandedEndo.apply on elements, built
-    whole and grown block by block as the abelian trajectory grows it: each
-    column keeps its entries in every window that holds its block."""
+    """The window map of [0, hi) and BandedEndo.apply against the images
+    summed term by term (``oracles.apply_images``), the map built whole and
+    grown block by block as the abelian trajectory grows it: each column
+    keeps its entries in every window that holds its block."""
     g, endo = random_banded_endo(rnd)
     hi = rnd.randrange(1, 7)
     whole = endo.window_map(0, hi)
@@ -165,8 +167,9 @@ def test_banded_window_map_matches_apply_built_whole_or_grown(rnd):
     reach = endo.image_reach(hi)
     for _ in range(5):
         elem = {i: tuple(rnd.randrange(d) for d in g.block(i).moduli) for i in range(hi)}
-        image = g.coords(endo.apply(elem), 0, reach)
-        assert whole.apply_map(g.coords(elem, 0, hi)) == image
+        image = oracles.apply_images(g, endo.images, endo.period, elem)
+        assert endo.apply(elem) == image
+        assert whole.apply_map(g.coords(elem, 0, hi)) == g.coords(image, 0, reach)
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,22 +22,15 @@ def test_entropy_value_exactness():
 def test_entropy_value_ordering():
     vals = [EntropyValue.of_log(q) for q in (1, 2, 3)]
     assert vals[0] < vals[1] < vals[2]
-    inf = EntropyValue.infinity()
-    assert vals[2] < inf
-    assert not inf < inf
-    assert inf == EntropyValue.infinity()
-    assert max(vals + [inf]) == inf
 
 
 def test_entropy_value_power_and_float():
     v = EntropyValue.of_log(2)
     assert v.times(3) == EntropyValue.of_log(8)
     assert abs(v.as_float() - 0.6931471805599453) < 1e-15
-    assert EntropyValue.infinity().as_float() == float("inf")
 
 
 def test_entropy_value_json():
-    assert EntropyValue.infinity().to_json() == "infinite"
     j = EntropyValue.of_log_ratio(2, 1).to_json()
     assert j["log_of"] == {"num": 2, "den": 1}
     assert isinstance(j["approx"], str)
