@@ -51,6 +51,7 @@ from .profinite import (
     PowerEndo,
     ProGroup,
     RowFiniteEndo,
+    TailCylinder,
     cokernel_order,
     cotrajectory,
     cotrajectory_limits,
@@ -73,7 +74,6 @@ from .duality import (
 from .depth import (
     AntistableCertificate,
     DepthReport,
-    TailCylinder,
     antistable_check,
     base_sequence,
     depth_report,

@@ -11,7 +11,9 @@ identity is cross-checked over the canonical shrinking base.
 Every one-sided chain here (antistability, U_+/U_-, the shrinking base)
 is walked by the generator ``profinite.chain_steps`` or its lazy view
 ``profinite.chain``, and pinning is decided by
-``profinite.pins_growing_windows``.
+``profinite.pins_growing_windows``.  U_+ and U_- are the limits
+``profinite.chain_limit`` finds, and the preimage of a half line is read
+by ``profinite.chain_end`` off the preimages of its truncations.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
-from .finabel import AbSubgroup
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
-    ProGroup,
     RowFiniteEndo,
+    TailCylinder,
     chain,
+    chain_end,
+    chain_limit,
     chain_steps,
     cotrajectory_limits,
     identity_endo,
@@ -178,130 +181,25 @@ def antistable_check(
     return AntistableCertificate("unknown", None, None)
 
 
-@dataclass(frozen=True)
-class TailCylinder:
-    """Closed subgroup pinned to 0 on a half line plus a finite condition.
-
-    side +1 means every coordinate at index >= pin_from is 0; side -1
-    means every coordinate at index <= pin_from is 0.  The residual
-    cylinder carries the remaining finite-window condition.
-    """
-
-    parent: ProGroup
-    side: int
-    pin_from: int
-    residual: CylinderSubgroup
-
-    def truncate(self, m: int) -> CylinderSubgroup:
-        """The cylinder that pins only the part of the half line up to radius m.
-
-        Its HNF is read off without elimination: the residual's rows, shifted
-        into the window as by ``extended_core``, and the relation rows d_t e_t
-        of the pinned coordinates; the other blocks are free, with unit rows.
-        """
-        g, res = self.parent, self.residual
-        if self.side == +1:
-            lo = min(res.lo, self.pin_from) if not res.is_whole() else self.pin_from
-            hi = max(m, self.pin_from)
-            pin_lo, pin_hi = self.pin_from, hi
-        else:
-            hi = max(res.hi, self.pin_from + 1) if not res.is_whole() else self.pin_from + 1
-            lo = min(-m, self.pin_from)
-            pin_lo, pin_hi = lo, self.pin_from + 1
-        wg, _ = g.window_layout(lo, hi)
-        # the pinned blocks [pin_lo, pin_hi) take the coordinates after those
-        # of [lo, pin_lo) and up to those of [lo, pin_hi)
-        pinned = range(g.window_layout(lo, pin_lo)[0].rank, g.window_layout(lo, pin_hi)[0].rank)
-        rows = {t: {t: wg.moduli[t]} for t in pinned if wg.moduli[t] > 1}
-        rows.update(res.extended_core(lo, hi).rows)
-        return CylinderSubgroup(g, lo, hi, AbSubgroup.from_rows(wg, dict(sorted(rows.items()))))
-
-
-def _detect_tail(chain, parent: ProGroup, policy: StabilizationPolicy):
-    """Detect a stable half-line pattern in a descending cylinder chain.
-
-    ``chain`` yields successive cylinders.  Returns ("cylinder", C) on an
-    exact fixed point, ("tail", TailCylinder) when the pinned region grows
-    on exactly one side with a stable residual, raises Inconclusive else.
-    """
-    w = policy.stall_window
-    prev = None
-    hist_plus = []
-    hist_minus = []
-    for n in range(policy.max_n):
-        cur = next(chain)
-        if prev is not None and cur == prev:
-            return ("cylinder", cur)
-        desc_plus = desc_minus = None
-        if not cur.is_whole():
-            pinned = cur.pinned_blocks()
-            hi_run_start = cur.hi
-            while hi_run_start - 1 >= cur.lo and (hi_run_start - 1) in pinned:
-                hi_run_start -= 1
-            lo_run_end = cur.lo
-            while lo_run_end < cur.hi and lo_run_end in pinned:
-                lo_run_end += 1
-            if cur.hi - hi_run_start > 0:
-                res = _residual_of(cur, parent, hi_run_start, +1)
-                desc_plus = (hi_run_start, res, cur.hi)
-            if lo_run_end - cur.lo > 0:
-                res = _residual_of(cur, parent, lo_run_end - 1, -1)
-                desc_minus = (lo_run_end - 1, res, -cur.lo)
-        hist_plus.append(desc_plus)
-        hist_minus.append(desc_minus)
-        for side, hist in ((+1, hist_plus), (-1, hist_minus)):
-            if len(hist) >= w and all(h is not None for h in hist[-w:]):
-                recent = hist[-w:]
-                same = all((h[0], h[1]) == (recent[0][0], recent[0][1]) for h in recent)
-                growing = all(recent[i][2] < recent[i + 1][2] for i in range(w - 1))
-                if same and growing:
-                    pin_from, res, _ = recent[0]
-                    return ("tail", TailCylinder(parent, side, pin_from, res))
-        prev = cur
-    raise Inconclusive("no half-line pattern detected within budget", None)
-
-
-def _residual_of(cyl: CylinderSubgroup, parent: ProGroup, boundary: int, side: int) -> CylinderSubgroup:
-    """The finite condition left after removing the pinned half of a cylinder."""
-    lo, hi = (cyl.lo, boundary) if side == +1 else (boundary + 1, cyl.hi)
-    if lo >= hi:
-        return parent.whole()
-    return CylinderSubgroup(parent, lo, hi, parent.project(cyl.core, (cyl.lo, cyl.hi), (lo, hi)))
-
-
 def plus_minus(
     endo: RowFiniteEndo,
     u: CylinderSubgroup,
     policy: StabilizationPolicy = DEFAULT_POLICY,
     inverse: RowFiniteEndo | None = None,
 ):
-    """(U_+, U_-) = (C(psi^{-1}, U), C(psi, U)) as exact cylinders or tails.
-
-    A tail result is validated against the fixed-point equation
-    V = U n psi^{-1}(V) on truncations, which pins it as the true
-    cotrajectory (any fixed point is contained in every C_n, and the
-    chain's pinned windows force the reverse inclusion).
-    """
+    """(U_+, U_-) = (C(psi^{-1}, U), C(psi, U)) as exact cylinders or tails,
+    by ``profinite.chain_limit``; a chain that pins every coordinate has no
+    half line to offer and raises Inconclusive."""
     if inverse is None:
         inverse = invert(endo, policy)
-    u_minus = _detect_tail(chain(endo, u), endo.parent, policy)
-    u_plus = _detect_tail(chain(inverse, u), endo.parent, policy)
 
-    def validate(res, the_endo):
-        kind, obj = res
-        if kind != "tail":
-            return obj
-        band_slack = abs(the_endo.offset) + the_endo.width
-        for extra in range(policy.stall_window):
-            m = abs(obj.pin_from) + 2 * band_slack + 2 + extra
-            trunc = obj.truncate(m)
-            fixed = u.intersect(the_endo.preimage_cylinder(trunc)[0])
-            extent = fixed.hi if obj.side == +1 else -fixed.lo
-            if extent < m - band_slack or fixed != obj.truncate(extent):
-                raise Inconclusive("tail candidate fails the fixed-point equation", None)
+    def limit(the_endo):
+        kind, obj = chain_limit(the_endo, u, policy)
+        if kind == "trivial":
+            raise Inconclusive("cotrajectory pins every coordinate; no half line", None)
         return obj
 
-    return validate(u_plus, inverse), validate(u_minus, endo)
+    return limit(inverse), limit(endo)
 
 
 def tail_relative_index(big, small, radius: int) -> int:
@@ -472,11 +370,6 @@ def _preimage_halfline(endo: RowFiniteEndo, obj, policy: StabilizationPolicy):
     if isinstance(obj, CylinderSubgroup):
         return endo.preimage_cylinder(obj)[0]
 
-    def chain():
-        m = max(abs(obj.pin_from) + 2, 2)
-        while True:
-            yield endo.preimage_cylinder(obj.truncate(m))[0]
-            m += 1
-
-    kind, out = _detect_tail(chain(), endo.parent, policy)
-    return out
+    radii = itertools.count(max(abs(obj.pin_from) + 2, 2))
+    preimages = (endo.preimage_cylinder(obj.truncate(m))[0] for m in radii)
+    return chain_end(preimages, endo.parent, policy)[1]

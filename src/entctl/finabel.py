@@ -461,11 +461,12 @@ class Band:
     first blocks of an N-indexed sequence.  Offsets lie in
     [offset, offset + width), and terms whose input block is outside the
     index set are dropped.  Construction checks the shapes, and that the
-    map is well defined, on every block up to a horizon past one period of
-    both the blocks and the rows.
+    map is well defined, on the rows [0, P + L): from row P on, a row's
+    terms, its target block and its source blocks repeat with
+    L = lcm(period, block period).
     """
 
-    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows", "_horizon")
+    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows")
 
     def __init__(
         self, parent: BlockSequence, offset: int, width: int, period: int, rows,
@@ -487,8 +488,6 @@ class Band:
         self.prefix_rows = tuple(norm(res) for res in prefix_rows)
         if len(self.rows) != period:
             raise ValidationError("rows must cover one full period")
-        span = lcm(period, len(parent.period)) + len(parent.prefix) + len(self.prefix_rows)
-        self._horizon = span + abs(self.offset) + self.width + 1
         self._validate()
 
     def row_terms(self, i: int):
@@ -499,12 +498,10 @@ class Band:
     def _validate(self) -> None:
         g = self.parent
         lo_o, hi_o = self.offset, self.offset + self.width
-        rng = (
-            range(0, self._horizon + 1)
-            if g.index_set == "N"
-            else range(-self._horizon, self._horizon + 1)
-        )
-        for i in rng:
+        # P: the first row past the prefix rows whose target and sources
+        # all lie in the periodic blocks
+        first = max(len(self.prefix_rows), len(g.prefix) - min(lo_o, 0))
+        for i in range(first + lcm(self.period, len(g.period))):
             tgt = g.block(i)
             seen = set()
             for o, mat in self.row_terms(i):

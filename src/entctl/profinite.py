@@ -10,14 +10,15 @@ whole cotrajectory calculus happens in finite windows, exactly.
 
 Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
 in ``depth`` and ``duality``, runs on the one generator ``chain_steps``
-(or its lazy view ``chain``) and stops by its caller's own rule; the
-pinning of growing windows is decided by ``pins_growing_windows`` alone.
-A cylinder is pulled back by ``RowFiniteEndo.preimage_cylinder`` alone,
-for powers too, and it returns the window map it read psi^{-1}(C) from:
-a step builds the map of C_n once, and the classifier reads
-[K : Im(psi) * C_n] off the same map.
+(or its lazy view ``chain``).  How a chain ends (a fixed point, pinned
+growing windows or a half line) is decided by ``chain_end`` alone, for
+the chain of U by the memoised ``chain_limit``.  A cylinder is pulled
+back by ``RowFiniteEndo.preimage_cylinder`` alone, for powers too, and
+it returns the window map it read psi^{-1}(C) from: a step builds the
+map of C_n once, and ``classify_cotrajectory`` reads [K : Im(psi) * C_n]
+off the same map.
 
-The chain questions (cotrajectory limits and exact end, window
+The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
 the subgroup and the policy.  A map object remembers the outcomes it has
 computed, keyed per question, subgroup and policy, so that the checks of
@@ -501,6 +502,129 @@ def cotrajectory(endo, u: CylinderSubgroup, n: int) -> CylinderSubgroup:
 
 
 @dataclass(frozen=True)
+class TailCylinder:
+    """Closed subgroup pinned to 0 on a half line plus a finite condition.
+
+    side +1 means every coordinate at index >= pin_from is 0; side -1
+    means every coordinate at index <= pin_from is 0.  The residual
+    cylinder carries the remaining finite-window condition.
+    """
+
+    parent: ProGroup
+    side: int
+    pin_from: int
+    residual: CylinderSubgroup
+
+    def truncate(self, m: int) -> CylinderSubgroup:
+        """The cylinder that pins only the part of the half line up to radius m.
+
+        Its HNF is read off without elimination: the residual's rows, shifted
+        into the window as by ``extended_core``, and the relation rows d_t e_t
+        of the pinned coordinates; the other blocks are free, with unit rows.
+        """
+        g, res = self.parent, self.residual
+        if self.side == +1:
+            lo = min(res.lo, self.pin_from) if not res.is_whole() else self.pin_from
+            hi = max(m, self.pin_from)
+            pin_lo, pin_hi = self.pin_from, hi
+        else:
+            hi = max(res.hi, self.pin_from + 1) if not res.is_whole() else self.pin_from + 1
+            lo = min(-m, self.pin_from)
+            pin_lo, pin_hi = lo, self.pin_from + 1
+        wg, _ = g.window_layout(lo, hi)
+        # the pinned blocks [pin_lo, pin_hi) take the coordinates after those
+        # of [lo, pin_lo) and up to those of [lo, pin_hi)
+        pinned = range(g.window_layout(lo, pin_lo)[0].rank, g.window_layout(lo, pin_hi)[0].rank)
+        rows = {t: {t: wg.moduli[t]} for t in pinned if wg.moduli[t] > 1}
+        rows.update(res.extended_core(lo, hi).rows)
+        return CylinderSubgroup(g, lo, hi, AbSubgroup.from_rows(wg, dict(sorted(rows.items()))))
+
+
+def _residual_of(cyl: CylinderSubgroup, boundary: int, side: int) -> CylinderSubgroup:
+    """The finite condition left after removing the pinned half of a cylinder."""
+    g = cyl.parent
+    lo, hi = (cyl.lo, boundary) if side == +1 else (boundary + 1, cyl.hi)
+    if lo >= hi:
+        return g.whole()
+    return CylinderSubgroup(g, lo, hi, g.project(cyl.core, (cyl.lo, cyl.hi), (lo, hi)))
+
+
+def _pinned_ends(cyl: CylinderSubgroup) -> dict:
+    """{side: (boundary, extent) or None}: the run of pinned blocks at the
+    right end (side +1, from block ``boundary`` up to ``extent`` = hi) and
+    at the left end (side -1, up to block ``boundary``, ``extent`` = -lo)."""
+    pinned = cyl.pinned_blocks()
+    start, end = cyl.hi, cyl.lo
+    while start > cyl.lo and start - 1 in pinned:
+        start -= 1
+    while end < cyl.hi and end in pinned:
+        end += 1
+    return {
+        +1: (start, cyl.hi) if start < cyl.hi else None,
+        -1: (end - 1, -cyl.lo) if end > cyl.lo else None,
+    }
+
+
+def chain_end(cylinders, parent: ProGroup, policy: StabilizationPolicy):
+    """How a descending stream of cylinders ends, read off at most
+    ``policy.max_n + 1`` of them: ("cylinder", C) when two successive
+    cylinders are equal; ("trivial", n) when ``pins_growing_windows``
+    holds at the (n+1)-th; ("tail", TailCylinder) when, on the last
+    ``stall_window``, the pinned run at one end of the window starts at
+    one block and grows while the rest projects to one residual (tested
+    after pinned windows, and residuals are projected only once the
+    integer boundaries and extents hold).  Raises Inconclusive otherwise.
+    """
+    w = policy.stall_window
+    windows = []
+    runs = {+1: [], -1: []}
+    prev = None
+    for n, cur in enumerate(itertools.islice(cylinders, policy.max_n + 1)):
+        if cur == prev:
+            return ("cylinder", cur)
+        windows.append((cur.lo, cur.hi, cur.core.order == 1))
+        if pins_growing_windows(parent, windows, w):
+            return ("trivial", n)
+        for side, end in _pinned_ends(cur).items():
+            hist = runs[side]
+            hist.append((*end, cur) if end else None)
+            del hist[:-w]
+            if (
+                len(hist) == w
+                and all(hist)
+                and len({h[0] for h in hist}) == 1
+                and all(a[1] < b[1] for a, b in zip(hist, hist[1:]))
+            ):
+                res = [_residual_of(c, boundary, side) for boundary, _, c in hist]
+                if all(r == res[0] for r in res):
+                    return ("tail", TailCylinder(parent, side, hist[0][0], res[0]))
+        prev = cur
+    raise Inconclusive("chain neither stalls, pins growing windows nor ends in a half line", None)
+
+
+@_memoized
+def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY):
+    """C(psi, U), the limit of the chain of U, as ``chain_end`` reads it.
+
+    A tail is checked against the fixed-point equation V = U n psi^{-1}(V)
+    on ``stall_window`` truncations, which pins it as the true limit (any
+    fixed point lies in every C_n, and the chain's pinned windows force the
+    reverse inclusion); a tail that fails raises Inconclusive.
+    """
+    end = chain_end(chain(endo, u), endo.parent, policy)
+    if end[0] == "tail":
+        tail = end[1]
+        band = abs(endo.offset) + endo.width
+        for extra in range(policy.stall_window):
+            m = abs(tail.pin_from) + 2 * band + 2 + extra
+            fixed = u.intersect(endo.preimage_cylinder(tail.truncate(m))[0])
+            extent = fixed.hi if tail.side == +1 else -fixed.lo
+            if extent < m - band or fixed != tail.truncate(extent):
+                raise Inconclusive("tail candidate fails the fixed-point equation", None)
+    return end
+
+
+@dataclass(frozen=True)
 class CotrajectoryReport:
     """Stall analysis of the cotrajectory index chain c_n = [K : C_n]."""
 
@@ -652,26 +776,6 @@ def surjective_on_windows(endo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
 
 
 @_memoized
-def cotrajectory_exact(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY):
-    """Determine C(psi, U) exactly when possible.
-
-    Returns ("stalled", cylinder) when the chain reaches a fixed point,
-    ("trivial", n) when the chain pins every coordinate of monotonically
-    growing windows (so the intersection is the one-element subgroup), and
-    raises Inconclusive otherwise.
-    """
-    windows = []
-    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
-    for n, (c_cyl, _, _, c_next) in enumerate(steps, 1):
-        if c_next == c_cyl:
-            return ("stalled", c_cyl)
-        windows.append((c_next.lo, c_next.hi, c_next.core.order == 1))
-        if pins_growing_windows(endo.parent, windows, policy.stall_window):
-            return ("trivial", n)
-    raise Inconclusive("cotrajectory neither stalls nor pins coordinates", None)
-
-
-@_memoized
 def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     """|ker psi| certified through stable images of window kernels.
 
@@ -798,9 +902,11 @@ def quotient_system(
 ) -> QuotientSystem:
     """The induced system on K/U_- together with its one-term entropy check."""
     g = endo.parent
-    kind = cotrajectory_exact(endo, u, policy)
+    kind, u_minus = chain_limit(endo, u, policy)
+    if kind == "tail":
+        raise Inconclusive("cotrajectory is a half line; quotient not materialized", None)
     checks: list[CheckRecord] = []
-    if kind[0] == "trivial":
+    if kind == "trivial":
         ker = kernel_order(endo, policy)
         try:
             cok = cokernel_order(endo, policy)
@@ -818,7 +924,6 @@ def quotient_system(
         )
         return QuotientSystem("whole", None, g, endo, u, tuple(checks))
 
-    u_minus = kind[1]
     window = (u_minus.lo, u_minus.hi)
     q_group, to_quotient, lift = _quotient_data(u_minus)
     # induced endomorphism on the finite quotient: lift, apply, project
@@ -866,11 +971,10 @@ def log_law_check(
     rhs = base_rep.psi_inv_c_mod_c**k
 
     try:
-        kind = cotrajectory_exact(endo, u, policy)
+        kind, u_minus = chain_limit(endo, u, policy)
     except Inconclusive:
-        kind = ("chain", None)
-    if kind[0] == "stalled":
-        u_minus = kind[1]
+        kind = None
+    if kind == "cylinder":
         pk, _ = PowerEndo(endo, k).preimage_cylinder(u_minus)
         lhs = u_minus.index // pk.index
     else:

@@ -65,17 +65,19 @@ class StabilizationPolicy:
     """Budgets of the chain walks and window searches.
 
     ``max_n`` bounds the steps of every chain walk: the trajectory and
-    cotrajectory limits, ``cotrajectory_exact``, ``depth.antistable_check``
-    and the tail search of ``depth.plus_minus``.  A cotrajectory whose
-    correction term grows on each of its last max(2, max_n // 2) steps is
-    a hypothesis failure.
+    cotrajectory limits, ``depth.antistable_check``, and
+    ``profinite.chain_end``, which decides how a chain ends (for
+    ``profinite.chain_limit`` and the half-line preimages of ``depth``)
+    from at most max_n + 1 cylinders.  A cotrajectory whose correction
+    term grows on each of its last max(2, max_n // 2) steps is a
+    hypothesis failure.
 
     ``stall_window`` is the number of consecutive agreeing values that are
     taken as a stall: of the chain indices, of the pinned growing windows
     and half-line patterns, and of the window kernels and cokernels.  Two
     places use it otherwise: ``depth.invert`` searches windows up to the
-    radius max(4 * band, stall_window), and ``depth.plus_minus`` checks a
-    half-line tail on stall_window truncations.
+    radius max(4 * band, stall_window), and ``profinite.chain_limit``
+    checks a half-line tail on stall_window truncations.
 
     ``window_budget`` bounds the window radius of ``surjective_on_windows``,
     ``kernel_order`` and ``cokernel_order``, and nothing else.

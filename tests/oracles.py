@@ -4,9 +4,12 @@ Everything here works by plain enumeration over element tuples or by
 naive textbook algorithms, sharing no code with the lattice-based
 implementations it is used to check.  Keep it dumb.
 
-The one exception is the dense echelon kernel at the end: the reference
-for the sparse ``entctl.lattice`` kernel, which must perform the same
-arithmetic in the same order and so shares its ``xgcd``.
+Two exceptions are at the end.  The dense echelon kernel is the
+reference for the sparse ``entctl.lattice`` kernel, which must perform
+the same arithmetic in the same order and so shares its ``xgcd``.
+``cotrajectory_exact`` is the earlier exact-end rule of cotrajectories,
+the reference for ``profinite.chain_limit``; it walks the chain by
+``profinite.chain_steps`` and tests pinning by ``pins_growing_windows``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
+from entctl.errors import Inconclusive
 from entctl.lattice import xgcd
+from entctl.profinite import chain_steps, pins_growing_windows
+from entctl.values import DEFAULT_POLICY
 
 
 # -- finite abelian groups as element sets ----------------------------------
@@ -409,3 +415,25 @@ def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None
     for mrow, prow in zip(map_rows, payload):
         lat.add(list(mrow) + list(prow))
     return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
+
+
+# -- the exact end of a cotrajectory, by the earlier rule -----------------------
+
+
+def cotrajectory_exact(endo, u, policy=DEFAULT_POLICY):
+    """Determine C(psi, U) exactly when possible.
+
+    Returns ("stalled", cylinder) when the chain reaches a fixed point,
+    ("trivial", n) when the chain pins every coordinate of monotonically
+    growing windows (so the intersection is the one-element subgroup), and
+    raises Inconclusive otherwise.
+    """
+    windows = []
+    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
+    for n, (c_cyl, _, _, c_next) in enumerate(steps, 1):
+        if c_next == c_cyl:
+            return ("stalled", c_cyl)
+        windows.append((c_next.lo, c_next.hi, c_next.core.order == 1))
+        if pins_growing_windows(endo.parent, windows, policy.stall_window):
+            return ("trivial", n)
+    raise Inconclusive("cotrajectory neither stalls nor pins coordinates", None)

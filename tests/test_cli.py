@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+import operator
 import pathlib
 
 import pytest
@@ -321,18 +323,22 @@ json_values = st.recursive(
 @st.composite
 def mutants(draw):
     """A bundled instance with one to three places replaced, deleted,
-    duplicated or wrapped in a list."""
+    duplicated or wrapped in a list, or an integer replaced by a small
+    integer, which keeps the instance's shape so that it often parses."""
     raw = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
     for _ in range(draw(st.integers(1, 3))):
-        paths = list(_paths(raw))
+        action = draw(st.sampled_from(("replace", "delete", "duplicate", "wrap", "small int")))
+        paths = [
+            path for path in _paths(raw)
+            if action != "small int" or type(functools.reduce(operator.getitem, path, raw)) is int
+        ]
         if not paths:
             break
         *parent_path, key = draw(st.sampled_from(paths))
-        parent = raw
-        for step in parent_path:
-            parent = parent[step]
-        action = draw(st.sampled_from(("replace", "delete", "duplicate", "wrap")))
-        if action == "replace":
+        parent = functools.reduce(operator.getitem, parent_path, raw)
+        if action == "small int":
+            parent[key] = draw(st.integers(-1, 4))
+        elif action == "replace":
             parent[key] = draw(json_values)
         elif action == "delete":
             del parent[key]

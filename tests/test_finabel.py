@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from entctl.errors import AmbientMismatchError, ContainmentError, DimensionError, ValidationError
 from entctl.finabel import (
     AbSubgroup,
+    Band,
     FiniteAbelianGroup,
     canonical_subgroup,
     hom_validate,
@@ -16,6 +17,7 @@ from entctl.finabel import (
     zero_hom,
 )
 from entctl.lattice import ZLattice, congruence_kernel
+from entctl.profinite import pro_group
 
 import oracles
 
@@ -71,6 +73,30 @@ def test_hom_validate_examples():
     z22, z44 = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((4, 4))
     with pytest.raises(ValidationError, match="generator 0 of order 2 .* coordinate 1 = 1 mod 4"):
         hom_validate([[0, 1], [1, 0]], z22, z44)
+
+
+@pytest.mark.parametrize("index_set,bad_block", [("N", 7), ("Z", 5)])
+def test_band_check_reaches_the_last_distinct_row(index_set, bad_block):
+    # Rows repeat with L = lcm(3, 2) = 6 once past the prefix: from P = 2
+    # over N (two prefix rows, and row 1 reads the prefix block 0) and from
+    # P = 0 over Z.  Entry 1 from Z/2 into Z/4 is ill-defined; of the rows
+    # [P, P + L) only the last reads Z/2 into Z/4 through the term of its
+    # residue, so the check must reach that row.
+    z2, z3, z4 = (FiniteAbelianGroup((d,)) for d in (2, 3, 4))
+    ident = [(0, [[1]])]
+    if index_set == "N":
+        g = pro_group([z3], [z4, z2], "N")
+        offset, prefix_rows = -1, [ident, ident]
+    else:
+        g = pro_group([], [z2, z4], "Z")
+        offset, prefix_rows = 0, []
+    o = offset if index_set == "N" else 1
+    rows = [ident, ident, ident]
+    rows[bad_block % 3] = [(o, [[1]])]
+    with pytest.raises(ValidationError, match=f"of block {bad_block}: 2\\*1 != 0 mod 4"):
+        Band(g, offset, 2, 3, rows, prefix_rows)
+    rows[bad_block % 3] = [(o, [[2]])]
+    Band(g, offset, 2, 3, rows, prefix_rows)
 
 
 def test_hom_kernel_image_preimage_examples():

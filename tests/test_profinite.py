@@ -1,3 +1,4 @@
+import collections
 import pathlib
 import random
 import sys
@@ -13,10 +14,11 @@ from entctl.profinite import (
     CylinderSubgroup,
     PowerEndo,
     RowFiniteEndo,
+    TailCylinder,
     chain,
+    chain_limit,
     cokernel_order,
     cotrajectory,
-    cotrajectory_exact,
     cotrajectory_limits,
     cylinder,
     identity_endo,
@@ -30,6 +32,7 @@ from entctl.profinite import (
     _project_out_front,
 )
 from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
+from test_acceptance import random_rowfinite
 from test_finabel import assert_forms_agree
 
 Z2 = FiniteAbelianGroup((2,))
@@ -212,17 +215,48 @@ def test_kernel_and_cokernel_orders():
     assert cokernel_order(fold) == 1
 
 
-def test_cotrajectory_exact_classification():
+def test_chain_limit_classification():
     k = k_z2()
-    assert cotrajectory_exact(left_shift(k), u0(k))[0] == "trivial"
-    kind, cyl_ = cotrajectory_exact(right_shift(k), u0(k))
-    assert kind == "stalled" and cyl_ == u0(k)
-    kind, cyl_ = cotrajectory_exact(identity_endo(k), u0(k))
-    assert kind == "stalled" and cyl_ == u0(k)
+    assert chain_limit(left_shift(k), u0(k))[0] == "trivial"
+    assert chain_limit(right_shift(k), u0(k)) == ("cylinder", u0(k))
+    assert chain_limit(identity_endo(k), u0(k)) == ("cylinder", u0(k))
+    # the Z-shift pins x_0, x_1, ...: a half line to the right from block 0
     kz = pro_group([], [Z2], "Z")
     shift_z = rowfinite_endo(kz, 1, 1, 1, [[(1, [[1]])]])
-    with pytest.raises(Inconclusive):
-        cotrajectory_exact(shift_z, cylinder(kz, (0, 1), []))
+    kind, tail = chain_limit(shift_z, cylinder(kz, (0, 1), []))
+    assert kind == "tail" and isinstance(tail, TailCylinder)
+    assert (tail.side, tail.pin_from) == (+1, 0) and tail.residual.is_whole()
+    # and its inverse pins ..., x_{-1}, x_0
+    back = rowfinite_endo(kz, -1, 1, 1, [[(-1, [[1]])]])
+    kind, tail = chain_limit(back, cylinder(kz, (0, 1), []))
+    assert kind == "tail" and (tail.side, tail.pin_from) == (-1, 0)
+
+
+@pytest.mark.parametrize("index_set", ["N", "Z"])
+def test_chain_limit_agrees_with_the_earlier_exact_end(index_set):
+    # the earlier rule found fixed points and pinned growing windows only;
+    # chain_limit must find the same ends and add tails only where it gave
+    # up.  A short walk keeps the chains that end nowhere cheap.
+    policy = StabilizationPolicy(max_n=12)
+    ends = collections.Counter()
+    for seed in range(60):
+        _, endo, u = random_rowfinite(random.Random(seed), index_set)
+        try:
+            kind, limit = oracles.cotrajectory_exact(endo, u, policy)
+        except Inconclusive:
+            kind = None
+        try:
+            end = chain_limit(endo, u, policy)
+        except Inconclusive:
+            end = None
+        if kind == "stalled":
+            assert end == ("cylinder", limit), seed
+        elif kind == "trivial":
+            assert end[0] == "trivial", seed
+        else:
+            assert end is None or end[0] == "tail", seed
+        ends[end and end[0]] += 1
+    assert ends["cylinder"] and ends["trivial" if index_set == "N" else "tail"]
 
 
 def test_quotient_system_examples():
@@ -264,7 +298,7 @@ def test_coker_remark_inequality():
     # |ker psi| > |coker psi|
     k = k_z2()
     sig = left_shift(k)
-    assert cotrajectory_exact(sig, u0(k))[0] == "trivial"
+    assert chain_limit(sig, u0(k))[0] == "trivial"
     assert k.is_infinite()
     assert kernel_order(sig) > cokernel_order(sig)
 
@@ -459,16 +493,20 @@ def z_shift():
     return kz, rowfinite_endo(kz, 1, 1, 1, [[(1, [[1]])]])
 
 
+# too short a walk for the Z-shift's tail to show: it ends Inconclusive
+SHORT = StabilizationPolicy(max_n=2, stall_window=4)
+
+
 def test_memo_repeats_inconclusive_outcome_without_walking(monkeypatch):
     calls = count_calls(monkeypatch, "preimage_cylinder")
     kz, shift_z = z_shift()
     u = cylinder(kz, (-1, 2), [])
     with pytest.raises(Inconclusive) as first:
-        cotrajectory_exact(shift_z, u)
+        chain_limit(shift_z, u, SHORT)
     walked = len(calls)
-    assert walked == DEFAULT_POLICY.max_n
+    assert walked == SHORT.max_n
     with pytest.raises(Inconclusive) as second:
-        cotrajectory_exact(shift_z, u)
+        chain_limit(shift_z, u, SHORT)
     assert len(calls) == walked
     assert second.value is not first.value
     assert str(second.value) == str(first.value)
@@ -483,8 +521,8 @@ def test_memo_is_not_shared_between_equal_maps(monkeypatch):
     u = cylinder(kz, (-1, 2), [])
     for endo in (shift_z, again):
         with pytest.raises(Inconclusive):
-            cotrajectory_exact(endo, u)
-    assert len(calls) == 2 * DEFAULT_POLICY.max_n
+            chain_limit(endo, u, SHORT)
+    assert len(calls) == 2 * SHORT.max_n
 
 
 def test_memo_normalizes_default_policy(monkeypatch):
@@ -520,6 +558,16 @@ def test_verify_decides_surjectivity_once_per_map(monkeypatch):
     assert report.status == "ok"
     # radii 1, 2, 4, ..., window_budget, walked for one cylinder only
     assert calls.count("surjective_on_windows") == 6
+
+
+def test_verify_ends_half_line_chains_early(monkeypatch):
+    # both cylinders of the Z-shift have half-line limits, so their chains
+    # end at the tail; walking them to max_n takes 146 pull-backs
+    calls = count_calls(monkeypatch, "preimage_cylinder")
+    path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "twosided_shift_z2.json"
+    report = run_command("verify", parse_instance(str(path)))
+    assert report.status == "ok"
+    assert 0 < len(calls) <= 40
 
 
 # -- window changes built from the HNF against elimination from generators --
