@@ -372,4 +372,7 @@ def _preimage_halfline(endo: RowFiniteEndo, obj, policy: StabilizationPolicy):
 
     radii = itertools.count(max(abs(obj.pin_from) + 2, 2))
     preimages = (endo.preimage_cylinder(obj.truncate(m))[0] for m in radii)
-    return chain_end(preimages, endo.parent, policy)[1]
+    kind, out = next(chain_end(preimages, policy))
+    if kind == "trivial":
+        raise Inconclusive("preimage pins every coordinate; no half line", None)
+    return out

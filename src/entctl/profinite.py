@@ -565,63 +565,62 @@ def _pinned_ends(cyl: CylinderSubgroup) -> dict:
     }
 
 
-def chain_end(cylinders, parent: ProGroup, policy: StabilizationPolicy):
-    """How a descending stream of cylinders ends, read off at most
-    ``policy.max_n + 1`` of them: ("cylinder", C) when two successive
-    cylinders are equal; ("trivial", n) when ``pins_growing_windows``
-    holds at the (n+1)-th; ("tail", TailCylinder) when, on the last
-    ``stall_window``, the pinned run at one end of the window starts at
-    one block and grows while the rest projects to one residual (tested
-    after pinned windows, and residuals are projected only once the
-    integer boundaries and extents hold).  Raises Inconclusive otherwise.
+def chain_end(cylinders, policy: StabilizationPolicy):
+    """Candidate ends of a descending cylinder stream, read off at most
+    ``policy.max_n + 1`` cylinders.  It ends on ("cylinder", C) at two equal
+    successive cylinders and on ("trivial", n) when ``pins_growing_windows``
+    holds at the (n+1)-th; it yields ("tail", TailCylinder) and goes on when
+    the pinned run at one end starts at one block and grows on the last
+    ``stall_window`` cylinders while the rest projects to one residual
+    (projected only once the integer boundaries and extents hold).  Both
+    patterns are read from the second cylinder on, pinned windows first,
+    since over N they also match a tail.  Raises Inconclusive past the budget.
     """
     w = policy.stall_window
     windows = []
     runs = {+1: [], -1: []}
-    prev = None
-    for n, cur in enumerate(itertools.islice(cylinders, policy.max_n + 1)):
+    cylinders = itertools.islice(cylinders, policy.max_n + 1)
+    prev = next(cylinders)
+    for n, cur in enumerate(cylinders, 1):
         if cur == prev:
-            return ("cylinder", cur)
+            yield ("cylinder", cur)
+            return
+        prev = cur
         windows.append((cur.lo, cur.hi, cur.core.order == 1))
-        if pins_growing_windows(parent, windows, w):
-            return ("trivial", n)
+        if pins_growing_windows(cur.parent, windows, w):
+            yield ("trivial", n)
+            return
         for side, end in _pinned_ends(cur).items():
             hist = runs[side]
             hist.append((*end, cur) if end else None)
             del hist[:-w]
-            if (
-                len(hist) == w
-                and all(hist)
-                and len({h[0] for h in hist}) == 1
-                and all(a[1] < b[1] for a, b in zip(hist, hist[1:]))
-            ):
+            grows = all(hist) and all(a[1] < b[1] for a, b in zip(hist, hist[1:]))
+            if len(hist) == w and grows and len({h[0] for h in hist}) == 1:
                 res = [_residual_of(c, boundary, side) for boundary, _, c in hist]
                 if all(r == res[0] for r in res):
-                    return ("tail", TailCylinder(parent, side, hist[0][0], res[0]))
-        prev = cur
+                    yield ("tail", TailCylinder(cur.parent, side, hist[0][0], res[0]))
     raise Inconclusive("chain neither stalls, pins growing windows nor ends in a half line", None)
 
 
 @_memoized
 def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY):
-    """C(psi, U), the limit of the chain of U, as ``chain_end`` reads it.
-
-    A tail is checked against the fixed-point equation V = U n psi^{-1}(V)
-    on ``stall_window`` truncations, which pins it as the true limit (any
-    fixed point lies in every C_n, and the chain's pinned windows force the
-    reverse inclusion); a tail that fails raises Inconclusive.
-    """
-    end = chain_end(chain(endo, u), endo.parent, policy)
-    if end[0] == "tail":
-        tail = end[1]
-        band = abs(endo.offset) + endo.width
+    """C(psi, U), the limit of the chain of U: the first end of ``chain_end``
+    that holds.  A tail holds when it satisfies V = U n psi^{-1}(V) on
+    ``stall_window`` truncations (any fixed point lies in every C_n, and the
+    chain's pinned windows force the reverse inclusion); one that fails, as
+    the early growth of a map of longer period may, is passed over."""
+    band = abs(endo.offset) + endo.width
+    for kind, obj in chain_end(chain(endo, u), policy):
+        if kind != "tail":
+            return kind, obj
         for extra in range(policy.stall_window):
-            m = abs(tail.pin_from) + 2 * band + 2 + extra
-            fixed = u.intersect(endo.preimage_cylinder(tail.truncate(m))[0])
-            extent = fixed.hi if tail.side == +1 else -fixed.lo
-            if extent < m - band or fixed != tail.truncate(extent):
-                raise Inconclusive("tail candidate fails the fixed-point equation", None)
-    return end
+            m = abs(obj.pin_from) + 2 * band + 2 + extra
+            fixed = u.intersect(endo.preimage_cylinder(obj.truncate(m))[0])
+            extent = fixed.hi if obj.side == +1 else -fixed.lo
+            if extent < m - band or fixed != obj.truncate(extent):
+                break
+        else:
+            return kind, obj
 
 
 @dataclass(frozen=True)

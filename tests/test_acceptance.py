@@ -85,21 +85,29 @@ def random_banded_discrete(rng):
     return g, endo, f_gens
 
 
-def random_rowfinite(rng, index_set="N"):
+def random_rowfinite(rng, index_set="N", periodic=False):
+    """A random map on a product of one block and a cylinder over its first
+    blocks; ``periodic`` draws a map period of 1-6 and, over N, 0-2 prefix
+    rows (the default draws period 1 and no prefix)."""
     d = rng.choice([2, 3, 4, 8])
     k = rng.randrange(1, 4)
     blk = FiniteAbelianGroup((d,) * k)
     kgrp = pro_group([], [blk], index_set)
     offset = rng.choice([-1, 0, 1])
     width = rng.randrange(1, 4 - abs(offset))
-    terms = []
-    for o in range(offset, offset + width):
-        mat = [[rng.randrange(d) for _ in range(k)] for _ in range(k)]
-        if any(any(r) for r in mat):
-            terms.append((o, mat))
-    if not terms:
-        terms = [(offset, [[0] * k for _ in range(k)])]
-    endo = rowfinite_endo(kgrp, offset, width, 1, [terms])
+
+    def row():
+        terms = []
+        for o in range(offset, offset + width):
+            mat = [[rng.randrange(d) for _ in range(k)] for _ in range(k)]
+            if any(any(r) for r in mat):
+                terms.append((o, mat))
+        return terms or [(offset, [[0] * k for _ in range(k)])]
+
+    period = rng.randrange(1, 7) if periodic else 1
+    prefix = rng.randrange(3) if periodic and index_set == "N" else 0
+    rows = [row() for _ in range(period + prefix)]
+    endo = rowfinite_endo(kgrp, offset, width, period, rows[prefix:], rows[:prefix])
     # random open subgroup: cylinder over 1-2 blocks with a random core
     w = rng.randrange(1, 3)
     wg, _ = kgrp.window_layout(0, w)

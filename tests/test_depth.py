@@ -2,6 +2,7 @@ import pytest
 
 from entctl.depth import (
     TailCylinder,
+    _preimage_halfline,
     antistable_check,
     base_sequence,
     depth_report,
@@ -9,7 +10,7 @@ from entctl.depth import (
     plus_minus,
     tail_relative_index,
 )
-from entctl.errors import HypothesisFailure, InversionFailure
+from entctl.errors import HypothesisFailure, Inconclusive, InversionFailure
 from entctl.finabel import FiniteAbelianGroup
 from entctl.profinite import (
     cotrajectory_limits,
@@ -18,7 +19,7 @@ from entctl.profinite import (
     pro_group,
     rowfinite_endo,
 )
-from entctl.values import EntropyValue
+from entctl.values import DEFAULT_POLICY, EntropyValue
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -119,6 +120,15 @@ def test_plus_minus_identity():
     u = cylinder(k, (0, 1), [])
     up, um = plus_minus(ident, u, inverse=ident)
     assert up == u and um == u
+
+
+def test_preimage_of_a_half_line_that_pins_everything_is_inconclusive():
+    # over N the right shift pulls the half line x_0 = x_1 = ... = 0 back to
+    # fully pinned windows [0, m - 1) growing from 0: no half line to read
+    k = pro_group([], [Z2], "N")
+    right = rowfinite_endo(k, -1, 1, 1, [[(-1, [[1]])]])
+    with pytest.raises(Inconclusive):
+        _preimage_halfline(right, TailCylinder(k, +1, 0, k.whole()), DEFAULT_POLICY)
 
 
 def test_tail_relative_index():

@@ -232,15 +232,16 @@ def test_chain_limit_classification():
     assert kind == "tail" and (tail.side, tail.pin_from) == (-1, 0)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("index_set", ["N", "Z"])
-def test_chain_limit_agrees_with_the_earlier_exact_end(index_set):
+def test_chain_limit_agrees_with_the_earlier_exact_end(index_set, periodic):
     # the earlier rule found fixed points and pinned growing windows only;
     # chain_limit must find the same ends and add tails only where it gave
     # up.  A short walk keeps the chains that end nowhere cheap.
     policy = StabilizationPolicy(max_n=12)
     ends = collections.Counter()
     for seed in range(60):
-        _, endo, u = random_rowfinite(random.Random(seed), index_set)
+        _, endo, u = random_rowfinite(random.Random(seed), index_set, periodic)
         try:
             kind, limit = oracles.cotrajectory_exact(endo, u, policy)
         except Inconclusive:
@@ -252,11 +253,29 @@ def test_chain_limit_agrees_with_the_earlier_exact_end(index_set):
         if kind == "stalled":
             assert end == ("cylinder", limit), seed
         elif kind == "trivial":
-            assert end[0] == "trivial", seed
+            assert end == ("trivial", limit), seed
         else:
             assert end is None or end[0] == "tail", seed
         ends[end and end[0]] += 1
     assert ends["cylinder"] and ends["trivial" if index_set == "N" else "tail"]
+
+
+def test_chain_limit_waits_out_the_growth_of_a_longer_period():
+    # x_0 -> x_1, x_1 -> x_2, x_2 -> x_2, period 3: C_1, C_2, C_3 pin the
+    # growing windows [0, 1), [0, 2), [0, 3) and then C_4 = C_3
+    k = k_z2()
+    endo = rowfinite_endo(k, 0, 2, 3, [[(1, [[1]])], [(1, [[1]])], [(0, [[1]])]])
+    c3 = cylinder(k, (0, 3), [])
+    assert chain_limit(endo, u0(k)) == ("cylinder", c3)
+    assert oracles.cotrajectory_exact(endo, u0(k)) == ("stalled", c3)
+    # over Z, a map of period 4 grows a pinned half line on three steps
+    # before it stalls: the tail fails the fixed-point equation and the
+    # walk goes on to the fixed point
+    kz = pro_group([], [Z2], "Z")
+    rows = [[(-1, [[1]])], [(-1, [[0]])], [(-1, [[1]])], [(-1, [[1]])]]
+    endo = rowfinite_endo(kz, -1, 1, 4, rows)
+    c4 = cylinder(kz, (-3, 2), [])
+    assert chain_limit(endo, cylinder(kz, (0, 2), [])) == ("cylinder", c4)
 
 
 def test_quotient_system_examples():
