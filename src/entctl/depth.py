@@ -35,6 +35,7 @@ from .profinite import (
     cotrajectory_limits,
     identity_endo,
     pins_growing_windows,
+    stall_wait,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -153,14 +154,16 @@ def antistable_check(
     """Decide whether the two-sided intersection of psi^n(U) is trivial.
 
     Certified antistable when the partial intersections pin every
-    coordinate of windows that keep growing on both sides (band geometry
-    then pins every coordinate in the limit); certified not antistable
+    coordinate of windows that keep growing on both sides, over the larger
+    ``stall_wait`` of psi and its inverse (band geometry then pins every
+    coordinate in the limit); certified not antistable
     when both one-sided chains reach exact fixed points with a nontrivial
     intersection; unknown otherwise.
     """
     if inverse is None:
         inverse = invert(endo, policy)
     steps_p, steps_m = chain_steps(endo, u), chain_steps(inverse, u)
+    wait = max(stall_wait(endo, policy), stall_wait(inverse, policy))
     stalled_p = stalled_m = False
     history = []
     for n in range(1, policy.max_n + 1):
@@ -176,7 +179,7 @@ def antistable_check(
         if stalled_p and stalled_m:
             return AntistableCertificate("not_antistable", n, (d.lo, d.hi), witness=d)
         history.append((d.lo, d.hi, d.core.order == 1))
-        if pins_growing_windows(endo.parent, history, policy.stall_window):
+        if pins_growing_windows(endo.parent, history, wait):
             return AntistableCertificate("antistable", n, (d.lo, d.hi))
     return AntistableCertificate("unknown", None, None)
 
@@ -372,7 +375,7 @@ def _preimage_halfline(endo: RowFiniteEndo, obj, policy: StabilizationPolicy):
 
     radii = itertools.count(max(abs(obj.pin_from) + 2, 2))
     preimages = (endo.preimage_cylinder(obj.truncate(m))[0] for m in radii)
-    kind, out = next(chain_end(preimages, policy))
+    kind, out = next(chain_end(preimages, policy, stall_wait(endo, policy)))
     if kind == "trivial":
         raise Inconclusive("preimage pins every coordinate; no half line", None)
     return out

@@ -30,7 +30,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import (
     DimensionError,
@@ -47,6 +47,7 @@ from .finabel import (
     canonical_subgroup,
     echelon_subgroup,
     hom_validate,
+    repeat_point,
 )
 from .gengroup import FiniteGroup
 from .lattice import ZLattice, congruence_kernel
@@ -150,7 +151,7 @@ class BandedEndo:
     ``band`` is None.
     """
 
-    __slots__ = ("group", "offset", "width", "period", "images", "_horizon", "band")
+    __slots__ = ("group", "offset", "width", "period", "images", "band")
 
     def __init__(self, group: LFGroup, offset: int, width: int, period: int, images):
         if width < 1 or period < 1:
@@ -166,10 +167,6 @@ class BandedEndo:
         )
         if len(self.images) != period:
             raise ValidationError("images must cover one full period")
-        p_blocks = len(group.period)
-        self._horizon = (
-            len(group.prefix) + lcm(period, p_blocks) + abs(self.offset) + self.width + 1
-        )
         self._validate()
         self.band = self._band() if group.is_abelian else None
 
@@ -180,7 +177,10 @@ class BandedEndo:
         g = self.group
         abelian = g.is_abelian
         lo, hi = self.offset, self.offset + self.width
-        for i in range(self._horizon + 1):
+        # past the rows [0, P + L), a block's images, its block and the
+        # blocks they reach repeat
+        rows = range(sum(repeat_point(g, self.offset, self.period)))
+        for i in rows:
             blk = g.block(i)
             res = self._terms_for(i)
             size = blk.rank if abelian else blk.order
@@ -200,7 +200,7 @@ class BandedEndo:
                             f"image index {idx} invalid at block {t}"
                         )
         if not abelian:
-            self._validate_cayley_homomorphism()
+            self._validate_cayley_homomorphism(rows)
 
     def _band(self) -> Band:
         """The abelian images as a band, checked by it: the term of output
@@ -232,9 +232,9 @@ class BandedEndo:
             out = g.add(out, {t: idx})
         return g.reduce_elem(out)
 
-    def _validate_cayley_homomorphism(self) -> None:
+    def _validate_cayley_homomorphism(self, rows: range) -> None:
         g = self.group
-        for i in range(self._horizon + 1):
+        for i in rows:
             blk = g.block(i)
             imgs = [self._image_of_block_elem(i, x) for x in range(blk.order)]
             for a in range(blk.order):
@@ -247,8 +247,9 @@ class BandedEndo:
                             f"at ({a}, {b})"
                         )
             # images of distinct blocks must commute for the blockwise
-            # extension to be a homomorphism
-            for i2 in range(i + 1, min(i + abs(self.offset) + self.width + 1, self._horizon + 1)):
+            # extension to be a homomorphism; a pair repeats with its
+            # first row, and the images of rows a band apart are disjoint
+            for i2 in range(i + 1, i + abs(self.offset) + self.width + 1):
                 blk2 = g.block(i2)
                 imgs2 = [self._image_of_block_elem(i2, x) for x in range(blk2.order)]
                 for a in range(1, blk.order):
@@ -420,56 +421,59 @@ class _AbelianTrajectory:
 
 
 class _CayleyTrajectory:
+    """T_n and phi(T_n) as element sets, generated by the layers:
+    T_{n+1} = <layers 0..n> and phi(T_n) = <layers 1..n>."""
+
     def __init__(self, endo: BandedEndo, f_gens: list[dict]):
         self.endo = endo
         self.group = endo.group
-        self.f_elems = self._close(set(map(freeze_elem, f_gens)))
-        self.t_elems = set(self.f_elems)
+        self.f_elems = self._close(frozenset(), f_gens)
+        self.t_elems = self.f_elems
         self.layers = [list(f_gens)]
         self.orders = [len(self.t_elems)]
-        self.phit_elems: set = {freeze_elem({})}
+        self.phit_elems = frozenset({freeze_elem({})})
         self.phit_orders: list[int] = []
 
-    def _close(self, seed: set) -> frozenset:
+    def _close(self, sub: frozenset, gens: list[dict]) -> frozenset:
+        """The subgroup generated by the subgroup ``sub`` and ``gens``, for
+        ``gens`` that generate ``sub`` too: the closure of ``sub`` and the
+        identity under right multiplication by ``gens`` (in a finite group
+        the monoid that generators span is the group)."""
         g = self.group
-        elems = set(seed)
+        elems = set(sub)
         elems.add(freeze_elem({}))
         frontier = list(elems)
-        gens = [dict(x) for x in seed]
         while frontier:
             new = []
             for fx in frontier:
                 x = dict(fx)
                 for s in gens:
-                    for y in (g.add(x, s), g.add(s, x)):
-                        fy = freeze_elem(y)
-                        if fy not in elems:
-                            elems.add(fy)
-                            new.append(fy)
+                    fy = freeze_elem(g.add(x, s))
+                    if fy not in elems:
+                        elems.add(fy)
+                        new.append(fy)
             frontier = new
         return frozenset(elems)
 
     def check_f_normal(self) -> None:
+        """t f t^-1 in F for the newest layer's elements t and the generators
+        f of F.  The layers before it passed at their step and together they
+        generate T, and a finite F with t F t^-1 inside it is normalised by t."""
         g = self.group
-        for fs in self.t_elems:
-            s = dict(fs)
-            s_inv = g.neg(s)
-            for ff in self.f_elems:
-                conj = g.add(g.add(s, dict(ff)), s_inv)
-                if freeze_elem(conj) not in self.f_elems:
+        for t in self.layers[-1]:
+            t_inv = g.neg(t)
+            for f in self.layers[0]:
+                if freeze_elem(g.add(g.add(t, f), t_inv)) not in self.f_elems:
                     raise HypothesisFailure(
                         "F is not normal in the subgroup generated by its trajectory"
                     )
 
     def step(self) -> None:
-        g = self.group
         nxt = [self.endo.apply(x) for x in self.layers[-1]]
         self.layers.append(nxt)
-        self.t_elems = set(
-            self._close(self.t_elems | {freeze_elem(x) for x in nxt})
-        )
-        self.phit_elems = set(
-            self._close(self.phit_elems | {freeze_elem(x) for x in nxt})
+        self.t_elems = self._close(self.t_elems, [x for layer in self.layers for x in layer])
+        self.phit_elems = self._close(
+            self.phit_elems, [x for layer in self.layers[1:] for x in layer]
         )
         self.orders.append(len(self.t_elems))
         self.phit_orders.append(len(self.phit_elems))

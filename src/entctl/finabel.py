@@ -19,6 +19,10 @@ A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
 it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
 
+A sum H + <rows> is the echelon basis H holds with the rows added.
+``AbSubgroup.sum_with`` normalises it; ``span_index`` reads only
+[A : H + <rows>] off its pivots, for callers that compare no subgroups.
+
 ``BlockSequence`` is the block rule and window layout shared by restricted
 sums and full products of blocks; its ``coords`` and ``elem_of`` are the one
 place where block elements meet window coordinates.  ``Band`` is the one band
@@ -90,9 +94,6 @@ class FiniteAbelianGroup:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % d for x, d in zip(a, self.moduli))
 
-    def scale(self, c: int, a) -> tuple[int, ...]:
-        return tuple((c * x) % d for x, d in zip(a, self.moduli))
-
     def elements(self):
         """Iterate all elements; intended for small groups only."""
         return itertools.product(*(range(d) for d in self.moduli))
@@ -113,7 +114,8 @@ class FiniteAbelianGroup:
         return canonical_subgroup(self, gens)
 
     def trivial_subgroup(self) -> "AbSubgroup":
-        return canonical_subgroup(self, [])
+        # the HNF of the relation lattice: the rows d_j e_j with d_j > 1
+        return AbSubgroup.from_rows(self, {j: {j: d} for j, d in enumerate(self.moduli) if d > 1})
 
     def whole_subgroup(self) -> "AbSubgroup":
         # every HNF row is a unit row, and those are not stored
@@ -250,10 +252,7 @@ class AbSubgroup:
     def sum_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup sum across ambient groups")
-        lat = self._lattice().copy()
-        for row in other.hnf_rows():
-            lat.add(row)
-        return _normalized(self.ambient, lat)
+        return _normalized(self.ambient, _spanned(self, other.hnf_rows()))
 
     def intersect_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
@@ -346,6 +345,24 @@ def echelon_subgroup(ambient: FiniteAbelianGroup, rows) -> AbSubgroup:
     """Subgroup with an echelon basis of one row per column, relations
     included, given as {column: value} maps that it takes over."""
     return _normalized(ambient, ZLattice.from_echelon(ambient.rank, dict(enumerate(rows))))
+
+
+def _spanned(sub: AbSubgroup, rows) -> ZLattice:
+    """An echelon basis of the lattice of sub + <rows>, relations included:
+    a copy of the lattice that ``sub`` holds, with ``rows`` added."""
+    lat = sub._lattice().copy()
+    for row in rows:
+        lat.add(row)
+    return lat
+
+
+def span_index(sub: AbSubgroup, rows) -> int:
+    """[A : sub + <rows>] for vectors or {coordinate: value} maps ``rows``.
+
+    The pivot product of any echelon basis of a full-rank lattice that
+    contains the relations is its index, so no normal form is built.
+    """
+    return _spanned(sub, rows).pivot_product()
 
 
 def _normalized(ambient: FiniteAbelianGroup, lat: ZLattice) -> AbSubgroup:
@@ -452,6 +469,16 @@ class BlockSequence:
         return canonical_subgroup(self.window_layout(slo, shi)[0], rows)
 
 
+def repeat_point(blocks: BlockSequence, offset: int, period: int, prefix_rows: int = 0):
+    """(P, L) of a banded map of ``blocks`` with ``period`` rows after
+    ``prefix_rows`` prefix rows, whose row i reaches the blocks i + o for
+    offsets o >= ``offset``: from row P on, a row's terms, its own block and
+    the blocks it reaches repeat with L = lcm(period, block period).  Over N
+    the rows that reach the prefix blocks or below 0 come before P."""
+    first = len(blocks.prefix) - min(offset, 0) if blocks.index_set == "N" else 0
+    return max(prefix_rows, first), lcm(period, len(blocks.period))
+
+
 class Band:
     """A banded map of a ``BlockSequence`` of abelian blocks into itself.
 
@@ -463,7 +490,7 @@ class Band:
     index set are dropped.  Construction checks the shapes, and that the
     map is well defined, on the rows [0, P + L): from row P on, a row's
     terms, its target block and its source blocks repeat with
-    L = lcm(period, block period).
+    L = lcm(period, block period) (``repeat``).
     """
 
     __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows")
@@ -495,13 +522,16 @@ class Band:
             return self.prefix_rows[i]
         return self.rows[i % self.period]
 
+    def repeat(self) -> tuple[int, int]:
+        """(P, L): P is the first row past the prefix rows whose target and
+        sources all lie in the periodic blocks, and from it on the rows
+        repeat with period L."""
+        return repeat_point(self.parent, self.offset, self.period, len(self.prefix_rows))
+
     def _validate(self) -> None:
         g = self.parent
         lo_o, hi_o = self.offset, self.offset + self.width
-        # P: the first row past the prefix rows whose target and sources
-        # all lie in the periodic blocks
-        first = max(len(self.prefix_rows), len(g.prefix) - min(lo_o, 0))
-        for i in range(first + lcm(self.period, len(g.period))):
+        for i in range(sum(self.repeat())):
             tgt = g.block(i)
             seen = set()
             for o, mat in self.row_terms(i):

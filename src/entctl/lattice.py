@@ -16,7 +16,9 @@ elimination into ``finabel`` without a dense detour.
 
 ``congruence_kernel`` is the one elimination behind intersections, preimages,
 annihilators and kernel orders, as in Zassenhaus's intersection algorithm;
-it returns its rows as maps.
+it returns its rows as maps.  ``normalize`` is needed only for a canonical
+form: ``pivot_product`` reads the index of a full-rank lattice off any of
+its echelon bases.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ the chain of U by the memoised ``chain_limit``.  A cylinder is pulled
 back by ``RowFiniteEndo.preimage_cylinder`` alone, for powers too, and
 it returns the window map it read psi^{-1}(C) from: a step builds the
 map of C_n once, and ``classify_cotrajectory`` reads [K : Im(psi) * C_n]
-off the same map.
+off the same map.  Indices that are only read, never compared (a chain
+step's two indices, a window's [window : Im psi], a cokernel order), come
+from ``finabel.span_index`` without a normal form.
 
 The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
@@ -50,6 +52,7 @@ from .finabel import (
     Hom,
     canonical_subgroup,
     hom_validate,
+    span_index,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -174,12 +177,6 @@ class CylinderSubgroup:
         a = self.extended_core(lo, hi)
         b = other.extended_core(lo, hi)
         return CylinderSubgroup(self.parent, lo, hi, a.intersect_with(b))
-
-    def sum_with(self, other: "CylinderSubgroup") -> "CylinderSubgroup":
-        lo, hi = self.hull_with(other)
-        a = self.extended_core(lo, hi)
-        b = other.extended_core(lo, hi)
-        return CylinderSubgroup(self.parent, lo, hi, a.sum_with(b))
 
     def contains_cylinder(self, other: "CylinderSubgroup") -> bool:
         lo, hi = self.hull_with(other)
@@ -565,18 +562,26 @@ def _pinned_ends(cyl: CylinderSubgroup) -> dict:
     }
 
 
-def chain_end(cylinders, policy: StabilizationPolicy):
+def stall_wait(endo, policy: StabilizationPolicy) -> int:
+    """The number of cylinders over which ``chain_end``'s patterns must hold
+    for the chains of ``endo``: ``stall_window``, or P + L of its band if
+    larger, since the rows before the repeat point and one period of them
+    can grow pinned windows that later stall."""
+    return max(policy.stall_window, sum(endo.repeat()))
+
+
+def chain_end(cylinders, policy: StabilizationPolicy, w: int):
     """Candidate ends of a descending cylinder stream, read off at most
     ``policy.max_n + 1`` cylinders.  It ends on ("cylinder", C) at two equal
     successive cylinders and on ("trivial", n) when ``pins_growing_windows``
-    holds at the (n+1)-th; it yields ("tail", TailCylinder) and goes on when
-    the pinned run at one end starts at one block and grows on the last
-    ``stall_window`` cylinders while the rest projects to one residual
-    (projected only once the integer boundaries and extents hold).  Both
-    patterns are read from the second cylinder on, pinned windows first,
-    since over N they also match a tail.  Raises Inconclusive past the budget.
+    holds over ``w`` cylinders at the (n+1)-th; it yields ("tail",
+    TailCylinder) and goes on when the pinned run at one end starts at one
+    block and grows on the last ``w`` cylinders while the rest projects to
+    one residual (projected only once the integer boundaries and extents
+    hold).  Both patterns are read from the second cylinder on, pinned
+    windows first, since over N they also match a tail.  ``w`` is the map's
+    ``stall_wait``.  Raises Inconclusive past the budget.
     """
-    w = policy.stall_window
     windows = []
     runs = {+1: [], -1: []}
     cylinders = itertools.islice(cylinders, policy.max_n + 1)
@@ -610,7 +615,7 @@ def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT
     chain's pinned windows force the reverse inclusion); one that fails, as
     the early growth of a map of longer period may, is passed over."""
     band = abs(endo.offset) + endo.width
-    for kind, obj in chain_end(chain(endo, u), policy):
+    for kind, obj in chain_end(chain(endo, u), policy, stall_wait(endo, policy)):
         if kind != "tail":
             return kind, obj
         for extra in range(policy.stall_window):
@@ -671,7 +676,8 @@ def classify_cotrajectory(
 ) -> CotrajectoryReport:
     """Read the ``chain_steps`` of U until every companion chain stalls; at
     most ``policy.max_n`` steps.  [K : Im(psi) * C_n] is read off the window
-    map of C_n that the step carries.
+    map of C_n that the step carries; it and [K : U + psi^{-1}(C_n)] are
+    two ``span_index`` eliminations of their own.
 
     Certification requires the identity
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
@@ -703,8 +709,9 @@ def classify_cotrajectory(
         alphas.append(cs[n] // cs[n - 1])
         if n >= 2 and alphas[-2] % alphas[-1]:
             raise AssertionError("alpha divisibility violated")
-        ds.append(p_cyl.sum_with(u).index)
-        ls.append(h.image().sum_with(c_cyl.core).index)
+        hull = p_cyl.hull_with(u)
+        ds.append(span_index(p_cyl.extended_core(*hull), u.extended_core(*hull).hnf_rows()))
+        ls.append(span_index(c_cyl.core, h.columns))
 
         if c_next == c_cyl:
             # exact fixed point: C = C_n, psi^{-1}(C) = P exactly
@@ -767,7 +774,7 @@ def surjective_on_windows(endo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
     while True:
         lo, hi = (0, radius) if g.index_set == "N" else (-radius, radius)
         _, _, h = endo.window_map(lo, hi)
-        if h.image().index != 1:
+        if span_index(h.target.trivial_subgroup(), h.columns) != 1:
             return False
         if radius == policy.window_budget:
             return True
@@ -839,7 +846,7 @@ def cokernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     for n in range(1, policy.window_budget + 1):
         lo, hi = (0, n) if g.index_set == "N" else (-n, n)
         _, _, h = endo.window_map(lo, hi)
-        qs.append(h.image().index)
+        qs.append(span_index(h.target.trivial_subgroup(), h.columns))
         if len(qs) >= w and len(set(qs[-w:])) == 1:
             return qs[-1]
         if len(qs) >= 2 and qs[-1] < qs[-2]:
@@ -943,7 +950,7 @@ def quotient_system(
         CheckRecord("induced_cotrajectory_trivial", c_q.order == 1, lhs=c_q.order, rhs=1)
     )
     ker_q = endo_q.kernel().order
-    cok_q = endo_q.image().index
+    cok_q = span_index(q_group.trivial_subgroup(), endo_q.columns)
     checks.append(
         CheckRecord(
             "finite_entropy_eq_log_ker_minus_log_coker",

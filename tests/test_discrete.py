@@ -7,6 +7,7 @@ from entctl.discrete import (
     banded_endo,
     locally_finite_group,
     trajectory,
+    trajectory_engines,
     trajectory_limits,
 )
 from entctl.values import EntropyValue, StabilizationPolicy
@@ -288,6 +289,35 @@ def test_nonabelian_rejects_nonnormal_f():
     # in the subgroup its trajectory generates
     with pytest.raises(HypothesisFailure):
         trajectory_limits(endo, [{0: T12}])
+
+
+def test_nonabelian_nonnormal_f_fails_at_the_step_that_breaks_normality():
+    # F = <(12)> is normal in T_1 = F; conjugation by (123) adds (13) or
+    # (23), so T_2 = S3, in which F is not normal
+    g = s3_sum()
+    table = S3_TABLE
+    conj = S3_PERMS.index((1, 2, 0))
+    conj_inv = oracles.inverse_of(table, conj)
+    images = [[[(0, table[table[conj][x]][conj_inv])] for x in range(6)]]
+    engines = trajectory_engines(banded_endo(g, 0, 1, 1, images), [{0: T12}])
+    assert next(engines).orders == [2]
+    with pytest.raises(HypothesisFailure):
+        next(engines)
+
+
+def test_nonabelian_validation_reaches_the_last_distinct_row():
+    # blocks Z6, S3, S3, ... and map period 2: row 0 inverts Z6 (a
+    # homomorphism), rows 1, 3, ... are the identity, and rows 2, 4, ...
+    # apply the same index map to S3, where it is not a homomorphism.
+    # The rows repeat from P = 1 with L = 2, so row P + L - 1 = 2 is the
+    # first and last row to show the fault.
+    z6 = cayley_group(oracles.cyclic_table(6))
+    g = locally_finite_group([z6], [cayley_group(S3_TABLE)])
+    invert = [[(0, -x % 6)] for x in range(6)]
+    ident = [[(0, x)] for x in range(6)]
+    banded_endo(locally_finite_group([z6], [z6]), 0, 1, 2, [invert, ident])  # valid
+    with pytest.raises(ValidationError, match="block 2"):
+        banded_endo(g, 0, 1, 2, [invert, ident])
 
 
 def test_nonabelian_validation_rejects_non_homomorphism():

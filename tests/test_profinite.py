@@ -9,6 +9,7 @@ import oracles
 from entctl.cli import parse_instance, run_command
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
+from entctl.lattice import ZLattice
 from entctl.profinite import (
     CotrajectoryReport,
     CylinderSubgroup,
@@ -167,6 +168,18 @@ def test_surjectivity_detection():
     assert surjective_on_windows(identity_endo(k))
 
 
+def test_surjectivity_builds_no_normal_form(monkeypatch):
+    # [window : Im psi] = 1 is read off the pivots of an echelon basis
+    calls = []
+    original = ZLattice.normalize
+    monkeypatch.setattr(ZLattice, "normalize", lambda lat: calls.append(1) or original(lat))
+    mixed = pro_group([], [FiniteAbelianGroup((4, 2))], "N")
+    twist = rowfinite_endo(mixed, 0, 2, 1, [[(0, [[2, 2], [1, 0]]), (1, [[1, 0], [0, 1]])]])
+    maps = (left_shift(k_z2()), left_shift(mixed), twist, identity_endo(pro_group([], [Z3], "Z")))
+    assert all(surjective_on_windows(endo) for endo in maps)
+    assert calls == []
+
+
 def test_surjectivity_fails_late():
     # Identity on a prefix of R mixed blocks, except a zero row at index
     # R - 1: the first window that is not onto has radius R.  R = 20 is not
@@ -237,7 +250,9 @@ def test_chain_limit_classification():
 def test_chain_limit_agrees_with_the_earlier_exact_end(index_set, periodic):
     # the earlier rule found fixed points and pinned growing windows only;
     # chain_limit must find the same ends and add tails only where it gave
-    # up.  A short walk keeps the chains that end nowhere cheap.
+    # up.  It waits P + L cylinders where the band's repeat point and period
+    # outlast stall_window, so there pinned windows may end a chain later,
+    # never earlier.  A short walk keeps the chains that end nowhere cheap.
     policy = StabilizationPolicy(max_n=12)
     ends = collections.Counter()
     for seed in range(60):
@@ -252,6 +267,8 @@ def test_chain_limit_agrees_with_the_earlier_exact_end(index_set, periodic):
             end = None
         if kind == "stalled":
             assert end == ("cylinder", limit), seed
+        elif kind == "trivial" and sum(endo.repeat()) > policy.stall_window:
+            assert end[0] == "trivial" and end[1] >= limit, seed
         elif kind == "trivial":
             assert end == ("trivial", limit), seed
         else:
@@ -276,6 +293,25 @@ def test_chain_limit_waits_out_the_growth_of_a_longer_period():
     endo = rowfinite_endo(kz, -1, 1, 4, rows)
     c4 = cylinder(kz, (-3, 2), [])
     assert chain_limit(endo, cylinder(kz, (0, 2), [])) == ("cylinder", c4)
+
+
+def test_chain_limit_waits_out_a_prefix_row_and_a_longer_period():
+    # (Z/3)^2 over N, offset 0, width 2, period 3 and one prefix row, so
+    # P + L = 1 + 3 = 4 > stall_window: C_2, C_3, C_4 pin the growing
+    # windows [0, 2), [0, 3), [0, 4) and then C_5 = C_4, an open limit
+    k = pro_group([], [FiniteAbelianGroup((3, 3))], "N")
+    rows = [
+        [(0, [[0, 0], [0, 0]])],
+        [(0, [[0, 1], [2, 0]]), (1, [[1, 0], [0, 2]])],
+        [(0, [[0, 1], [2, 1]]), (1, [[2, 0], [1, 2]])],
+    ]
+    prefix_rows = [[(0, [[1, 0], [1, 0]]), (1, [[2, 1], [0, 1]])]]
+    endo = rowfinite_endo(k, 0, 2, 3, rows, prefix_rows)
+    assert endo.repeat() == (1, 3)
+    c4 = cylinder(k, (0, 4), [])
+    assert cotrajectory(endo, u0(k), 4) == c4 == cotrajectory(endo, u0(k), 5)
+    assert chain_limit(endo, u0(k)) == ("cylinder", c4)
+    assert quotient_system(endo, u0(k)).mode == "finite"
 
 
 def test_quotient_system_examples():

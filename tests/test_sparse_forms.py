@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from entctl.discrete import banded_endo, locally_finite_group
 from entctl.errors import ValidationError
-from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup, hom_validate
+from entctl.finabel import (
+    FiniteAbelianGroup,
+    Hom,
+    canonical_subgroup,
+    hom_validate,
+    span_index,
+)
 from entctl.profinite import PowerEndo, pro_group, rowfinite_endo
 from test_elimination import mixed_groups, subgroups
 from test_finabel import assert_forms_agree, random_valid_matrix
@@ -184,3 +190,22 @@ def test_subgroup_equality_follows_the_dense_basis(data, rnd):
     # the same subgroups again, from generators
     subs += [canonical_subgroup(g, s.generators()) for s in subs]
     assert_forms_agree(subs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_span_index_is_the_index_of_the_normalised_sum(data, rnd):
+    """[A : H + <rows>] read off the pivots of an unnormalised echelon basis
+    against the index of the subgroup that sum_with or image() normalises."""
+    g = data.draw(mixed_groups())
+    a = data.draw(mixed_groups())
+    h = data.draw(subgroups(g, data.draw(st.booleans())))
+    l = data.draw(subgroups(g, data.draw(st.booleans())))
+    f = hom_validate(random_valid_matrix(rnd, a, g), a, g)
+    trivial = g.trivial_subgroup()
+    assert trivial == canonical_subgroup(g, [])
+    assert span_index(h, l.hnf_rows()) == h.sum_with(l).index
+    assert span_index(h, l.generators()) == h.sum_with(l).index
+    assert span_index(trivial, f.columns) == f.image().index
+    assert span_index(h, f.columns) == f.image().sum_with(h).index
+    assert span_index(h, []) == h.index
