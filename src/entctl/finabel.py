@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
+from operator import add
 
 from .errors import (
     AmbientMismatchError,
@@ -271,13 +272,19 @@ class AbSubgroup:
         maps on ``ambient``'s (unit rows by default).  A unit payload row e_j
         whose image vanishes on W is in the result: it is seeded as the
         modulus 1 of column j instead of being eliminated.
+
+        Long relation rows are eliminated last.  A relation row with more
+        entries than the longest (image | payload) row leaves the starting
+        lattice, the modulus row m_p e_p taking its place at pivot p, and
+        is added after the map rows with an empty payload.  Met first, such
+        a row would pass its entries on to every map row eliminated against
+        it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met
+        last, it is reduced once against the finished rows.  The lattice,
+        and so the normal form, is the same.
         """
         pos = {j: i for i, j in enumerate(sorted(self.rows))}
-        relation = ZLattice.from_echelon(
-            len(pos),
-            {pos[p]: {pos[t]: x for t, x in self.rows[p].items()} for p in pos},
-            [self.ambient.moduli[j] for j in pos],
-        )
+        rel_rows = {pos[p]: {pos[t]: x for t, x in self.rows[p].items()} for p in pos}
+        rel_moduli = [self.ambient.moduli[j] for j in pos]
         moduli = list(ambient.moduli)
         map_rows, kept = [], []
         for j, image in enumerate(images):
@@ -288,6 +295,21 @@ class AbSubgroup:
             else:
                 map_rows.append(image_w)
                 kept.append(row)
+        # Exact although the stored rows may lack some m_t e_t until the long
+        # rows come: a step at a pivot q >= t changes the span of the rows
+        # with pivots >= t only by multiples of the m_s e_s with s > t, so
+        # each relation row, and each m_t e_t as their combination, ends in
+        # the finished basis up to those; from the last column down, the
+        # basis holds every m_t e_t.
+        if map_rows and rel_rows:
+            longest = max(map(add, map(len, map_rows), map(len, kept)))
+            if max(map(len, rel_rows.values())) > longest:
+                for p, rel in rel_rows.items():
+                    if len(rel) > longest:
+                        rel_rows[p] = {p: rel_moduli[p]}
+                        map_rows.append(rel)
+                        kept.append({})
+        relation = ZLattice.from_echelon(len(pos), rel_rows, rel_moduli)
         return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
 
     def invariants(self) -> tuple[int, ...]:

@@ -114,8 +114,13 @@ class ZLattice:
 
     def _entries(self, vec) -> dict[int, int]:
         """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
-        v: dict[int, int] = {}
-        _put(v, vec, self.width, 0, self.moduli)
+        mods = self.moduli
+        v = {}
+        for t, x in _pairs(vec, self.width):
+            if mods and mods[t]:
+                x %= mods[t]
+            if x:
+                v[t] = x
         return v
 
     def add(self, vec, fresh: bool = False) -> bool:
@@ -124,7 +129,7 @@ class ZLattice:
 
         With ``fresh``, ``vec`` is a map that nobody else holds, with its
         columns checked and its entries reduced modulo the moduli (as
-        ``_put`` builds it): the lattice takes it over as it is.
+        ``_joined`` builds it): the lattice takes it over as it is.
         """
         v = vec if fresh else self._entries(vec)
         rows, mods = self._rows, self.moduli
@@ -213,28 +218,35 @@ class ZLattice:
         return prod(r[p] for p, r in self._rows.items())
 
 
-def _check_columns(vec: dict, width: int) -> None:
-    if vec and (min(vec) < 0 or max(vec) >= width):
-        raise ValueError(f"row with columns outside [0, {width})")
-
-
-def _put(v: dict[int, int], vec, width: int, offset: int, mods) -> None:
-    """Store the nonzero entries of ``vec``, a dense row of length ``width``
-    or a map with columns in [0, width), into the map ``v``, their columns
-    shifted right by ``offset`` and reduced modulo ``mods`` (when given)."""
+def _pairs(vec, width: int):
+    """The (column, value) pairs of the nonzero entries of a row, dense or a
+    map, its columns checked against ``width``."""
     if isinstance(vec, dict):
-        _check_columns(vec, width)
-        items = vec.items()
-    else:
-        if len(vec) != width:
-            raise ValueError(f"row of width {len(vec)}, expected {width}")
-        items = ((t, vec[t]) for t in compress(range(width), vec))
-    for t, x in items:
-        t += offset
-        if x and mods is not None and mods[t]:
+        if vec and (min(vec) < 0 or max(vec) >= width):
+            raise ValueError(f"row with columns outside [0, {width})")
+        return vec.items()
+    if len(vec) != width:
+        raise ValueError(f"row of width {len(vec)}, expected {width}")
+    return zip(compress(range(width), vec), filter(None, vec))
+
+
+def _joined(left, left_width: int, right, right_width: int, mods) -> dict[int, int]:
+    """The fresh map (left | right) of two rows, dense or maps, built in one
+    pass over their entries: the right row's columns shifted by
+    ``left_width``, each entry reduced modulo ``mods[t]`` where that is not 0."""
+    row = {}
+    for t, x in _pairs(left, left_width):
+        if mods[t]:
             x %= mods[t]
         if x:
-            v[t] = x
+            row[t] = x
+    for t, x in _pairs(right, right_width):
+        t += left_width
+        if mods[t]:
+            x %= mods[t]
+        if x:
+            row[t] = x
+    return row
 
 
 def _dense(row: dict[int, int], width: int) -> list[int]:
@@ -278,14 +290,14 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
     width = len(payload_moduli) if payload_moduli is not None else len(map_rows)
-    lat = relation.copy()
+    # ``add`` replaces a stored row and never changes one in place, so the
+    # lattice shares the relation's maps instead of copying them
+    lat = ZLattice.from_echelon(image_width, dict(relation._rows), relation.moduli)
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
-    mods = lat.moduli
+    mods = lat.moduli if lat.moduli is not None else [0] * lat.width
     for i, mrow in enumerate(map_rows):
-        row: dict[int, int] = {}
-        _put(row, mrow, image_width, 0, mods)
-        _put(row, {i: 1} if payload is None else payload[i], width, image_width, mods)
-        lat.add(row, fresh=True)
+        prow = {i: 1} if payload is None else payload[i]
+        lat.add(_joined(mrow, image_width, prow, width, mods), fresh=True)
     rows = lat._rows
     return [
         {t - image_width: x for t, x in rows[p].items()} for p in sorted(rows) if p >= image_width

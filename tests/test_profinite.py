@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import pathlib
 import random
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import oracles
+from entctl import lattice
 from entctl.cli import parse_instance, run_command
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
@@ -623,6 +625,33 @@ def test_verify_ends_half_line_chains_early(monkeypatch):
     report = run_command("verify", parse_instance(str(path)))
     assert report.status == "ok"
     assert 0 < len(calls) <= 40
+
+
+def test_budget_walk_grows_quadratically(monkeypatch):
+    """The left shift's cylinder 1 has the chain C_n = {x_0 = ... = x_n},
+    whose limit is of no shape ``chain_end`` knows, so ``chain_limit`` walks
+    all ``max_n`` steps.  Each step is a pull-back against C_n, whose echelon
+    basis has the row (1, ..., 1).  Eliminated last, it costs the step O(n)
+    entries; met first, every map row inherits its n entries, O(n^2).  So
+    doubling ``max_n`` may multiply the entries the walk touches by about 4
+    (3.6 measured), not 8 (7.4 when the row is met first)."""
+    touched = [0]
+    add_multiple = lattice._add_multiple
+
+    def counting(v, c, row, j, mods):
+        touched[0] += len(row)
+        add_multiple(v, c, row, j, mods)
+
+    monkeypatch.setattr(lattice, "_add_multiple", counting)
+    path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "left_shift_pro_z2.json"
+    counts = []
+    for max_n in (32, 64):
+        inst = parse_instance(str(path))
+        touched[0] = 0
+        with pytest.raises(Inconclusive):
+            chain_limit(inst.endo, inst.cylinders[1], dataclasses.replace(inst.policy, max_n=max_n))
+        counts.append(touched[0])
+    assert 0 < counts[0] and counts[1] < 5 * counts[0], counts
 
 
 # -- window changes built from the HNF against elimination from generators --
