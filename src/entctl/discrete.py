@@ -51,7 +51,7 @@ from .finabel import (
 )
 from .gengroup import FiniteGroup
 from .lattice import ZLattice, congruence_kernel
-from .values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
+from .values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy, read_stall
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ class BandedEndo:
                 raise ValidationError(f"block {i} needs {size} images but {len(res)} are given")
             if abelian:
                 continue
-            for x, terms in enumerate(res):
+            for terms in res:
                 for o, idx in terms:
                     if not (lo <= o < hi):
                         raise ValidationError(
@@ -306,7 +306,9 @@ class LFSubgroup:
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    """Stall analysis of the trajectory chain T_n = F phi(F) ... phi^{n-1}(F)."""
+    """Stall analysis of the trajectory chain T_n = F phi(F) ... phi^{n-1}(F):
+    the indices [T_{n+1} : T_n] that ``values.read_stall`` read, and n0, the
+    first step of alpha's last run (n at an exact end, alpha = 1)."""
 
     n_max: int
     orders: tuple[int, ...]
@@ -362,6 +364,7 @@ class _AbelianTrajectory:
         self.f_group, _ = g.window_layout(0, self.hi)
         f_rows = [g.coords(x, 0, self.hi) for x in f_gens]
         self.f_sub = canonical_subgroup(self.f_group, f_rows)
+        self.f_order = self.f_sub.order
         self.lat_t = self.f_group.relation_lattice()
         self.lat_phit = self.f_group.relation_lattice()
         self.layers = [f_rows]
@@ -428,6 +431,7 @@ class _CayleyTrajectory:
         self.endo = endo
         self.group = endo.group
         self.f_elems = self._close(frozenset(), f_gens)
+        self.f_order = len(self.f_elems)
         self.t_elems = self.f_elems
         self.layers = [list(f_gens)]
         self.orders = [len(self.t_elems)]
@@ -483,7 +487,6 @@ class _CayleyTrajectory:
         return len(self.f_elems & self.phit_elems)
 
     def kernel_cap_t_order(self) -> int:
-        g = self.group
         count = 0
         for fx in self.t_elems:
             if not self.endo.apply(dict(fx)):
@@ -538,69 +541,42 @@ def trajectory_limits(
 
 
 def classify_trajectory(engines, policy: StabilizationPolicy) -> TrajectoryReport:
-    """Read the engines at T_1, T_2, ... of ``trajectory_engines`` until the
-    index stalls and certify the stall; at most ``policy.max_n`` steps.
+    """Read the engines at T_1, T_2, ... of ``trajectory_engines`` with
+    ``values.read_stall``; at most ``policy.max_n`` steps.
 
     Certification requires the stabilized index alpha together with the
     independent cross-identity [T_{n+1} : phi(T_n)] = alpha * |ker phi n T_n|
     at the stall point; without both it reports inconclusive.
     """
     engine = next(engines)
-    w = policy.stall_window
     if not engine.layers[0]:  # F reduces to 0
         return TrajectoryReport(
             n_max=1, orders=(1,), alphas=(), n0=1, alpha=1,
             t_mod_phi_t=1, ker_cap_t=1, certified=True, status="certified", f_order=1,
         )
-    if isinstance(engine, _AbelianTrajectory):
-        f_order = engine.f_sub.order
-    else:
-        f_order = len(engine.f_elems)
+    stall = read_stall(_readings(engines, engine.f_order), policy, engine.group.is_abelian)
+    t_mod, ker = stall.certified or (None, None)
+    return TrajectoryReport(
+        n_max=len(stall.alphas), orders=tuple(engine.orders), alphas=stall.alphas, n0=stall.n0,
+        alpha=stall.alpha, t_mod_phi_t=t_mod, ker_cap_t=ker, certified=stall.certified is not None,
+        status="inconclusive" if stall.certified is None else "certified", f_order=engine.f_order,
+    )
 
-    alphas: list[int] = []
-    phi_caps: list[int] = []
-    kmon: list[int] = []
 
-    def report(n, n0, alpha, t_mod, ker, certified):
-        return TrajectoryReport(
-            n_max=n,
-            orders=tuple(engine.orders),
-            alphas=tuple(alphas),
-            n0=n0,
-            alpha=alpha,
-            t_mod_phi_t=t_mod,
-            ker_cap_t=ker,
-            certified=certified,
-            status="certified" if certified else "inconclusive",
-            f_order=f_order,
-        )
-
-    for n, engine in enumerate(itertools.islice(engines, policy.max_n), 1):
-        t_next, t_cur = engine.orders[n], engine.orders[n - 1]
+def _readings(engines, f_order: int):
+    """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
+    [T_{n+1} : T_n], the companions |F n phi(T_n)| and |T_n| / |phi(T_n)|,
+    and the cross-identity, which on success certifies |T/phi(T)| =
+    |F| / |F n phi(T_n)| and |ker phi n T| = |ker phi n T_n|, an
+    elimination of its own."""
+    for n, engine in enumerate(engines, 1):
+        t_next, t_cur, phit = engine.orders[n], engine.orders[n - 1], engine.phit_orders[n - 1]
         if t_next % t_cur:
             raise AssertionError("trajectory orders must divide")
-        alphas.append(t_next // t_cur)
-        if engine.group.is_abelian and n >= 2 and alphas[-2] % alphas[-1]:
-            raise AssertionError("index divisibility violated in abelian trajectory")
-        phi_caps.append(engine.f_cap_phit_order())
-        kmon.append(t_cur // engine.phit_orders[n - 1])
+        cap, kmon = engine.f_cap_phit_order(), t_cur // phit
 
-        exact = t_next == t_cur
-        stalled = (
-            n >= w
-            and len(set(alphas[-w:])) == 1
-            and len(set(phi_caps[-w:])) == 1
-            and len(set(kmon[-w:])) == 1
-        )
-        if exact or stalled:
-            alpha = alphas[-1]
+        def certify(alpha):
             ker = engine.kernel_cap_t_order()
-            cross = engine.orders[n] // engine.phit_orders[n - 1]
-            if ker == kmon[-1] and cross == alpha * ker:
-                t_mod = f_order // phi_caps[-1]
-                n0 = n - (0 if exact else w - 1)
-                return report(n, n0, alpha, t_mod, ker, True)
-            if exact:
-                raise AssertionError("exact trajectory stall failed its cross-identity")
-    return report(policy.max_n, None, None, None, None, False)
+            return (f_order // cap, ker) if ker == kmon and t_next // phit == alpha * ker else None
 
+        yield t_next // t_cur, (cap, kmon), certify

@@ -84,7 +84,6 @@ def dual_hom(f: Hom) -> Hom:
     adj = hom_validate(mat, FiniteAbelianGroup(b.moduli), FiniteAbelianGroup(a.moduli))
     _, pa = dual_group(a)
     _, pb = dual_group(b)
-    m = lcm(pa.modulus, pb.modulus)
     for j in range(a.rank):
         ej = a.unit(j)
         for i in range(b.rank):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -54,7 +55,9 @@ from .finabel import (
     hom_validate,
     span_index,
 )
-from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
+from .values import (
+    DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy, read_stall, run_start,
+)
 
 
 @dataclass(frozen=True)
@@ -630,7 +633,10 @@ def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT
 
 @dataclass(frozen=True)
 class CotrajectoryReport:
-    """Stall analysis of the cotrajectory index chain c_n = [K : C_n]."""
+    """Stall analysis of the cotrajectory index chain c_n = [K : C_n] read by
+    ``values.read_stall``: n0 and n1 are the first steps of the last runs of
+    alpha and of [K : U + psi^{-1}(C_n)] at a windowed stall; both are n at an
+    exact end (alpha = 1)."""
 
     n_max: int
     c: tuple[int, ...]
@@ -674,84 +680,48 @@ def cotrajectory_limits(
 def classify_cotrajectory(
     u: CylinderSubgroup, steps, policy: StabilizationPolicy
 ) -> CotrajectoryReport:
-    """Read the ``chain_steps`` of U until every companion chain stalls; at
-    most ``policy.max_n`` steps.  [K : Im(psi) * C_n] is read off the window
-    map of C_n that the step carries; it and [K : U + psi^{-1}(C_n)] are
-    two ``span_index`` eliminations of their own.
+    """Read the ``chain_steps`` of U with ``values.read_stall``; at most
+    ``policy.max_n`` steps.  The companions [K : U + psi^{-1}(C_n)] and
+    [K : Im(psi) * C_n] are two ``span_index`` eliminations of their own;
+    the second is read off the window map of C_n that the step carries.
 
     Certification requires the identity
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
     """
-    w = policy.stall_window
-    cs = [u.index]
-    alphas: list[int] = []
-    ds: list[int] = []
-    ls: list[int] = []
-
-    def report(n, n0, alpha, n1, psi_inv, kml, certified, status):
+    stall = read_stall(_readings(u, steps), policy, True)
+    n = len(stall.alphas)
+    c = tuple(itertools.accumulate(stall.alphas, operator.mul, initial=u.index))
+    ds, ls = zip(*stall.companions)
+    if stall.certified is not None:
+        n1 = n if stall.alpha == 1 else run_start(ds)
         return CotrajectoryReport(
-            n_max=n,
-            c=tuple(cs),
-            alphas=tuple(alphas),
-            n0=n0,
-            alpha=alpha,
-            n1=n1,
-            psi_inv_c_mod_c=psi_inv,
-            k_mod_l=kml,
-            certified=certified,
-            status=status,
+            n, c, stall.alphas, stall.n0, stall.alpha, n1, *stall.certified, True, "certified"
         )
-
-    for n, (c_cyl, p_cyl, h, c_next) in enumerate(itertools.islice(steps, policy.max_n), 1):
-        cs.append(c_next.index)
-        if cs[n] % cs[n - 1]:
-            raise AssertionError("c_n must divide c_{n+1}")
-        alphas.append(cs[n] // cs[n - 1])
-        if n >= 2 and alphas[-2] % alphas[-1]:
-            raise AssertionError("alpha divisibility violated")
-        hull = p_cyl.hull_with(u)
-        ds.append(span_index(p_cyl.extended_core(*hull), u.extended_core(*hull).hnf_rows()))
-        ls.append(span_index(c_cyl.core, h.columns))
-
-        if c_next == c_cyl:
-            # exact fixed point: C = C_n, psi^{-1}(C) = P exactly
-            psi_inv = c_cyl.index // p_cyl.index
-            kml = ls[-1]
-            certified = psi_inv == 1 * kml
-            return report(
-                n, n, 1, n, psi_inv, kml, certified,
-                "certified" if certified else "inconclusive",
-            )
-        if (
-            n >= w
-            and len(set(alphas[-w:])) == 1
-            and len(set(ds[-w:])) == 1
-            and len(set(ls[-w:])) == 1
-        ):
-            alpha = alphas[-1]
-            psi_inv = u.index // ds[-1]
-            kml = ls[-1]
-            if psi_inv == alpha * kml:
-                n0 = n - w + 1
-                n1 = n - w + 1
-                for back in range(len(ds) - 1, -1, -1):
-                    if ds[back] != ds[-1]:
-                        n1 = back + 2
-                        break
-                else:
-                    n1 = 1
-                for back in range(len(alphas) - 1, -1, -1):
-                    if alphas[back] != alphas[-1]:
-                        n0 = back + 2
-                        break
-                else:
-                    n0 = 1
-                return report(n, n0, alpha, n1, psi_inv, kml, True, "certified")
-
     half = max(2, policy.max_n // 2)
-    if len(ls) >= half and all(ls[i] < ls[i + 1] for i in range(len(ls) - half, len(ls) - 1)):
-        return report(policy.max_n, None, None, None, None, None, False, "hypothesis_failure")
-    return report(policy.max_n, None, None, None, None, None, False, "inconclusive")
+    grows = len(ls) >= half and all(a < b for a, b in zip(ls[-half:], ls[-half + 1 :]))
+    status = "hypothesis_failure" if grows else "inconclusive"
+    return CotrajectoryReport(n, c, stall.alphas, None, None, None, None, None, False, status)
+
+
+def _readings(u: CylinderSubgroup, steps):
+    """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
+    [C_n : C_{n+1}], the companions d_n = [K : U + psi^{-1}(C_n)] and
+    [K : Im(psi) * C_n], and the identity, which on success certifies
+    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C]."""
+    c_prev = u.index
+    for c_cyl, p_cyl, h, c_next in steps:
+        if c_next.index % c_prev:
+            raise AssertionError("c_n must divide c_{n+1}")
+        hull = p_cyl.hull_with(u)
+        d = span_index(p_cyl.extended_core(*hull), u.extended_core(*hull).hnf_rows())
+        kml = span_index(c_cyl.core, h.columns)
+
+        def certify(alpha):
+            psi_inv = u.index // d
+            return (psi_inv, kml) if psi_inv == alpha * kml else None
+
+        yield c_next.index // c_prev, (d, kml), certify
+        c_prev = c_next.index
 
 
 @_memoized
@@ -885,7 +855,7 @@ def _quotient_data(cyl: CylinderSubgroup):
     from .lattice import smith_normal_form
 
     basis = [list(r) for r in cyl.core.basis]
-    s, uu, vv, uinv, vinv = smith_normal_form(basis, with_inverses=True)
+    s, _, vv, _, vinv = smith_normal_form(basis, with_inverses=True)
     k = len(basis)
     diag = [s[i][i] for i in range(k)]
     keep = [i for i, d in enumerate(diag) if d != 1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +74,10 @@ class StabilizationPolicy:
     hypothesis failure.
 
     ``stall_window`` is the number of consecutive agreeing values that are
-    taken as a stall: of the chain indices, of the pinned growing windows
-    and half-line patterns, and of the window kernels and cokernels.  Two
+    taken as a stall: of the chain indices and their companions (in
+    ``read_stall``, the one stall rule of both limits classifiers), of the
+    pinned growing windows and half-line patterns, and of the window
+    kernels and cokernels.  Two
     places use it otherwise: ``depth.invert`` searches windows up to the
     radius max(4 * band, stall_window), and ``profinite.chain_limit``
     checks a half-line tail on stall_window truncations.
@@ -93,6 +96,58 @@ class StabilizationPolicy:
 
 
 DEFAULT_POLICY = StabilizationPolicy()
+
+
+@dataclass(frozen=True)
+class Stall:
+    """What ``read_stall`` read: the alphas, the companions of each step and,
+    when certified, n0 and the values ``certify`` returned."""
+
+    alphas: tuple[int, ...]
+    companions: tuple[tuple, ...]
+    n0: int | None = None
+    certified: tuple | None = None
+
+    @property
+    def alpha(self) -> int | None:
+        return self.alphas[-1] if self.certified is not None else None
+
+
+def run_start(values) -> int:
+    """The step (counted from 1) at which the last run of equal values starts."""
+    n = len(values)
+    while n > 1 and values[n - 2] == values[-1]:
+        n -= 1
+    return n
+
+
+def read_stall(readings, policy: StabilizationPolicy, divisible: bool) -> Stall:
+    """The one stall rule of both index chains, [T_{n+1} : T_n] and [C_n : C_{n+1}].
+
+    ``readings`` yields (alpha_n, companions, certify) for n = 1, 2, ..., of
+    which at most ``policy.max_n`` are pulled; with ``divisible`` each alpha
+    must divide the one before.  The chain ends exactly at alpha_n = 1 (the
+    chains are nested) and stalls when alpha and the companions have held
+    over ``stall_window`` steps.  There ``certify(alpha)`` checks the side's
+    identity and returns the certified values, or None: a stall that fails
+    is passed over, an exact end that fails (the identity with h = 0) is a
+    broken invariant.  n0 is the first step of alpha's last run.
+    """
+    w = policy.stall_window
+    alphas, companions = [], []
+    for n, (alpha, comp, certify) in enumerate(itertools.islice(readings, policy.max_n), 1):
+        if divisible and alphas and alphas[-1] % alpha:
+            raise AssertionError("index divisibility violated")
+        alphas.append(alpha)
+        companions.append(comp)
+        held = n >= w and all(v == vs[-1] for vs in (alphas[-w:], companions[-w:]) for v in vs)
+        if alpha == 1 or held:
+            values = certify(alpha)
+            if values is not None:
+                return Stall(tuple(alphas), tuple(companions), run_start(alphas), values)
+            if alpha == 1:
+                raise AssertionError("exact chain end failed its identity")
+    return Stall(tuple(alphas), tuple(companions))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import oracles
 from entctl import lattice
 from entctl.cli import parse_instance, run_command
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
-from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
+from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup
 from entctl.lattice import ZLattice
 from entctl.profinite import (
     CotrajectoryReport,
@@ -20,6 +20,8 @@ from entctl.profinite import (
     TailCylinder,
     chain,
     chain_limit,
+    chain_steps,
+    classify_cotrajectory,
     cokernel_order,
     cotrajectory,
     cotrajectory_limits,
@@ -492,6 +494,21 @@ def test_inconclusive_on_tiny_budget():
         with pytest.raises(Inconclusive) as exc:
             getattr(rep, formula)
         assert exc.value.report is rep
+
+
+def test_exact_end_that_fails_its_identity_is_a_broken_invariant():
+    # the identity on (Z/2)^N with U = {x_0 = 0} ends exactly at C_2 = C_1 = U;
+    # with the zero window map in place of the true one, [K : Im(psi) C_1]
+    # reads 2, so |psi^{-1}(C)/C| = 1 = alpha * [K : Im(psi) C] fails at alpha = 1
+    k = k_z2()
+    u = u0(k)
+
+    def zero_window_maps(endo, u):
+        for c, p, h, c_next in chain_steps(endo, u):
+            yield c, p, Hom(h.source, h.target, tuple({} for _ in h.columns)), c_next
+
+    with pytest.raises(AssertionError, match="exact chain end failed its identity"):
+        classify_cotrajectory(u, zero_window_maps(identity_endo(k), u), DEFAULT_POLICY)
 
 
 def test_entropy_of_growing_correction_term_is_hypothesis_failure():

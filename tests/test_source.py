@@ -34,6 +34,61 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["gcd (line 2)", "os (line 1)"]
 
 
+def unused_locals(source: str) -> list[str]:
+    """The names a function stores that neither it nor a function nested in
+    it loads; names starting with an underscore are exempt."""
+    found = set()
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {
+            id(node)
+            for inner in ast.walk(fn)
+            if inner is not fn and isinstance(inner, scopes)
+            for node in ast.walk(inner)
+        }
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        loaded = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+        loaded.update(
+            name
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        )
+        found.update(
+            (fn.name, node.id, node.lineno)
+            for node in names
+            if isinstance(node.ctx, ast.Store)
+            and id(node) not in nested
+            and not node.id.startswith("_")
+            and node.id not in loaded
+        )
+    return [f"{fn}: {name} (line {line})" for fn, name, line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_unused_local_is_found():
+    source = (
+        "def f(a):\n"
+        "    x = 1\n"
+        "    y, _z = a\n"
+        "    for i, b in enumerate(a):\n"
+        "        x = b\n"
+        "    def g():\n"
+        "        w = [0 for c in a]\n"
+        "        return y\n"
+        "    return g\n"
+    )
+    assert unused_locals(source) == [
+        "f: i (line 4)", "f: x (line 2)", "f: x (line 5)", "g: c (line 7)", "g: w (line 7)",
+    ]
+
+
 ROOT = SRC.parent.parent
 READERS = sorted(
     p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
