@@ -332,10 +332,13 @@ def _run_top_entropy(inst: Instance, surjective: bool) -> Report:
         if not (surjective and rep.certified):
             continue
         # the one-term form log [psi^{-1}(U_-) : U_-], valid for surjective maps
+        error = "surjective method requires a surjective endomorphism"
         if not profinite.surjective_on_windows(inst.endo, inst.policy):
-            out["entropy_surjective_error"] = "surjective method requires a surjective endomorphism"
+            out["entropy_surjective_error"] = error
         elif rep.k_mod_l != 1:
-            raise AssertionError("surjective map with nontrivial [K:L]")
+            # the windows were onto up to the budget, but a certified
+            # [K : Im(psi) C] > 1 disproves surjectivity
+            out["entropy_surjective_error"] = f"{error}: [K : Im(psi) C] = {rep.k_mod_l}"
         else:
             out["entropy_surjective"] = EntropyValue.of_log(rep.psi_inv_c_mod_c).to_json()
     report = Report("top-entropy", inst.kind, results, _status_of(results))

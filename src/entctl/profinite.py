@@ -726,29 +726,28 @@ def _readings(u: CylinderSubgroup, steps):
 
 @_memoized
 def surjective_on_windows(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> bool:
-    """Check window surjectivity up to the budget.
+    """Check window surjectivity up to the budget, on radius 1 and then on
+    radius ``window_budget``.
 
     The outputs on the window of radius r depend only on the source window
     of radius r, which lies inside the source window of every R >= r.  So
     the window map at R, projected onto the outputs of radius r, is the
     window map at r with the extra source coordinates entering by zero;
-    a map onto its window at R is onto at every r <= R.
-    The verdict at ``window_budget`` thus decides every radius up to the
-    budget.  Radii 1, 2, 4, ... come first so that a map that is not
-    surjective usually fails on a small window.  A failed window disproves
-    surjectivity; full windows up to the budget establish it on every
-    tested finite quotient.
+    a map onto its window at R is onto at every r <= R, and a map that
+    fails at some r <= R fails at R.  The verdict at ``window_budget``
+    thus decides every radius up to the budget, and a radius between 1
+    and the budget cannot change it.  Radius 1 comes first only because
+    it is cheap and a map that is not surjective usually fails there.
+    A failed window disproves surjectivity; a full window at the budget
+    establishes it on every tested finite quotient, and is no proof.
     """
     g = endo.parent
-    radius = 1
-    while True:
+    for radius in sorted({1, policy.window_budget}):
         lo, hi = (0, radius) if g.index_set == "N" else (-radius, radius)
         _, _, h = endo.window_map(lo, hi)
         if span_index(h.target.trivial_subgroup(), h.columns) != 1:
             return False
-        if radius == policy.window_budget:
-            return True
-        radius = min(2 * radius, policy.window_budget)
+    return True
 
 
 @_memoized

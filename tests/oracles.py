@@ -264,6 +264,40 @@ def det_bareiss(mat):
     return sign * a[n - 1][n - 1]
 
 
+# -- Laurent polynomial matrices over F_p -------------------------------------
+
+def _poly_mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def laurent_det(terms, offset, p):
+    """det over F_p[x] of M(x) = sum_o M_o x^(o - offset), for the
+    (offset, K x K matrix) ``terms`` of a period-1 map on (Z/p)^K, K <= 2.
+
+    Returns the coefficients, lowest degree first; the zero polynomial has
+    only zero coefficients.  A linear cellular automaton over F_p^K on Z
+    is surjective exactly when this determinant is nonzero (Ito-Osato-Nasu
+    1983; Kari 2000); the shift by x^offset is a unit of F_p[x, 1/x].
+    """
+    rank = len(terms[0][1])
+    assert rank <= 2
+    deg = max(o for o, _ in terms) - offset
+    entry = [[[0] * (deg + 1) for _ in range(rank)] for _ in range(rank)]
+    for o, mat in terms:
+        for i in range(rank):
+            for j in range(rank):
+                entry[i][j][o - offset] = mat[i][j] % p
+    if rank == 1:
+        return entry[0][0]
+    ad = _poly_mul_mod(entry[0][0], entry[1][1], p)
+    bc = _poly_mul_mod(entry[0][1], entry[1][0], p)
+    return [(x - y) % p for x, y in zip(ad, bc)]
+
+
 def abelian_types_up_to(max_order):
     """All isomorphism types, as invariant-factor chains d1 | d2 | ... with
     product <= max_order."""

@@ -78,6 +78,28 @@ def test_top_entropy_surjective_goldens(capsys):
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), golden.name
 
 
+def test_top_entropy_surjective_on_windows_but_not_onto(tmp_path, capsys):
+    # The left shift on (Z/2)^N with a zero row at index 4: every window up
+    # to the budget of 4 is onto, yet the certified [K : Im(psi) C] = 2
+    # disproves surjectivity.  That is an error entry, not a broken invariant.
+    shift = [[1, [[1]]]]
+    case = {
+        "schema": 1,
+        "kind": "profinite",
+        "group": {"index_set": "N", "blocks": {"period": 1, "types": [[2]]}},
+        "endo": {"offset": 1, "width": 1, "period": 1, "rows": [shift],
+                 "prefix_rows": [shift] * 4 + [[[1, [[0]]]]]},
+        "cylinders": [{"window": [0, 1], "core_gens": []}],
+        "policy": {"max_n": 64, "stall_window": 6, "window_budget": 4},
+    }
+    p = tmp_path / "late_zero_row.json"
+    p.write_text(json.dumps(case))
+    assert main(["top-entropy", str(p), "--method", "surjective"]) == EXIT_OK
+    entry = json.loads(capsys.readouterr().out)["results"][0]
+    assert entry["status"] == "certified" and entry["k_mod_l"] == 2
+    assert "entropy_surjective" not in entry
+    assert entry["entropy_surjective_error"].endswith("[K : Im(psi) C] = 2")
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -5,10 +5,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from entctl import lattice
-from entctl.cli import parse_instance, run_command
+from entctl.cli import instance_from_dict, parse_instance, run_command
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup
 from entctl.lattice import ZLattice
@@ -184,21 +185,75 @@ def test_surjectivity_builds_no_normal_form(monkeypatch):
     assert calls == []
 
 
-def test_surjectivity_fails_late():
+@pytest.mark.parametrize("r_fail", [2, 3, 5, 20])
+def test_surjectivity_fails_late(r_fail):
     # Identity on a prefix of R mixed blocks, except a zero row at index
-    # R - 1: the first window that is not onto has radius R.  R = 20 is not
-    # a power of two and a budget of 24 is not either, so only the final
-    # budget radius sees the failure.
-    r_fail = 20
+    # R - 1: the first window that is not onto has radius R.  Whether R is
+    # a power of two or not, every budget from R on sees the failure and no
+    # budget below R does.
     prefix = [Z2 if i % 2 else Z3 for i in range(r_fail)]
     k = pro_group(prefix, [Z2], "N")
     prefix_rows = [[(0, [[1]])] for _ in range(r_fail)]
     prefix_rows[r_fail - 1] = [(0, [[0]])]
     endo = rowfinite_endo(k, 0, 1, 1, [[(0, [[1]])]], prefix_rows)
-    assert not surjective_on_windows(endo, StabilizationPolicy(window_budget=24))
-    assert not surjective_on_windows(endo)
+    for budget in (r_fail, r_fail + 1, 24, DEFAULT_POLICY.window_budget):
+        assert not surjective_on_windows(endo, StabilizationPolicy(window_budget=budget))
     # below R every window is onto: the verdict only covers the budget
-    assert surjective_on_windows(endo, StabilizationPolicy(window_budget=r_fail - 1))
+    for budget in {1, r_fail - 1}:
+        assert surjective_on_windows(endo, StabilizationPolicy(window_budget=budget))
+
+
+def onto_at_every_radius(endo, budget):
+    """Window surjectivity at each radius 1..budget, read off the image."""
+    for radius in range(1, budget + 1):
+        lo, hi = (0, radius) if endo.parent.index_set == "N" else (-radius, radius)
+        _, _, h = endo.window_map(lo, hi)
+        if h.image().order != h.target.order:
+            return False
+    return True
+
+
+def test_surjectivity_agrees_with_construction_and_every_radius(perfbench_gen):
+    # every topo_sweep stratum, plus the surjective Z-indexed rank 2-3 and
+    # the non-surjective N period-2 strata that the sweep leaves out
+    gen = perfbench_gen
+    extra = [("Z", r, q, True, None) for r in (2, 3) for q in (1, 2)]
+    extra += [("N", r, 2, False, None) for r in (1, 2)]
+    strata = [*gen.TOPO_PASS, *extra]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for i, stratum in enumerate(strata):
+            inst = instance_from_dict(gen.topo_case(rng, *stratum, gen.MODULI_FAMILIES[i % 3]))
+            onto = surjective_on_windows(inst.endo, inst.policy)
+            assert onto == stratum[3], (seed, stratum)
+            assert onto == onto_at_every_radius(inst.endo, inst.policy.window_budget), (seed, stratum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_surjectivity_matches_laurent_determinant(data):
+    # a period-1 map on (Z/p)^K over Z is onto exactly when det M(x) != 0
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    rank = data.draw(st.integers(1, 2))
+    late = rank == 2 and data.draw(st.booleans())
+    offset = data.draw(st.integers(-2, 0 if late else 2))
+    width = data.draw(st.integers(3 if late else 1, 3 - offset))
+    row = st.lists(st.integers(0, p - 1), min_size=rank, max_size=rank)
+    mat = st.lists(row, min_size=rank, max_size=rank)
+    terms = [(o, data.draw(mat)) for o in range(offset, offset + width)]
+    if late:
+        # row 1 of M(x) is c x^s times row 0, so det M(x) = 0; outputs s
+        # apart are related, which no window of radius 1 holds for s >= 2
+        s = data.draw(st.integers(2, width - 1))
+        c = data.draw(st.integers(1, p - 1))
+        for _, m in terms[width - s :]:
+            m[0] = [0, 0]
+        for o, m in terms:
+            m[1] = [c * x % p for x in terms[o - s - offset][1][0]] if o - s >= offset else [0, 0]
+    k = pro_group([], [FiniteAbelianGroup((p,) * rank)], "Z")
+    endo = rowfinite_endo(k, offset, width, 1, [terms])
+    onto = surjective_on_windows(endo, StabilizationPolicy(window_budget=12))
+    assert onto == any(oracles.laurent_det(terms, offset, p))
 
 
 def h_top(endo, base):
@@ -630,8 +685,8 @@ def test_verify_decides_surjectivity_once_per_map(monkeypatch):
     assert len(inst.cylinders) == 2
     report = run_command("verify", inst)
     assert report.status == "ok"
-    # radii 1, 2, 4, ..., window_budget, walked for one cylinder only
-    assert calls.count("surjective_on_windows") == 6
+    # radius 1 and window_budget, walked for one cylinder only
+    assert calls.count("surjective_on_windows") == 2
 
 
 def test_verify_ends_half_line_chains_early(monkeypatch):
