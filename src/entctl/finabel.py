@@ -18,6 +18,9 @@ vanish in its column, and x is in A iff x_W is in the span of A's rows on W.
 A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
 it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
+The pull-back of S x T under x -> (f(x), g(x)), T <= B, gives [B : T +
+g(f^-1(S))] too, as the pivot product on T's coordinates: a ``profinite``
+chain step reads U n psi^{-1}(C) and [K : U + psi^{-1}(C)] off one elimination.
 
 A sum H + <rows> is the echelon basis H holds with the rows added.
 ``AbSubgroup.sum_with`` normalises it; ``span_index`` reads only
@@ -264,9 +267,11 @@ class AbSubgroup:
         rows = other.hnf_rows()
         return self._pull_back(rows, self.ambient, rows)
 
-    def _pull_back(self, images, ambient, payload=None) -> "AbSubgroup":
+    def _pull_back(self, images, ambient, payload=None, section=None):
         """{sum_i c_i payload[i] : sum_i c_i images[i] in this subgroup} in
         ``ambient``, eliminating on this subgroup's constrained coordinates W.
+        With ``section``, a coordinate, it returns (that subgroup, the pivot
+        product on W's coordinates from ``section`` on; ``congruence_kernel``).
 
         ``images`` are maps on this subgroup's coordinates and ``payload``
         maps on ``ambient``'s (unit rows by default).  A unit payload row e_j
@@ -280,7 +285,7 @@ class AbSubgroup:
         a row would pass its entries on to every map row eliminated against
         it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met
         last, it is reduced once against the finished rows.  The lattice,
-        and so the normal form, is the same.
+        and so the normal form and the section's pivot product, is the same.
         """
         pos = {j: i for i, j in enumerate(sorted(self.rows))}
         rel_rows = {pos[p]: {pos[t]: x for t, x in self.rows[p].items()} for p in pos}
@@ -310,7 +315,11 @@ class AbSubgroup:
                         map_rows.append(rel)
                         kept.append({})
         relation = ZLattice.from_echelon(len(pos), rel_rows, rel_moduli)
-        return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
+        if section is None:
+            return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
+        cut = range(sum(j < section for j in pos), len(pos))
+        rows, index = congruence_kernel(map_rows, len(pos), relation, moduli, kept, cut)
+        return echelon_subgroup(ambient, rows), index
 
     def invariants(self) -> tuple[int, ...]:
         """Invariant factors of this subgroup as an abstract group."""

@@ -270,10 +270,13 @@ def _add_multiple(v: dict[int, int], c: int, row: dict[int, int], j: int, mods) 
             v.pop(t, None)
 
 
-def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, payload=None):
+def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, payload=None, section=None):
     """Echelon basis of {sum_i c_i payload[i] : sum_i c_i map_rows[i] in ``relation``}
     plus the m_j e_j of ``payload_moduli`` (0 to skip; its length is the payload
-    width).  The payload defaults to the unit rows: the coefficients c.
+    width).  The payload defaults to the unit rows: the coefficients c.  With
+    ``section``, a range of image columns where ``relation`` has full rank, it
+    returns (that basis, the product of the pivots there): the index in
+    Z^section of the projection of the lattice's part that is 0 before it.
 
     ``relation`` is an echelon lattice of width ``image_width`` (passed too
     because ``perfbench/tracer.py`` buckets calls by it); its ``moduli`` are
@@ -299,9 +302,10 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
         prow = {i: 1} if payload is None else payload[i]
         lat.add(_joined(mrow, image_width, prow, width, mods), fresh=True)
     rows = lat._rows
-    return [
+    kernel = [
         {t - image_width: x for t, x in rows[p].items()} for p in sorted(rows) if p >= image_width
     ]
+    return kernel if section is None else (kernel, prod(rows[p][p] for p in section))
 
 
 def _identity(n: int) -> list[list[int]]:

@@ -13,11 +13,12 @@ in ``depth`` and ``duality``, runs on the one generator ``chain_steps``
 (or its lazy view ``chain``).  How a chain ends (a fixed point, pinned
 growing windows or a half line) is decided by ``chain_end`` alone, for
 the chain of U by the memoised ``chain_limit``.  A cylinder is pulled
-back by ``RowFiniteEndo.preimage_cylinder`` alone, for powers too, and
-it returns the window map it read psi^{-1}(C) from: a step builds the
-map of C_n once, and ``classify_cotrajectory`` reads [K : Im(psi) * C_n]
-off the same map.  Indices that are only read, never compared (a chain
-step's two indices, a window's [window : Im psi], a cokernel order), come
+back by ``RowFiniteEndo.pull_back`` alone, for powers too: one
+elimination gives U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window
+map of C it read (``preimage_cylinder`` is the case U = K), so a step
+builds the map of C_n once and ``classify_cotrajectory`` reads
+[K : Im(psi) * C_n] off the same map.  Indices that are only read, never
+compared (that one, a window's [window : Im psi], a cokernel order), come
 from ``finabel.span_index`` without a normal form.
 
 The chain questions (cotrajectory limits, the chain's limit, window
@@ -306,17 +307,36 @@ class RowFiniteEndo(Band):
         cols, src_g, tgt_g = self.band_columns(range(lo, hi), src_lo, src_hi)
         return src_lo, src_hi, hom_validate(cols, src_g, tgt_g)
 
-    def preimage_cylinder(self, u: CylinderSubgroup) -> tuple[CylinderSubgroup, Hom]:
-        """(psi^{-1}(U), the window map of U's window it is read from).
-
-        The one pull-back of a cylinder, for this map and for ``PowerEndo``
-        alike: it needs only ``parent`` and ``window_map``.  The whole group
-        has the empty window, whose map is the zero map of trivial groups.
-        """
-        if u.parent != self.parent:
+    def pull_back(self, c: CylinderSubgroup, u: CylinderSubgroup) -> tuple[Hom, int, CylinderSubgroup]:
+        """(the window map h of C's window, [K : U + psi^{-1}(C)], U n psi^{-1}(C)):
+        C.core x U.core pulled back under x -> (h(x), x on U's window), from
+        the hull of both source windows, the index off U's section (``finabel``).
+        It reads only ``parent`` and ``window_map`` and shares h's columns; the
+        whole group has the empty window, whose map is the zero map."""
+        if c.parent != self.parent or u.parent != self.parent:
             raise AmbientMismatchError("cylinder over a different group")
-        src_lo, src_hi, h = self.window_map(u.lo, u.hi)
-        return CylinderSubgroup(self.parent, src_lo, src_hi, h.preimage(u.core)), h
+        src_lo, src_hi, h = self.window_map(c.lo, c.hi)
+        lo, hi = (src_lo, src_hi) if u.is_whole() else (u.lo, u.hi)
+        if src_lo < src_hi and not u.is_whole():
+            lo, hi = min(lo, src_lo), max(hi, src_hi)
+        wg, starts = self.parent.window_layout(lo, hi)
+        cut = h.target.rank
+        images = [{}] * wg.rank
+        if h.columns:
+            at = starts[src_lo - lo]
+            images[at : at + len(h.columns)] = h.columns
+        for j in u.core.rows:
+            t = starts[u.lo - lo] + j
+            images[t] = {**images[t], cut + j: 1}
+        rows = {**c.core.rows, **_shifted(u.core.rows, cut)}
+        stacked = AbSubgroup.from_rows(FiniteAbelianGroup(h.target.moduli + u.core.ambient.moduli), rows)
+        core, d = stacked._pull_back(images, wg, section=cut)
+        return h, d, CylinderSubgroup(self.parent, lo, hi, core)
+
+    def preimage_cylinder(self, c: CylinderSubgroup) -> tuple[CylinderSubgroup, Hom]:
+        """(psi^{-1}(C), the window map of C's window): ``pull_back`` with U = K."""
+        h, _, p = self.pull_back(c, self.parent.whole())
+        return p, h
 
     def compose(self, inner: "RowFiniteEndo") -> "RowFiniteEndo":
         """self after inner, as a banded spec; Z-indexed groups only."""
@@ -396,6 +416,7 @@ class PowerEndo:
             elem = self.base.apply(elem)
         return elem
 
+    pull_back = RowFiniteEndo.pull_back
     preimage_cylinder = RowFiniteEndo.preimage_cylinder
 
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
@@ -454,18 +475,18 @@ def _memoized(fn):
 
 
 def chain_steps(endo, u: CylinderSubgroup):
-    """Yield (C_n, psi^{-1}(C_n), window map of C_n, C_{n+1}) for n = 1, 2, ...
+    """Yield (C_n, d_n, window map of C_n, C_{n+1}) for n = 1, 2, ...
 
-    C_1 = U and C_{n+1} = U n psi^{-1}(C_n).  This is the only place the
-    recurrence is written; every cotrajectory walk runs on it.  Only the
-    current cylinder is held, and the walk never ends by itself: each
-    caller stops it by its own rule.
+    C_1 = U; C_{n+1} = U n psi^{-1}(C_n) and d_n = [K : U + psi^{-1}(C_n)]
+    come from one ``pull_back``.  This is the only place the recurrence is
+    written; every cotrajectory walk runs on it.  Only the current cylinder
+    is held, and the walk never ends by itself: each caller stops it by its
+    own rule.
     """
     c = u
     while True:
-        p, h = endo.preimage_cylinder(c)
-        c_next = u.intersect(p)
-        yield c, p, h, c_next
+        h, d, c_next = endo.pull_back(c, u)
+        yield c, d, h, c_next
         c = c_next
 
 
@@ -623,7 +644,7 @@ def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT
             return kind, obj
         for extra in range(policy.stall_window):
             m = abs(obj.pin_from) + 2 * band + 2 + extra
-            fixed = u.intersect(endo.preimage_cylinder(obj.truncate(m))[0])
+            fixed = endo.pull_back(obj.truncate(m), u)[2]
             extent = fixed.hi if obj.side == +1 else -fixed.lo
             if extent < m - band or fixed != obj.truncate(extent):
                 break
@@ -681,9 +702,10 @@ def classify_cotrajectory(
     u: CylinderSubgroup, steps, policy: StabilizationPolicy
 ) -> CotrajectoryReport:
     """Read the ``chain_steps`` of U with ``values.read_stall``; at most
-    ``policy.max_n`` steps.  The companions [K : U + psi^{-1}(C_n)] and
-    [K : Im(psi) * C_n] are two ``span_index`` eliminations of their own;
-    the second is read off the window map of C_n that the step carries.
+    ``policy.max_n`` steps.  The companion [K : U + psi^{-1}(C_n)] comes with
+    the step; [K : Im(psi) * C_n] is a ``span_index`` of its own on the step's
+    window map of C_n, not read off the step's lattice, whose pivots
+    multiply to both sides of the identity.
 
     Certification requires the identity
     |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
@@ -705,15 +727,13 @@ def classify_cotrajectory(
 
 def _readings(u: CylinderSubgroup, steps):
     """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
-    [C_n : C_{n+1}], the companions d_n = [K : U + psi^{-1}(C_n)] and
-    [K : Im(psi) * C_n], and the identity, which on success certifies
-    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C]."""
+    [C_n : C_{n+1}], the companions d_n = [K : U + psi^{-1}(C_n)], as the
+    step carries it, and [K : Im(psi) * C_n], and the identity, which on
+    success certifies |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C]."""
     c_prev = u.index
-    for c_cyl, p_cyl, h, c_next in steps:
+    for c_cyl, d, h, c_next in steps:
         if c_next.index % c_prev:
             raise AssertionError("c_n must divide c_{n+1}")
-        hull = p_cyl.hull_with(u)
-        d = span_index(p_cyl.extended_core(*hull), u.extended_core(*hull).hnf_rows())
         kml = span_index(c_cyl.core, h.columns)
 
         def certify(alpha):

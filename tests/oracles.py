@@ -4,12 +4,15 @@ Everything here works by plain enumeration over element tuples or by
 naive textbook algorithms, sharing no code with the lattice-based
 implementations it is used to check.  Keep it dumb.
 
-Two exceptions are at the end.  The dense echelon kernel is the
+Three exceptions are at the end.  The dense echelon kernel is the
 reference for the sparse ``entctl.lattice`` kernel, which must perform
 the same arithmetic in the same order and so shares its ``xgcd``.
 ``cotrajectory_exact`` is the earlier exact-end rule of cotrajectories,
 the reference for ``profinite.chain_limit``; it walks the chain by
 ``profinite.chain_steps`` and tests pinning by ``pins_growing_windows``.
+``three_elimination_step`` is the earlier cotrajectory step, the reference
+for ``RowFiniteEndo.pull_back``; it reads the map's window map and uses the
+subgroup operations of ``entctl``, one elimination each.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from fractions import Fraction
 from math import gcd
 
 from entctl.errors import Inconclusive
+from entctl.finabel import span_index
 from entctl.lattice import xgcd
-from entctl.profinite import chain_steps, pins_growing_windows
+from entctl.profinite import CylinderSubgroup, chain_steps, pins_growing_windows
 from entctl.values import DEFAULT_POLICY
 
 
@@ -471,3 +475,17 @@ def cotrajectory_exact(endo, u, policy=DEFAULT_POLICY):
         if pins_growing_windows(endo.parent, windows, policy.stall_window):
             return ("trivial", n)
     raise Inconclusive("cotrajectory neither stalls nor pins coordinates", None)
+
+
+# -- a cotrajectory step, by the earlier three eliminations ---------------------
+
+
+def three_elimination_step(endo, c, u):
+    """(U n psi^{-1}(C), [K : U + psi^{-1}(C)]) as three eliminations: the
+    preimage P of C's core under the window map of C, then U n P, then the
+    index of U + P on the hull of their windows."""
+    src_lo, src_hi, h = endo.window_map(c.lo, c.hi)
+    p = CylinderSubgroup(endo.parent, src_lo, src_hi, h.preimage(c.core))
+    hull = p.hull_with(u)
+    d = span_index(p.extended_core(*hull), u.extended_core(*hull).hnf_rows())
+    return u.intersect(p), d

@@ -206,25 +206,25 @@ def test_bridge_comparison_walks_each_chain_once(monkeypatch):
         assert min(8, trajectory_limits(beta, f, policy).n_max, n_cot) == 8
         steps += n_cot
 
-    counts = {"preimage": 0, "engine": 0}
-    preimage, make_engine = RowFiniteEndo.preimage_cylinder, discrete._make_engine
+    counts = {"pull_back": 0, "engine": 0}
+    pull_back, make_engine = RowFiniteEndo.pull_back, discrete._make_engine
 
-    def counted_preimage(self, c):
-        counts["preimage"] += 1
-        return preimage(self, c)
+    def counted_pull_back(self, c, u):
+        counts["pull_back"] += 1
+        return pull_back(self, c, u)
 
     def counted_engine(*args):
         counts["engine"] += 1
         return make_engine(*args)
 
-    monkeypatch.setattr(RowFiniteEndo, "preimage_cylinder", counted_preimage)
+    monkeypatch.setattr(RowFiniteEndo, "pull_back", counted_pull_back)
     monkeypatch.setattr(discrete, "_make_engine", counted_engine)
     rep = weiss_bridge_check(g, beta, family, policy)
     assert rep.ok
     assert all(recs[1].name == "trajectory_perp_is_cotrajectory_n_le_8" for recs, _ in rep.entries)
     # the comparison reads the walks of the two limits: one step per C_n
     # and one trajectory engine per member
-    assert counts["preimage"] == steps
+    assert counts["pull_back"] == steps
     assert counts["engine"] == len(family)
 
 
@@ -247,10 +247,10 @@ def test_bridge_comparison_fails_on_a_wrong_cotrajectory_step(monkeypatch):
     def wrong_second_step(endo, u):
         # C_2 replaced by C_1 = U, which is strictly larger for the shift,
         # together with the window map of U
-        for n, (c, p, h, c_next) in enumerate(steps(endo, u), 1):
+        for n, (c, d, h, c_next) in enumerate(steps(endo, u), 1):
             if n == 2:
-                c, h = u, endo.preimage_cylinder(u)[1]
-            yield c, p, h, c_next
+                c, h = u, endo.pull_back(u, u)[0]
+            yield c, d, h, c_next
 
     monkeypatch.setattr(duality, "chain_steps", wrong_second_step)
     rep = weiss_bridge_check(g, beta, family, policy)

@@ -1,11 +1,12 @@
 import collections
 import dataclasses
+import itertools
 import pathlib
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from entctl import lattice
@@ -254,6 +255,50 @@ def test_surjectivity_matches_laurent_determinant(data):
     endo = rowfinite_endo(k, offset, width, 1, [terms])
     onto = surjective_on_windows(endo, StabilizationPolicy(window_budget=12))
     assert onto == any(oracles.laurent_det(terms, offset, p))
+
+
+def topo_map(gen, data):
+    """A ``gen.topo_case`` instance of a drawn stratum: N or Z, rank 1-3,
+    block period 1-2, surjective or not, over one moduli family; over N,
+    sometimes with two prefix blocks, the first drawn from the family with
+    rows of its own and the second the last periodic block, so that the
+    periodic rows read the blocks they were drawn for."""
+    index_set = data.draw(st.sampled_from("NZ"))
+    rank, period = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    surjective = data.draw(st.booleans())
+    band = data.draw(st.sampled_from((None, *gen.N_BANDS)))
+    family = data.draw(st.sampled_from(gen.MODULI_FAMILIES))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    case = gen.topo_case(rng, index_set, rank, period, surjective, band, family)
+    if index_set == "N" and data.draw(st.booleans()):
+        types, endo = case["group"]["blocks"]["types"], case["endo"]
+        prefix = [gen._block(rng, family, rank), types[-1]]
+        blocks = prefix + types * 2
+        offsets = [o for o, _ in endo["rows"][0]]
+        endo["prefix_rows"] = [
+            [[o, gen._matrix(rng, blocks[i + o], blocks[i])] for o in offsets if i + o >= 0]
+            for i in range(2)
+        ]
+        case["group"]["blocks"]["prefix"] = prefix
+    return instance_from_dict(case)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pull_back_matches_three_eliminations(perfbench_gen, data):
+    # one stacked elimination gives the cylinder and the index of the
+    # earlier three, for psi and psi^2, for U and U = K, on C = K and on
+    # the first cylinders of U's chain
+    inst = topo_map(perfbench_gen, data)
+    k, u = inst.endo.parent, inst.cylinders[0]
+    for endo in (inst.endo, PowerEndo(inst.endo, 2)):
+        cs = [k.whole(), *itertools.islice(chain(endo, u), 4)]
+        for c in cs:
+            for v in (u, k.whole()):
+                h, d, got = endo.pull_back(c, v)
+                assert (got, d) == oracles.three_elimination_step(endo, c, v)
+                assert h == endo.window_map(c.lo, c.hi)[2]
+            assert endo.preimage_cylinder(c) == (endo.pull_back(c, k.whole())[2], h)
 
 
 def h_top(endo, base):
@@ -559,11 +604,55 @@ def test_exact_end_that_fails_its_identity_is_a_broken_invariant():
     u = u0(k)
 
     def zero_window_maps(endo, u):
-        for c, p, h, c_next in chain_steps(endo, u):
-            yield c, p, Hom(h.source, h.target, tuple({} for _ in h.columns)), c_next
+        for c, d, h, c_next in chain_steps(endo, u):
+            yield c, d, Hom(h.source, h.target, tuple({} for _ in h.columns)), c_next
 
     with pytest.raises(AssertionError, match="exact chain end failed its identity"):
         classify_cotrajectory(u, zero_window_maps(identity_endo(k), u), DEFAULT_POLICY)
+
+
+def test_image_index_growing_at_every_step_is_a_hypothesis_failure():
+    # a hand-built stream on (Z/2)^N: C_n pins the blocks [0, n), so alpha = 2
+    # at every step, and the window map of C_n is the zero map, so
+    # [K : Im(psi) C_n] = 2^n grows on every step until the budget ends
+    k = k_z2()
+    u = u0(k)
+
+    def steps():
+        for n in itertools.count(1):
+            c = u0(k, n)
+            zero = Hom(FiniteAbelianGroup(()), c.core.ambient, ())
+            yield c, 1, zero, u0(k, n + 1)
+
+    policy = StabilizationPolicy(max_n=8, stall_window=3)
+    rep = classify_cotrajectory(u, steps(), policy)
+    assert (rep.n_max, rep.alphas, rep.certified) == (8, (2,) * 8, False)
+    assert rep.status == "hypothesis_failure"
+    with pytest.raises(HypothesisFailure, match="keeps growing"):
+        rep.entropy
+
+
+def test_a_wrong_step_index_fails_the_identity():
+    # the steps' d = [K : U + psi^{-1}(C_n)] enter the identity
+    # |psi^{-1}(C)/C| = [K : U] / d = alpha * [K : Im(psi) C]; a wrong d
+    # must fail it, at a stall and at an exact end
+    k = k_z2()
+    u = u0(k)
+
+    def with_d(endo, change):
+        for c, d, h, c_next in chain_steps(endo, u):
+            yield c, change(d), h, c_next
+
+    # the left shift stalls at alpha = 2 with d = 1; with d = 2 it never certifies
+    sig = left_shift(k)
+    assert classify_cotrajectory(u, with_d(sig, lambda d: d), DEFAULT_POLICY).certified
+    rep = classify_cotrajectory(u, with_d(sig, lambda d: 2 * d), DEFAULT_POLICY)
+    assert (rep.certified, rep.status, rep.n_max) == (False, "inconclusive", DEFAULT_POLICY.max_n)
+    # the identity ends exactly at alpha = 1 with d = 2; with d = 1 it is broken
+    ident = identity_endo(k)
+    assert classify_cotrajectory(u, with_d(ident, lambda d: d), DEFAULT_POLICY).certified
+    with pytest.raises(AssertionError, match="exact chain end failed its identity"):
+        classify_cotrajectory(u, with_d(ident, lambda d: d // 2), DEFAULT_POLICY)
 
 
 def test_entropy_of_growing_correction_term_is_hypothesis_failure():
@@ -595,7 +684,7 @@ def test_chain_computes_each_cylinder_on_demand(monkeypatch):
     k = k_z2()
     sig = left_shift(k)
     u = u0(k)
-    calls = count_calls(monkeypatch, "preimage_cylinder")
+    calls = count_calls(monkeypatch, "pull_back")
     cs = chain(sig, u)
     assert next(cs) == u and calls == []
     next(cs)
@@ -627,7 +716,7 @@ SHORT = StabilizationPolicy(max_n=2, stall_window=4)
 
 
 def test_memo_repeats_inconclusive_outcome_without_walking(monkeypatch):
-    calls = count_calls(monkeypatch, "preimage_cylinder")
+    calls = count_calls(monkeypatch, "pull_back")
     kz, shift_z = z_shift()
     u = cylinder(kz, (-1, 2), [])
     with pytest.raises(Inconclusive) as first:
@@ -643,7 +732,7 @@ def test_memo_repeats_inconclusive_outcome_without_walking(monkeypatch):
 
 
 def test_memo_is_not_shared_between_equal_maps(monkeypatch):
-    calls = count_calls(monkeypatch, "preimage_cylinder")
+    calls = count_calls(monkeypatch, "pull_back")
     kz, shift_z = z_shift()
     _, again = z_shift()
     assert again.equals_spec(shift_z)
@@ -655,7 +744,7 @@ def test_memo_is_not_shared_between_equal_maps(monkeypatch):
 
 
 def test_memo_normalizes_default_policy(monkeypatch):
-    calls = count_calls(monkeypatch, "preimage_cylinder")
+    calls = count_calls(monkeypatch, "pull_back")
     k = k_z2()
     sig = left_shift(k)
     rep = cotrajectory_limits(sig, u0(k))
@@ -691,8 +780,9 @@ def test_verify_decides_surjectivity_once_per_map(monkeypatch):
 
 def test_verify_ends_half_line_chains_early(monkeypatch):
     # both cylinders of the Z-shift have half-line limits, so their chains
-    # end at the tail; walking them to max_n takes 146 pull-backs
-    calls = count_calls(monkeypatch, "preimage_cylinder")
+    # end at the tail; walking them to max_n takes 146 pull-backs (chain
+    # steps, tail checks and plain preimages alike)
+    calls = count_calls(monkeypatch, "pull_back")
     path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "twosided_shift_z2.json"
     report = run_command("verify", parse_instance(str(path)))
     assert report.status == "ok"
