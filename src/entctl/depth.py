@@ -60,12 +60,13 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
             rows_idx.append(j)
     if target_block not in rows_idx:
         return None
-    cols, _, tgt = endo.band_columns(rows_idx, lo, hi)
+    h = endo.band_map(rows_idx, lo, hi)
+    tgt = h.target
     t_at = sum(g.block(j).rank for j in rows_idx[: rows_idx.index(target_block)])
 
     # kernel of (s, y) -> s * (-t) + y * M  modulo the target relations
     c = lcm(1, *tgt.moduli)
-    map_rows = [{t_at + u: -x for u, x in enumerate(target_vec) if x}] + cols
+    map_rows = [{t_at + u: -x for u, x in enumerate(target_vec) if x}, *h.columns]
     combos = congruence_kernel(
         map_rows, tgt.rank, tgt.relation_lattice(), payload_moduli=[c] * (wg.rank + 1)
     )

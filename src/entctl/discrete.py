@@ -11,12 +11,12 @@ Abelian blocks share their window layout with the full products of
 ``profinite`` (``finabel.BlockSequence``): the blocks [0, hi) lie one after
 another in one flat coordinate vector.  The abelian trajectory runs on it
 alone: its layers and lattice rows are {coordinate: value} maps, and the
-endomorphism acts through ``BandedEndo.window_map``, the validated map of
-the window read off the endomorphism's ``finabel.Band``.  Windows start at
-0, so when a step reaches new blocks the trajectory appends their columns
-to its map and keeps the old ones; each column is built and validated
-once per walk.  ``BandedEndo.apply`` acts on block elements; the Cayley
-trajectory and the public API use it.
+endomorphism acts through ``BandedEndo.window_map``, the map of the window
+read off the entries that the endomorphism's ``finabel.Band`` checked at
+construction.  Windows start at 0, so when a step reaches new blocks the
+trajectory appends their columns to its map and keeps the old ones; each
+column is built once per walk.  ``BandedEndo.apply`` acts on block
+elements; the Cayley trajectory and the public API use it.
 
 A certified ``TrajectoryReport`` gives the entropy two ways: from the
 stabilized index [T_{n+1} : T_n] of the trajectory chain, and limit-free as
@@ -46,7 +46,6 @@ from .finabel import (
     Hom,
     canonical_subgroup,
     echelon_subgroup,
-    hom_validate,
     repeat_point,
 )
 from .gengroup import FiniteGroup
@@ -275,13 +274,14 @@ class BandedEndo:
     def window_map(self, lo: int, hi: int) -> Hom:
         """The map on the blocks [lo, hi), abelian blocks only: window group
         of [lo, hi) -> window group of [0, image_reach(hi)), read off the
-        band and validated.
+        entries that ``band`` checked and reduced at construction
+        (``finabel.Band.band_map``), not checked again.
 
         Targets start at 0, so a column has the same entries in the map of
         every window that holds its block: the map of [0, hi) is those of
         [0, lo) and [lo, hi) side by side.
         """
-        return hom_validate(*self.band.band_columns(range(self.image_reach(hi)), lo, hi))
+        return self.band.band_map(range(self.image_reach(hi)), lo, hi)
 
 
 def banded_endo(group: LFGroup, offset: int, width: int, period: int, images) -> BandedEndo:

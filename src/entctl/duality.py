@@ -126,10 +126,8 @@ def _endo_block_ranks_ok(group: LFGroup) -> None:
         raise ValidationError("duality bridge requires a purely periodic block spec")
 
 
-def bridge(
-    group: LFGroup, endo: BandedEndo, f_gens
-) -> tuple[ProGroup, RowFiniteEndo, CylinderSubgroup]:
-    """Dualize (G, phi, F) to (K, psi, U) = (product of dual blocks, adjoint, F-perp).
+def dual_map(group: LFGroup, endo: BandedEndo) -> tuple[ProGroup, RowFiniteEndo]:
+    """Dualize (G, phi) to (K, psi) = (product of dual blocks, adjoint).
 
     The adjoint of a column-finite banded map is row-finite with the same
     band: the image term of generator j of block i landing at block i+o
@@ -172,19 +170,26 @@ def bridge(
             tgt_blk = group.period[(r + endo.offset) % p_blocks]
             terms_out = [(endo.offset, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])]
         rows.append(terms_out)
-    psi = RowFiniteEndo(k_group, endo.offset, endo.width, p, rows)
+    return k_group, RowFiniteEndo(k_group, endo.offset, endo.width, p, rows)
 
+
+def dual_cylinder(group: LFGroup, k_group: ProGroup, f_gens) -> CylinderSubgroup:
+    """U = F-perp in ``k_group``, the dual of ``group``, for F = <f_gens>."""
     gens = [group.reduce_elem(dict(x)) for x in f_gens]
     gens = [x for x in gens if x]
     if not gens:
-        return k_group, psi, k_group.whole()
+        return k_group.whole()
     hi = max(max(x.keys()) for x in gens) + 1
     wg, _ = k_group.window_layout(0, hi)
     f_sub = canonical_subgroup(wg, [k_group.coords(x, 0, hi) for x in gens])
     _, pairing = dual_group(wg)
-    core = annihilator(f_sub, pairing)
-    u = CylinderSubgroup(k_group, 0, hi, core)
-    return k_group, psi, u
+    return CylinderSubgroup(k_group, 0, hi, annihilator(f_sub, pairing))
+
+
+def bridge(group: LFGroup, endo: BandedEndo, f_gens) -> tuple[ProGroup, RowFiniteEndo, CylinderSubgroup]:
+    """(K, psi, U) = (product of dual blocks, adjoint, F-perp) of (G, phi, F)."""
+    k_group, psi = dual_map(group, endo)
+    return k_group, psi, dual_cylinder(group, k_group, f_gens)
 
 
 def verify_duality_facts(
@@ -269,7 +274,7 @@ def weiss_bridge_check(
     """For each F: dualize, compare T_n-perp with C_n, the two limit-free
     correction terms, and the entropies; then compare the suprema.
 
-    Each chain is walked once.  The two classifiers behind
+    The map is dualized once.  Each chain is walked once.  The two classifiers behind
     ``cotrajectory_limits`` and ``trajectory_limits`` read the walks, and
     C_n and a snapshot of T_n are kept as they pass, for n <= ``COMPARE_N``
     (T_n only up to the cotrajectory's end); exactly
@@ -279,8 +284,11 @@ def weiss_bridge_check(
     best_alg = EntropyValue.zero()
     best_top = EntropyValue.zero()
     all_ok = True
+    dual = None
     for f_gens in family:
-        k_group, psi, u = bridge(group, endo, f_gens)
+        # only U depends on F; an empty family dualizes nothing, as before
+        k_group, psi = dual = dual or dual_map(group, endo)
+        u = dual_cylinder(group, k_group, f_gens)
         cs: list[CylinderSubgroup] = []
         ts: list[LFSubgroup] = []
         steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)

@@ -20,7 +20,8 @@ it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
 The pull-back of S x T under x -> (f(x), g(x)), T <= B, gives [B : T +
 g(f^-1(S))] too, as the pivot product on T's coordinates: a ``profinite``
-chain step reads U n psi^{-1}(C) and [K : U + psi^{-1}(C)] off one elimination.
+chain step reads U n psi^{-1}(C) and [K : U + psi^{-1}(C)] off one elimination,
+``stacked_pull_back``, which reads S's and T's rows and never builds S x T.
 
 A sum H + <rows> is the echelon basis H holds with the rows added.
 ``AbSubgroup.sum_with`` normalises it; ``span_index`` reads only
@@ -30,7 +31,9 @@ A sum H + <rows> is the echelon basis H holds with the rows added.
 sums and full products of blocks; its ``coords`` and ``elem_of`` are the one
 place where block elements meet window coordinates.  ``Band`` is the one band
 rule over it: the row-finite maps of products are bands, and the abelian
-banded maps of restricted sums read their generator images into one.
+banded maps of restricted sums read their generator images into one.  A band
+checks and reduces each entry once, at construction; every window map is
+built from those entries (``Band.band_map``) and not checked again.
 """
 
 from __future__ import annotations
@@ -265,61 +268,7 @@ class AbSubgroup:
         if len(other.rows) < len(self.rows):
             self, other = other, self
         rows = other.hnf_rows()
-        return self._pull_back(rows, self.ambient, rows)
-
-    def _pull_back(self, images, ambient, payload=None, section=None):
-        """{sum_i c_i payload[i] : sum_i c_i images[i] in this subgroup} in
-        ``ambient``, eliminating on this subgroup's constrained coordinates W.
-        With ``section``, a coordinate, it returns (that subgroup, the pivot
-        product on W's coordinates from ``section`` on; ``congruence_kernel``).
-
-        ``images`` are maps on this subgroup's coordinates and ``payload``
-        maps on ``ambient``'s (unit rows by default).  A unit payload row e_j
-        whose image vanishes on W is in the result: it is seeded as the
-        modulus 1 of column j instead of being eliminated.
-
-        Long relation rows are eliminated last.  A relation row with more
-        entries than the longest (image | payload) row leaves the starting
-        lattice, the modulus row m_p e_p taking its place at pivot p, and
-        is added after the map rows with an empty payload.  Met first, such
-        a row would pass its entries on to every map row eliminated against
-        it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met
-        last, it is reduced once against the finished rows.  The lattice,
-        and so the normal form and the section's pivot product, is the same.
-        """
-        pos = {j: i for i, j in enumerate(sorted(self.rows))}
-        rel_rows = {pos[p]: {pos[t]: x for t, x in self.rows[p].items()} for p in pos}
-        rel_moduli = [self.ambient.moduli[j] for j in pos]
-        moduli = list(ambient.moduli)
-        map_rows, kept = [], []
-        for j, image in enumerate(images):
-            row = payload[j] if payload is not None else {j: 1}
-            image_w = {pos[t]: x for t, x in image.items() if t in pos}
-            if not image_w and len(row) == 1 and row.get(j) == 1:
-                moduli[j] = 1
-            else:
-                map_rows.append(image_w)
-                kept.append(row)
-        # Exact although the stored rows may lack some m_t e_t until the long
-        # rows come: a step at a pivot q >= t changes the span of the rows
-        # with pivots >= t only by multiples of the m_s e_s with s > t, so
-        # each relation row, and each m_t e_t as their combination, ends in
-        # the finished basis up to those; from the last column down, the
-        # basis holds every m_t e_t.
-        if map_rows and rel_rows:
-            longest = max(map(add, map(len, map_rows), map(len, kept)))
-            if max(map(len, rel_rows.values())) > longest:
-                for p, rel in rel_rows.items():
-                    if len(rel) > longest:
-                        rel_rows[p] = {p: rel_moduli[p]}
-                        map_rows.append(rel)
-                        kept.append({})
-        relation = ZLattice.from_echelon(len(pos), rel_rows, rel_moduli)
-        if section is None:
-            return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
-        cut = range(sum(j < section for j in pos), len(pos))
-        rows, index = congruence_kernel(map_rows, len(pos), relation, moduli, kept, cut)
-        return echelon_subgroup(ambient, rows), index
+        return stacked_pull_back((self,), rows, self.ambient, rows)
 
     def invariants(self) -> tuple[int, ...]:
         """Invariant factors of this subgroup as an abstract group."""
@@ -376,6 +325,74 @@ def echelon_subgroup(ambient: FiniteAbelianGroup, rows) -> AbSubgroup:
     """Subgroup with an echelon basis of one row per column, relations
     included, given as {column: value} maps that it takes over."""
     return _normalized(ambient, ZLattice.from_echelon(ambient.rank, dict(enumerate(rows))))
+
+
+def stacked_pull_back(factors, images, ambient, payload=None, section=None):
+    """{sum_i c_i payload[i] : sum_i c_i images[i] in S_1 x ... x S_k} in
+    ``ambient``, for the subgroups ``factors`` S_1, ..., S_k with their
+    coordinates laid out one after another, eliminating on the constrained
+    coordinates W of the product.  With ``section``, a number of leading
+    factors, it returns (that subgroup, the pivot product on the W
+    coordinates of the later factors; ``congruence_kernel``).
+
+    ``images`` are maps on the product's coordinates and ``payload`` maps
+    on ``ambient``'s (unit rows by default); the factors' rows and the
+    images are re-keyed onto W in one pass each.  A unit payload row e_j
+    whose image vanishes on W is in the result: it is seeded as the
+    modulus 1 of column j instead of being eliminated.
+
+    Long relation rows are eliminated last.  A relation row with more
+    entries than the longest (image | payload) row leaves the starting
+    lattice, the modulus row m_p e_p taking its place at pivot p, and
+    is added after the map rows with an empty payload.  Met first, such
+    a row would pass its entries on to every map row eliminated against
+    it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met
+    last, it is reduced once against the finished rows.  The lattice,
+    and so the normal form and the section's pivot product, is the same.
+    """
+    pos, rel_rows, rel_moduli, at = {}, {}, [], 0
+    for sub in factors:
+        w = {j: len(pos) + i for i, j in enumerate(sorted(sub.rows))}
+        for j, k in w.items():
+            pos[at + j] = k
+            rel_rows[k] = {w[t]: x for t, x in sub.rows[j].items()}
+            rel_moduli.append(sub.ambient.moduli[j])
+        at += sub.ambient.rank
+    moduli = list(ambient.moduli)
+    map_rows, kept = [], []
+    at_w = pos.get
+    for j, image in enumerate(images):
+        row = payload[j] if payload is not None else {j: 1}
+        image_w = {}
+        for t, x in image.items():
+            s = at_w(t)
+            if s is not None:
+                image_w[s] = x
+        if not image_w and len(row) == 1 and row.get(j) == 1:
+            moduli[j] = 1
+        else:
+            map_rows.append(image_w)
+            kept.append(row)
+    # Exact although the stored rows may lack some m_t e_t until the long
+    # rows come: a step at a pivot q >= t changes the span of the rows
+    # with pivots >= t only by multiples of the m_s e_s with s > t, so
+    # each relation row, and each m_t e_t as their combination, ends in
+    # the finished basis up to those; from the last column down, the
+    # basis holds every m_t e_t.
+    if map_rows and rel_rows:
+        longest = max(map(add, map(len, map_rows), map(len, kept)))
+        if max(map(len, rel_rows.values())) > longest:
+            for p, rel in rel_rows.items():
+                if len(rel) > longest:
+                    rel_rows[p] = {p: rel_moduli[p]}
+                    map_rows.append(rel)
+                    kept.append({})
+    relation = ZLattice.from_echelon(len(pos), rel_rows, rel_moduli)
+    if section is None:
+        return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
+    cut = range(sum(len(sub.rows) for sub in factors[:section]), len(pos))
+    rows, index = congruence_kernel(map_rows, len(pos), relation, moduli, kept, cut)
+    return echelon_subgroup(ambient, rows), index
 
 
 def _spanned(sub: AbSubgroup, rows) -> ZLattice:
@@ -521,10 +538,11 @@ class Band:
     index set are dropped.  Construction checks the shapes, and that the
     map is well defined, on the rows [0, P + L): from row P on, a row's
     terms, its target block and its source blocks repeat with
-    L = lcm(period, block period) (``repeat``).
+    L = lcm(period, block period) (``repeat``); it keeps the reduced entries
+    (``row_entries``), and maps of windows are read off them unchecked.
     """
 
-    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows")
+    __slots__ = ("parent", "offset", "width", "period", "rows", "prefix_rows", "_repeat", "_entries")
 
     def __init__(
         self, parent: BlockSequence, offset: int, width: int, period: int, rows,
@@ -559,12 +577,22 @@ class Band:
         repeat with period L."""
         return repeat_point(self.parent, self.offset, self.period, len(self.prefix_rows))
 
+    def row_entries(self, i: int):
+        """Row i's terms with a source in the index set, i < 0 too over Z, as
+        (o, ((v, u, x), ...)): coordinate v of block i + o enters coordinate
+        u of block i by x, reduced and nonzero (a term may have none)."""
+        p, l = self._repeat
+        return self._entries[i if 0 <= i < p else p + (i - p) % l]
+
     def _validate(self) -> None:
         g = self.parent
         lo_o, hi_o = self.offset, self.offset + self.width
-        for i in range(sum(self.repeat())):
+        self._repeat = self.repeat()
+        entries = self._entries = []
+        for i in range(sum(self._repeat)):
             tgt = g.block(i)
             seen = set()
+            terms = []
             for o, mat in self.row_terms(i):
                 j = i + o
                 if not (lo_o <= o < hi_o):
@@ -583,6 +611,7 @@ class Band:
                         f"the matrix by which block {i} reads block {j} is not "
                         f"{tgt.rank}x{src.rank}"
                     )
+                term = []
                 for u, (row, du) in enumerate(zip(mat, tgt.moduli)):
                     for v, (c, d) in enumerate(zip(row, src.moduli)):
                         if (d * c) % du:
@@ -590,6 +619,11 @@ class Band:
                                 f"ill-defined map: generator {v} of block {j} (order {d}) "
                                 f"maps to coordinate {u} of block {i}: {d}*{c} != 0 mod {du}"
                             )
+                        c %= du
+                        if c:
+                            term.append((v, u, c))
+                terms.append((o, tuple(term)))
+            entries.append(tuple(terms))
 
     def apply(self, elem: dict) -> dict:
         """Image of a finite-support element."""
@@ -618,31 +652,25 @@ class Band:
                     out[j] = red
         return out
 
-    def band_columns(self, rows, lo: int, hi: int):
-        """(columns, source group, target group) of the output rows ``rows``
-        read on the source window [lo, hi), each column of the map a
-        {target coordinate: value} map of its nonzero entries.
-
-        The target stacks the blocks of ``rows`` in the given order; terms
-        whose source coordinate lies outside the window are left out, and
-        the entries are not reduced.  Offsets in a row are distinct, so each
-        entry comes from one term.
-        """
+    def band_map(self, rows, lo: int, hi: int) -> "Hom":
+        """The map of the output rows ``rows`` read on the source window
+        [lo, hi), into the blocks of ``rows`` stacked in the given order,
+        built from ``row_entries``: terms whose source block lies outside
+        the window are left out, and offsets in a row are distinct, so each
+        entry comes from one term."""
         g = self.parent
         src_g, starts = g.window_layout(lo, hi)
         cols: list[dict[int, int]] = [{} for _ in range(src_g.rank)]
         tgt_mods: list[int] = []
         for i in rows:
             at = len(tgt_mods)
-            for o, m in self.row_terms(i):
+            for o, term in self.row_entries(i):
                 if lo <= i + o < hi:
                     ss = starts[i + o - lo]
-                    for u, m_row in enumerate(m, at):
-                        for v, x in enumerate(m_row, ss):
-                            if x:
-                                cols[v][u] = x
+                    for v, u, x in term:
+                        cols[ss + v][at + u] = x
             tgt_mods.extend(g.block(i).moduli)
-        return cols, src_g, FiniteAbelianGroup(tuple(tgt_mods))
+        return Hom(src_g, FiniteAbelianGroup(tuple(tgt_mods)), tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -652,8 +680,8 @@ class Hom:
     ``columns`` holds the images of the unit vectors, column j as a
     {target coordinate: value} map of its nonzero entries reduced modulo
     the target; ``matrix`` is the dense view (target.rank rows, source.rank
-    columns).  Constructed through hom_validate, which certifies
-    well-definedness.
+    columns).  Well-definedness is certified by ``hom_validate``, or for a
+    ``Band.band_map`` by the band's construction, with the same rule.
     """
 
     source: FiniteAbelianGroup
@@ -699,7 +727,7 @@ class Hom:
     def preimage(self, sub: AbSubgroup) -> AbSubgroup:
         if sub.ambient != self.target:
             raise AmbientMismatchError("preimage of subgroup from a different group")
-        return sub._pull_back(self.columns, self.source)
+        return stacked_pull_back((sub,), self.columns, self.source)
 
     def apply_map(self, coeffs: dict) -> dict[int, int]:
         """f(x) for x given as a {coordinate: value} map, as the map of the

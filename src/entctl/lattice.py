@@ -278,17 +278,19 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     returns (that basis, the product of the pivots there): the index in
     Z^section of the projection of the lattice's part that is 0 before it.
 
-    ``relation`` is an echelon lattice of width ``image_width`` (passed too
-    because ``perfbench/tracer.py`` buckets calls by it); its ``moduli`` are
-    per-column kill moduli.  Each m_j e_j must lie in the result; moduli are
-    used only when ``relation`` declares them, and only keep entries bounded.
+    ``relation`` is an echelon lattice of width ``image_width`` (passed too,
+    second and positional, because ``perfbench/tracer.py`` buckets calls by
+    ``args[1] + len(args[0])``); its ``moduli`` are per-column kill moduli.
+    Each m_j e_j must lie in the result; moduli are used only when
+    ``relation`` declares them, and only keep entries bounded.
 
     ``map_rows`` and ``payload`` rows may be dense or {column: value} maps.
-    The rows (image | payload), each built once as a checked and reduced map,
-    are eliminated, seeded with the rows of ``relation`` and the rows m_j e_j,
-    which are already echelon.  The rows left with a pivot right of the image
-    columns have image 0 modulo ``relation``; their right halves, as
-    {column: value} maps in pivot order, are the result.
+    Each row (image | payload) is built once, by ``_joined``: one loop over
+    each half, a map's columns checked by its least and greatest key, every
+    entry reduced.  The rows are eliminated, seeded with the rows of
+    ``relation`` and the rows m_j e_j, which are already echelon.  The rows
+    left with a pivot right of the image columns have image 0 modulo
+    ``relation``; their right halves, in pivot order, are the result.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")

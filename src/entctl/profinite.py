@@ -55,6 +55,7 @@ from .finabel import (
     canonical_subgroup,
     hom_validate,
     span_index,
+    stacked_pull_back,
 )
 from .values import (
     DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy, read_stall, run_start,
@@ -292,25 +293,19 @@ class RowFiniteEndo(Band):
         self._memo: dict = {}
 
     def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
-        """Induced map window(src) -> window([lo,hi)) capturing all dependencies."""
-        g = self.parent
-        deps = set()
-        for i in range(lo, hi):
-            for o, _ in self.row_terms(i):
-                j = i + o
-                if g.valid_index(j):
-                    deps.add(j)
-        if not deps:
-            src_lo = src_hi = 0
-        else:
-            src_lo, src_hi = min(deps), max(deps) + 1
-        cols, src_g, tgt_g = self.band_columns(range(lo, hi), src_lo, src_hi)
-        return src_lo, src_hi, hom_validate(cols, src_g, tgt_g)
+        """(src_lo, src_hi, h): [src_lo, src_hi) spans the blocks that the
+        rows [lo, hi) read, (0, 0) if none, and h maps its window onto the
+        window [lo, hi).  h is read off the entries the band checked and
+        reduced at construction (``finabel.Band.row_entries``), unchecked."""
+        deps = [i + o for i in range(lo, hi) for o, _ in self.row_entries(i)]
+        src_lo, src_hi = (min(deps), max(deps) + 1) if deps else (0, 0)
+        return src_lo, src_hi, self.band_map(range(lo, hi), src_lo, src_hi)
 
     def pull_back(self, c: CylinderSubgroup, u: CylinderSubgroup) -> tuple[Hom, int, CylinderSubgroup]:
         """(the window map h of C's window, [K : U + psi^{-1}(C)], U n psi^{-1}(C)):
         C.core x U.core pulled back under x -> (h(x), x on U's window), from
-        the hull of both source windows, the index off U's section (``finabel``).
+        the hull of both source windows, the index off U's section
+        (``finabel.stacked_pull_back``).
         It reads only ``parent`` and ``window_map`` and shares h's columns; the
         whole group has the empty window, whose map is the zero map."""
         if c.parent != self.parent or u.parent != self.parent:
@@ -328,9 +323,7 @@ class RowFiniteEndo(Band):
         for j in u.core.rows:
             t = starts[u.lo - lo] + j
             images[t] = {**images[t], cut + j: 1}
-        rows = {**c.core.rows, **_shifted(u.core.rows, cut)}
-        stacked = AbSubgroup.from_rows(FiniteAbelianGroup(h.target.moduli + u.core.ambient.moduli), rows)
-        core, d = stacked._pull_back(images, wg, section=cut)
+        core, d = stacked_pull_back((c.core, u.core), images, wg, section=1)
         return h, d, CylinderSubgroup(self.parent, lo, hi, core)
 
     def preimage_cylinder(self, c: CylinderSubgroup) -> tuple[CylinderSubgroup, Hom]:
@@ -793,13 +786,12 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
         for i in range(scan_lo, scan_hi):
             if not g.valid_index(i):
                 continue
-            deps = [i + o for o, _ in endo.row_terms(i) if g.valid_index(i + o)]
+            deps = [i + o for o, _ in endo.row_entries(i)]
             if deps and all(lo <= d < hi for d in deps):
                 rows_idx.append(i)
         if not rows_idx:
             return g.window_layout(lo, hi)[0].whole_subgroup()
-        cols, wg, tgt = endo.band_columns(rows_idx, lo, hi)
-        return hom_validate(cols, wg, tgt).kernel()
+        return endo.band_map(rows_idx, lo, hi).kernel()
 
     stable_orders: list[int] = []
     for n in range(1, policy.window_budget + 1):

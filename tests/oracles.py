@@ -4,7 +4,7 @@ Everything here works by plain enumeration over element tuples or by
 naive textbook algorithms, sharing no code with the lattice-based
 implementations it is used to check.  Keep it dumb.
 
-Three exceptions are at the end.  The dense echelon kernel is the
+Four exceptions are at the end.  The dense echelon kernel is the
 reference for the sparse ``entctl.lattice`` kernel, which must perform
 the same arithmetic in the same order and so shares its ``xgcd``.
 ``cotrajectory_exact`` is the earlier exact-end rule of cotrajectories,
@@ -13,6 +13,10 @@ the reference for ``profinite.chain_limit``; it walks the chain by
 ``three_elimination_step`` is the earlier cotrajectory step, the reference
 for ``RowFiniteEndo.pull_back``; it reads the map's window map and uses the
 subgroup operations of ``entctl``, one elimination each.
+``reference_window_map`` is the earlier construction of window maps, the
+reference for those read off a band's checked entries: it scans the raw
+terms of ``Band.row_terms``, lays their entries out unreduced and checks
+every column with ``finabel.hom_validate``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
+from entctl.discrete import BandedEndo
 from entctl.errors import Inconclusive
-from entctl.finabel import span_index
+from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
-from entctl.profinite import CylinderSubgroup, chain_steps, pins_growing_windows
+from entctl.profinite import CylinderSubgroup, PowerEndo, chain_steps, pins_growing_windows
 from entctl.values import DEFAULT_POLICY
 
 
@@ -489,3 +494,45 @@ def three_elimination_step(endo, c, u):
     hull = p.hull_with(u)
     d = span_index(p.extended_core(*hull), u.extended_core(*hull).hnf_rows())
     return u.intersect(p), d
+
+
+# -- a window map, by the earlier construction ----------------------------------
+
+
+def _raw_columns(band, rows, lo, hi):
+    """(columns, source, target) of the output rows ``rows`` of a
+    ``finabel.Band`` on the source window [lo, hi), each column a map of
+    the raw nonzero entries of the terms in ``row_terms``, not reduced."""
+    g = band.parent
+    src_g, starts = g.window_layout(lo, hi)
+    cols = [{} for _ in range(src_g.rank)]
+    tgt_mods = []
+    for i in rows:
+        at = len(tgt_mods)
+        for o, m in band.row_terms(i):
+            if lo <= i + o < hi:
+                for u, m_row in enumerate(m, at):
+                    for v, x in enumerate(m_row, starts[i + o - lo]):
+                        if x:
+                            cols[v][u] = x
+        tgt_mods.extend(g.block(i).moduli)
+    return cols, src_g, FiniteAbelianGroup(tuple(tgt_mods))
+
+
+def reference_window_map(endo, lo, hi):
+    """``window_map(lo, hi)`` of a ``RowFiniteEndo``, a ``PowerEndo`` of
+    one, or an abelian ``discrete.BandedEndo``, built as before: the
+    sources of the rows [lo, hi) found by scanning ``row_terms`` for indices
+    in the index set, then the raw columns checked by ``hom_validate``."""
+    if isinstance(endo, PowerEndo):
+        cur_lo, cur_hi, h = reference_window_map(endo.base, lo, hi)
+        for _ in range(endo.k - 1):
+            cur_lo, cur_hi, h2 = reference_window_map(endo.base, cur_lo, cur_hi)
+            h = h.compose(h2)
+        return cur_lo, cur_hi, h
+    if isinstance(endo, BandedEndo):
+        return hom_validate(*_raw_columns(endo.band, range(endo.image_reach(hi)), lo, hi))
+    g = endo.parent
+    deps = {i + o for i in range(lo, hi) for o, _ in endo.row_terms(i) if g.valid_index(i + o)}
+    src_lo, src_hi = (min(deps), max(deps) + 1) if deps else (0, 0)
+    return src_lo, src_hi, hom_validate(*_raw_columns(endo, range(lo, hi), src_lo, src_hi))

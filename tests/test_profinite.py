@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from entctl import lattice
+from entctl import finabel, lattice
 from entctl.cli import instance_from_dict, parse_instance, run_command
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup
@@ -299,6 +299,82 @@ def test_pull_back_matches_three_eliminations(perfbench_gen, data):
                 assert (got, d) == oracles.three_elimination_step(endo, c, v)
                 assert h == endo.window_map(c.lo, c.hi)[2]
             assert endo.preimage_cylinder(c) == (endo.pull_back(c, k.whole())[2], h)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_window_maps_match_the_earlier_construction(perfbench_gen, data):
+    # window maps read off the entries a band checked at construction equal
+    # the earlier construction (raw terms, then hom_validate): topo_case maps
+    # over N and Z, with prefix blocks and rows over N, their squares, and
+    # the abelian banded maps of abelian_case; on windows below 0 over Z,
+    # windows across P and windows far past P + L
+    gen = perfbench_gen
+    if data.draw(st.booleans()):
+        inst = topo_map(gen, data)
+        maps, (p, l) = (inst.endo, PowerEndo(inst.endo, 2)), inst.endo.repeat()
+        z = inst.endo.parent.index_set == "Z"
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        case = gen.abelian_case(
+            rng, data.draw(st.sampled_from(("bridge", "discrete"))), data.draw(st.integers(1, 2)),
+            data.draw(st.integers(1, 2)), data.draw(st.sampled_from(gen.DISCRETE_BANDS)),
+            data.draw(st.sampled_from(gen.MODULI_FAMILIES)),
+        )
+        endo = instance_from_dict(case).endo
+        maps, (p, l), z = (endo,), endo.band.repeat(), False
+    far = 3 * (p + l) + 20
+    windows = st.one_of(
+        st.integers(-far if z else 0, p + l + 2),
+        st.integers(max(p - 3, -far if z else 0), p),
+        st.integers(far, far + 10),
+        st.integers(-far - 10, -far) if z else st.integers(0, 2),
+    )
+    for _ in range(3):
+        lo = data.draw(windows)
+        hi = lo + data.draw(st.integers(1, 4))
+        for endo in maps:
+            assert endo.window_map(lo, hi) == oracles.reference_window_map(endo, lo, hi), (lo, hi)
+
+
+def test_chain_walks_validate_no_window_map(monkeypatch):
+    # every band entry was checked once, at construction: walking the left
+    # shift's chains builds window maps without calling hom_validate
+    calls = []
+    validate = finabel.hom_validate
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("entctl") and getattr(mod, "hom_validate", None) is validate:
+            monkeypatch.setattr(mod, "hom_validate", counting)
+    finabel.identity_hom(Z2)
+    assert len(calls) == 1
+    calls.clear()
+    k = k_z2()
+    sig = left_shift(k)
+    assert cotrajectory_limits(sig, u0(k, 2)).certified
+    assert chain_limit(sig, u0(k)) == ("trivial", 3)
+    assert calls == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a windowed stall certifies h = log 2 where the chain ends at alpha = 1 (ROADMAP item 1)",
+)
+def test_prefix_row_shift_stall_is_not_certified_early():
+    # the left shift on (Z/2)^N whose prefix row 39 is zero, U = [0, 1) with
+    # no core: every window up to radius 32 is onto, and alpha reads 2 forty
+    # times before the chain ends exactly at alpha = 1, so h(psi, U) = 0, as
+    # stall_window 64 certifies; stall_window 3 certifies log 2 at step 3
+    k = k_z2()
+    prefix_rows = [[(1, [[1]])] for _ in range(40)]
+    prefix_rows[39] = [(1, [[0]])]
+    endo = rowfinite_endo(k, 1, 1, 1, [[(1, [[1]])]], prefix_rows)
+    rep = cotrajectory_limits(endo, u0(k), StabilizationPolicy(max_n=64, stall_window=3, window_budget=32))
+    assert rep.entropy == EntropyValue.zero()
 
 
 def h_top(endo, base):
