@@ -51,7 +51,6 @@ from .profinite import (
     PowerEndo,
     ProGroup,
     RowFiniteEndo,
-    TailCylinder,
     cokernel_order,
     cotrajectory,
     cotrajectory_limits,
@@ -62,6 +61,7 @@ from .profinite import (
     quotient_system,
     rowfinite_endo,
 )
+from .ends import HalfLineConstraint, TailCylinder
 from .duality import (
     DualPairing,
     annihilator,

@@ -463,13 +463,8 @@ def _verify_profinite(inst: Instance) -> list:
             try:
                 qs = profinite.quotient_system(inst.endo, cyl, inst.policy)
                 checks.extend(qs.checks)
-            except Inconclusive:
-                checks.append(
-                    CheckRecord(
-                        "quotient_system", True,
-                        note="cotrajectory is a half line; quotient not materialized",
-                    )
-                )
+            except Inconclusive as exc:
+                checks.append(CheckRecord("quotient_system", True, note=str(exc)))
         out = _cotrajectory_result(idx, rep)
         out["checks"] = _records_json(checks)
         if not all(c.ok for c in checks):

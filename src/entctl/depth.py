@@ -11,9 +11,9 @@ identity is cross-checked over the canonical shrinking base.
 Every one-sided chain here (antistability, U_+/U_-, the shrinking base)
 is walked by the generator ``profinite.chain_steps`` or its lazy view
 ``profinite.chain``, and pinning is decided by
-``profinite.pins_growing_windows``.  U_+ and U_- are the limits
-``profinite.chain_limit`` finds, and the preimage of a half line is read
-by ``profinite.chain_end`` off the preimages of its truncations.
+``ends.pins_growing_windows``.  U_+ and U_- are the limits
+``ends.chain_limit`` finds, and the preimage of a half line is read by
+``ends.chain_end`` off the preimages of its truncations.
 """
 
 from __future__ import annotations
@@ -23,19 +23,15 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
+from .ends import TailCylinder, chain_end, chain_limit, pins_growing_windows, stall_wait
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
     RowFiniteEndo,
-    TailCylinder,
     chain,
-    chain_end,
-    chain_limit,
     chain_steps,
     cotrajectory_limits,
     identity_endo,
-    pins_growing_windows,
-    stall_wait,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -192,8 +188,9 @@ def plus_minus(
     inverse: RowFiniteEndo | None = None,
 ):
     """(U_+, U_-) = (C(psi^{-1}, U), C(psi, U)) as exact cylinders or tails,
-    by ``profinite.chain_limit``; a chain that pins every coordinate has no
-    half line to offer and raises Inconclusive."""
+    by ``ends.chain_limit``; a chain that pins every coordinate, or ends in
+    a window constraint, has no pinned half line to offer and raises
+    Inconclusive."""
     if inverse is None:
         inverse = invert(endo, policy)
 
@@ -201,6 +198,8 @@ def plus_minus(
         kind, obj = chain_limit(the_endo, u, policy)
         if kind == "trivial":
             raise Inconclusive("cotrajectory pins every coordinate; no half line", None)
+        if kind == "constraint":
+            raise Inconclusive("cotrajectory ends in a window constraint; no pinned half line", None)
         return obj
 
     return limit(inverse), limit(endo)

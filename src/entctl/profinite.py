@@ -9,10 +9,9 @@ one period and shifted.  Preimages of cylinders are cylinders, so the
 whole cotrajectory calculus happens in finite windows, exactly.
 
 Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
-in ``depth`` and ``duality``, runs on the one generator ``chain_steps``
-(or its lazy view ``chain``).  How a chain ends (a fixed point, pinned
-growing windows or a half line) is decided by ``chain_end`` alone, for
-the chain of U by the memoised ``chain_limit``.  A cylinder is pulled
+in ``ends``, ``depth`` and ``duality``, runs on the one generator
+``chain_steps`` (or its lazy view ``chain``).  How a chain ends is
+decided in ``ends``.  A cylinder is pulled
 back by ``RowFiniteEndo.pull_back`` alone, for powers too: one
 elimination gives U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window
 map of C it read (``preimage_cylinder`` is the case U = K), so a step
@@ -490,159 +489,11 @@ def chain(endo, u: CylinderSubgroup):
         yield c
 
 
-def pins_growing_windows(parent: ProGroup, windows, w: int) -> bool:
-    """True when the last ``w`` cylinders of a chain are fully pinned on
-    windows that grow on both sides over Z, or grow to the right from 0
-    over N; band geometry then pins every coordinate in the limit.
-
-    ``windows`` lists (lo, hi, core is trivial) for each cylinder so far.
-    """
-    if len(windows) < w:
-        return False
-    recent = windows[-w:]
-    if not all(r[2] for r in recent):
-        return False
-    growing_hi = all(recent[i][1] < recent[i + 1][1] for i in range(w - 1))
-    if parent.index_set == "N":
-        return growing_hi and recent[-1][0] == 0
-    return growing_hi and all(recent[i][0] > recent[i + 1][0] for i in range(w - 1))
-
-
 def cotrajectory(endo, u: CylinderSubgroup, n: int) -> CylinderSubgroup:
     """C_n = U n psi^{-1}(U) n ... n psi^{-(n-1)}(U)."""
     if n < 1:
         raise ValidationError("cotrajectory index must be >= 1")
     return next(itertools.islice(chain(endo, u), n - 1, None))
-
-
-@dataclass(frozen=True)
-class TailCylinder:
-    """Closed subgroup pinned to 0 on a half line plus a finite condition.
-
-    side +1 means every coordinate at index >= pin_from is 0; side -1
-    means every coordinate at index <= pin_from is 0.  The residual
-    cylinder carries the remaining finite-window condition.
-    """
-
-    parent: ProGroup
-    side: int
-    pin_from: int
-    residual: CylinderSubgroup
-
-    def truncate(self, m: int) -> CylinderSubgroup:
-        """The cylinder that pins only the part of the half line up to radius m.
-
-        Its HNF is read off without elimination: the residual's rows, shifted
-        into the window as by ``extended_core``, and the relation rows d_t e_t
-        of the pinned coordinates; the other blocks are free, with unit rows.
-        """
-        g, res = self.parent, self.residual
-        if self.side == +1:
-            lo = min(res.lo, self.pin_from) if not res.is_whole() else self.pin_from
-            hi = max(m, self.pin_from)
-            pin_lo, pin_hi = self.pin_from, hi
-        else:
-            hi = max(res.hi, self.pin_from + 1) if not res.is_whole() else self.pin_from + 1
-            lo = min(-m, self.pin_from)
-            pin_lo, pin_hi = lo, self.pin_from + 1
-        wg, _ = g.window_layout(lo, hi)
-        # the pinned blocks [pin_lo, pin_hi) take the coordinates after those
-        # of [lo, pin_lo) and up to those of [lo, pin_hi)
-        pinned = range(g.window_layout(lo, pin_lo)[0].rank, g.window_layout(lo, pin_hi)[0].rank)
-        rows = {t: {t: wg.moduli[t]} for t in pinned if wg.moduli[t] > 1}
-        rows.update(res.extended_core(lo, hi).rows)
-        return CylinderSubgroup(g, lo, hi, AbSubgroup.from_rows(wg, dict(sorted(rows.items()))))
-
-
-def _residual_of(cyl: CylinderSubgroup, boundary: int, side: int) -> CylinderSubgroup:
-    """The finite condition left after removing the pinned half of a cylinder."""
-    g = cyl.parent
-    lo, hi = (cyl.lo, boundary) if side == +1 else (boundary + 1, cyl.hi)
-    if lo >= hi:
-        return g.whole()
-    return CylinderSubgroup(g, lo, hi, g.project(cyl.core, (cyl.lo, cyl.hi), (lo, hi)))
-
-
-def _pinned_ends(cyl: CylinderSubgroup) -> dict:
-    """{side: (boundary, extent) or None}: the run of pinned blocks at the
-    right end (side +1, from block ``boundary`` up to ``extent`` = hi) and
-    at the left end (side -1, up to block ``boundary``, ``extent`` = -lo)."""
-    pinned = cyl.pinned_blocks()
-    start, end = cyl.hi, cyl.lo
-    while start > cyl.lo and start - 1 in pinned:
-        start -= 1
-    while end < cyl.hi and end in pinned:
-        end += 1
-    return {
-        +1: (start, cyl.hi) if start < cyl.hi else None,
-        -1: (end - 1, -cyl.lo) if end > cyl.lo else None,
-    }
-
-
-def stall_wait(endo, policy: StabilizationPolicy) -> int:
-    """The number of cylinders over which ``chain_end``'s patterns must hold
-    for the chains of ``endo``: ``stall_window``, or P + L of its band if
-    larger, since the rows before the repeat point and one period of them
-    can grow pinned windows that later stall."""
-    return max(policy.stall_window, sum(endo.repeat()))
-
-
-def chain_end(cylinders, policy: StabilizationPolicy, w: int):
-    """Candidate ends of a descending cylinder stream, read off at most
-    ``policy.max_n + 1`` cylinders.  It ends on ("cylinder", C) at two equal
-    successive cylinders and on ("trivial", n) when ``pins_growing_windows``
-    holds over ``w`` cylinders at the (n+1)-th; it yields ("tail",
-    TailCylinder) and goes on when the pinned run at one end starts at one
-    block and grows on the last ``w`` cylinders while the rest projects to
-    one residual (projected only once the integer boundaries and extents
-    hold).  Both patterns are read from the second cylinder on, pinned
-    windows first, since over N they also match a tail.  ``w`` is the map's
-    ``stall_wait``.  Raises Inconclusive past the budget.
-    """
-    windows = []
-    runs = {+1: [], -1: []}
-    cylinders = itertools.islice(cylinders, policy.max_n + 1)
-    prev = next(cylinders)
-    for n, cur in enumerate(cylinders, 1):
-        if cur == prev:
-            yield ("cylinder", cur)
-            return
-        prev = cur
-        windows.append((cur.lo, cur.hi, cur.core.order == 1))
-        if pins_growing_windows(cur.parent, windows, w):
-            yield ("trivial", n)
-            return
-        for side, end in _pinned_ends(cur).items():
-            hist = runs[side]
-            hist.append((*end, cur) if end else None)
-            del hist[:-w]
-            grows = all(hist) and all(a[1] < b[1] for a, b in zip(hist, hist[1:]))
-            if len(hist) == w and grows and len({h[0] for h in hist}) == 1:
-                res = [_residual_of(c, boundary, side) for boundary, _, c in hist]
-                if all(r == res[0] for r in res):
-                    yield ("tail", TailCylinder(cur.parent, side, hist[0][0], res[0]))
-    raise Inconclusive("chain neither stalls, pins growing windows nor ends in a half line", None)
-
-
-@_memoized
-def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY):
-    """C(psi, U), the limit of the chain of U: the first end of ``chain_end``
-    that holds.  A tail holds when it satisfies V = U n psi^{-1}(V) on
-    ``stall_window`` truncations (any fixed point lies in every C_n, and the
-    chain's pinned windows force the reverse inclusion); one that fails, as
-    the early growth of a map of longer period may, is passed over."""
-    band = abs(endo.offset) + endo.width
-    for kind, obj in chain_end(chain(endo, u), policy, stall_wait(endo, policy)):
-        if kind != "tail":
-            return kind, obj
-        for extra in range(policy.stall_window):
-            m = abs(obj.pin_from) + 2 * band + 2 + extra
-            fixed = endo.pull_back(obj.truncate(m), u)[2]
-            extent = fixed.hi if obj.side == +1 else -fixed.lo
-            if extent < m - band or fixed != obj.truncate(extent):
-                break
-        else:
-            return kind, obj
 
 
 @dataclass(frozen=True)
@@ -888,9 +739,11 @@ def quotient_system(
     endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> QuotientSystem:
     """The induced system on K/U_- together with its one-term entropy check."""
+    from .ends import chain_limit
+
     g = endo.parent
     kind, u_minus = chain_limit(endo, u, policy)
-    if kind == "tail":
+    if kind in ("tail", "constraint"):
         raise Inconclusive("cotrajectory is a half line; quotient not materialized", None)
     checks: list[CheckRecord] = []
     if kind == "trivial":
@@ -948,6 +801,8 @@ def log_law_check(
     endo, u: CylinderSubgroup, k: int, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> CheckRecord:
     """Verify [psi^{-k}(U_-) : U_-] = [psi^{-1}(U_-) : U_-]^k for surjective psi."""
+    from .ends import chain_limit
+
     if k < 1:
         raise ValidationError("power must be >= 1")
     if not surjective_on_windows(endo, policy):

@@ -67,8 +67,8 @@ class StabilizationPolicy:
 
     ``max_n`` bounds the steps of every chain walk: the trajectory and
     cotrajectory limits, ``depth.antistable_check``, and
-    ``profinite.chain_end``, which decides how a chain ends (for
-    ``profinite.chain_limit`` and the half-line preimages of ``depth``)
+    ``ends.chain_end``, which decides how a chain ends (for
+    ``ends.chain_limit`` and the half-line preimages of ``depth``)
     from at most max_n + 1 cylinders.  A cotrajectory whose correction
     term grows on each of its last max(2, max_n // 2) steps is a
     hypothesis failure.
@@ -79,7 +79,7 @@ class StabilizationPolicy:
     pinned growing windows and half-line patterns, and of the window
     kernels and cokernels.  Two
     places use it otherwise: ``depth.invert`` searches windows up to the
-    radius max(4 * band, stall_window), and ``profinite.chain_limit``
+    radius max(4 * band, stall_window), and ``ends.chain_limit``
     checks a half-line tail on stall_window truncations.
 
     ``window_budget`` bounds the window radius of ``surjective_on_windows``,

@@ -8,7 +8,7 @@ Four exceptions are at the end.  The dense echelon kernel is the
 reference for the sparse ``entctl.lattice`` kernel, which must perform
 the same arithmetic in the same order and so shares its ``xgcd``.
 ``cotrajectory_exact`` is the earlier exact-end rule of cotrajectories,
-the reference for ``profinite.chain_limit``; it walks the chain by
+the reference for ``ends.chain_limit``; it walks the chain by
 ``profinite.chain_steps`` and tests pinning by ``pins_growing_windows``.
 ``three_elimination_step`` is the earlier cotrajectory step, the reference
 for ``RowFiniteEndo.pull_back``; it reads the map's window map and uses the
@@ -30,7 +30,8 @@ from entctl.discrete import BandedEndo
 from entctl.errors import Inconclusive
 from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
-from entctl.profinite import CylinderSubgroup, PowerEndo, chain_steps, pins_growing_windows
+from entctl.ends import pins_growing_windows
+from entctl.profinite import CylinderSubgroup, PowerEndo, chain_steps
 from entctl.values import DEFAULT_POLICY
 
 

@@ -26,9 +26,9 @@ from entctl.finabel import (
     subgroup_index,
 )
 from entctl.gengroup import cayley_group, closure, heart
+from entctl.ends import chain_limit
 from entctl.profinite import (
     CylinderSubgroup,
-    chain_limit,
     cokernel_order,
     cotrajectory,
     cotrajectory_limits,

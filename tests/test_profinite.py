@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import pathlib
 import random
 import sys
@@ -11,6 +12,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from entctl import finabel, lattice
 from entctl.cli import instance_from_dict, parse_instance, run_command
+from entctl.ends import (
+    HalfLineConstraint,
+    TailCylinder,
+    chain_end,
+    chain_limit,
+    stall_wait,
+    _constraint_end,
+    _image,
+)
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup
 from entctl.lattice import ZLattice
@@ -19,9 +29,7 @@ from entctl.profinite import (
     CylinderSubgroup,
     PowerEndo,
     RowFiniteEndo,
-    TailCylinder,
     chain,
-    chain_limit,
     chain_steps,
     classify_cotrajectory,
     cokernel_order,
@@ -429,8 +437,8 @@ def test_chain_limit_classification():
 @pytest.mark.parametrize("index_set", ["N", "Z"])
 def test_chain_limit_agrees_with_the_earlier_exact_end(index_set, periodic):
     # the earlier rule found fixed points and pinned growing windows only;
-    # chain_limit must find the same ends and add tails only where it gave
-    # up.  It waits P + L cylinders where the band's repeat point and period
+    # chain_limit must find the same ends and add tails and window
+    # constraints only where it gave up.  It waits P + L cylinders where the band's repeat point and period
     # outlast stall_window, so there pinned windows may end a chain later,
     # never earlier.  A short walk keeps the chains that end nowhere cheap.
     policy = StabilizationPolicy(max_n=12)
@@ -452,7 +460,7 @@ def test_chain_limit_agrees_with_the_earlier_exact_end(index_set, periodic):
         elif kind == "trivial":
             assert end == ("trivial", limit), seed
         else:
-            assert end is None or end[0] == "tail", seed
+            assert end is None or end[0] in ("tail", "constraint"), seed
         ends[end and end[0]] += 1
     assert ends["cylinder"] and ends["trivial" if index_set == "N" else "tail"]
 
@@ -865,9 +873,129 @@ def test_verify_ends_half_line_chains_early(monkeypatch):
     assert 0 < len(calls) <= 40
 
 
+LEFT_SHIFT = pathlib.Path(__file__).resolve().parent.parent / "instances" / "left_shift_pro_z2.json"
+
+
+def left_shift_variant(rows, prefix_rows=(), modulus=2):
+    """``left_shift_pro_z2`` with the given rows (and prefix rows) in place
+    of the shift's one row, over Z/``modulus``."""
+    raw = json.loads(LEFT_SHIFT.read_text(encoding="utf-8"))
+    raw["group"]["blocks"]["types"] = [[modulus]]
+    raw["endo"].update(period=len(rows), rows=rows, prefix_rows=list(prefix_rows))
+    return instance_from_dict(raw)
+
+
+SHIFT_ROW = [[1, [[1]]]]
+
+
+def test_left_shift_chain_ends_on_a_window_constraint(monkeypatch):
+    # cylinder 1's chain C_n = {x_0 = ... = x_n} ends on its limit, the
+    # half line x_i = x_{i+1} for every i >= 0: K = {(a, a)} on windows of
+    # width 2 from block 0, with no residual
+    calls = count_calls(monkeypatch, "pull_back")
+    inst = parse_instance(str(LEFT_SHIFT))
+    kind, x = chain_limit(inst.endo, inst.cylinders[1], inst.policy)
+    assert kind == "constraint" and isinstance(x, HalfLineConstraint)
+    assert (x.start, x.width) == (0, 2) and x.residual.is_whole()
+    assert x.window == canonical_subgroup(FiniteAbelianGroup((2, 2)), [(1, 1)])
+    assert x.truncate(6) == cotrajectory(inst.endo, inst.cylinders[1], 5)
+    assert 0 < calls.count("chain_steps") < 16
+
+
+def test_verify_walks_the_left_shift_briefly(monkeypatch):
+    # 85 pull-backs while chain_limit walked cylinder 1 to max_n = 64
+    calls = count_calls(monkeypatch, "pull_back")
+    report = run_command("verify", parse_instance(str(LEFT_SHIFT)))
+    assert report.status == "ok"
+    assert 0 < len(calls) <= 40
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_constraint_ends_agree_with_the_walk(perfbench_gen, data):
+    # period-1 topo_case maps over N and Z, shifts and two-term bands
+    # first, and a random U on up to three blocks.  Where chain_limit ends
+    # on a window constraint X, chain_end alone gives up at the same policy,
+    # X lies in C_{max_n}, and the two have the same image on [s, s + w + 2)
+    gen = perfbench_gen
+    index_set = data.draw(st.sampled_from("NZ"))
+    rank, surjective = data.draw(st.integers(1, 2)), data.draw(st.booleans())
+    band = data.draw(st.sampled_from(((1, 1), (0, 2), None)))
+    family = data.draw(st.sampled_from(gen.MODULI_FAMILIES))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    endo = instance_from_dict(gen.topo_case(rng, index_set, rank, 1, surjective, band, family)).endo
+    lo = 0 if index_set == "N" else rng.randrange(-1, 1)
+    hi = lo + rng.randrange(1, 4)
+    wg, _ = endo.parent.window_layout(lo, hi)
+    gens = [[rng.randrange(d) for d in wg.moduli] for _ in range(rng.randrange(1, wg.rank + 1))]
+    u = cylinder(endo.parent, (lo, hi), gens)
+    policy = StabilizationPolicy(max_n=24)
+    try:
+        kind, x = chain_limit(endo, u, policy)
+    except Inconclusive:
+        kind = None
+    if kind != "constraint":
+        return
+    with pytest.raises(Inconclusive):
+        next(chain_end(chain(endo, u), policy, stall_wait(endo, policy)))
+    last = cotrajectory(endo, u, policy.max_n)
+    assert last.contains_cylinder(x.truncate(last.hi))
+    s, t = x.start, x.start + x.width + 2
+    assert _image(last, s, t) == _image(x.truncate(t), s, t)
+
+
+@pytest.mark.parametrize("r", [12, 40])
+def test_no_constraint_is_read_before_the_repeat_point(r):
+    # the shift's row up to row r - 2 and a zero row r - 1, as prefix rows:
+    # both chains look like the left shift's until they stop on [0, r), and
+    # cylinder 1's would end on K = {(a, a)} if that were read before P = r
+    inst = left_shift_variant([SHIFT_ROW], [SHIFT_ROW] * (r - 1) + [[[1, [[0]]]]])
+    assert inst.endo.repeat() == (r, 1)
+    for u in inst.cylinders:
+        kind, c = chain_limit(inst.endo, u, inst.policy)
+        assert (kind, c.lo, c.hi, c.core.order) == ("cylinder", 0, r, 1)
+
+
+def test_constraint_is_read_past_the_repeat_point():
+    # over Z/4, with row 11 negating instead: C_n = {x_0 = ... = x_11 =
+    # -x_12 = ... = -x_n}, so K = {(a, a)} holds from block 12 = P on,
+    # after the residual x_0 = ... = x_11 = -x_12
+    inst = left_shift_variant([SHIFT_ROW], [SHIFT_ROW] * 11 + [[[1, [[3]]]]], modulus=4)
+    u = inst.cylinders[1]
+    kind, x = chain_limit(inst.endo, u, inst.policy)
+    assert kind == "constraint" and (x.start, x.width) == (12, 2)
+    assert (x.residual.lo, x.residual.hi) == (0, 13)
+    assert x.truncate(15) == cotrajectory(inst.endo, u, 14)
+
+
+def test_constraint_needs_the_map_to_propagate_its_windows():
+    # the left shift's cylinders {x_0 = ... = x_n}, offered as the chain of
+    # {x_0 = x_1} under the identity: x_i = x_{i+1} for i >= 0 lies in U and
+    # is invariant, but the identity adds no window to a cylinder, so the
+    # cylinders do not shrink to it and no constraint is proved
+    inst = parse_instance(str(LEFT_SHIFT))
+    u = inst.cylinders[1]
+    recent = [cotrajectory(inst.endo, u, n) for n in (4, 5, 6)]
+    assert _constraint_end(inst.endo, u, recent) is not None
+    assert _constraint_end(identity_endo(inst.group), u, recent) is None
+
+
+def test_period_two_left_shift_walks_its_budget():
+    # the same map written with two rows is out of the constraint rule's
+    # scope: its chain runs to max_n, and verify says so in its note
+    inst = left_shift_variant([SHIFT_ROW, SHIFT_ROW])
+    with pytest.raises(Inconclusive) as exc:
+        chain_limit(inst.endo, inst.cylinders[1], inst.policy)
+    report = run_command("verify", inst)
+    assert report.status == "ok"
+    notes = [c.get("note") for c in report.results[1]["checks"] if c["name"] == "quotient_system"]
+    assert notes == [str(exc.value)]
+    assert notes != ["cotrajectory is a half line; quotient not materialized"]
+
+
 def test_budget_walk_grows_quadratically(monkeypatch):
     """The left shift's cylinder 1 has the chain C_n = {x_0 = ... = x_n},
-    whose limit is of no shape ``chain_end`` knows, so ``chain_limit`` walks
+    whose limit is of no shape ``chain_end`` knows, so ``chain_end`` walks
     all ``max_n`` steps.  Each step is a pull-back against C_n, whose echelon
     basis has the row (1, ..., 1).  Eliminated last, it costs the step O(n)
     entries; met first, every map row inherits its n entries, O(n^2).  So
@@ -886,8 +1014,9 @@ def test_budget_walk_grows_quadratically(monkeypatch):
     for max_n in (32, 64):
         inst = parse_instance(str(path))
         touched[0] = 0
+        policy = dataclasses.replace(inst.policy, max_n=max_n)
         with pytest.raises(Inconclusive):
-            chain_limit(inst.endo, inst.cylinders[1], dataclasses.replace(inst.policy, max_n=max_n))
+            next(chain_end(chain(inst.endo, inst.cylinders[1]), policy, stall_wait(inst.endo, policy)))
         counts.append(touched[0])
     assert 0 < counts[0] and counts[1] < 5 * counts[0], counts
 
