@@ -307,10 +307,14 @@ def run_command(cmd: str, inst: Instance, method: str | None = None) -> Report:
 
 
 def _status_of(results) -> str:
+    """The report status: a result's status, and any failed check, even in a
+    result without a status (the depth summary), is read."""
     statuses = [r.get("status", "ok") for r in results]
     if any(s == "hypothesis_failure" for s in statuses):
         return "hypothesis_failure"
-    if any(s == "inconclusive" for s in statuses):
+    if any(s == "inconclusive" for s in statuses) or any(
+        not c["ok"] for r in results for c in r.get("checks", ())
+    ):
         return "inconclusive"
     return "ok"
 

@@ -49,11 +49,10 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
     wg, _ = g.window_layout(lo, hi)
     scan_lo = lo - abs(endo.offset) - endo.width - 1
     scan_hi = hi + abs(endo.offset) + endo.width + 1
-    rows_idx = []
-    for j in range(scan_lo, scan_hi):
-        deps = [j + o for o, _ in endo.row_terms(j) if lo <= j + o < hi]
-        if deps:
-            rows_idx.append(j)
+    rows_idx = [
+        j for j in range(scan_lo, scan_hi)
+        if any(lo <= j + o < hi for o, _ in endo.row_entries(j))
+    ]
     if target_block not in rows_idx:
         return None
     h = endo.band_map(rows_idx, lo, hi)

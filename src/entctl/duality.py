@@ -130,47 +130,32 @@ def dual_map(group: LFGroup, endo: BandedEndo) -> tuple[ProGroup, RowFiniteEndo]
     """Dualize (G, phi) to (K, psi) = (product of dual blocks, adjoint).
 
     The adjoint of a column-finite banded map is row-finite with the same
-    band: the image term of generator j of block i landing at block i+o
-    contributes its adjoint matrix to output row i, input i+o.
+    band, read off the entries phi's band checked (``finabel.Band.row_entries``)
+    on one period of rows from its repeat point P, where every term has its
+    source: coordinate v of block t + q entering coordinate u of block t by
+    x is the entry [v][u] = x d_v / d_u mod d_v of psi's row t + q at
+    offset -q, for the block moduli d_v and d_u.
     """
     _endo_block_ranks_ok(group)
     k_group = ProGroup((), tuple(group.period), "N")
-    p_blocks = len(group.period)
-    p = lcm(p_blocks, endo.period)
+    p, l = endo.band.repeat()
+    acc: list[dict[int, list[list[int]]]] = [{} for _ in range(l)]
+    for t in range(p, p + l):
+        tgt = group.block(t).moduli
+        for q, term in endo.band.row_entries(t):
+            src = group.block(t + q).moduli
+            mat = acc[(t + q) % l].setdefault(-q, [[0] * len(tgt) for _ in src])
+            for v, u, x in term:
+                if x * src[v] % tgt[u]:
+                    raise AssertionError("validated endo must dualize integrally")
+                mat[v][u] = x * src[v] // tgt[u] % src[v]
     rows = []
-    for r in range(p):
-        src_blk = group.period[r % p_blocks]
-        acc: dict[int, list[list[int]]] = {}
-        for j, terms in enumerate(endo.images[r % endo.period]):
-            dj = src_blk.moduli[j]
-            for o, vec in terms:
-                # block types are periodic, so the term exists for every
-                # index in this residue class that clears the boundary
-                tgt_blk = group.period[(r + o) % p_blocks]
-                mat = acc.setdefault(
-                    o, [[0] * tgt_blk.rank for _ in range(src_blk.rank)]
-                )
-                for u, c in enumerate(vec):
-                    mat[j][u] += c * dj
-        # the entries are numerators over the target moduli: a generator's
-        # terms at one offset are one entry of the map, so only their sum
-        # need dualize integrally
-        terms_out = []
-        for o, num in sorted(acc.items()):
-            mods = group.period[(r + o) % p_blocks].moduli
-            if any(x % du for row in num for x, du in zip(row, mods)):
-                raise AssertionError("validated endo must dualize integrally")
-            mat = [
-                [x // du % dj for x, du in zip(row, mods)]
-                for row, dj in zip(num, src_blk.moduli)
-            ]
-            if any(map(any, mat)):
-                terms_out.append((o, mat))
-        if not terms_out:
-            tgt_blk = group.period[(r + endo.offset) % p_blocks]
-            terms_out = [(endo.offset, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])]
-        rows.append(terms_out)
-    return k_group, RowFiniteEndo(k_group, endo.offset, endo.width, p, rows)
+    for r, terms in enumerate(acc):
+        # a zero row keeps one zero term; blocks repeat with the period
+        zero = [[0] * group.period[(r + endo.offset) % len(group.period)].rank] * group.block(r).rank
+        rows.append([(o, mat) for o, mat in sorted(terms.items()) if any(map(any, mat))]
+                    or [(endo.offset, zero)])
+    return k_group, RowFiniteEndo(k_group, endo.offset, endo.width, l, rows)
 
 
 def dual_cylinder(group: LFGroup, k_group: ProGroup, f_gens) -> CylinderSubgroup:

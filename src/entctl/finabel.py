@@ -626,30 +626,21 @@ class Band:
             entries.append(tuple(terms))
 
     def apply(self, elem: dict) -> dict:
-        """Image of a finite-support element."""
+        """Image of a finite-support element, accumulated from ``row_entries``."""
         g = self.parent
         out: dict = {}
-        targets = set()
-        for i in elem:
-            for o in range(self.offset, self.offset + self.width):
-                j = i - o
-                if g.valid_index(j):
-                    targets.add(j)
-        for j in targets:
+        offsets = range(self.offset, self.offset + self.width)
+        for j in {i - o for i in elem for o in offsets if g.valid_index(i - o)}:
             tgt = g.block(j)
             acc = [0] * tgt.rank
-            hit = False
-            for o, mat in self.row_terms(j):
-                src_i = j + o
-                if src_i in elem:
-                    vec = elem[src_i]
-                    for u in range(tgt.rank):
-                        acc[u] += sum(m * x for m, x in zip(mat[u], vec))
-                    hit = True
-            if hit:
-                red = tgt.reduce(acc)
-                if any(red):
-                    out[j] = red
+            for o, term in self.row_entries(j):
+                vec = elem.get(j + o)
+                if vec is not None:
+                    for v, u, x in term:
+                        acc[u] += x * vec[v]
+            red = tgt.reduce(acc)
+            if any(red):
+                out[j] = red
         return out
 
     def band_map(self, rows, lo: int, hi: int) -> "Hom":

@@ -331,65 +331,44 @@ class RowFiniteEndo(Band):
         return p, h
 
     def compose(self, inner: "RowFiniteEndo") -> "RowFiniteEndo":
-        """self after inner, as a banded spec; Z-indexed groups only."""
+        """self after inner, as a banded spec; Z-indexed groups only.  Its
+        rows, one period of both bands, multiply their ``row_entries``."""
         if self.parent != inner.parent:
             raise AmbientMismatchError("composition across groups")
         if self.parent.index_set != "Z":
             raise ValidationError("spec composition requires a Z-indexed group")
-        p = lcm(self.period, inner.period)
-        new_rows = []
-        for r in range(p):
+        g = self.parent
+        period = lcm(self.repeat()[1], inner.repeat()[1])
+        rows = []
+        for r in range(period):
             acc: dict[int, list[list[int]]] = {}
-            tgt = self.parent.block(r)
-            for o1, m1 in self.row_terms(r):
-                mid = r + o1
-                for o2, m2 in inner.row_terms(mid):
-                    o = o1 + o2
-                    src = self.parent.block(mid + o2)
-                    prod_mat = [
-                        [
-                            sum(m1[u][t] * m2[t][v] for t in range(len(m2)))
-                            for v in range(src.rank)
-                        ]
-                        for u in range(tgt.rank)
-                    ]
-                    if o in acc:
-                        for u in range(tgt.rank):
-                            for v in range(src.rank):
-                                acc[o][u][v] += prod_mat[u][v]
-                    else:
-                        acc[o] = prod_mat
-            terms = []
-            for o in sorted(acc):
-                mat = [
-                    [x % tgt.moduli[u] for x in row] for u, row in enumerate(acc[o])
-                ]
-                if any(any(row) for row in mat):
-                    terms.append((o, mat))
-            if not terms:
-                terms = [(self.offset + inner.offset, [[0] * self.parent.block(r + self.offset + inner.offset).rank for _ in range(tgt.rank)])]
-            new_rows.append(terms)
-        offset = self.offset + inner.offset
-        width = self.width + inner.width - 1
-        return RowFiniteEndo(self.parent, offset, width, p, new_rows)
+            for o1, outer_term in self.row_entries(r):
+                for o2, inner_term in inner.row_entries(r + o1):
+                    # coordinate v of block r + o1 + o2 enters w of r + o1 by y, u of r by x y
+                    mat = acc.setdefault(
+                        o1 + o2, [[0] * g.block(r + o1 + o2).rank for _ in range(g.block(r).rank)]
+                    )
+                    for w, u, x in outer_term:
+                        for v, w2, y in inner_term:
+                            if w2 == w:
+                                mat[u][v] += x * y
+            rows.append(sorted(acc.items()))
+        return RowFiniteEndo(g, self.offset + inner.offset, self.width + inner.width - 1, period, rows)
 
     def equals_spec(self, other: "RowFiniteEndo") -> bool:
-        """Same map, compared as reduced banded specs on one lcm period."""
+        """Same map: the same nonzero ``row_entries`` on the rows up to the
+        later repeat point and one period of both bands past it."""
         if self.parent != other.parent:
             return False
+        (p1, l1), (p2, l2) = self.repeat(), other.repeat()
 
-        def nonzero_terms(endo, r):
-            # reduce first: a term that vanishes modulo the target is no term
-            mods = self.parent.block(r).moduli
-            terms = {}
-            for o, m in endo.row_terms(r):
-                m = tuple(tuple(x % d for x in row) for row, d in zip(m, mods))
-                if any(map(any, m)):
-                    terms[o] = m
-            return terms
+        def nonzero_terms(endo, i):
+            return {o: term for o, term in endo.row_entries(i) if term}
 
-        p = lcm(self.period, other.period)
-        return all(nonzero_terms(self, r) == nonzero_terms(other, r) for r in range(p))
+        return all(
+            nonzero_terms(self, i) == nonzero_terms(other, i)
+            for i in range(max(p1, p2) + lcm(l1, l2))
+        )
 
 
 class PowerEndo:

@@ -16,7 +16,10 @@ subgroup operations of ``entctl``, one elimination each.
 ``reference_window_map`` is the earlier construction of window maps, the
 reference for those read off a band's checked entries: it scans the raw
 terms of ``Band.row_terms``, lays their entries out unreduced and checks
-every column with ``finabel.hom_validate``.
+every column with ``finabel.hom_validate``.  ``reference_dual_map`` is the
+earlier construction of the dual map, the reference for the one read off
+the checked entries: it walks the raw generator images of an abelian
+``discrete.BandedEndo`` and scales them itself.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from entctl.discrete import BandedEndo
 from entctl.errors import Inconclusive
 from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
 from entctl.ends import pins_growing_windows
-from entctl.profinite import CylinderSubgroup, PowerEndo, chain_steps
+from entctl.profinite import CylinderSubgroup, PowerEndo, ProGroup, RowFiniteEndo, chain_steps
 from entctl.values import DEFAULT_POLICY
 
 
@@ -537,3 +540,38 @@ def reference_window_map(endo, lo, hi):
     deps = {i + o for i in range(lo, hi) for o, _ in endo.row_terms(i) if g.valid_index(i + o)}
     src_lo, src_hi = (min(deps), max(deps) + 1) if deps else (0, 0)
     return src_lo, src_hi, hom_validate(*_raw_columns(endo, range(lo, hi), src_lo, src_hi))
+
+
+# -- a dual map, by the earlier construction -------------------------------------
+
+
+def reference_dual_map(group, endo):
+    """``duality.dual_map(group, endo)`` built as before: the image term of
+    generator j of block r landing at block r + o gives row r of psi, at
+    offset o, the column j of its adjoint, x d_j / d_u mod d_j, summed over
+    the terms at one offset before the division."""
+    k_group = ProGroup((), tuple(group.period), "N")
+    p_blocks = len(group.period)
+    p = lcm(p_blocks, endo.period)
+    rows = []
+    for r in range(p):
+        src_blk = group.period[r % p_blocks]
+        acc = {}
+        for j, terms in enumerate(endo.images[r % endo.period]):
+            for o, vec in terms:
+                tgt_blk = group.period[(r + o) % p_blocks]
+                mat = acc.setdefault(o, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])
+                for u, c in enumerate(vec):
+                    mat[j][u] += c * src_blk.moduli[j]
+        terms_out = []
+        for o, num in sorted(acc.items()):
+            mods = group.period[(r + o) % p_blocks].moduli
+            assert not any(x % du for row in num for x, du in zip(row, mods))
+            mat = [[x // du % dj for x, du in zip(row, mods)] for row, dj in zip(num, src_blk.moduli)]
+            if any(map(any, mat)):
+                terms_out.append((o, mat))
+        if not terms_out:
+            tgt_blk = group.period[(r + endo.offset) % p_blocks]
+            terms_out = [(endo.offset, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])]
+        rows.append(terms_out)
+    return k_group, RowFiniteEndo(k_group, endo.offset, endo.width, p, rows)

@@ -227,6 +227,43 @@ def test_broken_invariant_exits_internal(capsys, monkeypatch):
     assert err == {"error": "internal", "message": "c_n must divide c_{n+1}"}
 
 
+def test_window_indices_leave_the_other_blocks_free(tmp_path, capsys):
+    # window_indices [0, 2] is the window [0, 3) with block 1 free; a
+    # negative index over N is a malformed instance
+    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+    raw["cylinders"] = [
+        {"window_indices": [0, 2], "core_gens": [[1, 0, 1]]},
+        {"window": [0, 3], "core_gens": [[1, 0, 1], [0, 1, 0]]},
+    ]
+    listed, free = instance_from_dict(raw).cylinders
+    assert listed == free and (listed.lo, listed.hi, listed.index) == (0, 3, 2)
+    raw["cylinders"] = [{"window_indices": [-1, 0], "core_gens": []}]
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(raw))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_failed_depth_check_fails_verify(capsys, monkeypatch):
+    # the depth summary carries its checks without a status: a failed one
+    # makes depth and verify alike inconclusive
+    import dataclasses
+
+    import entctl.depth as depth
+    from entctl.values import CheckRecord
+
+    report = depth.depth_report
+
+    def failing(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        return dataclasses.replace(rep, checks=(*rep.checks, CheckRecord("planted", False)))
+
+    monkeypatch.setattr(depth, "depth_report", failing)
+    for command in ("depth", "verify"):
+        assert main([command, str(INSTANCES / "depth_shift_z3.json")]) == EXIT_INCONCLUSIVE
+        assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
+
+
 def test_schema_rejections(tmp_path):
     p = tmp_path / "x.json"
     p.write_text(json.dumps({"schema": 99, "kind": "discrete"}))

@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+from entctl.cli import parse_instance
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup
 from entctl.gengroup import cayley_group
@@ -267,6 +270,18 @@ def test_nonabelian_shift_entropy():
     assert rep.entropy == EntropyValue.of_log(3)
     rep6 = trajectory_limits(sh, [{0: T123}, {0: T12}])
     assert rep6.certified and rep6.alpha == 6
+
+
+def test_cayley_trajectory_snapshot_matches_the_limits():
+    # trajectory(..., n) materializes T_n of the Cayley walk as an element
+    # set; its order is the one the limits read at step n
+    path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "shift_sum_s3.json"
+    inst = parse_instance(str(path))
+    gens = inst.family[0]
+    orders = trajectory_limits(inst.endo, gens, inst.policy).orders
+    for n in (1, 2, 3):
+        t = trajectory(inst.endo, gens, n)
+        assert t.elements is not None and (t.order, t.window_hi) == (orders[n - 1], n)
 
 
 def test_nonabelian_zero_endo_gap():

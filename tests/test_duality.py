@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from entctl.cli import instance_from_dict
 from entctl.discrete import banded_endo, locally_finite_group, trajectory_limits
 from entctl.duality import (
     annihilator,
     bridge,
     dual_group,
     dual_hom,
+    dual_map,
     verify_duality_facts,
     weiss_bridge_check,
 )
@@ -163,6 +166,30 @@ def test_terms_at_one_offset_are_one_entry():
     f = [{0: (1,)}]
     assert bridge(g, split, f)[1].rows == bridge(g, whole, f)[1].rows
     assert weiss_bridge_check(g, split, [f]).ok
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_dual_map_matches_the_earlier_construction(perfbench_gen, data):
+    # the dual read off the checked band entries, one period from the repeat
+    # point P, is the earlier one built from the raw generator images:
+    # ``gen.abelian_case`` bridges (mixed moduli, block and map period 1-2,
+    # every band), on windows from 0 and on windows past P + L
+    gen = perfbench_gen
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    case = gen.abelian_case(
+        rng, "bridge", data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+        data.draw(st.sampled_from(gen.DISCRETE_BANDS)), data.draw(st.sampled_from(gen.MODULI_FAMILIES)),
+    )
+    inst = instance_from_dict(case)
+    (_, psi), (_, ref) = dual_map(inst.group, inst.endo), oracles.reference_dual_map(inst.group, inst.endo)
+    p, l = inst.endo.band.repeat()
+    for hi in range(1, p + l + 3):
+        assert psi.window_map(0, hi) == ref.window_map(0, hi), hi
+    for _ in range(3):
+        lo = data.draw(st.integers(p + l, 3 * (p + l) + 10))
+        hi = lo + data.draw(st.integers(1, 4))
+        assert psi.window_map(lo, hi) == ref.window_map(lo, hi), (lo, hi)
 
 
 def test_trajectory_annihilator_is_cotrajectory():

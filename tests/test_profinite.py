@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 import sys
@@ -343,6 +344,82 @@ def test_window_maps_match_the_earlier_construction(perfbench_gen, data):
         hi = lo + data.draw(st.integers(1, 4))
         for endo in maps:
             assert endo.window_map(lo, hi) == oracles.reference_window_map(endo, lo, hi), (lo, hi)
+
+
+def z_maps(gen, data):
+    """A ``gen.topo_case`` map over Z (block period 1-2, rank 1-3, one moduli
+    family), a second map of the same group with random terms on a random
+    band, and a random element supported around 0."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    case = gen.topo_case(
+        rng, "Z", data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+        data.draw(st.booleans()), data.draw(st.sampled_from((None, *gen.N_BANDS))),
+        data.draw(st.sampled_from(gen.MODULI_FAMILIES)),
+    )
+    phi = instance_from_dict(case).endo
+    types = case["group"]["blocks"]["types"]
+    b = len(types)
+    offset, width = gen._band(rng)
+    rows = [
+        [(o, gen._matrix(rng, types[(r + o) % b], types[r])) for o in range(offset, offset + width)]
+        for r in range(b)
+    ]
+    psi = rowfinite_endo(phi.parent, offset, width, b, rows)
+    x = {i: tuple(rng.randrange(m) for m in types[i % b]) for i in rng.sample(range(-3, 4), 3)}
+    return phi, psi, x
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_composition_applies_one_map_after_the_other(perfbench_gen, data):
+    # the product of two bands' entries is the map x -> psi(phi(x)), both ways
+    phi, psi, x = z_maps(perfbench_gen, data)
+    for outer, inner in ((psi, phi), (phi, psi)):
+        assert outer.compose(inner).apply(x) == outer.apply(inner.apply(x))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_equals_spec_reads_the_map_not_its_spelling(perfbench_gen, data):
+    # unreduced entries and an all-zero term spell the same map; one entry
+    # changed by a well-defined nonzero step spells another
+    phi, _, _ = z_maps(perfbench_gen, data)
+    g = phi.parent
+    spelled = []
+    for r, terms in enumerate(phi.rows):
+        tgt = g.block(r).moduli
+        spelled.append([(phi.offset - 1, [[0] * g.block(r + phi.offset - 1).rank for _ in tgt])])
+        spelled[-1] += [(o, [[x + 2 * d for x in row] for row, d in zip(m, tgt)]) for o, m in terms]
+    same = rowfinite_endo(g, phi.offset - 1, phi.width + 1, phi.period, spelled)
+    assert same.equals_spec(phi) and phi.equals_spec(same)
+    changeable = [
+        (r, t, u, v)
+        for r, terms in enumerate(phi.rows)
+        for t, (o, m) in enumerate(terms)
+        for u, d_u in enumerate(g.block(r).moduli)
+        for v, d_v in enumerate(g.block(r + o).moduli)
+        if math.gcd(d_u, d_v) > 1
+    ]
+    if changeable:
+        r, t, u, v = data.draw(st.sampled_from(changeable))
+        rows = [[(o, [list(row) for row in m]) for o, m in terms] for terms in phi.rows]
+        d_u, d_v = g.block(r).moduli[u], g.block(r + rows[r][t][0]).moduli[v]
+        rows[r][t][1][u][v] += d_u // math.gcd(d_u, d_v)
+        other = rowfinite_endo(g, phi.offset, phi.width, phi.period, rows)
+        assert not other.equals_spec(phi) and not phi.equals_spec(other)
+
+
+def test_spec_maps_read_every_block_of_a_period():
+    # over alternating Z/2, Z/4 blocks, x_i -> 2 x_i and x_i -> 6 x_i vanish
+    # on the Z/2 blocks only: neither is the zero map
+    k = pro_group([], [FiniteAbelianGroup((2,)), FiniteAbelianGroup((4,))], "Z")
+    double = rowfinite_endo(k, 0, 1, 1, [[(0, [[2]])]])
+    triple = rowfinite_endo(k, 0, 1, 1, [[(0, [[3]])]])
+    zero = rowfinite_endo(k, 0, 1, 1, [[(0, [[0]])]])
+    assert double.apply({1: (1,)}) == {1: (2,)} and zero.apply({1: (1,)}) == {}
+    assert not double.equals_spec(zero) and not zero.equals_spec(double)
+    assert double.compose(triple).apply({1: (1,)}) == {1: (2,)}
+    assert double.compose(triple).equals_spec(double)
 
 
 def test_chain_walks_validate_no_window_map(monkeypatch):
