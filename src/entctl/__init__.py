@@ -48,7 +48,6 @@ from .discrete import (
 from .profinite import (
     CotrajectoryReport,
     CylinderSubgroup,
-    PowerEndo,
     ProGroup,
     RowFiniteEndo,
     cokernel_order,

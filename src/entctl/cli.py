@@ -84,6 +84,8 @@ def _parse_policy(spec: dict | None) -> StabilizationPolicy:
 
 
 def _parse_discrete_group(gspec: dict) -> discrete.LFGroup:
+    if gspec.get("index_set", "N") != "N":
+        raise ValidationError("restricted sums are indexed by N: index_set must be 'N'")
     blocks = gspec["blocks"]
     prefix = [_block_from_spec(b) for b in blocks.get("prefix", [])]
     period = [_block_from_spec(b) for b in blocks["types"]]

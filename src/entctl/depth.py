@@ -24,6 +24,7 @@ from math import lcm
 
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
 from .ends import TailCylinder, chain_end, chain_limit, pins_growing_windows, stall_wait
+from .finabel import image_rows
 from .lattice import congruence_kernel
 from .profinite import (
     CylinderSubgroup,
@@ -85,9 +86,11 @@ def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
     band = abs(endo.offset) + endo.width
     radius_cap = max(4 * band, policy.stall_window)
     p = lcm(endo.period, len(g.period))
-    solutions = {}
+    # images[r][u]: the solution for generator u of block r, as image terms
+    images = []
     for r in range(p):
         blk = g.block(r)
+        images.append([])
         for u in range(blk.rank):
             target = [0] * blk.rank
             target[u] = 1
@@ -101,32 +104,11 @@ def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) ->
                     f"no banded preimage of generator {u} of block {r} "
                     f"within radius {radius_cap}"
                 )
-            solutions[(r, u)] = sol
-
-    acc: dict[int, dict[int, list[list[int]]]] = {}
-    offsets = set()
-    for (r, u), sol in solutions.items():
-        for i, vec in sol.items():
-            out_res = i % p
-            o = r - i  # output row i depends on input r with offset o = r - i
-            offsets.add(o)
-            src_blk = g.block(r)
-            out_blk = g.block(i)
-            mat = acc.setdefault(out_res, {}).setdefault(
-                o, [[0] * src_blk.rank for _ in range(out_blk.rank)]
-            )
-            for v, cval in enumerate(vec):
-                mat[v][u] = cval
-    if not offsets:
-        offsets = {0}
-    o_lo, o_hi = min(offsets), max(offsets)
-    rows = []
-    for r in range(p):
-        terms = sorted(acc.get(r, {}).items())
-        if not terms:
-            terms = [(o_lo, [[0] * g.block(r).rank for _ in range(g.block(r).rank)])]
-        rows.append(terms)
-    inv = RowFiniteEndo(g, o_lo, o_hi - o_lo + 1, p, rows)
+            images[r].append([(i - r, vec) for i, vec in sol.items()])
+    rows = image_rows(p, images)
+    offsets = [o for terms in rows for o, _ in terms] or [0]
+    o_lo = min(offsets)
+    inv = RowFiniteEndo(g, o_lo, max(offsets) - o_lo + 1, p, rows)
     ident = identity_endo(g)
     if not endo.compose(inv).equals_spec(ident) or not inv.compose(endo).equals_spec(ident):
         raise InversionFailure("candidate inverse fails the two-sided composition check")

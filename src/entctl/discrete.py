@@ -46,6 +46,7 @@ from .finabel import (
     Hom,
     canonical_subgroup,
     echelon_subgroup,
+    image_rows,
     repeat_point,
 )
 from .gengroup import FiniteGroup
@@ -202,23 +203,9 @@ class BandedEndo:
             self._validate_cayley_homomorphism(rows)
 
     def _band(self) -> Band:
-        """The abelian images as a band, checked by it: the term of output
-        block t at offset -o has as column j the sum of generator j's image
-        terms at offset o from block t - o."""
-        rows: list[dict] = [{} for _ in range(self.period)]
-        for s, res in enumerate(self.images):
-            for j, terms in enumerate(res):
-                for o, vec in terms:
-                    mat = rows[(s + o) % self.period].setdefault(-o, [[0] * len(res) for _ in vec])
-                    if len(vec) != len(mat):
-                        raise ValidationError(
-                            f"image terms at offset {o} from the blocks {s} mod {self.period} "
-                            f"differ in length"
-                        )
-                    for row, c in zip(mat, vec):
-                        row[j] += c
+        """The abelian images as a band (``finabel.image_rows``), checked by it."""
         return Band(self.group, 1 - self.offset - self.width, self.width, self.period,
-                    [row.items() for row in rows])
+                    image_rows(self.period, self.images))
 
     def _image_of_block_elem(self, i: int, x: int) -> dict:
         """Image of a single-block element of a Cayley block, as a sparse element."""

@@ -30,8 +30,9 @@ A sum H + <rows> is the echelon basis H holds with the rows added.
 ``BlockSequence`` is the block rule and window layout shared by restricted
 sums and full products of blocks; its ``coords`` and ``elem_of`` are the one
 place where block elements meet window coordinates.  ``Band`` is the one band
-rule over it: the row-finite maps of products are bands, and the abelian
-banded maps of restricted sums read their generator images into one.  A band
+rule over it: the row-finite maps of products are bands, and maps given by
+generator images (the abelian banded maps of restricted sums, the inverses
+``depth.invert`` solves for) become one through ``image_rows``.  A band
 checks and reduces each entry once, at construction; every window map is
 built from those entries (``Band.band_map``) and not checked again.
 """
@@ -525,6 +526,27 @@ def repeat_point(blocks: BlockSequence, offset: int, period: int, prefix_rows: i
     the rows that reach the prefix blocks or below 0 come before P."""
     first = len(blocks.prefix) - min(offset, 0) if blocks.index_set == "N" else 0
     return max(prefix_rows, first), lcm(period, len(blocks.period))
+
+
+def image_rows(period: int, images) -> list[list]:
+    """The band rows of a map given by its generator images: images[s][j]
+    lists the (o, vec) terms of the image of generator j of the blocks
+    i = s mod ``period``, vec placed at block i + o.  Output block t reads
+    block t - o through the term at offset -o of row t mod ``period``,
+    whose column j sums generator j's image terms at offset o."""
+    rows: list[dict] = [{} for _ in range(period)]
+    for s, res in enumerate(images):
+        for j, terms in enumerate(res):
+            for o, vec in terms:
+                mat = rows[(s + o) % period].setdefault(-o, [[0] * len(res) for _ in vec])
+                if len(vec) != len(mat):
+                    raise ValidationError(
+                        f"image terms at offset {o} from the blocks {s} mod {period} "
+                        f"differ in length"
+                    )
+                for row, c in zip(mat, vec):
+                    row[j] += c
+    return [sorted(row.items()) for row in rows]
 
 
 class Band:

@@ -11,11 +11,11 @@ whole cotrajectory calculus happens in finite windows, exactly.
 Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
 in ``ends``, ``depth`` and ``duality``, runs on the one generator
 ``chain_steps`` (or its lazy view ``chain``).  How a chain ends is
-decided in ``ends``.  A cylinder is pulled
-back by ``RowFiniteEndo.pull_back`` alone, for powers too: one
-elimination gives U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window
-map of C it read (``preimage_cylinder`` is the case U = K), so a step
-builds the map of C_n once and ``classify_cotrajectory`` reads
+decided in ``ends``.  A power psi^k is the ``RowFiniteEndo.compose`` of k
+copies of psi.  A cylinder is pulled back by ``RowFiniteEndo.pull_back``
+alone: one elimination gives U n psi^{-1}(C), [K : U + psi^{-1}(C)] and
+the window map of C it read (``preimage_cylinder`` is the case U = K), so
+a step builds the map of C_n once and ``classify_cotrajectory`` reads
 [K : Im(psi) * C_n] off the same map.  Indices that are only read, never
 compared (that one, a window's [window : Im psi], a cokernel order), come
 from ``finabel.span_index`` without a normal form.
@@ -260,9 +260,7 @@ def cylinder(parent: ProGroup, window, core_gens) -> CylinderSubgroup:
         idx = list(range(lo, hi))
     else:
         idx = sorted(set(int(i) for i in window))
-    if not idx:
-        return parent.whole()
-    lo, hi = idx[0], idx[-1] + 1
+    lo, hi = (idx[0], idx[-1] + 1) if idx else (0, 0)
     for i in idx:
         if not parent.valid_index(i):
             raise DimensionError(f"index {i} invalid for this group")
@@ -331,29 +329,37 @@ class RowFiniteEndo(Band):
         return p, h
 
     def compose(self, inner: "RowFiniteEndo") -> "RowFiniteEndo":
-        """self after inner, as a banded spec; Z-indexed groups only.  Its
-        rows, one period of both bands, multiply their ``row_entries``."""
+        """self after inner, as a banded spec: product row i multiplies the
+        ``row_entries`` of row i of self and of the rows i + o of inner that
+        it reads.  With (P1, L1) and (P2, L2) the ``repeat`` of self and
+        inner, the product rows repeat with lcm(L1, L2) from first =
+        max(P1, P2 - self.offset) on over N, where the rows below it are
+        prefix rows, and from 0 over Z."""
         if self.parent != inner.parent:
             raise AmbientMismatchError("composition across groups")
-        if self.parent.index_set != "Z":
-            raise ValidationError("spec composition requires a Z-indexed group")
         g = self.parent
-        period = lcm(self.repeat()[1], inner.repeat()[1])
-        rows = []
-        for r in range(period):
+        (p1, l1), (p2, l2) = self.repeat(), inner.repeat()
+        period = lcm(l1, l2)
+        first = max(p1, p2 - self.offset) if g.index_set == "N" else 0
+
+        def row(i):
             acc: dict[int, list[list[int]]] = {}
-            for o1, outer_term in self.row_entries(r):
-                for o2, inner_term in inner.row_entries(r + o1):
-                    # coordinate v of block r + o1 + o2 enters w of r + o1 by y, u of r by x y
+            for o1, outer_term in self.row_entries(i):
+                for o2, inner_term in inner.row_entries(i + o1):
+                    # coordinate v of block i + o1 + o2 enters w of i + o1 by y, u of i by x y
                     mat = acc.setdefault(
-                        o1 + o2, [[0] * g.block(r + o1 + o2).rank for _ in range(g.block(r).rank)]
+                        o1 + o2, [[0] * g.block(i + o1 + o2).rank for _ in range(g.block(i).rank)]
                     )
                     for w, u, x in outer_term:
                         for v, w2, y in inner_term:
                             if w2 == w:
                                 mat[u][v] += x * y
-            rows.append(sorted(acc.items()))
-        return RowFiniteEndo(g, self.offset + inner.offset, self.width + inner.width - 1, period, rows)
+            return sorted(acc.items())
+
+        return RowFiniteEndo(
+            g, self.offset + inner.offset, self.width + inner.width - 1, period,
+            [row(first + (r - first) % period) for r in range(period)], list(map(row, range(first))),
+        )
 
     def equals_spec(self, other: "RowFiniteEndo") -> bool:
         """Same map: the same nonzero ``row_entries`` on the rows up to the
@@ -369,33 +375,6 @@ class RowFiniteEndo(Band):
             nonzero_terms(self, i) == nonzero_terms(other, i)
             for i in range(max(p1, p2) + lcm(l1, l2))
         )
-
-
-class PowerEndo:
-    """psi^k via iteration; supports the same window calculus as the base map."""
-
-    def __init__(self, base, k: int):
-        if k < 1:
-            raise ValidationError("power must be >= 1")
-        self.base = base
-        self.k = k
-        self.parent = base.parent
-        self._memo: dict = {}
-
-    def apply(self, elem: dict) -> dict:
-        for _ in range(self.k):
-            elem = self.base.apply(elem)
-        return elem
-
-    pull_back = RowFiniteEndo.pull_back
-    preimage_cylinder = RowFiniteEndo.preimage_cylinder
-
-    def window_map(self, lo: int, hi: int) -> tuple[int, int, Hom]:
-        cur_lo, cur_hi, h = self.base.window_map(lo, hi)
-        for _ in range(self.k - 1):
-            cur_lo, cur_hi, h2 = self.base.window_map(cur_lo, cur_hi)
-            h = h.compose(h2)
-        return cur_lo, cur_hi, h
 
 
 def rowfinite_endo(
@@ -795,8 +774,9 @@ def log_law_check(
         kind, u_minus = chain_limit(endo, u, policy)
     except Inconclusive:
         kind = None
+    power = functools.reduce(RowFiniteEndo.compose, [endo] * k)
     if kind == "cylinder":
-        pk, _ = PowerEndo(endo, k).preimage_cylinder(u_minus)
+        pk, _ = power.preimage_cylinder(u_minus)
         lhs = u_minus.index // pk.index
     else:
         # telescope [psi^{-k}(C) : C] through psi^{-j}(C) = C(psi, psi^{-j}(U))
@@ -809,7 +789,7 @@ def log_law_check(
             lhs *= rep.psi_inv_c_mod_c
             v, _ = endo.preimage_cylinder(v)
     # entropy form of the law: psi^k with respect to C_k(psi, U)
-    hk = cotrajectory_limits(PowerEndo(endo, k), cotrajectory(endo, u, k), policy).entropy_limit
+    hk = cotrajectory_limits(power, cotrajectory(endo, u, k), policy).entropy_limit
     h1 = base_rep.entropy_limit
     ok = lhs == rhs and hk == h1.times(k)
     return CheckRecord(

@@ -16,7 +16,9 @@ subgroup operations of ``entctl``, one elimination each.
 ``reference_window_map`` is the earlier construction of window maps, the
 reference for those read off a band's checked entries: it scans the raw
 terms of ``Band.row_terms``, lays their entries out unreduced and checks
-every column with ``finabel.hom_validate``.  ``reference_dual_map`` is the
+every column with ``finabel.hom_validate``; ``IteratedMap`` chains those
+maps through the maps of a composition, the reference for
+``RowFiniteEndo.compose``.  ``reference_dual_map`` is the
 earlier construction of the dual map, the reference for the one read off
 the checked entries: it walks the raw generator images of an abelian
 ``discrete.BandedEndo`` and scales them itself.
@@ -34,7 +36,7 @@ from entctl.errors import Inconclusive
 from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
 from entctl.ends import pins_growing_windows
-from entctl.profinite import CylinderSubgroup, PowerEndo, ProGroup, RowFiniteEndo, chain_steps
+from entctl.profinite import CylinderSubgroup, ProGroup, RowFiniteEndo, chain_steps
 from entctl.values import DEFAULT_POLICY
 
 
@@ -524,22 +526,40 @@ def _raw_columns(band, rows, lo, hi):
 
 
 def reference_window_map(endo, lo, hi):
-    """``window_map(lo, hi)`` of a ``RowFiniteEndo``, a ``PowerEndo`` of
-    one, or an abelian ``discrete.BandedEndo``, built as before: the
-    sources of the rows [lo, hi) found by scanning ``row_terms`` for indices
-    in the index set, then the raw columns checked by ``hom_validate``."""
-    if isinstance(endo, PowerEndo):
-        cur_lo, cur_hi, h = reference_window_map(endo.base, lo, hi)
-        for _ in range(endo.k - 1):
-            cur_lo, cur_hi, h2 = reference_window_map(endo.base, cur_lo, cur_hi)
-            h = h.compose(h2)
-        return cur_lo, cur_hi, h
+    """``window_map(lo, hi)`` of a ``RowFiniteEndo`` or an abelian
+    ``discrete.BandedEndo``, built as before: the sources of the rows
+    [lo, hi) found by scanning ``row_terms`` for indices in the index set,
+    then the raw columns checked by ``hom_validate``."""
     if isinstance(endo, BandedEndo):
         return hom_validate(*_raw_columns(endo.band, range(endo.image_reach(hi)), lo, hi))
     g = endo.parent
     deps = {i + o for i in range(lo, hi) for o, _ in endo.row_terms(i) if g.valid_index(i + o)}
     src_lo, src_hi = (min(deps), max(deps) + 1) if deps else (0, 0)
     return src_lo, src_hi, hom_validate(*_raw_columns(endo, range(lo, hi), src_lo, src_hi))
+
+
+class IteratedMap:
+    """maps[0] after maps[1] after ... of ``RowFiniteEndo``s, as powers were
+    built before ``RowFiniteEndo.compose`` served them: the window map of
+    [lo, hi) chains each map's ``reference_window_map`` of the source window
+    of the one before by ``Hom.compose``, and ``apply`` applies the maps
+    one after the other.  ``three_elimination_step`` pulls back through it."""
+
+    def __init__(self, maps):
+        self.maps = list(maps)
+        self.parent = self.maps[0].parent
+
+    def window_map(self, lo, hi):
+        cur_lo, cur_hi, h = reference_window_map(self.maps[0], lo, hi)
+        for inner in self.maps[1:]:
+            cur_lo, cur_hi, h2 = reference_window_map(inner, cur_lo, cur_hi)
+            h = h.compose(h2)
+        return cur_lo, cur_hi, h
+
+    def apply(self, elem):
+        for endo in reversed(self.maps):
+            elem = endo.apply(elem)
+        return elem
 
 
 # -- a dual map, by the earlier construction -------------------------------------

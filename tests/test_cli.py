@@ -244,6 +244,37 @@ def test_window_indices_leave_the_other_blocks_free(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("window", [{"window": []}, {"window": [2, 2]}, {"window_indices": []}])
+def test_empty_window_checks_its_generators(tmp_path, capsys, window):
+    # an empty window's group has rank 0, so a generator of length 3 is
+    # malformed there as it is on [0, 1); with no generators the cylinder is
+    # the whole group, as before
+    raw = json.loads((INSTANCES / "left_shift_pro_z2.json").read_text())
+    raw["cylinders"] = [{**window, "core_gens": [[1, 0, 5]]}]
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(raw))
+    assert main(["top-entropy", str(p)]) == EXIT_VALIDATION
+    assert "vector of length 3 in group of rank 0" in json.loads(capsys.readouterr().err)["message"]
+    raw["cylinders"] = [{**window, "core_gens": []}]
+    inst = instance_from_dict(raw)
+    assert inst.cylinders == [inst.group.whole()]
+
+
+def test_restricted_sums_are_indexed_by_n(tmp_path, capsys):
+    # discrete and bridge groups are restricted sums over N: any other
+    # index_set is malformed, and a missing one means N
+    p = tmp_path / "indexed.json"
+    for name, command in (("shift_sum_z2.json", "alg-entropy"), ("bridge_shift_z2.json", "bridge-check")):
+        raw = json.loads((INSTANCES / name).read_text())
+        for index_set in ("Z", "banana"):
+            raw["group"]["index_set"] = index_set
+            p.write_text(json.dumps(raw))
+            assert main([command, str(p)]) == EXIT_VALIDATION
+            assert "index_set" in json.loads(capsys.readouterr().err)["message"]
+        del raw["group"]["index_set"]
+        assert instance_from_dict(raw).group == parse_instance(str(INSTANCES / name)).group
+
+
 def test_failed_depth_check_fails_verify(capsys, monkeypatch):
     # the depth summary carries its checks without a status: a failed one
     # makes depth and verify alike inconclusive

@@ -28,7 +28,6 @@ from entctl.lattice import ZLattice
 from entctl.profinite import (
     CotrajectoryReport,
     CylinderSubgroup,
-    PowerEndo,
     RowFiniteEndo,
     chain,
     chain_steps,
@@ -300,7 +299,7 @@ def test_pull_back_matches_three_eliminations(perfbench_gen, data):
     # the first cylinders of U's chain
     inst = topo_map(perfbench_gen, data)
     k, u = inst.endo.parent, inst.cylinders[0]
-    for endo in (inst.endo, PowerEndo(inst.endo, 2)):
+    for endo in (inst.endo, inst.endo.compose(inst.endo)):
         cs = [k.whole(), *itertools.islice(chain(endo, u), 4)]
         for c in cs:
             for v in (u, k.whole()):
@@ -321,7 +320,7 @@ def test_window_maps_match_the_earlier_construction(perfbench_gen, data):
     gen = perfbench_gen
     if data.draw(st.booleans()):
         inst = topo_map(gen, data)
-        maps, (p, l) = (inst.endo, PowerEndo(inst.endo, 2)), inst.endo.repeat()
+        maps, (p, l) = (inst.endo, inst.endo.compose(inst.endo)), inst.endo.repeat()
         z = inst.endo.parent.index_set == "Z"
     else:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -343,6 +342,154 @@ def test_window_maps_match_the_earlier_construction(perfbench_gen, data):
         lo = data.draw(windows)
         hi = lo + data.draw(st.integers(1, 4))
         for endo in maps:
+            assert endo.window_map(lo, hi) == oracles.reference_window_map(endo, lo, hi), (lo, hi)
+
+
+def assert_composed_window_map(composed, iterated, lo, hi):
+    """The composed map's window map of [lo, hi) is the iterated one on the
+    composed source hull, and the rest of the iterated source window enters
+    by zero columns: the iterated hull also spans blocks that a middle map's
+    rows read but no composed row reaches."""
+    s_lo, s_hi, h = composed.window_map(lo, hi)
+    i_lo, i_hi, ih = iterated.window_map(lo, hi)
+    a = b = 0
+    if s_lo < s_hi:
+        assert i_lo <= s_lo and s_hi <= i_hi, (lo, hi)
+        _, starts = composed.parent.window_layout(i_lo, i_hi)
+        a, b = starts[s_lo - i_lo], starts[s_hi - i_lo]
+    assert h.target == ih.target and h.columns == ih.columns[a:b], (lo, hi)
+    assert not any(ih.columns[:a] + ih.columns[b:]), (lo, hi)
+
+
+def span(endo):
+    """The blocks from 0 over N (from -L - 2 over Z) to two periods L past
+    the repeat point P of ``endo``: each row of a period appears there once
+    past P, and once more."""
+    p, l = endo.repeat()
+    return (0 if endo.parent.index_set == "N" else -l - 2), p + 2 * l + 2
+
+
+def sample_windows(endo, data, count=3):
+    """The window of ``span(endo)``, then ``count`` windows of one to three
+    blocks from below 0 over Z (from 0 over N) to past the repeat point, and
+    far past it."""
+    lo, hi = span(endo)
+    yield lo, hi
+    far = 3 * hi + 20
+    starts = st.one_of(st.integers(-far if lo else 0, hi + 2), st.integers(far, far + 10))
+    for _ in range(count):
+        lo = data.draw(starts)
+        yield lo, lo + data.draw(st.integers(1, 3))
+
+
+def random_elem(rng, k, lo, hi):
+    """A random element of the group ``k`` on the blocks [lo, hi)."""
+    return {i: tuple(rng.randrange(m) for m in k.block(i).moduli) for i in range(lo, hi)}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_powers_match_the_iterated_window_maps(perfbench_gen, data):
+    # psi^2, psi^2 psi and psi psi^2 of topo_map draws (N with prefix blocks
+    # and rows, and Z) against the earlier power construction, which chains
+    # the window maps of psi: the window maps agree (assert_composed_window_map),
+    # apply is k applications of psi, and pull_back gives the same index and
+    # cylinder on K and the first cylinders of U's chain
+    inst = topo_map(perfbench_gen, data)
+    psi, k, u = inst.endo, inst.endo.parent, inst.cylinders[0]
+    square = psi.compose(psi)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    cs = [k.whole(), *itertools.islice(chain(psi, u), 3)]
+    for power, times in ((square, 2), (square.compose(psi), 3), (psi.compose(square), 3)):
+        iterated = oracles.IteratedMap([psi] * times)
+        for lo, hi in sample_windows(power, data):
+            assert_composed_window_map(power, iterated, lo, hi)
+        x = random_elem(rng, k, *span(power))
+        assert power.apply(x) == iterated.apply(x)
+        for c in cs:
+            _, d, got = power.pull_back(c, u)
+            assert (got, d) == oracles.three_elimination_step(iterated, c, u)
+
+
+def entry_step(blocks, u, v):
+    """The least c > 0 by which coordinate v of either of ``blocks`` enters
+    coordinate u of either well defined; the valid entries are its multiples."""
+    return math.lcm(*(a[u] // math.gcd(a[u], b[v]) for a in blocks for b in blocks))
+
+
+def alternating_maps(data):
+    """Two period-1 maps over alternating blocks A, B of one rank and
+    different moduli (such as Z/2, Z/4), the map period below the block
+    period; every entry is well defined from either block into either, so
+    one row serves both.  Over N with up to two prefix rows, or over Z."""
+    family = data.draw(st.sampled_from(((2, 4, 8), (3, 9), (2, 3, 6))))
+    rank = data.draw(st.integers(1, 2))
+    blocks = data.draw(
+        st.lists(st.tuples(*[st.sampled_from(family)] * rank), min_size=2, max_size=2, unique=True)
+    )
+    k = pro_group([], [FiniteAbelianGroup(b) for b in blocks], data.draw(st.sampled_from("NZ")))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def matrix():
+        return [[entry_step(blocks, u, v) * rng.randrange(8) for v in range(rank)] for u in range(rank)]
+
+    def band_map():
+        offset = rng.choice((-1, 0, 1))
+        width = rng.randrange(1, 4 - abs(offset))
+        offsets = range(offset, offset + width)
+        prefix_rows = [
+            [(o, matrix()) for o in offsets if i + o >= 0]
+            for i in range(rng.randrange(3) if k.index_set == "N" else 0)
+        ]
+        return rowfinite_endo(k, offset, width, 1, [[(o, matrix()) for o in offsets]], prefix_rows)
+
+    return band_map(), band_map()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_maps_below_their_block_period(data):
+    # compositions of two different maps agree with the iterated window
+    # maps and with applying one map after the other; a copy respelled with
+    # period 2, unreduced entries and a zero term equals the map, and one
+    # with an entry changed on the blocks of one kind only does not; window
+    # maps equal the earlier construction
+    phi, psi = alternating_maps(data)
+    k = phi.parent
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for outer, inner in ((psi, phi), (phi, psi)):
+        composed = outer.compose(inner)
+        iterated = oracles.IteratedMap([outer, inner])
+        for lo, hi in sample_windows(composed, data):
+            assert_composed_window_map(composed, iterated, lo, hi)
+        x = random_elem(rng, k, *span(composed))
+        assert composed.apply(x) == iterated.apply(x)
+    mods = [blk.moduli for blk in k.period]
+    steps = [math.lcm(*(m[u] for m in mods)) for u in range(len(mods[0]))]
+
+    def respelled(terms):
+        # each entry moved by a multiple of every modulus its row meets
+        zero = [[0] * len(steps) for _ in steps]
+        return [(phi.offset - 1, zero)] + [
+            (o, [[x + 2 * d for x in row] for row, d in zip(m, steps)]) for o, m in terms
+        ]
+
+    same = rowfinite_endo(
+        k, phi.offset - 1, phi.width + 1, 2, [respelled(phi.rows[0])] * 2,
+        list(map(respelled, phi.prefix_rows)),
+    )
+    assert same.equals_spec(phi) and phi.equals_spec(same)
+    # coordinate u of a target block of kind a: the change vanishes there
+    a, b = data.draw(st.permutations(mods))
+    u = next(u for u in range(len(a)) if a[u] != b[u])
+    delta = math.lcm(a[u], entry_step(mods, u, 0))
+    if delta % b[u]:
+        rows = [[(o, [list(row) for row in m]) for o, m in phi.rows[0]]]
+        rows[0][0][1][u][0] += delta
+        other = rowfinite_endo(k, phi.offset, phi.width, 1, rows, phi.prefix_rows)
+        assert not other.equals_spec(phi) and not phi.equals_spec(other)
+    for endo in (phi, psi):
+        for lo, hi in sample_windows(endo, data, 2):
             assert endo.window_map(lo, hi) == oracles.reference_window_map(endo, lo, hi), (lo, hi)
 
 
@@ -626,7 +773,7 @@ def test_coker_remark_inequality():
 def test_power_endo_consistency():
     k = k_z2()
     sig = left_shift(k)
-    p2 = PowerEndo(sig, 2)
+    p2 = sig.compose(sig)
     x = {3: (1,)}
     assert p2.apply(x) == sig.apply(sig.apply(x))
     u = u0(k)
@@ -855,16 +1002,16 @@ def test_chain_computes_each_cylinder_on_demand(monkeypatch):
 
 
 def test_walk_builds_one_window_map_per_step(monkeypatch):
-    # psi^{-1}(C_n) and [K : Im(psi) C_n] are read off the same map of C_n;
-    # psi^2 composes two maps of the base per window
+    # psi^{-1}(C_n) and [K : Im(psi) C_n] are read off the same map of C_n,
+    # for psi^2 too: it is one band
     calls = count_calls(monkeypatch, "window_map")
     k = k_z2()
     sig = left_shift(k)
-    for endo, per_step in ((sig, 1), (PowerEndo(sig, 2), 2)):
+    for endo in (sig, sig.compose(sig)):
         calls.clear()
         rep = cotrajectory_limits(endo, u0(k, 2))
         assert rep.certified
-        assert len(calls) == per_step * rep.n_max
+        assert len(calls) == rep.n_max
 
 
 def z_shift():

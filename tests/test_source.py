@@ -1,7 +1,9 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -142,3 +144,38 @@ def test_unused_definition_is_found():
     )
     used = names_used(source) | names_used("from m import A\n")
     assert unused_definitions(source, used) == ["dead (line 10)", "lonely (line 4)"]
+
+
+def unresolved_names(text: str) -> list[str]:
+    """The backticked code names of ``text`` that name nothing in entctl: a
+    dotted name ``module.name[.attr]`` (or ``entctl.module``), or a name
+    such as ``Band`` or ``TailCylinder``, looked up in every module."""
+    modules = {p.stem: importlib.import_module(f"entctl.{p.stem}") for p in MODULES}
+    spans = set(re.findall(r"`([^`\n]+)`", text))
+    dotted = {t for t in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", t)}
+    camel = {t for t in spans if re.fullmatch(r"[A-Z][a-z]\w*", t)}
+
+    def resolves(name):
+        head, *attrs = name.removeprefix("entctl.").split(".")
+        if head in modules:
+            return _has_path(modules[head], attrs)
+        return any(_has_path(vars(m)[head], attrs) for m in modules.values() if head in vars(m))
+
+    return sorted(t for t in dotted | camel if not resolves(t))
+
+
+def _has_path(obj, attrs) -> bool:
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    assert unresolved_names((ROOT / "README.md").read_text()) == []
+
+
+def test_unresolved_readme_name_is_found():
+    text = "`ShiftEndo`, `Band.band_columns`, `finabel.Band.band_map`, `entctl.ends`, `Z/2`, `C_n`"
+    assert unresolved_names(text) == ["Band.band_columns", "ShiftEndo"]

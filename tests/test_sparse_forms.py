@@ -20,7 +20,7 @@ from entctl.finabel import (
     hom_validate,
     span_index,
 )
-from entctl.profinite import PowerEndo, pro_group, rowfinite_endo
+from entctl.profinite import pro_group, rowfinite_endo
 from test_elimination import mixed_groups, subgroups
 from test_finabel import FAMILIES, assert_forms_agree, random_valid_matrix
 
@@ -93,8 +93,9 @@ def test_hom_validate_names_the_first_failure_in_both_forms(a, b, rnd):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_power_window_map_matches_iterated_application(rnd):
-    """psi^2 on a window, composed from sparse window maps, against applying
-    psi twice to elements and against the dense product of the two maps."""
+    """psi^2 on a window, the window map of psi composed with psi, against
+    applying psi twice to elements and against the dense product of the
+    two window maps of psi."""
     fam = rnd.choice(((2, 4, 8), (3, 9), (2, 3, 6)))
     blk = FiniteAbelianGroup(tuple(rnd.choice(fam + (1,)) for _ in range(rnd.randrange(1, 3))))
     k = pro_group([], [blk], rnd.choice("NZ"))
@@ -103,7 +104,7 @@ def test_power_window_map_matches_iterated_application(rnd):
     endo = rowfinite_endo(k, offset, width, 1, [terms])
     lo = rnd.randrange(0, 3) if k.index_set == "N" else rnd.randrange(-3, 3)
     hi = lo + rnd.randrange(1, 3)
-    src_lo, src_hi, h = PowerEndo(endo, 2).window_map(lo, hi)
+    src_lo, src_hi, h = endo.compose(endo).window_map(lo, hi)
     mid_lo, mid_hi, h1 = endo.window_map(lo, hi)
     _, _, h2 = endo.window_map(mid_lo, mid_hi)
     assert h.matrix == product(h1.matrix, h2.matrix, h.target.moduli)
