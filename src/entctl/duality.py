@@ -8,7 +8,8 @@ stored HNF rows, translate trajectories on the discrete side into
 cotrajectories on the profinite side, which is what the bridge check
 exercises.  The check walks each chain once: the classifiers behind
 ``trajectory_limits`` and ``cotrajectory_limits`` read the walks, and the
-T_n and C_n it compares are kept as they pass.
+C_n and trajectory engines it compares are kept as they pass; T_n-perp =
+C_n is decided by an index and the pairing, T_n-perp never built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .discrete import BandedEndo, LFGroup, LFSubgroup, classify_trajectory, trajectory_engines
+from .discrete import BandedEndo, LFGroup, classify_trajectory, trajectory_engines
 from .errors import AmbientMismatchError, ValidationError
 from .finabel import (
     AbSubgroup,
@@ -250,6 +251,44 @@ def _passing(stream, keep: int, view, kept: list):
     yield from stream
 
 
+def _is_perp(engine, n: int, c: CylinderSubgroup) -> bool:
+    """C = T_n-perp, for the T_n that the trajectory engine's first n
+    layers generate, decided without building T_n-perp.
+
+    C lies in T_n-perp exactly when every layer vector x pairs to 0 with
+    C's generators: the unit vectors of its free coordinates, which are the
+    coordinates outside its window and the non-pivots of its core, and its
+    stored HNF rows.  x's entries being reduced and nonzero, the first asks
+    that every key of x be a pivot; the second that sum_t x_t r_t (m / d_t)
+    = 0 mod m for each row r, m the lcm of the window moduli.  T_n-perp has
+    index |T_n| in K, so a C inside it with that index is T_n-perp.
+    """
+    if not engine.group.is_abelian:
+        raise ValidationError("bridge comparison needs abelian trajectories")
+    if c.index != engine.orders[n - 1]:
+        return False
+    # the columns of C's rows, on the coordinates of the window [0, ...) of
+    # the layers: (row, r_t m / d_t) for each entry r_t of a row
+    mods = c.core.ambient.moduli
+    m = lcm(1, *mods)
+    off = c.parent.window_layout(0, c.lo)[0].rank
+    rows = c.core.rows
+    cols: dict[int, list] = {p + off: [] for p in rows}
+    for i, r in enumerate(rows.values()):
+        for t, v in r.items():
+            cols[t + off].append((i, v * (m // mods[t])))
+    for x in itertools.chain.from_iterable(engine.layers[:n]):
+        if not x.keys() <= cols.keys():
+            return False
+        pairs = [0] * len(rows)
+        for t, v in x.items():
+            for i, w in cols[t]:
+                pairs[i] += v * w
+        if any(p % m for p in pairs):
+            return False
+    return True
+
+
 def weiss_bridge_check(
     group: LFGroup,
     endo: BandedEndo,
@@ -261,9 +300,10 @@ def weiss_bridge_check(
 
     The map is dualized once.  Each chain is walked once.  The two classifiers behind
     ``cotrajectory_limits`` and ``trajectory_limits`` read the walks, and
-    C_n and a snapshot of T_n are kept as they pass, for n <= ``COMPARE_N``
-    (T_n only up to the cotrajectory's end); exactly
-    n_cmp = min(COMPARE_N, both n_max) pairs are then compared.
+    C_n and (trajectory engine, n) are kept as they pass, for n <= ``COMPARE_N``
+    (the engine only up to the cotrajectory's end); exactly
+    n_cmp = min(COMPARE_N, both n_max) pairs are then compared by ``_is_perp``,
+    which reads T_n off the engine's layers and orders: they only grow.
     """
     entries = []
     best_alg = EntropyValue.zero()
@@ -275,13 +315,14 @@ def weiss_bridge_check(
         k_group, psi = dual = dual or dual_map(group, endo)
         u = dual_cylinder(group, k_group, f_gens)
         cs: list[CylinderSubgroup] = []
-        ts: list[LFSubgroup] = []
+        ts: list[tuple] = []
         steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)
         rep_t = classify_cotrajectory(u, steps, policy)
+        # the engine at T_n has taken n - 1 steps: n orders
         engines = _passing(
             trajectory_engines(endo, f_gens),
             min(COMPARE_N, rep_t.n_max),
-            operator.methodcaller("snapshot"),
+            lambda engine: (engine, len(engine.orders)),
             ts,
         )
         rep_d = classify_trajectory(engines, policy)
@@ -289,17 +330,7 @@ def weiss_bridge_check(
         certified = rep_d.certified and rep_t.certified
         records.append(CheckRecord("both_sides_certified", certified))
         n_cmp = min(COMPARE_N, rep_d.n_max, rep_t.n_max)
-        tc_a = True
-        for t_n, c_n in zip(ts[:n_cmp], cs[:n_cmp]):
-            if t_n.subgroup is None:
-                raise ValidationError("bridge comparison needs abelian trajectories")
-            wg = t_n.subgroup.ambient
-            _, pairing = dual_group(wg)
-            perp_core = annihilator(t_n.subgroup, pairing)
-            perp = CylinderSubgroup(k_group, 0, t_n.window_hi, perp_core)
-            if perp != c_n:
-                tc_a = False
-                break
+        tc_a = all(_is_perp(engine, n, c_n) for (engine, n), c_n in zip(ts[:n_cmp], cs[:n_cmp]))
         records.append(CheckRecord(f"trajectory_perp_is_cotrajectory_n_le_{n_cmp}", tc_a))
         if certified:
             records.append(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,8 +92,13 @@ class StabilizationPolicy:
     window_budget: int = 32
 
     def __post_init__(self):
-        if self.max_n < 1 or self.stall_window < 1 or self.window_budget < 1:
+        budgets = (self.max_n, self.stall_window, self.window_budget)
+        if min(budgets) < 1:
             raise ValidationError("policy budgets must be positive")
+        # the walks count their steps with itertools.islice, which takes no
+        # bound above sys.maxsize
+        if max(budgets) > sys.maxsize:
+            raise ValidationError(f"policy budgets must be at most {sys.maxsize}")
 
 
 DEFAULT_POLICY = StabilizationPolicy()

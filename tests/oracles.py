@@ -21,7 +21,10 @@ maps through the maps of a composition, the reference for
 ``RowFiniteEndo.compose``.  ``reference_dual_map`` is the
 earlier construction of the dual map, the reference for the one read off
 the checked entries: it walks the raw generator images of an abelian
-``discrete.BandedEndo`` and scales them itself.
+``discrete.BandedEndo`` and scales them itself.  ``reference_is_perp`` is
+the earlier comparison of the bridge check, the reference for the one by
+index and pairing: it builds T_n-perp with ``duality.annihilator`` from a
+snapshot of T_n and compares cylinders.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from entctl.discrete import BandedEndo
+from entctl.duality import annihilator, dual_group
 from entctl.errors import Inconclusive
 from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
@@ -595,3 +599,14 @@ def reference_dual_map(group, endo):
             terms_out = [(endo.offset, [[0] * tgt_blk.rank for _ in range(src_blk.rank)])]
         rows.append(terms_out)
     return k_group, RowFiniteEndo(k_group, endo.offset, endo.width, p, rows)
+
+
+# -- T_n-perp = C_n, by the earlier comparison -----------------------------------
+
+
+def reference_is_perp(k_group, t_n, c):
+    """T_n-perp = C for the snapshot ``t_n`` of a trajectory: the annihilator
+    of T_n in the dual of its window, as a cylinder on [0, window_hi) of
+    ``k_group``, compared with C by ``==``."""
+    _, pairing = dual_group(t_n.subgroup.ambient)
+    return CylinderSubgroup(k_group, 0, t_n.window_hi, annihilator(t_n.subgroup, pairing)) == c

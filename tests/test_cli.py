@@ -3,6 +3,7 @@ import functools
 import json
 import operator
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,6 +378,38 @@ def test_nonpositive_budget_flag_exits_validation(capsys, flag, value):
     assert main(["top-entropy", path, flag, value]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "validation", "message": "policy budgets must be positive"}
+
+
+HUGE_MAX_N = 10**23
+
+
+@pytest.mark.parametrize("name, command", [
+    ("shift_sum_z2", "alg-entropy"),
+    ("left_shift_pro_z2", "top-entropy"),
+    ("bridge_shift_z2", "bridge-check"),
+    ("depth_shift_z3", "depth"),
+])
+@pytest.mark.parametrize("verify", [False, True], ids=["main", "verify"])
+def test_max_n_beyond_maxsize_exits_validation(tmp_path, capsys, name, command, verify):
+    """A step budget that no walk can count to is malformed, for every kind,
+    in the instance and in the flag; it used to crash in the stall reader."""
+    command = "verify" if verify else command
+    path = INSTANCES / f"{name}.json"
+    raw = json.loads(path.read_text())
+    raw.setdefault("policy", {})["max_n"] = HUGE_MAX_N
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(raw))
+    for argv in ([command, str(p)], [command, str(path), "--max-n", str(HUGE_MAX_N)]):
+        assert main(argv) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation", "message": f"policy budgets must be at most {sys.maxsize}"}
+
+
+@pytest.mark.parametrize("key", ["max_n", "stall_window", "window_budget"])
+def test_every_budget_is_at_most_maxsize(key):
+    StabilizationPolicy(**{key: sys.maxsize})
+    with pytest.raises(ValidationError, match="at most"):
+        StabilizationPolicy(**{key: sys.maxsize + 1})
 
 
 def test_top_level_array_exits_validation(tmp_path, capsys):

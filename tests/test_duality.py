@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entctl.cli import instance_from_dict
-from entctl.discrete import banded_endo, locally_finite_group, trajectory_limits
+from entctl.discrete import banded_endo, locally_finite_group, trajectory_engines, trajectory_limits
 from entctl.duality import (
     annihilator,
     bridge,
@@ -194,17 +195,12 @@ def test_dual_map_matches_the_earlier_construction(perfbench_gen, data):
 
 def test_trajectory_annihilator_is_cotrajectory():
     from entctl.discrete import trajectory
-    from entctl.profinite import CylinderSubgroup
 
     g, beta = shift_group_and_endo()
     f = [{0: (1,)}]
     k, psi, u = bridge(g, beta, f)
     for n in range(1, 7):
-        t_n = trajectory(beta, f, n)
-        wg = t_n.subgroup.ambient
-        _, pairing = dual_group(wg)
-        perp = CylinderSubgroup(k, 0, t_n.window_hi, annihilator(t_n.subgroup, pairing))
-        assert perp == cotrajectory(psi, u, n)
+        assert oracles.reference_is_perp(k, trajectory(beta, f, n), cotrajectory(psi, u, n))
 
 
 def test_weiss_bridge_check_examples():
@@ -290,19 +286,112 @@ def test_bridge_comparison_of_a_zero_subgroup_runs_once(monkeypatch):
 
     g, beta = shift_group_and_endo()
     calls = []
-    annihilator_ = duality.annihilator
+    is_perp = duality._is_perp
 
-    def counted(h, pairing):
-        calls.append(h)
-        return annihilator_(h, pairing)
+    def counted(engine, n, c):
+        calls.append((n, c))
+        return is_perp(engine, n, c)
 
-    monkeypatch.setattr(duality, "annihilator", counted)
+    monkeypatch.setattr(duality, "_is_perp", counted)
     # F reduces to 0: both chains end at n = 1, and T_1-perp = C_1 is still compared
     rep = weiss_bridge_check(g, beta, [[{0: (0,)}, {3: (2,)}]])
     record = comparison_record(rep)
     assert record.name == "trajectory_perp_is_cotrajectory_n_le_1" and record.ok
-    assert len(calls) == 1 and calls[0].order == 1
+    assert len(calls) == 1 and calls[0][0] == 1 and calls[0][1].is_whole()
     assert rep.ok
+
+
+def test_bridge_comparison_builds_no_annihilator_and_no_snapshot(monkeypatch):
+    import entctl.discrete as discrete
+    import entctl.duality as duality
+
+    g, beta = shift_group_and_endo()
+    family = [[{0: (0,)}], [{0: (1,)}], [{0: (1,)}, {1: (1,)}]]
+    counts = {"annihilator": 0, "snapshot": 0}
+    annihilator_, snapshot = duality.annihilator, discrete._AbelianTrajectory.snapshot
+
+    def counted_annihilator(h, pairing):
+        counts["annihilator"] += 1
+        return annihilator_(h, pairing)
+
+    def counted_snapshot(self):
+        counts["snapshot"] += 1
+        return snapshot(self)
+
+    monkeypatch.setattr(duality, "annihilator", counted_annihilator)
+    monkeypatch.setattr(discrete._AbelianTrajectory, "snapshot", counted_snapshot)
+    rep = weiss_bridge_check(g, beta, family)
+    assert rep.ok
+    # U = F-perp in dual_cylinder, once per member that does not reduce to 0;
+    # the comparisons of T_n-perp with C_n build none
+    assert counts == {"annihilator": 2, "snapshot": 0}
+
+
+def _engine_at_t1(group, f_gens):
+    """The trajectory engine at T_1 = F, for the zero map of ``group``."""
+    zero = banded_endo(group, 0, 1, 1, [[[]] * group.period[0].rank])
+    return next(trajectory_engines(zero, f_gens))
+
+
+def test_is_perp_hand_built_cases():
+    from entctl.duality import _is_perp
+    from entctl.profinite import CylinderSubgroup, ProGroup
+
+    g = locally_finite_group([], [Z2])
+    k = ProGroup((), (Z2,), "N")
+    z2_2 = FiniteAbelianGroup((2, 2))
+    x0_zero = CylinderSubgroup(k, 0, 1, Z2.trivial_subgroup())  # {x_0 = 0}
+    both_zero = CylinderSubgroup(k, 0, 2, z2_2.trivial_subgroup())  # {x_0 = x_1 = 0}
+    t0, t1 = _engine_at_t1(g, [{0: (1,)}]), _engine_at_t1(g, [{1: (1,)}])
+    # <e_0>-perp is {x_0 = 0}
+    assert _is_perp(t0, 1, x0_zero)
+    assert oracles.reference_is_perp(k, t0.snapshot(), x0_zero)
+    # <e_1>-perp is {x_1 = 0}: {x_0 = 0} has its index, and its one stored
+    # row pairs to 0 with e_1, but it leaves coordinate 1 free
+    assert not _is_perp(t1, 1, x0_zero)
+    assert not oracles.reference_is_perp(k, t1.snapshot(), x0_zero)
+    # {x_0 = x_1 = 0} lies in <e_0>-perp with a larger index
+    assert not _is_perp(t0, 1, both_zero)
+    assert not oracles.reference_is_perp(k, t0.snapshot(), both_zero)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_is_perp_matches_the_earlier_comparison(perfbench_gen, data):
+    # the comparison by index and pairing agrees with T_n-perp built by
+    # ``annihilator`` from a snapshot of T_n, on ``gen.abelian_case`` bridges
+    # (mixed moduli, period 1-2, every band), on (T_n, C_n), which are equal,
+    # and on (T_n, C_{n+1}), which are equal only once the chain stalls; and
+    # on C_n moved by whole block periods past T_n's window, which has
+    # T_n-perp's index but constrains none of T_n's coordinates
+    from entctl.duality import _is_perp, dual_cylinder
+    from entctl.finabel import AbSubgroup
+    from entctl.profinite import CylinderSubgroup, chain_steps
+
+    gen = perfbench_gen
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    case = gen.abelian_case(
+        rng, "bridge", data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+        data.draw(st.sampled_from(gen.DISCRETE_BANDS)), data.draw(st.sampled_from(gen.MODULI_FAMILIES)),
+    )
+    inst = instance_from_dict(case)
+    k_group, psi = dual_map(inst.group, inst.endo)
+    for f_gens in inst.family:
+        u = dual_cylinder(inst.group, k_group, f_gens)
+        cs = [c for c, *_ in itertools.islice(chain_steps(psi, u), 9)]
+        engines = itertools.islice(trajectory_engines(inst.endo, f_gens), 8)
+        for n, engine in enumerate(engines, 1):
+            t_n = engine.snapshot()
+            assert _is_perp(engine, n, cs[n - 1]), n
+            assert oracles.reference_is_perp(k_group, t_n, cs[n - 1]), n
+            assert _is_perp(engine, n, cs[n]) == oracles.reference_is_perp(k_group, t_n, cs[n]), n
+            c = cs[n - 1]
+            if not c.is_whole():
+                lo = c.lo + len(k_group.period) * t_n.window_hi
+                wg, _ = k_group.window_layout(lo, lo + c.hi - c.lo)
+                far = CylinderSubgroup(k_group, lo, lo + c.hi - c.lo, AbSubgroup.from_rows(wg, c.core.rows))
+                assert not _is_perp(engine, n, far), n
+                assert not oracles.reference_is_perp(k_group, t_n, far), n
 
 
 @pytest.mark.xfail(
