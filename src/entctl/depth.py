@@ -9,9 +9,10 @@ through both one-sided cotrajectories and must agree; the entropy-depth
 identity is cross-checked over the canonical shrinking base.
 
 Every one-sided chain here (antistability, U_+/U_-, the shrinking base)
-is walked by the generator ``profinite.chain_steps`` or its lazy view
-``profinite.chain``, and pinning is decided by
-``ends.pins_growing_windows``.  U_+ and U_- are the limits
+is read off the walk of (psi, U) kept on the map by ``profinite.chain``,
+so the checks of one run pull each step back once; the walks of a
+candidate that is not certified antistable are dropped at once.  Pinning
+is decided by ``ends.pins_growing_windows``.  U_+ and U_- are the limits
 ``ends.chain_limit`` finds, and the preimage of a half line is read by
 ``ends.chain_end`` off the preimages of its truncations.
 """
@@ -30,8 +31,8 @@ from .profinite import (
     CylinderSubgroup,
     RowFiniteEndo,
     chain,
-    chain_steps,
     cotrajectory_limits,
+    drop_walk,
     identity_endo,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
@@ -140,16 +141,17 @@ def antistable_check(
     """
     if inverse is None:
         inverse = invert(endo, policy)
-    steps_p, steps_m = chain_steps(endo, u), chain_steps(inverse, u)
+    chain_p, chain_m = chain(endo, u), chain(inverse, u)
+    cp, cm = next(chain_p), next(chain_m)
     wait = max(stall_wait(endo, policy), stall_wait(inverse, policy))
     stalled_p = stalled_m = False
     history = []
     for n in range(1, policy.max_n + 1):
         if not stalled_p:
-            prev, *_, cp = next(steps_p)
+            prev, cp = cp, next(chain_p)
             stalled_p = cp == prev
         if not stalled_m:
-            prev, *_, cm = next(steps_m)
+            prev, cm = cm, next(chain_m)
             stalled_m = cm == prev
         d = cp.intersect(cm)
         if d.is_trivial_subgroup():
@@ -265,6 +267,10 @@ def depth_report(
     def evaluate(u):
         cert = antistable_check(endo, u, policy, inverse)
         if cert.status != "antistable":
+            # nothing reads a rejected candidate's walks again, and a failed
+            # run's exception would keep them alive with the maps
+            drop_walk(endo, u)
+            drop_walk(inverse, u)
             return CandidateResult(cert.status, None, None)
         rep_minus = cotrajectory_limits(endo, u, policy)
         rep_plus = cotrajectory_limits(inverse, u, policy)

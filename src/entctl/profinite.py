@@ -9,23 +9,27 @@ one period and shifted.  Preimages of cylinders are cylinders, so the
 whole cotrajectory calculus happens in finite windows, exactly.
 
 Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
-in ``ends``, ``depth`` and ``duality``, runs on the one generator
-``chain_steps`` (or its lazy view ``chain``).  How a chain ends is
-decided in ``ends``.  A power psi^k is the ``RowFiniteEndo.compose`` of k
-copies of psi.  A cylinder is pulled back by ``RowFiniteEndo.pull_back``
-alone: one elimination gives U n psi^{-1}(C), [K : U + psi^{-1}(C)] and
-the window map of C it read (``preimage_cylinder`` is the case U = K), so
-a step builds the map of C_n once and ``classify_cotrajectory`` reads
-[K : Im(psi) * C_n] off the same map.  Indices that are only read, never
-compared (that one, a window's [window : Im psi], a cokernel order), come
-from ``finabel.span_index`` without a normal form.
+in ``ends``, ``depth`` and ``duality``, reads the one walk of (psi, U)
+kept on the map: ``chain_steps`` (with window maps) or its lazy view
+``chain`` (cylinders only) replay the kept steps and pull back only past
+their end.  How a chain ends is decided in ``ends``.  A power psi^k is
+the ``RowFiniteEndo.compose`` of k copies of psi.  A cylinder is pulled
+back by ``RowFiniteEndo.pull_back`` alone: one elimination gives
+U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window map of C it read
+(``preimage_cylinder`` is the case U = K), so a new step builds the map
+of C_n once and ``classify_cotrajectory`` reads [K : Im(psi) * C_n] off
+the same map.  Indices that are only read, never compared (that one, a
+window's [window : Im psi], a cokernel order), come from
+``finabel.span_index`` without a normal form.
 
 The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
 the subgroup and the policy.  A map object remembers the outcomes it has
 computed, keyed per question, subgroup and policy, so that the checks of
-one run ask each of them once; the memory is never shared between maps
-and goes away with the map.  Outcomes are kept, never the chains.
+one run ask each of them once, and the walk of each U it was asked about
+(per step C_n, d_n and C_{n+1}; no window maps, no lattices), so that the
+questions of one run pull each step back once.  The memory is never
+shared between maps and goes away with the map.
 """
 
 from __future__ import annotations
@@ -276,8 +280,9 @@ def cylinder(parent: ProGroup, window, core_gens) -> CylinderSubgroup:
 class RowFiniteEndo(Band):
     """Continuous endomorphism of a full product: a ``finabel.Band``, whose
     output block i (with i = r mod period) receives matrix * x_{i+offset}
-    for each term of rows[r].  The outcomes of the chain questions asked of
-    it are remembered in ``_memo``.
+    for each term of rows[r].  ``_memo`` remembers the outcomes of the chain
+    questions asked of it and, keyed by U, the walk of each chain of U
+    (see ``_walk``), for as long as the map lives.
     """
 
     __slots__ = ("_memo",)
@@ -424,26 +429,46 @@ def _memoized(fn):
     return wrapper
 
 
-def chain_steps(endo, u: CylinderSubgroup):
-    """Yield (C_n, d_n, window map of C_n, C_{n+1}) for n = 1, 2, ...
-
-    C_1 = U; C_{n+1} = U n psi^{-1}(C_n) and d_n = [K : U + psi^{-1}(C_n)]
-    come from one ``pull_back``.  This is the only place the recurrence is
-    written; every cotrajectory walk runs on it.  Only the current cylinder
-    is held, and the walk never ends by itself: each caller stops it by its
-    own rule.
+def _walk(endo, u: CylinderSubgroup):
+    """Yield (C_n, d_n, C_{n+1}, h) for n = 1, 2, ... off the walk of U kept
+    in ``endo._memo``: C_1 = U, C_{n+1} = U n psi^{-1}(C_n) and d_n =
+    [K : U + psi^{-1}(C_n)].  A kept step (C_n, d_n, C_{n+1}: no window map,
+    no lattice) is replayed with h None; past the end of the walk one
+    ``pull_back`` makes and keeps the next step, and h is the window map of
+    C_n it read.  This is the only place the recurrence is written.  The
+    walk is read by index, so interleaved readers of one (map, U) share it
+    and never copy it; each stops it by its own rule.
     """
-    c = u
-    while True:
-        h, d, c_next = endo.pull_back(c, u)
-        yield c, d, h, c_next
-        c = c_next
+    walk = endo._memo.setdefault((_walk, u), [])
+    for n in itertools.count():
+        if n == len(walk):
+            c = walk[-1][2] if walk else u
+            h, d, c_next = endo.pull_back(c, u)
+            walk.append((c, d, c_next))
+            yield c, d, c_next, h
+        else:
+            yield *walk[n], None
+
+
+def chain_steps(endo, u: CylinderSubgroup):
+    """Yield (C_n, d_n, window map of C_n, C_{n+1}) for n = 1, 2, ... off
+    the walk of U (``_walk``).  A replayed step's window map is rebuilt from
+    the band by ``window_map``, which reads checked entries and runs no
+    elimination; a reader that needs no window map reads ``chain``."""
+    for c, d, c_next, h in _walk(endo, u):
+        yield c, d, endo.window_map(c.lo, c.hi)[2] if h is None else h, c_next
+
+
+def drop_walk(endo, u: CylinderSubgroup) -> None:
+    """Forget the walk of U kept on the map, if any."""
+    endo._memo.pop((_walk, u), None)
 
 
 def chain(endo, u: CylinderSubgroup):
-    """Yield C_1 = U, C_2, ...; C_{n+1} is computed only when asked for."""
+    """Yield C_1 = U, C_2, ... off the walk of U; C_{n+1} is pulled back only
+    when asked for and not kept yet."""
     yield u
-    for *_, c in chain_steps(endo, u):
+    for _, _, c, _ in _walk(endo, u):
         yield c
 
 

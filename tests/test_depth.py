@@ -1,5 +1,6 @@
 import pytest
 
+from entctl import depth
 from entctl.depth import (
     TailCylinder,
     _preimage_halfline,
@@ -13,13 +14,15 @@ from entctl.depth import (
 from entctl.errors import HypothesisFailure, Inconclusive, InversionFailure
 from entctl.finabel import FiniteAbelianGroup
 from entctl.profinite import (
+    RowFiniteEndo,
+    chain,
     cotrajectory_limits,
     cylinder,
     identity_endo,
     pro_group,
     rowfinite_endo,
 )
-from entctl.values import DEFAULT_POLICY, EntropyValue
+from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -254,3 +257,41 @@ def test_matrix_twisted_shift_depth():
     assert rep.depth == 4
     assert rep.h_top_value == EntropyValue.of_log(4)
     assert all(c.ok for c in rep.checks)
+
+
+def pulls_to_walk(monkeypatch, endo, u, steps: int) -> int:
+    """The pull-backs that reading ``steps`` steps of the chain of U takes:
+    none when the map keeps that much of the walk."""
+    calls = []
+    original = RowFiniteEndo.pull_back
+    with monkeypatch.context() as mp:
+        mp.setattr(RowFiniteEndo, "pull_back", lambda *args: calls.append(1) or original(*args))
+        for _ in zip(range(steps + 1), chain(endo, u)):
+            pass
+    return len(calls)
+
+
+def test_depth_drops_the_walks_of_rejected_candidates(monkeypatch):
+    # the unipotent automorphism 4s + 6s^2 of (Z/9)^Z runs out of budget on
+    # U = [0, 1), so no candidate is certified: neither psi nor its inverse
+    # keeps a walk once depth_report has raised
+    k = pro_group([], [FiniteAbelianGroup((9,))], "Z")
+    psi = rowfinite_endo(k, 1, 2, 1, [[(1, [[4]]), (2, [[6]])]])
+    u = cylinder(k, (0, 1), [])
+    policy = StabilizationPolicy(max_n=24, stall_window=3, window_budget=32)
+    inverses = []
+    monkeypatch.setattr(depth, "invert", lambda *args: inverses.append(invert(*args)) or inverses[-1])
+    with pytest.raises(HypothesisFailure, match="no candidate certified antistable"):
+        depth_report(psi, [u], policy)
+    for endo in (psi, *inverses):
+        assert pulls_to_walk(monkeypatch, endo, u, 1) == 1
+    assert antistable_check(psi, u, policy, *inverses).status == "unknown"
+    # beside a candidate that is not antistable (K itself), only the walks of
+    # the antistable one are kept, on the map and on its inverse
+    k3, shift = full_shift((3,))
+    whole, u3 = k3.whole(), cylinder(k3, (0, 1), [])
+    rep = depth_report(shift, [whole, u3])
+    assert [c.status for c in rep.candidates] == ["not_antistable", "antistable"]
+    for endo in (shift, rep.inverse):
+        assert pulls_to_walk(monkeypatch, endo, whole, 1) == 1
+        assert pulls_to_walk(monkeypatch, endo, u3, 3) == 0

@@ -1049,6 +1049,13 @@ def test_memo_is_not_shared_between_equal_maps(monkeypatch):
         with pytest.raises(Inconclusive):
             chain_limit(endo, u, SHORT)
     assert len(calls) == 2 * SHORT.max_n
+    # the walk kept on shift_z is replayed there, and walked again on an
+    # equal map built afresh
+    _, fresh = z_shift()
+    kept = list(itertools.islice(chain(shift_z, u), SHORT.max_n + 1))
+    assert len(calls) == 2 * SHORT.max_n
+    assert list(itertools.islice(chain(fresh, u), SHORT.max_n + 1)) == kept
+    assert len(calls) == 3 * SHORT.max_n
 
 
 def test_memo_normalizes_default_policy(monkeypatch):
@@ -1123,7 +1130,64 @@ def test_left_shift_chain_ends_on_a_window_constraint(monkeypatch):
     assert (x.start, x.width) == (0, 2) and x.residual.is_whole()
     assert x.window == canonical_subgroup(FiniteAbelianGroup((2, 2)), [(1, 1)])
     assert x.truncate(6) == cotrajectory(inst.endo, inst.cylinders[1], 5)
-    assert 0 < calls.count("chain_steps") < 16
+    assert 0 < calls.count("_walk") < 16
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_replayed_walk_is_the_same_walk(perfbench_gen, monkeypatch, data):
+    # k steps walked, then a reader of chain_steps interleaved with a reader
+    # of chain one step ahead of it: both match a walk on an equal map built
+    # afresh, window maps column for column, and only the steps past the
+    # kept walk are pulled back
+    inst = topo_map(perfbench_gen, data)
+    endo, u = inst.endo, inst.cylinders[0]
+    fresh = rowfinite_endo(endo.parent, endo.offset, endo.width, endo.period, endo.rows, endo.prefix_rows)
+    assert fresh.equals_spec(endo)
+    k = data.draw(st.integers(1, 5))
+    expected = list(itertools.islice(chain_steps(fresh, u), k + 3))
+    first = list(itertools.islice(chain_steps(endo, u), k))
+    with monkeypatch.context() as mp:
+        calls = count_calls(mp, "pull_back")
+        second, third = chain_steps(endo, u), chain(endo, u)
+        next(third)
+        for n, (c, d, h, c_next) in enumerate(expected):
+            assert next(third) == c_next
+            got = next(second)
+            if n < k:
+                assert got[0] is first[n][0] and got[3] is first[n][3]
+            assert (got[0], got[1], got[3]) == (c, d, c_next)
+            assert (got[2].source, got[2].target, got[2].columns) == (h.source, h.target, h.columns)
+    assert len(calls) == 3
+
+
+MAIN_COMMAND = {"discrete": "alg-entropy", "profinite": "top-entropy", "bridge": "bridge-check", "depth": "depth"}
+
+
+def test_a_run_pulls_each_step_back_once(monkeypatch):
+    # every bundled instance with its main command and with verify: no run
+    # pulls the same cylinder back twice under one map object and one U
+    original = RowFiniteEndo.pull_back
+    made = collections.Counter()
+    maps = []
+
+    def counting(self, c, u):
+        maps.append(self)  # no map of the run is freed, so no id is reused
+        made[id(self), c, u] += 1
+        return original(self, c, u)
+
+    monkeypatch.setattr(RowFiniteEndo, "pull_back", counting)
+    runs, repeated = [], []
+    for path in sorted(LEFT_SHIFT.parent.glob("*.json")):
+        for command in (MAIN_COMMAND[parse_instance(str(path)).kind], "verify"):
+            made.clear()
+            maps.clear()
+            run_command(command, parse_instance(str(path)))
+            runs.append(sum(made.values()))
+            if max(made.values(), default=1) > 1:
+                repeated.append((path.stem, command))
+    assert repeated == []
+    assert len(runs) == 18 and sum(runs) > 0
 
 
 def test_verify_walks_the_left_shift_briefly(monkeypatch):
