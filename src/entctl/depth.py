@@ -261,7 +261,9 @@ def depth_report(
     Requires at least one antistable certificate; verifies depth
     independence across candidates, the two-sided index equality, the
     entropy-depth identity over the shrinking base, and depth(psi) =
-    depth(psi^{-1})."""
+    depth(psi^{-1}).  With no certificate, a candidate left ``unknown``
+    (its chains ran to ``policy.max_n``) makes the run Inconclusive; a
+    HypothesisFailure says that no candidate is antistable or certified."""
     inverse = invert(endo, policy)
 
     def evaluate(u):
@@ -293,6 +295,12 @@ def depth_report(
             first_antistable = u
             break
     if first_antistable is None:
+        if any(r.status == "unknown" for r in results):
+            raise Inconclusive(
+                f"antistability undecided within max_n = {policy.max_n}: "
+                "no candidate certified antistable",
+                None,
+            )
         raise HypothesisFailure(
             "no candidate certified antistable: the pair may not have finite depth"
         )

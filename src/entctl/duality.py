@@ -298,12 +298,13 @@ def weiss_bridge_check(
     """For each F: dualize, compare T_n-perp with C_n, the two limit-free
     correction terms, and the entropies; then compare the suprema.
 
-    The map is dualized once.  Each chain is walked once.  The two classifiers behind
-    ``cotrajectory_limits`` and ``trajectory_limits`` read the walks, and
-    C_n and (trajectory engine, n) are kept as they pass, for n <= ``COMPARE_N``
-    (the engine only up to the cotrajectory's end); exactly
-    n_cmp = min(COMPARE_N, both n_max) pairs are then compared by ``_is_perp``,
-    which reads T_n off the engine's layers and orders: they only grow.
+    The map is dualized once.  Each chain is walked once.  The two
+    classifiers behind ``cotrajectory_limits`` and ``trajectory_limits``
+    read the walks, and C_n is kept as it passes, for n <= ``COMPARE_N``;
+    the trajectory engine is one object, stepped in place, so it is kept
+    once.  Exactly n_cmp = min(COMPARE_N, both n_max) pairs (T_n, C_n) are
+    then compared by ``_is_perp``, which reads T_n off the engine's layers
+    and orders: they only grow.
     """
     entries = []
     best_alg = EntropyValue.zero()
@@ -315,22 +316,16 @@ def weiss_bridge_check(
         k_group, psi = dual = dual or dual_map(group, endo)
         u = dual_cylinder(group, k_group, f_gens)
         cs: list[CylinderSubgroup] = []
-        ts: list[tuple] = []
         steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)
         rep_t = classify_cotrajectory(u, steps, policy)
-        # the engine at T_n has taken n - 1 steps: n orders
-        engines = _passing(
-            trajectory_engines(endo, f_gens),
-            min(COMPARE_N, rep_t.n_max),
-            lambda engine: (engine, len(engine.orders)),
-            ts,
-        )
-        rep_d = classify_trajectory(engines, policy)
+        engines = trajectory_engines(endo, f_gens)
+        engine = next(engines)
+        rep_d = classify_trajectory(itertools.chain([engine], engines), policy)
         records = []
         certified = rep_d.certified and rep_t.certified
         records.append(CheckRecord("both_sides_certified", certified))
         n_cmp = min(COMPARE_N, rep_d.n_max, rep_t.n_max)
-        tc_a = all(_is_perp(engine, n, c_n) for (engine, n), c_n in zip(ts[:n_cmp], cs[:n_cmp]))
+        tc_a = all(_is_perp(engine, n, c_n) for n, c_n in enumerate(cs[:n_cmp], 1))
         records.append(CheckRecord(f"trajectory_perp_is_cotrajectory_n_le_{n_cmp}", tc_a))
         if certified:
             records.append(

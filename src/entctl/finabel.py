@@ -302,13 +302,8 @@ def _coords_in_triangular_basis(basis, vec) -> list[int]:
 
 def _invariants_of_cokernel(rows) -> tuple[int, ...]:
     """Invariant factors > 1 of Z^k / rowspan(rows) for square nonsingular rows."""
-    s, _, _ = smith_normal_form(rows)
-    out = []
-    for i in range(len(s)):
-        d = s[i][i]
-        if d != 1:
-            out.append(d)
-    return tuple(out)
+    s = smith_normal_form(rows)
+    return tuple(s[i][i] for i in range(len(s)) if s[i][i] != 1)
 
 
 def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:

@@ -1,8 +1,9 @@
 """Exact integer lattice arithmetic.
 
 Row lattices over Z kept in Hermite echelon form, congruence kernels, and
-Smith normal form with unimodular transforms.  All arithmetic is
-arbitrary-precision integer arithmetic; nothing here ever rounds.
+the diagonal of the Smith normal form (invariant factors; the unimodular
+transforms are not kept).  All arithmetic is arbitrary-precision integer
+arithmetic; nothing here ever rounds.
 
 Lattice rows are stored sparse, as {column: value} maps of their nonzero
 entries, so an elimination step costs the entries it touches rather than
@@ -310,63 +311,28 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     return kernel if section is None else (kernel, prod(rows[p][p] for p in section))
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(mat, with_inverses: bool = False):
-    """Diagonalize an integer matrix: U * M * V = S.
-
-    S is diagonal with nonnegative entries satisfying s1 | s2 | ...,
-    and U, V are unimodular.  With ``with_inverses`` the inverse
-    transforms are accumulated as well and (S, U, V, Uinv, Vinv) is
-    returned.
-    """
+def smith_normal_form(mat):
+    """The Smith normal form S of an integer matrix: S = U * M * V for some
+    unimodular U, V, diagonal with nonnegative entries s1 | s2 | ...; only
+    S is returned, the transforms are not kept."""
     A = [list(r) for r in mat]
     nr = len(A)
     nc = len(A[0]) if nr else 0
-    U = _identity(nr)
-    V = _identity(nc)
-    Uinv = _identity(nr) if with_inverses else None
-    Vinv = _identity(nc) if with_inverses else None
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in range(nr):
-                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
 
     def col_swap(i, j):
         for r in range(nr):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(nc):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_addmul(i, j, q):
         # row_i += q * row_j
         Ai, Aj = A[i], A[j]
         for t in range(nc):
             Ai[t] += q * Aj[t]
-        Ui, Uj = U[i], U[j]
-        for t in range(nr):
-            Ui[t] += q * Uj[t]
-        if Uinv is not None:
-            for r in range(nr):
-                Uinv[r][j] -= q * Uinv[r][i]
 
     def col_addmul(i, j, q):
         # col_i += q * col_j
         for r in range(nr):
             A[r][i] += q * A[r][j]
-        for r in range(nc):
-            V[r][i] += q * V[r][j]
-        if Vinv is not None:
-            Vi, Vj = Vinv[i], Vinv[j]
-            for t in range(nc):
-                Vj[t] -= q * Vi[t]
 
     def row_combine(i, j, x, y, ag, bg):
         # (row_i, row_j) <- (x*row_i + y*row_j, -bg*row_i + ag*row_j); det = 1
@@ -375,39 +341,15 @@ def smith_normal_form(mat, with_inverses: bool = False):
             a, b = Ai[t], Aj[t]
             Ai[t] = x * a + y * b
             Aj[t] = -bg * a + ag * b
-        Ui, Uj = U[i], U[j]
-        for t in range(nr):
-            a, b = Ui[t], Uj[t]
-            Ui[t] = x * a + y * b
-            Uj[t] = -bg * a + ag * b
-        if Uinv is not None:
-            for r in range(nr):
-                a, b = Uinv[r][i], Uinv[r][j]
-                Uinv[r][i] = ag * a + bg * b
-                Uinv[r][j] = -y * a + x * b
 
     def col_combine(i, j, x, y, ag, bg):
         for r in range(nr):
             a, b = A[r][i], A[r][j]
             A[r][i] = x * a + y * b
             A[r][j] = -bg * a + ag * b
-        for r in range(nc):
-            a, b = V[r][i], V[r][j]
-            V[r][i] = x * a + y * b
-            V[r][j] = -bg * a + ag * b
-        if Vinv is not None:
-            Vi, Vj = Vinv[i], Vinv[j]
-            for t in range(nc):
-                a, b = Vi[t], Vj[t]
-                Vi[t] = ag * a + bg * b
-                Vj[t] = -y * a + x * b
 
     def row_negate(i):
         A[i] = [-t for t in A[i]]
-        U[i] = [-t for t in U[i]]
-        if Uinv is not None:
-            for r in range(nr):
-                Uinv[r][i] = -Uinv[r][i]
 
     def clear_at(t):
         """Eliminate row t and column t outside the pivot (t, t)."""
@@ -454,7 +396,7 @@ def smith_normal_form(mat, with_inverses: bool = False):
             break
         _, bi, bj = best
         if bi != t:
-            row_swap(t, bi)
+            A[t], A[bi] = A[bi], A[t]
         if bj != t:
             col_swap(t, bj)
         if A[t][t] < 0:
@@ -479,18 +421,4 @@ def smith_normal_form(mat, with_inverses: bool = False):
                     row_negate(t + 1)
                 done = False
 
-    if with_inverses:
-        return A, U, V, Uinv, Vinv
-    return A, U, V
-
-
-def mat_mul(A, B):
-    """Plain integer matrix product."""
-    if not A:
-        return []
-    inner = len(B)
-    out_cols = len(B[0]) if inner else 0
-    return [
-        [sum(row[k] * B[k][j] for k in range(inner)) for j in range(out_cols)]
-        for row in A
-    ]
+    return A

@@ -56,7 +56,6 @@ from .finabel import (
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
-    hom_validate,
     span_index,
     stacked_pull_back,
 )
@@ -669,53 +668,15 @@ def cokernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     raise Inconclusive("cokernel order did not stabilize within budget", None)
 
 
-def finite_cotrajectory(f: Hom, u: AbSubgroup):
-    """(C, alpha) for an endomorphism of a finite abelian group; exact."""
-    if f.source != f.target or u.ambient != f.source:
-        raise AmbientMismatchError("finite cotrajectory needs an endomorphism and its subgroup")
-    c = u
-    while True:
-        c_next = u.intersect_with(f.preimage(c))
-        if c_next == c:
-            return c
-        c = c_next
-
-
 @dataclass(frozen=True)
 class QuotientSystem:
-    """K/U_- with the induced endomorphism, plus its verification records."""
+    """The checks of the induced system on K/U_-: mode "whole" when U_- is
+    trivial (K itself), "finite" when U_- is an open cylinder, whose
+    quotient is read in the window group W of U_- as W / core."""
 
-    mode: str  # "whole" when U_- is trivial, "finite" when it is an open cylinder
+    mode: str
     u_minus: object
-    quotient: object
-    endo_q: object
-    u_image: object
     checks: tuple[CheckRecord, ...]
-
-
-def _quotient_data(cyl: CylinderSubgroup):
-    """Present K / cylinder as a finite abelian group, with the map of window
-    vectors ({coordinate: value} maps) onto it and a lift of its elements to
-    dense window vectors."""
-    from .lattice import smith_normal_form
-
-    basis = [list(r) for r in cyl.core.basis]
-    s, _, vv, _, vinv = smith_normal_form(basis, with_inverses=True)
-    k = len(basis)
-    diag = [s[i][i] for i in range(k)]
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    q_group = FiniteAbelianGroup(tuple(diag[i] for i in keep))
-
-    def to_quotient(vec: dict) -> tuple[int, ...]:
-        return tuple(sum(x * vv[t][i] for t, x in vec.items()) % diag[i] for i in keep)
-
-    def lift(qvec) -> list[int]:
-        full = [0] * k
-        for pos, i in enumerate(keep):
-            full[i] = qvec[pos]
-        return [sum(full[t] * vinv[t][j] for t in range(k)) for j in range(k)]
-
-    return q_group, to_quotient, lift
 
 
 def quotient_system(
@@ -737,7 +698,7 @@ def quotient_system(
             checks.append(
                 CheckRecord("coker_finite", False, note="cokernel not certified finite")
             )
-            return QuotientSystem("whole", None, g, endo, u, tuple(checks))
+            return QuotientSystem("whole", None, tuple(checks))
         h = cotrajectory_limits(endo, u, policy).entropy
         expect = EntropyValue.of_log(Fraction(ker, cok))
         checks.append(CheckRecord("ker_order", True, lhs=ker))
@@ -745,29 +706,25 @@ def quotient_system(
         checks.append(
             CheckRecord("entropy_eq_log_ker_minus_log_coker", h == expect, lhs=h, rhs=expect)
         )
-        return QuotientSystem("whole", None, g, endo, u, tuple(checks))
+        return QuotientSystem("whole", None, tuple(checks))
 
-    window = (u_minus.lo, u_minus.hi)
-    q_group, to_quotient, lift = _quotient_data(u_minus)
-    # induced endomorphism on the finite quotient: lift, apply, project
-    cols = [
-        to_quotient(g.coords(endo.apply(g.elem_of(lift(q_group.unit(j)), *window)), *window))
-        for j in range(q_group.rank)
-    ]
-    mat = [[cols[j][i] for j in range(q_group.rank)] for i in range(q_group.rank)]
-    endo_q = hom_validate(mat, q_group, q_group)
-
-    # image of U in the quotient
+    # K/U_- is W / core for the window group W of U_-; psi(U_-) <= U_-, so
+    # the window map f of U_- maps core into core and induces the map on it
+    window, core = (u_minus.lo, u_minus.hi), u_minus.core
+    f = endo.band_map(range(*window), *window)
+    # U in W, which holds core; the cotrajectory of U in W/core is C / core
     hull = u.hull_with(u_minus)
-    u_core = g.project(u.extended_core(*hull), hull, window)
-    u_image = canonical_subgroup(q_group, [to_quotient(row) for row in u_core.hnf_rows()])
-
-    c_q = finite_cotrajectory(endo_q, u_image)
+    u_image = g.project(u.extended_core(*hull), hull, window)
+    c = u_image
+    while (c_next := u_image.intersect_with(f.preimage(c))) != c:
+        c = c_next
     checks.append(
-        CheckRecord("induced_cotrajectory_trivial", c_q.order == 1, lhs=c_q.order, rhs=1)
+        CheckRecord(
+            "induced_cotrajectory_trivial", c == core, lhs=c.order // core.order, rhs=1
+        )
     )
-    ker_q = endo_q.kernel().order
-    cok_q = span_index(q_group.trivial_subgroup(), endo_q.columns)
+    ker_q = f.preimage(core).order // core.order
+    cok_q = span_index(core, f.columns)
     checks.append(
         CheckRecord(
             "finite_entropy_eq_log_ker_minus_log_coker",
@@ -777,7 +734,7 @@ def quotient_system(
             note="entropy on a finite group is 0",
         )
     )
-    return QuotientSystem("finite", u_minus, q_group, endo_q, u_image, tuple(checks))
+    return QuotientSystem("finite", u_minus, tuple(checks))
 
 
 def log_law_check(

@@ -127,6 +127,15 @@ def test_bridge_and_depth_commands():
     assert rep2.results[-1]["depth"] == 3
 
 
+def test_depth_out_of_budget_exits_inconclusive(capsys):
+    # with one step, every candidate of depth_shift_z3 ends unknown: the run
+    # ran out of budget, which is no failed hypothesis
+    argv = ["depth", str(INSTANCES / "depth_shift_z3.json"), "--max-n", "1"]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "inconclusive" and "max_n = 1" in err["message"]
+
+
 def test_incompatible_command_kind():
     inst = parse_instance(str(INSTANCES / "shift_sum_z2.json"))
     with pytest.raises(ValidationError):

@@ -734,13 +734,75 @@ def test_quotient_system_examples():
     assert all(c.ok for c in qs.checks)
     qr = quotient_system(right_shift(k), u)
     assert qr.mode == "finite"
-    assert qr.quotient.moduli == (2,)
-    assert qr.endo_q.matrix == ((0,),)  # induced map is zero on K/U
-    assert qr.u_image.order == 1
+    assert qr.u_minus.index == 2  # K/U_- = Z/2
+    checks = {c.name: c for c in qr.checks}
+    assert checks["induced_cotrajectory_trivial"].lhs == 1
+    # the induced map is zero on K/U_-: kernel and cokernel are all of Z/2
+    finite = checks["finite_entropy_eq_log_ker_minus_log_coker"]
+    assert (finite.lhs, finite.rhs) == (2, 2)
     assert all(c.ok for c in qr.checks)
     qi = quotient_system(identity_endo(k), u)
     assert qi.mode == "finite"
     assert all(c.ok for c in qi.checks)
+
+
+def test_quotient_checks_match_enumeration(perfbench_gen):
+    # both sides of the two checks on K/U_- = W / core, against element
+    # sets of the window group W of U_-: U's image in W from the case's own
+    # generators, the induced map as the dense matrix of the raw terms
+    gen = perfbench_gen
+    policy = StabilizationPolicy(max_n=24, stall_window=3, window_budget=12)
+    rng = random.Random(5)
+    seen = 0
+    for i in range(60):
+        case = gen.topo_case(
+            rng, rng.choice("NZ"), rng.randint(1, 2), rng.randint(1, 2), rng.random() < 0.5,
+            rng.choice((None, *gen.N_BANDS)), gen.MODULI_FAMILIES[i % 3],
+        )
+        inst = instance_from_dict(case)
+        g, endo, u = inst.endo.parent, inst.endo, inst.cylinders[0]
+        try:
+            kind, u_minus = chain_limit(endo, u, policy)
+        except Inconclusive:
+            continue
+        if kind != "cylinder":
+            continue
+        lo, hi = u_minus.lo, u_minus.hi
+        wg, _ = g.window_layout(lo, hi)
+        if wg.order > 4096:
+            continue
+        seen += 1
+        checks = {c.name: c for c in quotient_system(endo, u, policy).checks}
+        mods = wg.moduli
+        cols, _, _ = oracles._raw_columns(endo, range(lo, hi), lo, hi)
+        matrix = [[col.get(t, 0) for col in cols] for t in range(wg.rank)]
+        core = oracles.subgroup_elements(mods, u_minus.core.generators())
+        # U's generators on the hull of both windows, where its blocks outside
+        # its window are free, read on W
+        (ulo, uhi), core_gens = case["cylinders"][0]["window"], case["cylinders"][0]["core_gens"]
+        first = min(lo, ulo)
+        at = list(itertools.accumulate(
+            (g.block(b).rank for b in range(first, max(hi, uhi))), initial=0
+        ))
+        width = at[-1]
+        gens = [[0] * at[ulo - first] + list(v) + [0] * (width - at[uhi - first]) for v in core_gens]
+        gens += [
+            [int(t == s) for t in range(width)]
+            for b in range(first, max(hi, uhi)) if not ulo <= b < uhi
+            for s in range(at[b - first], at[b - first + 1])
+        ]
+        u_image = oracles.subgroup_elements(mods, [v[at[lo - first] : at[hi - first]] for v in gens])
+        c = u_image
+        while (c_next := u_image & oracles.preimage_set(matrix, mods, mods, c)) != c:
+            c = c_next
+        ker = oracles.preimage_set(matrix, mods, mods, core)
+        image = oracles.image_set(matrix, mods, oracles.all_elements(mods))
+        cok = wg.order // len(oracles.sum_sets(mods, core, image))
+        trivial = checks["induced_cotrajectory_trivial"]
+        assert (trivial.ok, trivial.lhs) == (c == core, len(c) // len(core)), i
+        finite = checks["finite_entropy_eq_log_ker_minus_log_coker"]
+        assert (finite.lhs, finite.rhs) == (len(ker) // len(core), cok), i
+    assert seen >= 20
 
 
 def test_log_law():
