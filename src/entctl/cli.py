@@ -47,12 +47,13 @@ class Instance:
 
 
 def _int(value) -> int:
-    """An integer field of an instance.  ``int`` would truncate a JSON float
-    (2.5 -> 2) and read true as 1, so both are malformed; the section names
-    the field's place."""
-    if isinstance(value, (bool, float)):
+    """An integer field of an instance: a JSON integer and nothing else.
+    ``int`` would truncate a float (2.5 -> 2), read true as 1 and parse the
+    strings "1", "6_4" and " 1", so all of these are malformed; the section
+    names the field's place."""
+    if type(value) is not int:
         raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def _block_from_spec(spec):

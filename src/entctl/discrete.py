@@ -552,18 +552,22 @@ def classify_trajectory(engines, policy: StabilizationPolicy) -> TrajectoryRepor
 
 def _readings(engines, f_order: int):
     """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
-    [T_{n+1} : T_n], the companions |F n phi(T_n)| and |T_n| / |phi(T_n)|,
-    and the cross-identity, which on success certifies |T/phi(T)| =
-    |F| / |F n phi(T_n)| and |ker phi n T| = |ker phi n T_n|, an
-    elimination of its own."""
+    [T_{n+1} : T_n], the companion |T_n| / |phi(T_n)|, and the
+    cross-identity, which on success certifies |T/phi(T)| =
+    |F| / |F n phi(T_n)| and |ker phi n T| = |ker phi n T_n|, each an
+    elimination of its own.  T_{n+1} = F phi(T_n) gives |F n phi(T_n)| =
+    |F| / (alpha_n |T_n| / |phi(T_n)|), so alpha and the companion hold
+    exactly when alpha and |F n phi(T_n)| do."""
     for n, engine in enumerate(engines, 1):
         t_next, t_cur, phit = engine.orders[n], engine.orders[n - 1], engine.phit_orders[n - 1]
         if t_next % t_cur:
             raise AssertionError("trajectory orders must divide")
-        cap, kmon = engine.f_cap_phit_order(), t_cur // phit
+        kmon = t_cur // phit
 
         def certify(alpha):
             ker = engine.kernel_cap_t_order()
-            return (f_order // cap, ker) if ker == kmon and t_next // phit == alpha * ker else None
+            if ker != kmon or t_next // phit != alpha * ker:
+                return None
+            return f_order // engine.f_cap_phit_order(), ker
 
-        yield t_next // t_cur, (cap, kmon), certify
+        yield t_next // t_cur, kmon, certify

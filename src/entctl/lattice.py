@@ -9,8 +9,12 @@ Lattice rows are stored sparse, as {column: value} maps of their nonzero
 entries, so an elimination step costs the entries it touches rather than
 the lattice width; rows may be passed in dense or as such maps, and the
 dense views ``rows``, ``pivots`` and ``basis()`` are built on demand.  The
-arithmetic is the textbook dense elimination's, step for step, so the raw
-echelon rows are the same as a dense implementation's.  The maps are the
+rows m_j e_j of declared moduli are implicit until a row lands on column
+j, as the modulus rows of modular Hermite form algorithms are
+(Domich-Kannan-Trotter 1987): nothing is seeded, and the combination with
+such a one-entry row is one pass over the new row.  The arithmetic is the
+textbook dense elimination's with every m_j e_j stored, step for step, so
+the raw echelon rows are the same as a dense implementation's.  The maps are the
 currency of the layers above too: ``row_maps`` hands them out uncopied and
 ``from_echelon`` takes them over, so a subgroup's rows go from the
 elimination into ``finabel`` without a dense detour.
@@ -55,10 +59,14 @@ class ZLattice:
     ``pivots`` and ``basis()`` are dense read-only views in pivot order.
 
     ``moduli`` optionally declares per-column integers m_j whose multiples
-    m_j * e_j belong to the lattice (0 disables a column).  Declaring them
-    seeds those rows and lets every elimination step reduce entries
-    coordinatewise, which keeps all intermediate integers small; the
-    lattice itself is unchanged.
+    m_j * e_j belong to the lattice (0 disables a column).  They let every
+    elimination step reduce entries coordinatewise, which keeps all
+    intermediate integers small.  The row m_j e_j is implicit: it is the
+    row at pivot j while no row is stored there, so declaring moduli
+    stores nothing, and a row that lands on column j combines with it in
+    one pass over its own entries.  The views and ``pivot_product`` count
+    the implicit rows, so the lattice and its echelon rows are those of
+    the same elimination with every m_j e_j stored from the start.
     """
 
     __slots__ = ("width", "moduli", "_rows")
@@ -71,13 +79,6 @@ class ZLattice:
             self.moduli = [int(m) for m in moduli]
             if len(self.moduli) != width:
                 raise ValueError("moduli length must match width")
-            self._seed(0)
-
-    def _seed(self, start: int) -> None:
-        for j in range(start, self.width):
-            m = self.moduli[j]
-            if m:
-                self._rows[j] = {j: m}
 
     @classmethod
     def from_echelon(cls, width: int, rows: dict, moduli=None) -> "ZLattice":
@@ -85,7 +86,8 @@ class ZLattice:
 
         The maps become the lattice's own, unchecked and uncopied: each must
         have its least column at its pivot, a positive entry there, no zero
-        entries and columns below ``width``.  ``normalize`` changes rows in
+        entries and columns below ``width``; a column of nonzero modulus
+        with no map has the implicit row m_j e_j.  ``normalize`` changes rows in
         place, so a caller that keeps the maps must ``copy`` first.
         """
         lat = cls(width)
@@ -99,18 +101,27 @@ class ZLattice:
         lat.moduli = list(self.moduli) if self.moduli is not None else None
         return lat
 
+    def _implicit(self) -> dict[int, int]:
+        """{j: m_j} for the columns whose row is the implicit m_j e_j."""
+        rows, mods = self._rows, self.moduli
+        if not mods or len(rows) == self.width:
+            return {}
+        return {j: m for j, m in enumerate(mods) if m and j not in rows}
+
     @property
     def pivots(self) -> list[int]:
-        return sorted(self._rows)
+        return sorted(self._rows.keys() | self._implicit().keys())
 
     @property
     def rows(self) -> list[list[int]]:
-        return [_dense(self._rows[p], self.width) for p in self.pivots]
+        return [_dense(r, self.width) for r in self.row_maps().values()]
 
     def row_maps(self) -> dict[int, dict[int, int]]:
         """The rows as ``{pivot: {column: value}}`` in pivot order: the
-        lattice's own maps, not copies, so callers must not change them."""
-        rows = self._rows
+        lattice's own maps, not copies, so callers must not change them,
+        and a fresh {j: m_j} for each implicit row."""
+        rows = {j: {j: m} for j, m in self._implicit().items()}
+        rows.update(self._rows)
         return {p: rows[p] for p in sorted(rows)}
 
     def _entries(self, vec) -> dict[int, int]:
@@ -131,6 +142,10 @@ class ZLattice:
         With ``fresh``, ``vec`` is a map that nobody else holds, with its
         columns checked and its entries reduced modulo the moduli (as
         ``_joined`` builds it): the lattice takes it over as it is.
+
+        Against a row with one entry, p e_j (the implicit m_j e_j among
+        them), the unimodular step below is (g e_j + y v', (p/g) v') for
+        v' the entries of v right of j: one pass over v.
         """
         v = vec if fresh else self._entries(vec)
         rows, mods = self._rows, self.moduli
@@ -139,15 +154,35 @@ class ZLattice:
             j = min(v)
             row = rows.get(j)
             if row is None:
-                if v[j] < 0:
-                    v, negated = {}, v
-                    _add_multiple(v, -1, negated, j, mods)
-                rows[j] = v
-                return True
-            p = row[j]
+                p = mods[j] if mods else 0
+                if not p:
+                    if v[j] < 0:
+                        v, negated = {}, v
+                        _add_multiple(v, -1, negated, j, mods)
+                    rows[j] = v
+                    return True
+            else:
+                p = row[j]
             a = v[j]
             if a % p == 0:
-                _add_multiple(v, -(a // p), row, j, mods)
+                _add_multiple(v, -(a // p), row or {j: p}, j, mods)
+            elif row is None or len(row) == 1:
+                g, _, y = xgcd(p, a)
+                pg = p // g
+                new_row, new_v = {j: g}, {}
+                del v[j]
+                for t, s in v.items():
+                    r, s = y * s, pg * s
+                    if mods is not None and mods[t]:
+                        r %= mods[t]
+                        s %= mods[t]
+                    if r:
+                        new_row[t] = r
+                    if s:
+                        new_v[t] = s
+                rows[j] = new_row
+                v = new_v
+                changed = True
             else:
                 # (row, v) <- (x row + y v, (p/g) v - (a/g) row), unimodular
                 g, x, y = xgcd(p, a)
@@ -185,38 +220,36 @@ class ZLattice:
             raise ValueError("lattices only grow")
         delta = new_width - self.width
         if delta:
-            old_width = self.width
             self.width = new_width
             if self.moduli is not None:
                 if new_moduli is None or len(new_moduli) != delta:
                     raise ValueError("extension of a reduced lattice needs new moduli")
                 self.moduli.extend(int(m) for m in new_moduli)
-                self._seed(old_width)
 
     def normalize(self) -> None:
         """Reduce entries above each pivot into [0, pivot)."""
-        rows = self._rows
-        pivots = sorted(rows)
+        rows, implicit = self._rows, self._implicit()
+        pivots = sorted(rows.keys() | implicit.keys() if implicit else rows)
         for i, p in enumerate(pivots):
-            row_r = rows[p]
-            if len(row_r) == 1:
+            row_r = rows.get(p)
+            if row_r is None or len(row_r) == 1:
                 continue
             # a step at pivot j changes only columns >= j, so one pass over
             # the later pivots in increasing order meets each of them once
             for j in pivots[i + 1 :]:
                 x = row_r.get(j)
                 if x is not None:
-                    row_s = rows[j]
+                    row_s = rows.get(j) or {j: implicit[j]}
                     q = x // row_s[j]
                     if q:
                         _add_multiple(row_r, -q, row_s, j, None)
 
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_dense(self._rows[p], self.width)) for p in sorted(self._rows))
+        return tuple(map(tuple, self.rows))
 
     def pivot_product(self) -> int:
         """Product of the pivots; for a full-rank lattice this is [Z^k : L]."""
-        return prod(r[p] for p, r in self._rows.items())
+        return prod(r[p] for p, r in self._rows.items()) * prod(self._implicit().values())
 
 
 def _pairs(vec, width: int):
@@ -234,14 +267,21 @@ def _pairs(vec, width: int):
 def _joined(left, left_width: int, right, right_width: int, mods) -> dict[int, int]:
     """The fresh map (left | right) of two rows, dense or maps, built in one
     pass over their entries: the right row's columns shifted by
-    ``left_width``, each entry reduced modulo ``mods[t]`` where that is not 0."""
+    ``left_width``, each entry reduced modulo ``mods[t]`` where that is not 0.
+    A column index ``right`` stands for the unit row e_right."""
     row = {}
     for t, x in _pairs(left, left_width):
         if mods[t]:
             x %= mods[t]
         if x:
             row[t] = x
-    for t, x in _pairs(right, right_width):
+    if isinstance(right, int):
+        if not 0 <= right < right_width:
+            raise ValueError(f"row with columns outside [0, {right_width})")
+        right = ((right, 1),)
+    else:
+        right = _pairs(right, right_width)
+    for t, x in right:
         t += left_width
         if mods[t]:
             x %= mods[t]
@@ -288,10 +328,12 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     ``map_rows`` and ``payload`` rows may be dense or {column: value} maps.
     Each row (image | payload) is built once, by ``_joined``: one loop over
     each half, a map's columns checked by its least and greatest key, every
-    entry reduced.  The rows are eliminated, seeded with the rows of
-    ``relation`` and the rows m_j e_j, which are already echelon.  The rows
-    left with a pivot right of the image columns have image 0 modulo
-    ``relation``; their right halves, in pivot order, are the result.
+    entry reduced; a default payload row is the one entry 1 % m_j.  The rows
+    are eliminated against the rows of ``relation``, shared, and the
+    implicit rows m_j e_j, which are already echelon.  The rows left with a
+    pivot right of the image columns have image 0 modulo ``relation``; their
+    right halves, in pivot order, are the result, an implicit m_j e_j read
+    as the map {j: m_j}.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
@@ -302,13 +344,17 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
     mods = lat.moduli if lat.moduli is not None else [0] * lat.width
     for i, mrow in enumerate(map_rows):
-        prow = {i: 1} if payload is None else payload[i]
-        lat.add(_joined(mrow, image_width, prow, width, mods), fresh=True)
-    rows = lat._rows
-    kernel = [
-        {t - image_width: x for t, x in rows[p].items()} for p in sorted(rows) if p >= image_width
-    ]
-    return kernel if section is None else (kernel, prod(rows[p][p] for p in section))
+        lat.add(_joined(mrow, image_width, payload[i] if payload is not None else i, width, mods), fresh=True)
+    rows, kernel = lat._rows, []
+    for p in range(image_width, lat.width):
+        row = rows.get(p)
+        if row is not None:
+            kernel.append({t - image_width: x for t, x in row.items()})
+        elif mods[p]:
+            kernel.append({p - image_width: mods[p]})
+    if section is None:
+        return kernel
+    return kernel, prod(rows[p][p] if p in rows else mods[p] for p in section)
 
 
 def smith_normal_form(mat):

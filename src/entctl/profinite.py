@@ -17,10 +17,11 @@ the ``RowFiniteEndo.compose`` of k copies of psi.  A cylinder is pulled
 back by ``RowFiniteEndo.pull_back`` alone: one elimination gives
 U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window map of C it read
 (``preimage_cylinder`` is the case U = K), so a new step builds the map
-of C_n once and ``classify_cotrajectory`` reads [K : Im(psi) * C_n] off
-the same map.  Indices that are only read, never compared (that one, a
-window's [window : Im psi], a cokernel order), come from
-``finabel.span_index`` without a normal form.
+of C_n once, and ``classify_cotrajectory`` reads [K : Im(psi) * C_n] off
+that map where it needs it: in the identity at a stall, and on the
+trailing steps of an uncertified walk.  Indices that are only read,
+never compared (that one, a window's [window : Im psi], a cokernel
+order), come from ``finabel.span_index`` without a normal form.
 
 The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
@@ -34,6 +35,7 @@ shared between maps and goes away with the map.
 
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
 import itertools
@@ -519,7 +521,7 @@ class CotrajectoryReport:
 def cotrajectory_limits(
     endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT_POLICY
 ) -> CotrajectoryReport:
-    """Run the cotrajectory chain until every companion chain stalls (see
+    """Run the cotrajectory chain until it ends or stalls (see
     ``classify_cotrajectory``)."""
     return classify_cotrajectory(u, chain_steps(endo, u), policy)
 
@@ -528,45 +530,52 @@ def classify_cotrajectory(
     u: CylinderSubgroup, steps, policy: StabilizationPolicy
 ) -> CotrajectoryReport:
     """Read the ``chain_steps`` of U with ``values.read_stall``; at most
-    ``policy.max_n`` steps.  The companion [K : U + psi^{-1}(C_n)] comes with
-    the step; [K : Im(psi) * C_n] is a ``span_index`` of its own on the step's
-    window map of C_n, not read off the step's lattice, whose pivots
-    multiply to both sides of the identity.
+    ``policy.max_n`` steps.  The companion is d_n = [K : U + psi^{-1}(C_n)],
+    as the step carries it: [C_n : C_{n+1}] = [K : U] / (d_n [K : Im(psi) C_n])
+    (C_{n+1} = U n psi^{-1}(C_n), and K / psi^{-1}(C) = (Im(psi) + C) / C), so
+    alpha and d_n hold exactly when alpha and [K : Im(psi) C_n] do.
 
     Certification requires the identity
-    |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall.
+    |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall, with
+    [K : Im(psi) * C_n] a ``span_index`` of its own on the step's window map
+    of C_n, not read off the step's lattice, whose pivots multiply to both
+    sides of the identity.  An uncertified walk of at least half =
+    max(2, max_n // 2) steps is a hypothesis failure when that index grows
+    on each of its last half steps; it is read there only.
     """
-    stall = read_stall(_readings(u, steps), policy, True)
+    half = max(2, policy.max_n // 2)
+    tail = collections.deque(maxlen=half)
+    stall = read_stall(_readings(u, steps, tail), policy, True)
     n = len(stall.alphas)
     c = tuple(itertools.accumulate(stall.alphas, operator.mul, initial=u.index))
-    ds, ls = zip(*stall.companions)
     if stall.certified is not None:
-        n1 = n if stall.alpha == 1 else run_start(ds)
+        n1 = n if stall.alpha == 1 else run_start(stall.companions)
         return CotrajectoryReport(
             n, c, stall.alphas, stall.n0, stall.alpha, n1, *stall.certified, True, "certified"
         )
-    half = max(2, policy.max_n // 2)
-    grows = len(ls) >= half and all(a < b for a, b in zip(ls[-half:], ls[-half + 1 :]))
+    kmls = (span_index(c_cyl.core, h.columns) for c_cyl, h in tail)
+    grows = len(tail) == half and all(a < b for a, b in itertools.pairwise(kmls))
     status = "hypothesis_failure" if grows else "inconclusive"
     return CotrajectoryReport(n, c, stall.alphas, None, None, None, None, None, False, status)
 
 
-def _readings(u: CylinderSubgroup, steps):
+def _readings(u: CylinderSubgroup, steps, tail):
     """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
-    [C_n : C_{n+1}], the companions d_n = [K : U + psi^{-1}(C_n)], as the
-    step carries it, and [K : Im(psi) * C_n], and the identity, which on
-    success certifies |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C]."""
+    [C_n : C_{n+1}], the companion d_n = [K : U + psi^{-1}(C_n)], as the
+    step carries it, and the identity, which on success certifies
+    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C].  Each step's
+    (C_n, window map of C_n) is appended to ``tail`` as it passes."""
     c_prev = u.index
     for c_cyl, d, h, c_next in steps:
         if c_next.index % c_prev:
             raise AssertionError("c_n must divide c_{n+1}")
-        kml = span_index(c_cyl.core, h.columns)
+        tail.append((c_cyl, h))
 
         def certify(alpha):
-            psi_inv = u.index // d
+            psi_inv, kml = u.index // d, span_index(c_cyl.core, h.columns)
             return (psi_inv, kml) if psi_inv == alpha * kml else None
 
-        yield c_next.index // c_prev, (d, kml), certify
+        yield c_next.index // c_prev, d, certify
         c_prev = c_next.index
 
 

@@ -72,10 +72,11 @@ class StabilizationPolicy:
     ``ends.chain_limit`` and the half-line preimages of ``depth``)
     from at most max_n + 1 cylinders.  A cotrajectory whose correction
     term grows on each of its last max(2, max_n // 2) steps is a
-    hypothesis failure.
+    hypothesis failure; the term is at most [K : U] and at least doubles
+    at each rise, so that needs [K : U] >= 2^(max(2, max_n // 2) - 1).
 
     ``stall_window`` is the number of consecutive agreeing values that are
-    taken as a stall: of the chain indices and their companions (in
+    taken as a stall: of the chain indices and their companion (in
     ``read_stall``, the one stall rule of both limits classifiers), of the
     pinned growing windows and half-line patterns, and of the window
     kernels and cokernels.  Two
@@ -106,11 +107,11 @@ DEFAULT_POLICY = StabilizationPolicy()
 
 @dataclass(frozen=True)
 class Stall:
-    """What ``read_stall`` read: the alphas, the companions of each step and,
+    """What ``read_stall`` read: the alphas, the companion of each step and,
     when certified, n0 and the values ``certify`` returned."""
 
     alphas: tuple[int, ...]
-    companions: tuple[tuple, ...]
+    companions: tuple
     n0: int | None = None
     certified: tuple | None = None
 
@@ -130,14 +131,15 @@ def run_start(values) -> int:
 def read_stall(readings, policy: StabilizationPolicy, divisible: bool) -> Stall:
     """The one stall rule of both index chains, [T_{n+1} : T_n] and [C_n : C_{n+1}].
 
-    ``readings`` yields (alpha_n, companions, certify) for n = 1, 2, ..., of
+    ``readings`` yields (alpha_n, companion, certify) for n = 1, 2, ..., of
     which at most ``policy.max_n`` are pulled; with ``divisible`` each alpha
     must divide the one before.  The chain ends exactly at alpha_n = 1 (the
-    chains are nested) and stalls when alpha and the companions have held
-    over ``stall_window`` steps.  There ``certify(alpha)`` checks the side's
-    identity and returns the certified values, or None: a stall that fails
-    is passed over, an exact end that fails (the identity with h = 0) is a
-    broken invariant.  n0 is the first step of alpha's last run.
+    chains are nested) and stalls when alpha and the companion (any value
+    compared by equality) have held over ``stall_window`` steps.  There
+    ``certify(alpha)`` checks the side's identity and returns the certified
+    values, or None: a stall that fails is passed over, an exact end that
+    fails (the identity with h = 0) is a broken invariant.  n0 is the first
+    step of alpha's last run.
     """
     w = policy.stall_window
     alphas, companions = [], []

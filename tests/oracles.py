@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from entctl.discrete import BandedEndo
 from entctl.duality import annihilator, dual_group
@@ -456,18 +456,22 @@ class DenseZLattice:
                         row_r[t] -= q * row_s[t]
 
 
-def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None, payload=None):
+def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None, payload=None, section=None):
     """``entctl.lattice.congruence_kernel`` on a DenseZLattice ``relation``:
-    the rows (image | payload) concatenated dense, identity payload by default."""
+    the rows (image | payload) concatenated dense, identity payload by default,
+    every m_j e_j stored from the start."""
     n = len(map_rows)
-    if payload is None:
-        payload = [[int(i == j) for j in range(n)] for i in range(n)]
     width = len(payload_moduli) if payload_moduli is not None else n
+    if payload is None:
+        payload = [[int(i == j) for j in range(width)] for i in range(n)]
     lat = relation.copy()
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
     for mrow, prow in zip(map_rows, payload):
         lat.add(list(mrow) + list(prow))
-    return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
+    kernel = [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
+    if section is None:
+        return kernel
+    return kernel, prod(row[p] for row, p in zip(lat.rows, lat.pivots) if p in section)
 
 
 # -- the exact end of a cotrajectory, by the earlier rule -----------------------

@@ -352,10 +352,18 @@ PRO_SHIFT = ("left_shift_pro_z2.json", "top-entropy")
         # one block index twice: keeping the last entry read F = 0 here
         (("shift_sum_z2.json", "alg-entropy"), "family",
          lambda raw: raw["family"][0].update(gens=[[[0, [1]], [0, [0]]]])),
+        # int() would parse these strings: offset 1, max_n 64, Z/2, generator [1, 1]
+        (PRO_SHIFT, "endo", lambda raw: raw["endo"].update(offset="1")),
+        (PRO_SHIFT, "policy", lambda raw: raw["policy"].update(max_n="6_4")),
+        (PRO_SHIFT, "group", lambda raw: raw["group"]["blocks"].update(types=[["2"]])),
+        (PRO_SHIFT, "cylinders", lambda raw: raw["cylinders"][1].update(core_gens=[[" 1", 1]])),
+        (("shift_sum_z2.json", "alg-entropy"), "family",
+         lambda raw: raw["family"][0].update(gens=[[[0, ["1"]]]])),
     ],
     ids=["group-int", "blocks-list", "rows-str", "max_n-str", "max_n-inf", "window-str",
          "window-reversed", "max_n-float", "modulus-bool", "matrix-float", "core-gen-float",
-         "gens-short-term", "gens-repeated-index"],
+         "gens-short-term", "gens-repeated-index", "offset-str", "max_n-underscore-str",
+         "modulus-str", "core-gen-spaced-str", "gens-value-str"],
 )
 def test_wrong_json_type_exits_validation(tmp_path, capsys, instance, section, edit):
     name, command = instance
@@ -452,24 +460,44 @@ json_values = st.recursive(
 )
 
 
+def _int_paths(raw):
+    """The places of the JSON integers in an instance."""
+    return [path for path in _paths(raw) if type(functools.reduce(operator.getitem, path, raw)) is int]
+
+
+@pytest.mark.parametrize("raw", BUNDLED, ids=[p.stem for p in sorted(INSTANCES.glob("*.json"))])
+def test_every_integer_as_a_string_fails_validation(raw):
+    """Each JSON integer of a bundled instance, in every section, written as
+    the string of its digits, is rejected: the parser reads every integer
+    it is given."""
+    paths = _int_paths(raw)
+    assert paths
+    for *parent_path, key in paths:
+        mutant = copy.deepcopy(raw)
+        parent = functools.reduce(operator.getitem, parent_path, mutant)
+        parent[key] = str(parent[key])
+        with pytest.raises(ValidationError):
+            instance_from_dict(mutant)
+
+
 @st.composite
 def mutants(draw):
     """A bundled instance with one to three places replaced, deleted,
-    duplicated or wrapped in a list, or an integer replaced by a small
-    integer, which keeps the instance's shape so that it often parses."""
+    duplicated or wrapped in a list, an integer replaced by a small
+    integer, which keeps the instance's shape so that it often parses, or
+    an integer written as a string."""
     raw = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
     for _ in range(draw(st.integers(1, 3))):
-        action = draw(st.sampled_from(("replace", "delete", "duplicate", "wrap", "small int")))
-        paths = [
-            path for path in _paths(raw)
-            if action != "small int" or type(functools.reduce(operator.getitem, path, raw)) is int
-        ]
+        action = draw(st.sampled_from(("replace", "delete", "duplicate", "wrap", "small int", "int as str")))
+        paths = _int_paths(raw) if action in ("small int", "int as str") else list(_paths(raw))
         if not paths:
             break
         *parent_path, key = draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, parent_path, raw)
         if action == "small int":
             parent[key] = draw(st.integers(-1, 4))
+        elif action == "int as str":
+            parent[key] = draw(st.sampled_from(("{}", " {}", "{}_0"))).format(parent[key])
         elif action == "replace":
             parent[key] = draw(json_values)
         elif action == "delete":

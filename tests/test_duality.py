@@ -483,3 +483,34 @@ def test_bridge_rejects_nonabelian():
     endo = banded_endo(g, 1, 1, 1, [[[(1, x)] for x in range(6)]])
     with pytest.raises(ValidationError):
         bridge(g, endo, [{0: 1}])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_both_companions_are_read_off_the_index_chains(perfbench_gen, data):
+    # on ``gen.abelian_case`` bridges (mixed moduli, period 1-2, every band),
+    # at every step n <= 16: |F n phi(T_n)| = |F| |phi(T_n)| / |T_{n+1}|
+    # (T_{n+1} = F phi(T_n)) on the trajectory, and on the cotrajectory of
+    # the dual [K : Im(psi) C_n] = [K : U] / (alpha_n d_n), each exactly
+    from entctl.duality import dual_cylinder
+    from entctl.finabel import span_index
+    from entctl.profinite import chain_steps
+
+    gen = perfbench_gen
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    case = gen.abelian_case(
+        rng, "bridge", data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+        data.draw(st.sampled_from(gen.DISCRETE_BANDS)), data.draw(st.sampled_from(gen.MODULI_FAMILIES)),
+    )
+    inst = instance_from_dict(case)
+    k_group, psi = dual_map(inst.group, inst.endo)
+    for f_gens in inst.family:
+        engines = trajectory_engines(inst.endo, f_gens)
+        f_order = next(engines).f_order
+        for n, engine in enumerate(itertools.islice(engines, 16), 1):
+            q, r = divmod(f_order * engine.phit_orders[n - 1], engine.orders[n])
+            assert r == 0 and engine.f_cap_phit_order() == q
+        u = dual_cylinder(inst.group, k_group, f_gens)
+        for c, d, h, c_next in itertools.islice(chain_steps(psi, u), 16):
+            q, r = divmod(u.index, c_next.index // c.index * d)
+            assert r == 0 and span_index(c.core, h.columns) == q

@@ -215,8 +215,11 @@ def test_sparse_lattice_repeats_the_dense_reference(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_congruence_kernel_repeats_the_dense_reference(data):
-    """Raw congruence_kernel output equals the dense reference's, for
-    relations with and without kill moduli, default and explicit payloads."""
+    """Raw congruence_kernel output equals the dense reference's, which
+    stores every m_j e_j from the start, for relations with and without
+    kill moduli, default and explicit payloads, payload moduli 0 and 1,
+    payload columns that no row reaches, and a section of image columns
+    of nonzero moduli, which only their implicit rows may reach."""
     image_width = data.draw(st.integers(0, 5))
     moduli = data.draw(
         st.one_of(st.none(), st.lists(kill_moduli, min_size=image_width, max_size=image_width))
@@ -229,16 +232,44 @@ def test_congruence_kernel_repeats_the_dense_reference(data):
     form = as_map if data.draw(st.booleans()) else list
     n = len(map_rows)
     explicit, with_moduli = data.draw(st.booleans()), data.draw(st.booleans())
-    # without payload moduli the payload is n wide, and the default payload is
-    width = data.draw(st.integers(0, 5)) if explicit and with_moduli else n
+    # without payload moduli the payload is n wide, and the default payload
+    # is n wide or wider: the unit rows reach none of the later columns
+    if not with_moduli:
+        width = n
+    elif explicit:
+        width = data.draw(st.integers(0, 5))
+    else:
+        width = n + data.draw(st.integers(0, 3))
     payload_moduli = data.draw(st.lists(kill_moduli, min_size=width, max_size=width)) if with_moduli else None
     payload = None
     if explicit:
         payload = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
-    got = congruence_kernel([form(r) for r in map_rows], image_width, relation, payload_moduli, payload)
+    lo = data.draw(st.integers(0, image_width))
+    hi = data.draw(st.integers(lo, image_width))
+    # where every column has a nonzero kill modulus the relation has full rank
+    section = range(lo, hi) if moduli is not None and all(moduli[lo:hi]) and data.draw(st.booleans()) else None
+    got = congruence_kernel([form(r) for r in map_rows], image_width, relation, payload_moduli, payload, section)
+    expected = oracles.dense_congruence_kernel(map_rows, image_width, ref, payload_moduli, payload, section)
+    if section is not None:
+        (got, index), (expected, ref_index) = got, expected
+        assert index == ref_index
     assert all(all(r.values()) for r in got)  # maps of nonzeros
-    assert [dense(r, width) for r in got] == oracles.dense_congruence_kernel(map_rows, image_width, ref, payload_moduli, payload)
+    assert [dense(r, width) for r in got] == expected
     assert relation.rows == ref.rows
+
+
+@pytest.mark.parametrize("relation, payload_moduli, expected", [
+    # no map rows: the result is the m_j e_j alone, modulus 1 included
+    (ZLattice(0, []), [1], [{0: 1}]),
+    (ZLattice(0, []), [0, 3, 1], [{1: 3}, {2: 1}]),
+    # a relation without moduli takes no payload moduli either
+    (ZLattice(0), [2], []),
+])
+def test_congruence_kernel_reads_the_implicit_payload_rows(relation, payload_moduli, expected):
+    assert congruence_kernel([], 0, relation, payload_moduli) == expected
+    ref = oracles.DenseZLattice(0, relation.moduli)
+    width = len(payload_moduli)
+    assert oracles.dense_congruence_kernel([], 0, ref, payload_moduli) == [dense(r, width) for r in expected]
 
 
 def test_congruence_kernel_adds_each_row_once_and_checks_both_halves(monkeypatch):

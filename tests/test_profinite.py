@@ -1252,6 +1252,109 @@ def test_a_run_pulls_each_step_back_once(monkeypatch):
     assert len(runs) == 18 and sum(runs) > 0
 
 
+def count_certify_and_index(monkeypatch, module, index_name, owners=None):
+    """Record the certify calls of ``module``'s stall reader and the calls
+    of the elimination ``index_name`` (of ``module``, or a method of each of
+    ``owners``), each with the name of its caller."""
+    import entctl.values
+
+    certifies, indices = [], []
+
+    def counting_read_stall(readings, policy, divisible):
+        def counted():
+            for alpha, comp, certify in readings:
+                def counted_certify(a, certify=certify):
+                    certifies.append(a)
+                    return certify(a)
+
+                yield alpha, comp, counted_certify
+
+        return entctl.values.read_stall(counted(), policy, divisible)
+
+    monkeypatch.setattr(module, "read_stall", counting_read_stall)
+    for owner in owners or [module]:
+        def counting_index(*args, index=getattr(owner, index_name)):
+            indices.append((sys._getframe(1).f_code.co_name, args[0]))
+            return index(*args)
+
+        monkeypatch.setattr(owner, index_name, counting_index)
+    return certifies, indices
+
+
+def test_a_certified_walk_reads_each_independent_index_once(monkeypatch):
+    # every bundled instance with its main command and with verify: the
+    # classifiers run [K : Im(psi) C_n] (span_index) and |F n phi(T_n)|
+    # (f_cap_phit_order) once per certify call, not once per step
+    from entctl import discrete, profinite
+
+    with monkeypatch.context() as mp:
+        top_certifies, spans = count_certify_and_index(mp, profinite, "span_index")
+        alg_certifies, caps = count_certify_and_index(
+            mp, discrete, "f_cap_phit_order", [discrete._AbelianTrajectory, discrete._CayleyTrajectory]
+        )
+        for path in sorted(LEFT_SHIFT.parent.glob("*.json")):
+            for command in (MAIN_COMMAND[parse_instance(str(path)).kind], "verify"):
+                run_command(command, parse_instance(str(path)))
+    classifier_spans = [name for name, _ in spans if name in ("certify", "<genexpr>")]
+    assert len(top_certifies) > 5 and len(alg_certifies) > 5
+    assert classifier_spans == ["certify"] * len(top_certifies)
+    assert len(caps) == len(alg_certifies)
+
+
+def test_a_budget_walk_reads_the_image_index_on_its_tail_only(monkeypatch):
+    # the left shift never stalls within max_n when the stall window is
+    # longer: no certify call, and the hypothesis-failure rule reads
+    # [K : Im(psi) C_n] on at most the last half = max_n // 2 steps
+    from entctl import profinite
+
+    k = k_z2()
+    u = u0(k)
+    policy = StabilizationPolicy(max_n=12, stall_window=13)
+    with monkeypatch.context() as mp:
+        certifies, spans = count_certify_and_index(mp, profinite, "span_index")
+        rep = cotrajectory_limits(left_shift(k), u, policy)
+    assert (rep.status, rep.n_max, certifies) == ("inconclusive", 12, [])
+    tail = [c.core for c in itertools.islice(chain(left_shift(k), u), 6, 12)]
+    assert 0 < len(spans) <= 6
+    assert all(name == "<genexpr>" and core in tail for name, core in spans)
+
+
+def test_a_growing_image_index_is_read_on_the_whole_tail(monkeypatch):
+    # the hand-built stream of the hypothesis-failure test: alpha and d hold
+    # from step 3 on, so each of steps 3-8 is a failed certify call, and the
+    # rule then reads all half = 4 trailing indices, which grow
+    from entctl import profinite
+
+    k = k_z2()
+    u = u0(k)
+
+    def steps():
+        for n in itertools.count(1):
+            c = u0(k, n)
+            yield c, 1, Hom(FiniteAbelianGroup(()), c.core.ambient, ()), u0(k, n + 1)
+
+    with monkeypatch.context() as mp:
+        certifies, spans = count_certify_and_index(mp, profinite, "span_index")
+        rep = classify_cotrajectory(u, steps(), StabilizationPolicy(max_n=8, stall_window=3))
+    assert rep.status == "hypothesis_failure" and certifies == [2] * 6
+    assert [name for name, _ in spans] == ["certify"] * 6 + ["<genexpr>"] * 4
+    assert [core for _, core in spans[6:]] == [u0(k, n).core for n in range(5, 9)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_image_index_is_read_off_the_index_chain(perfbench_gen, data):
+    # the companion classify_cotrajectory no longer reads: at every step
+    # n <= 16 of a topo_case walk, [K : Im(psi) C_n] = [K : U] / (alpha_n d_n)
+    # exactly (C_{n+1} = U n psi^{-1}(C_n), K / psi^{-1}(C) = (Im psi + C) / C)
+    inst = topo_map(perfbench_gen, data)
+    u = inst.cylinders[0]
+    for c, d, h, c_next in itertools.islice(chain_steps(inst.endo, u), 16):
+        alpha = c_next.index // c.index
+        q, r = divmod(u.index, alpha * d)
+        assert r == 0 and finabel.span_index(c.core, h.columns) == q
+
+
 def test_verify_walks_the_left_shift_briefly(monkeypatch):
     # 85 pull-backs while chain_limit walked cylinder 1 to max_n = 64
     calls = count_calls(monkeypatch, "pull_back")

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -179,3 +180,27 @@ def test_readme_names_resolve():
 def test_unresolved_readme_name_is_found():
     text = "`ShiftEndo`, `Band.band_columns`, `finabel.Band.band_map`, `entctl.ends`, `Z/2`, `C_n`"
     assert unresolved_names(text) == ["Band.band_columns", "ShiftEndo"]
+
+
+def test_congruence_kernel_takes_image_width_second():
+    """``perfbench/tracer.py`` buckets ``congruence_kernel`` calls by
+    ``args[1] + len(args[0])``: the image width stays the second positional
+    parameter, and every call in the package passes the first two
+    positionally."""
+    from entctl.lattice import congruence_kernel
+
+    params = list(inspect.signature(congruence_kernel).parameters.values())[:2]
+    assert [p.name for p in params] == ["map_rows", "image_width"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    calls = [
+        node
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "congruence_kernel"
+    ]
+    assert len(calls) >= 5
+    assert all(
+        len(call.args) >= 2 and not any(isinstance(a, ast.Starred) for a in call.args[:2])
+        for call in calls
+    )
