@@ -26,7 +26,7 @@ from math import lcm
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
 from .ends import TailCylinder, chain_end, chain_limit, pins_growing_windows, stall_wait
 from .finabel import image_rows
-from .lattice import congruence_kernel
+from .lattice import congruence_kernel, joined_rows
 from .profinite import (
     CylinderSubgroup,
     RowFiniteEndo,
@@ -64,13 +64,14 @@ def _solve_on_window(endo: RowFiniteEndo, target_block: int, target_vec, radius:
     # kernel of (s, y) -> s * (-t) + y * M  modulo the target relations
     c = lcm(1, *tgt.moduli)
     map_rows = [{t_at + u: -x for u, x in enumerate(target_vec) if x}, *h.columns]
-    combos = congruence_kernel(
-        map_rows, tgt.rank, tgt.relation_lattice(), payload_moduli=[c] * (wg.rank + 1)
-    )
-    for combo in combos:
-        if combo.get(0) == 1:
-            return g.elem_of({t - 1: x for t, x in combo.items() if t}, lo, hi)
-    return None
+    rel, mods = tgt.relation_lattice(), [c] * (wg.rank + 1)
+    kernel = congruence_kernel(joined_rows(map_rows, tgt.rank, rel, mods), tgt.rank, rel, mods)
+    # the echelon row at payload column 0 is the one with s != 0; when none
+    # is stored it is the implicit c e_0, which has s = 1 when c = 1
+    combo = kernel.get(0, {0: c})
+    if combo[0] != 1:
+        return None
+    return g.elem_of({t - 1: x for t, x in combo.items() if t}, lo, hi)
 
 
 def invert(endo: RowFiniteEndo, policy: StabilizationPolicy = DEFAULT_POLICY) -> RowFiniteEndo:

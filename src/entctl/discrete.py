@@ -30,7 +30,6 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .errors import (
     DimensionError,
@@ -50,7 +49,7 @@ from .finabel import (
     repeat_point,
 )
 from .gengroup import FiniteGroup
-from .lattice import ZLattice, congruence_kernel
+from .lattice import ZLattice, congruence_kernel, joined_rows
 from .values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy, read_stall
 
 
@@ -331,11 +330,6 @@ class TrajectoryReport:
         return EntropyValue.of_log(self._certified().t_mod_phi_t)
 
 
-def _order_from_echelon(group: FiniteAbelianGroup, rows) -> int:
-    """Order of the subgroup with an echelon basis of one row per column."""
-    return group.order // prod(row[i] for i, row in enumerate(rows))
-
-
 class _AbelianTrajectory:
     """T_n and phi(T_n) as lattices on the coordinates of the window [0, hi)
     of the blocks reached so far, relations included.  Layers and lattice
@@ -386,28 +380,30 @@ class _AbelianTrajectory:
         self.phit_orders.append(self._order(self.lat_phit))
 
     def f_cap_phit_order(self) -> int:
-        """|F n phi(T_n)| for the current n."""
-        f_rows = self.f_sub.hnf_rows()
-        rows = congruence_kernel(
-            f_rows, self.lat_phit.width, self.lat_phit, self.f_group.moduli, f_rows
-        )
-        return _order_from_echelon(self.f_group, rows)
+        """|F n phi(T_n)| for the current n: the kernel's index read off
+        the pivots on the payload columns, no kernel row built."""
+        f_rows, lat = self.f_sub.hnf_rows(), self.lat_phit
+        mods = self.f_group.moduli
+        rows = joined_rows(f_rows, lat.width, lat, mods, f_rows)
+        _, index = congruence_kernel(rows, lat.width, lat, mods, range(lat.width, lat.width + len(mods)))
+        return self.f_group.order // index
 
     def kernel_cap_t_order(self) -> int:
         """|ker phi n T_n|: the combinations of T_n's echelon rows whose
-        image under the window map vanishes, one elimination."""
+        image under the window map vanishes, one elimination, its index
+        read off the pivots on the payload columns."""
         h = self.map
-        rows = list(self.lat_t.row_maps().values())
-        tgt = h.target
-        kernel = congruence_kernel(
-            [h.apply_map(r) for r in rows], tgt.rank, tgt.relation_lattice(), h.source.moduli, rows
-        )
-        return _order_from_echelon(h.source, kernel)
+        t_rows = list(self.lat_t.row_maps().values())
+        tgt, mods = h.target, h.source.moduli
+        rel = tgt.relation_lattice()
+        rows = joined_rows([h.apply_map(r) for r in t_rows], tgt.rank, rel, mods, t_rows)
+        _, index = congruence_kernel(rows, tgt.rank, rel, mods, range(tgt.rank, tgt.rank + len(mods)))
+        return h.source.order // index
 
     def snapshot(self) -> LFSubgroup:
         wg, _ = self.group.window_layout(0, self.hi)
-        rows = [dict(r) for r in self.lat_t.row_maps().values()]
-        return LFSubgroup(self.group, self.hi, subgroup=echelon_subgroup(wg, rows))
+        rows = {p: dict(r) for p, r in self.lat_t.row_maps().items()}
+        return LFSubgroup(self.group, self.hi, subgroup=echelon_subgroup(wg, rows, wg.moduli))
 
 
 class _CayleyTrajectory:

@@ -31,7 +31,7 @@ from .finabel import (
     hom_validate,
     quotient_invariants,
 )
-from .lattice import ZLattice, congruence_kernel
+from .lattice import ZLattice, congruence_kernel, joined_rows
 from .profinite import (
     CylinderSubgroup,
     ProGroup,
@@ -114,10 +114,9 @@ def annihilator(h: AbSubgroup, pairing: DualPairing) -> AbSubgroup:
         for i, x in g.items():
             map_rows[i][c] = x * pairing.weights[i] % m
     # d_i * w_i = m, so the relations d_i e_i of the dual solve every row
-    combos = congruence_kernel(
-        map_rows, len(gens), ZLattice(len(gens), [m] * len(gens)), pairing.dual.moduli
-    )
-    return echelon_subgroup(pairing.dual, combos)
+    relation, mods = ZLattice(len(gens), [m] * len(gens)), pairing.dual.moduli
+    combos = congruence_kernel(joined_rows(map_rows, len(gens), relation, mods), len(gens), relation, mods)
+    return echelon_subgroup(pairing.dual, combos, mods)
 
 
 def _endo_block_ranks_ok(group: LFGroup) -> None:

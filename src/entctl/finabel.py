@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
-from operator import add
 
 from .errors import (
     AmbientMismatchError,
@@ -317,10 +316,11 @@ def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
     return _normalized(ambient, lat)
 
 
-def echelon_subgroup(ambient: FiniteAbelianGroup, rows) -> AbSubgroup:
-    """Subgroup with an echelon basis of one row per column, relations
-    included, given as {column: value} maps that it takes over."""
-    return _normalized(ambient, ZLattice.from_echelon(ambient.rank, dict(enumerate(rows))))
+def echelon_subgroup(ambient: FiniteAbelianGroup, rows: dict, moduli) -> AbSubgroup:
+    """Subgroup with the echelon rows ``{pivot: {column: value}}``, which it
+    takes over, and the implicit rows m_j e_j of ``moduli`` at the other
+    pivots (``ZLattice.from_echelon``), relations included."""
+    return _normalized(ambient, ZLattice.from_echelon(ambient.rank, rows, moduli))
 
 
 def stacked_pull_back(factors, images, ambient, payload=None, section=None):
@@ -332,10 +332,12 @@ def stacked_pull_back(factors, images, ambient, payload=None, section=None):
     coordinates of the later factors; ``congruence_kernel``).
 
     ``images`` are maps on the product's coordinates and ``payload`` maps
-    on ``ambient``'s (unit rows by default); the factors' rows and the
-    images are re-keyed onto W in one pass each.  A unit payload row e_j
-    whose image vanishes on W is in the result: it is seeded as the
-    modulus 1 of column j instead of being eliminated.
+    on ``ambient``'s (unit rows by default), reduced as subgroup rows and
+    window-map columns are.  The factors' rows are re-keyed onto W in one
+    pass each, and each row (image on W | payload shifted by |W|) in the
+    pass that re-keys its image, as ``congruence_kernel`` takes it over.  A
+    unit payload row e_j whose image vanishes on W is in the result: it is
+    the implicit row of modulus 1 of column j, not eliminated.
 
     Long relation rows are eliminated last.  A relation row with more
     entries than the longest (image | payload) row leaves the starting
@@ -354,41 +356,45 @@ def stacked_pull_back(factors, images, ambient, payload=None, section=None):
             rel_rows[k] = {w[t]: x for t, x in sub.rows[j].items()}
             rel_moduli.append(sub.ambient.moduli[j])
         at += sub.ambient.rank
+    width = len(pos)
     moduli = list(ambient.moduli)
-    map_rows, kept = [], []
+    rows = []
     at_w = pos.get
     for j, image in enumerate(images):
-        row = payload[j] if payload is not None else {j: 1}
-        image_w = {}
+        row = {}
         for t, x in image.items():
             s = at_w(t)
             if s is not None:
-                image_w[s] = x
-        if not image_w and len(row) == 1 and row.get(j) == 1:
-            moduli[j] = 1
+                row[s] = x
+        if payload is None or payload[j] == {j: 1}:
+            if not row:
+                moduli[j] = 1
+                continue
+            if moduli[j] > 1:
+                row[width + j] = 1
         else:
-            map_rows.append(image_w)
-            kept.append(row)
+            for t, x in payload[j].items():
+                row[width + t] = x
+        rows.append(row)
     # Exact although the stored rows may lack some m_t e_t until the long
     # rows come: a step at a pivot q >= t changes the span of the rows
     # with pivots >= t only by multiples of the m_s e_s with s > t, so
     # each relation row, and each m_t e_t as their combination, ends in
     # the finished basis up to those; from the last column down, the
     # basis holds every m_t e_t.
-    if map_rows and rel_rows:
-        longest = max(map(add, map(len, map_rows), map(len, kept)))
+    if rows and rel_rows:
+        longest = max(map(len, rows))
         if max(map(len, rel_rows.values())) > longest:
             for p, rel in rel_rows.items():
                 if len(rel) > longest:
                     rel_rows[p] = {p: rel_moduli[p]}
-                    map_rows.append(rel)
-                    kept.append({})
-    relation = ZLattice.from_echelon(len(pos), rel_rows, rel_moduli)
+                    rows.append(rel)
+    relation = ZLattice.from_echelon(width, rel_rows, rel_moduli)
     if section is None:
-        return echelon_subgroup(ambient, congruence_kernel(map_rows, len(pos), relation, moduli, kept))
-    cut = range(sum(len(sub.rows) for sub in factors[:section]), len(pos))
-    rows, index = congruence_kernel(map_rows, len(pos), relation, moduli, kept, cut)
-    return echelon_subgroup(ambient, rows), index
+        return echelon_subgroup(ambient, congruence_kernel(rows, width, relation, moduli), moduli)
+    cut = range(sum(len(sub.rows) for sub in factors[:section]), width)
+    kernel, index = congruence_kernel(rows, width, relation, moduli, cut)
+    return echelon_subgroup(ambient, kernel, moduli), index
 
 
 def _spanned(sub: AbSubgroup, rows) -> ZLattice:
@@ -413,8 +419,7 @@ def _normalized(ambient: FiniteAbelianGroup, lat: ZLattice) -> AbSubgroup:
     """The subgroup of a full-rank lattice that contains the relations,
     read off its HNF; the lattice's rows are taken over, not copied."""
     lat.normalize()
-    rows = {p: r for p, r in lat.row_maps().items() if len(r) > 1 or r[p] != 1}
-    return AbSubgroup.from_rows(ambient, rows)
+    return AbSubgroup.from_rows(ambient, lat.nonunit_rows())
 
 
 def subgroup_index(h: AbSubgroup, l: AbSubgroup) -> int:
@@ -442,9 +447,10 @@ class BlockSequence:
     N, or by Z when ``index_set`` is "Z" (the prefix then empty).
 
     A window [lo, hi) lays the blocks lo..hi-1 out one after another in one
-    flat coordinate vector, and ``window_layout`` gives that layout once per
-    window.  Block elements ({block index: coordinate tuple}) go to and from
-    a window's coordinates through ``coords`` and ``elem_of`` only.  The
+    flat coordinate vector, and ``window_layout`` gives that layout, kept
+    once per window shape.  Block elements ({block index: coordinate
+    tuple}) go to and from a window's coordinates through ``coords`` and
+    ``elem_of`` only.  The
     subclasses are frozen dataclasses with ``prefix`` and ``period`` fields
     that set ``_layouts`` to an empty dict.
     """
@@ -465,8 +471,15 @@ class BlockSequence:
 
     def window_layout(self, lo: int, hi: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
         """(window group, coordinate starts) of the blocks lo..hi-1: block i
-        takes the coordinates from starts[i - lo] on.  Computed once per
-        window, the blocks being fixed; abelian blocks only."""
+        takes the coordinates from starts[i - lo] on; abelian blocks only.
+        One layout is kept per window shape: past the prefix (everywhere
+        over Z) a window's blocks are fixed by its width and its first
+        block's residue modulo the block period, so it is shifted by whole
+        periods to start in [len(prefix), len(prefix) + period)."""
+        k, per = len(self.prefix), len(self.period)
+        if lo >= k or self.index_set == "Z":
+            shift = lo - k - (lo - k) % per
+            lo, hi = lo - shift, hi - shift
         layout = self._layouts.get((lo, hi))
         if layout is None:
             starts = [0]
@@ -665,20 +678,24 @@ class Band:
         [lo, hi), into the blocks of ``rows`` stacked in the given order,
         built from ``row_entries``: terms whose source block lies outside
         the window are left out, and offsets in a row are distinct, so each
-        entry comes from one term."""
+        entry comes from one term.  For a range of rows the target group is
+        that window's, from ``window_layout``."""
         g = self.parent
         src_g, starts = g.window_layout(lo, hi)
+        if isinstance(rows, range):
+            tgt, at = g.window_layout(rows.start, rows.stop)
+        else:
+            mods = [g.block(i).moduli for i in rows]
+            tgt = FiniteAbelianGroup(tuple(itertools.chain.from_iterable(mods)))
+            at = itertools.accumulate(map(len, mods), initial=0)
         cols: list[dict[int, int]] = [{} for _ in range(src_g.rank)]
-        tgt_mods: list[int] = []
-        for i in rows:
-            at = len(tgt_mods)
+        for i, a in zip(rows, at):
             for o, term in self.row_entries(i):
                 if lo <= i + o < hi:
                     ss = starts[i + o - lo]
                     for v, u, x in term:
-                        cols[ss + v][at + u] = x
-            tgt_mods.extend(g.block(i).moduli)
-        return Hom(src_g, FiniteAbelianGroup(tuple(tgt_mods)), tuple(cols))
+                        cols[ss + v][a + u] = x
+        return Hom(src_g, tgt, tuple(cols))
 
 
 @dataclass(frozen=True)

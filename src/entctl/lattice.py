@@ -14,16 +14,20 @@ j, as the modulus rows of modular Hermite form algorithms are
 (Domich-Kannan-Trotter 1987): nothing is seeded, and the combination with
 such a one-entry row is one pass over the new row.  The arithmetic is the
 textbook dense elimination's with every m_j e_j stored, step for step, so
-the raw echelon rows are the same as a dense implementation's.  The maps are the
-currency of the layers above too: ``row_maps`` hands them out uncopied and
+the raw echelon rows are the same as a dense implementation's.  The maps are
+the currency of the layers above too: ``row_maps`` hands them out uncopied and
 ``from_echelon`` takes them over, so a subgroup's rows go from the
 elimination into ``finabel`` without a dense detour.
 
 ``congruence_kernel`` is the one elimination behind intersections, preimages,
-annihilators and kernel orders, as in Zassenhaus's intersection algorithm;
-it returns its rows as maps.  ``normalize`` is needed only for a canonical
-form: ``pivot_product`` reads the index of a full-rank lattice off any of
-its echelon bases.
+annihilators and kernel orders, as in Zassenhaus's intersection algorithm.
+The caller joins each (image | payload) row in the elimination's own
+columns, once: ``stacked_pull_back`` as it re-keys its images, the callers
+that hold the halves apart through ``joined_rows``.  The kernel comes back
+as ``{pivot: row}`` maps with its implicit rows left implicit, or, for a
+reader of orders only, as the pivot product over its columns, read in
+place.  ``normalize`` is needed only for a canonical form: ``pivot_product``
+reads the index of a full-rank lattice off any of its echelon bases.
 """
 
 from __future__ import annotations
@@ -124,6 +128,14 @@ class ZLattice:
         rows.update(self._rows)
         return {p: rows[p] for p in sorted(rows)}
 
+    def nonunit_rows(self) -> dict[int, dict[int, int]]:
+        """``row_maps`` without the unit rows e_j, and with no map built for
+        an implicit one (modulus 1)."""
+        rows = self._rows
+        out = {p: r for p, r in rows.items() if len(r) > 1 or r[p] != 1}
+        out.update((j, {j: m}) for j, m in enumerate(self.moduli or ()) if m > 1 and j not in rows)
+        return dict(sorted(out.items()))
+
     def _entries(self, vec) -> dict[int, int]:
         """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
         mods = self.moduli
@@ -141,7 +153,8 @@ class ZLattice:
 
         With ``fresh``, ``vec`` is a map that nobody else holds, with its
         columns checked and its entries reduced modulo the moduli (as
-        ``_joined`` builds it): the lattice takes it over as it is.
+        ``joined_rows`` and ``finabel.stacked_pull_back`` build them): the
+        lattice takes it over as it is.
 
         Against a row with one entry, p e_j (the implicit m_j e_j among
         them), the unimodular step below is (g e_j + y v', (p/g) v') for
@@ -290,6 +303,22 @@ def _joined(left, left_width: int, right, right_width: int, mods) -> dict[int, i
     return row
 
 
+def joined_rows(map_rows, image_width, relation: "ZLattice", payload_moduli=None, payload=None):
+    """The rows (image | payload) that ``congruence_kernel`` takes, joined by
+    ``_joined`` for callers that hold images and payloads apart, dense or
+    maps; the payload defaults to the unit rows, and payload moduli are read
+    only when ``relation`` declares moduli."""
+    width = len(payload_moduli) if payload_moduli is not None else len(map_rows)
+    if relation.moduli is None:
+        mods = [0] * (image_width + width)
+    else:
+        mods = [*relation.moduli, *(payload_moduli if payload_moduli is not None else [0] * width)]
+    return [
+        _joined(mrow, image_width, payload[i] if payload is not None else i, width, mods)
+        for i, mrow in enumerate(map_rows)
+    ]
+
+
 def _dense(row: dict[int, int], width: int) -> list[int]:
     """The dense row of width ``width`` of a map."""
     out = [0] * width
@@ -311,29 +340,29 @@ def _add_multiple(v: dict[int, int], c: int, row: dict[int, int], j: int, mods) 
             v.pop(t, None)
 
 
-def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, payload=None, section=None):
-    """Echelon basis of {sum_i c_i payload[i] : sum_i c_i map_rows[i] in ``relation``}
-    plus the m_j e_j of ``payload_moduli`` (0 to skip; its length is the payload
-    width).  The payload defaults to the unit rows: the coefficients c.  With
-    ``section``, a range of image columns where ``relation`` has full rank, it
-    returns (that basis, the product of the pivots there): the index in
-    Z^section of the projection of the lattice's part that is 0 before it.
+def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=None, section=None):
+    """Echelon basis of {c : sum_i c_i image_i in ``relation``}, read on the
+    payload, plus the m_j e_j of ``payload_moduli`` (0 to skip; its length is
+    the payload width, by default the number of rows).
+
+    ``map_rows`` are fresh maps (image | payload), the payload shifted by
+    ``image_width`` and every entry reduced (``joined_rows``, or written by
+    ``stacked_pull_back``); the lattice takes them over.  They are eliminated
+    against the rows of ``relation``, shared, and the implicit rows m_j e_j.
+    The rows left with a pivot right of the image columns have image 0
+    modulo ``relation``: the result is their payloads, ``{pivot: row}`` in
+    payload coordinates, an implicit m_j e_j left implicit.  With
+    ``section``, a range of joined columns where the lattice has full rank,
+    it is (the rows with pivots outside it, the product of the pivots in
+    it): on image columns the index in Z^section of the projection of the
+    lattice's part that is 0 before it, on all payload columns the index of
+    the kernel, read in place.
 
     ``relation`` is an echelon lattice of width ``image_width`` (passed too,
     second and positional, because ``perfbench/tracer.py`` buckets calls by
     ``args[1] + len(args[0])``); its ``moduli`` are per-column kill moduli.
     Each m_j e_j must lie in the result; moduli are used only when
     ``relation`` declares them, and only keep entries bounded.
-
-    ``map_rows`` and ``payload`` rows may be dense or {column: value} maps.
-    Each row (image | payload) is built once, by ``_joined``: one loop over
-    each half, a map's columns checked by its least and greatest key, every
-    entry reduced; a default payload row is the one entry 1 % m_j.  The rows
-    are eliminated against the rows of ``relation``, shared, and the
-    implicit rows m_j e_j, which are already echelon.  The rows left with a
-    pivot right of the image columns have image 0 modulo ``relation``; their
-    right halves, in pivot order, are the result, an implicit m_j e_j read
-    as the map {j: m_j}.
     """
     if relation.width != image_width:
         raise ValueError(f"relation of width {relation.width} for images of width {image_width}")
@@ -342,19 +371,18 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     # lattice shares the relation's maps instead of copying them
     lat = ZLattice.from_echelon(image_width, dict(relation._rows), relation.moduli)
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
-    mods = lat.moduli if lat.moduli is not None else [0] * lat.width
-    for i, mrow in enumerate(map_rows):
-        lat.add(_joined(mrow, image_width, payload[i] if payload is not None else i, width, mods), fresh=True)
-    rows, kernel = lat._rows, []
-    for p in range(image_width, lat.width):
-        row = rows.get(p)
-        if row is not None:
-            kernel.append({t - image_width: x for t, x in row.items()})
-        elif mods[p]:
-            kernel.append({p - image_width: mods[p]})
+    for row in map_rows:
+        lat.add(row, fresh=True)
+    read = section or ()
+    kernel = {
+        p - image_width: {t - image_width: x for t, x in row.items()}
+        for p, row in lat._rows.items()
+        if p >= image_width and p not in read
+    }
     if section is None:
         return kernel
-    return kernel, prod(rows[p][p] if p in rows else mods[p] for p in section)
+    stored = lat._rows
+    return kernel, prod(stored[p][p] if p in stored else lat.moduli[p] for p in section)
 
 
 def smith_normal_form(mat):

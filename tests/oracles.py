@@ -459,7 +459,9 @@ class DenseZLattice:
 def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None, payload=None, section=None):
     """``entctl.lattice.congruence_kernel`` on a DenseZLattice ``relation``:
     the rows (image | payload) concatenated dense, identity payload by default,
-    every m_j e_j stored from the start."""
+    every m_j e_j stored from the start; the kernel is the list of the rows
+    past the image columns, and with ``section``, a range of the joined
+    columns, (those outside it, the product of the pivots in it)."""
     n = len(map_rows)
     width = len(payload_moduli) if payload_moduli is not None else n
     if payload is None:
@@ -468,9 +470,9 @@ def dense_congruence_kernel(map_rows, image_width, relation, payload_moduli=None
     lat.extend(image_width + width, payload_moduli if payload_moduli is not None else [0] * width)
     for mrow, prow in zip(map_rows, payload):
         lat.add(list(mrow) + list(prow))
-    kernel = [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
     if section is None:
-        return kernel
+        return [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width]
+    kernel = [row[image_width:] for row, p in zip(lat.rows, lat.pivots) if p >= image_width and p not in section]
     return kernel, prod(row[p] for row, p in zip(lat.rows, lat.pivots) if p in section)
 
 

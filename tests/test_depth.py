@@ -1,6 +1,7 @@
 import pytest
 
 from entctl import depth
+from entctl.cli import emit_report, instance_from_dict, run_command
 from entctl.depth import (
     TailCylinder,
     _preimage_halfline,
@@ -295,3 +296,39 @@ def test_depth_drops_the_walks_of_rejected_candidates(monkeypatch):
     for endo in (shift, rep.inverse):
         assert pulls_to_walk(monkeypatch, endo, whole, 1) == 1
         assert pulls_to_walk(monkeypatch, endo, u3, 3) == 0
+
+
+TRIVIAL_DEPTH_REPORT = (
+    '{"command":"depth","kind":"depth","results":[{"candidate":0,"depth_via_minus":1,'
+    '"depth_via_plus":1,"status":"antistable"},{"candidate":1,"depth_via_minus":1,'
+    '"depth_via_plus":1,"status":"antistable"},'
+    '{"checks":[{"name":"two_sided_index_equality","ok":true},{"lhs":[1],'
+    '"name":"depth_independent_of_candidate","ok":true},'
+    '{"name":"entropy_on_base_members_is_log_depth","ok":true,"rhs":1},'
+    '{"lhs":{"approx":"0","log_of":{"den":1,"num":1}},"name":"h_top_is_log_depth",'
+    '"ok":true,"rhs":1},{"lhs":1,"name":"depth_of_inverse_equals_depth","ok":true,'
+    '"rhs":1},{"lhs":[1,1],"name":"halfline_boundary_indices","ok":true,"rhs":1}],'
+    '"depth":1,"depth_inverse":1,"h_top":{"approx":"0","log_of":{"den":1,"num":1}},'
+    '"inverse_band":{"offset":0,"period":1,"width":1}}],"schema":1,"status":"ok"}'
+)
+
+
+def test_invert_and_depth_on_trivial_blocks():
+    """On (Z/1)^Z every target block is trivial, so ``_solve_on_window``
+    eliminates with c = lcm(1, *moduli) = 1 and finds the kernel row with
+    s = 1 as the implicit row e_0 of payload column 0, which no stored row
+    replaces.  The inverse and the depth report are those the earlier
+    elimination gave, which built that row as a map."""
+    z1 = FiniteAbelianGroup((1,))
+    k = pro_group([], [z1], "Z")
+    for psi in (rowfinite_endo(k, 1, 1, 1, [[(1, [[1]])]]), rowfinite_endo(k, 0, 2, 1, [[(0, [[1]]), (1, [[1]])]])):
+        inv = invert(psi)
+        assert (inv.offset, inv.width, inv.period, inv.rows) == (0, 1, 1, ((),))
+    inst = instance_from_dict({
+        "schema": 1, "kind": "depth",
+        "group": {"index_set": "Z", "blocks": {"period": 1, "types": [[1]]}},
+        "endo": {"offset": 1, "width": 1, "period": 1, "rows": [[[1, [[1]]]]]},
+        "cylinders": [{"window": [0, 1], "core_gens": []}, {"window": [-1, 1], "core_gens": []}],
+        "policy": {"max_n": 64, "stall_window": 3, "window_budget": 32},
+    })
+    assert emit_report(run_command("depth", inst), "json") == TRIVIAL_DEPTH_REPORT + "\n"

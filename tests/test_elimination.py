@@ -11,10 +11,11 @@ from entctl import finabel
 from entctl.discrete import _make_engine, banded_endo, locally_finite_group
 from entctl.duality import annihilator, dual_group
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup, echelon_subgroup, hom_validate
-from entctl.lattice import ZLattice, congruence_kernel
+from entctl.lattice import ZLattice, congruence_kernel, joined_rows
 
 import oracles
 from test_finabel import FAMILIES, combine, eliminated_kernel, random_valid_matrix
+from test_lattice import kernel_apart
 
 FORCED = ("neither", "one", "both")
 
@@ -89,7 +90,7 @@ def test_annihilator_matches_elimination_and_element_sets(data):
         m = pairing.modulus
         map_rows = [[(x[i] * pairing.weights[i]) % m for x in gens] for i in range(g.rank)]
         relation = ZLattice(len(gens), [m] * len(gens))
-        combos = congruence_kernel(map_rows, len(gens), relation, payload_moduli=[m] * g.rank)
+        combos = kernel_apart(map_rows, len(gens), relation, [m] * g.rank)
         assert perp.basis == canonical_subgroup(dual, combos).basis
     if g.order <= 4096:
         # a character kills H iff it kills each generator
@@ -110,8 +111,8 @@ def test_annihilator_from_hnf_rows_equals_the_dense_generator_path(data):
         m = pairing.modulus
         map_rows = [[(x[i] * pairing.weights[i]) % m for x in gens] for i in range(g.rank)]
         relation = ZLattice(len(gens), [m] * len(gens))
-        combos = congruence_kernel(map_rows, len(gens), relation, dual.moduli)
-        expected = echelon_subgroup(dual, combos)
+        rows = joined_rows(map_rows, len(gens), relation, dual.moduli)
+        expected = echelon_subgroup(dual, congruence_kernel(rows, len(gens), relation, dual.moduli), dual.moduli)
     assert annihilator(h, pairing) == expected
 
 

@@ -16,10 +16,11 @@ from entctl.finabel import (
     subgroup_index,
     zero_hom,
 )
-from entctl.lattice import ZLattice, congruence_kernel
+from entctl.lattice import ZLattice
 from entctl.profinite import pro_group
 
 import oracles
+from test_lattice import kernel_apart
 
 
 def sub_from_set(group, elems):
@@ -292,7 +293,7 @@ def eliminated_kernel(map_rows, moduli, relation_rows, coeff):
     relation = ZLattice(len(moduli), moduli)
     for r in relation_rows:
         relation.add(list(r))
-    return congruence_kernel(map_rows, len(moduli), relation, payload_moduli=coeff)
+    return kernel_apart(map_rows, len(moduli), relation, coeff)
 
 
 def combine(combos, basis, k):

@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entctl.lattice import ZLattice, congruence_kernel, smith_normal_form, xgcd
+from entctl.lattice import ZLattice, congruence_kernel, joined_rows, smith_normal_form, xgcd
 
 import oracles
 from oracles import det_bareiss
@@ -96,6 +96,24 @@ def dense(row, width):
     return [row.get(t, 0) for t in range(width)]
 
 
+def kernel_basis(kernel, relation, payload_moduli):
+    """The rows of a ``congruence_kernel`` result in pivot order, each
+    implicit m_j e_j as the map {j: m_j}: the echelon basis its elimination
+    holds (a relation without moduli takes no payload moduli)."""
+    rows = dict(kernel)
+    if relation.moduli is not None:
+        for j, m in enumerate(payload_moduli or ()):
+            if m and j not in rows:
+                rows[j] = {j: m}
+    return [rows[p] for p in sorted(rows)]
+
+
+def kernel_apart(map_rows, image_width, relation, payload_moduli=None, payload=None):
+    """``kernel_basis`` of the kernel of rows held apart, joined by ``joined_rows``."""
+    rows = joined_rows(map_rows, image_width, relation, payload_moduli, payload)
+    return kernel_basis(congruence_kernel(rows, image_width, relation, payload_moduli), relation, payload_moduli)
+
+
 def test_congruence_kernel_is_exact():
     rng = random.Random(11)
     for _ in range(40):
@@ -106,7 +124,7 @@ def test_congruence_kernel_is_exact():
         relation = ZLattice(m)
         for r in rel:
             relation.add(r)
-        combos = [dense(c, n) for c in congruence_kernel(map_rows, m, relation)]
+        combos = [dense(c, n) for c in kernel_apart(map_rows, m, relation)]
         # every kernel basis row really maps into the relation lattice
         for c in combos:
             img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
@@ -145,7 +163,7 @@ def test_congruence_kernel_with_an_echelon_relation():
             n = rng.randrange(1, 4)
             map_rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
             coeff = [lcm(*mods)] * n
-        combos = [dense(c, n) for c in congruence_kernel(map_rows, m, relation, payload_moduli=coeff)]
+        combos = [dense(c, n) for c in kernel_apart(map_rows, m, relation, coeff)]
 
         def maps_into_relation(c):
             img = [sum(ci * mr[j] for ci, mr in zip(c, map_rows)) for j in range(m)]
@@ -215,11 +233,13 @@ def test_sparse_lattice_repeats_the_dense_reference(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_congruence_kernel_repeats_the_dense_reference(data):
-    """Raw congruence_kernel output equals the dense reference's, which
-    stores every m_j e_j from the start, for relations with and without
-    kill moduli, default and explicit payloads, payload moduli 0 and 1,
-    payload columns that no row reaches, and a section of image columns
-    of nonzero moduli, which only their implicit rows may reach."""
+    """Raw congruence_kernel output, its implicit rows m_j e_j read off the
+    payload moduli, equals the dense reference's, which stores every m_j e_j
+    from the start, for relations with and without kill moduli, default and
+    explicit payloads, payload moduli 0 and 1, payload columns that no row
+    reaches, and a section of image columns of nonzero moduli, which only
+    their implicit rows may reach, or of payload columns of nonzero moduli,
+    whose rows are read as their pivot product instead of returned."""
     image_width = data.draw(st.integers(0, 5))
     moduli = data.draw(
         st.one_of(st.none(), st.lists(kill_moduli, min_size=image_width, max_size=image_width))
@@ -244,57 +264,75 @@ def test_congruence_kernel_repeats_the_dense_reference(data):
     payload = None
     if explicit:
         payload = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
-    lo = data.draw(st.integers(0, image_width))
-    hi = data.draw(st.integers(lo, image_width))
-    # where every column has a nonzero kill modulus the relation has full rank
-    section = range(lo, hi) if moduli is not None and all(moduli[lo:hi]) and data.draw(st.booleans()) else None
-    got = congruence_kernel([form(r) for r in map_rows], image_width, relation, payload_moduli, payload, section)
+    # where every column has a nonzero kill modulus the relation has full
+    # rank, and so has the lattice on payload columns of nonzero modulus
+    # when the relation declares moduli
+    columns = moduli or []
+    if moduli is not None and payload_moduli is not None and data.draw(st.booleans()):
+        columns = [*moduli, *payload_moduli]
+    lo = data.draw(st.integers(0, len(columns)))
+    hi = data.draw(st.integers(lo, len(columns)))
+    section = range(lo, hi) if moduli is not None and all(columns[lo:hi]) and data.draw(st.booleans()) else None
+    rows = joined_rows([form(r) for r in map_rows], image_width, relation, payload_moduli, payload)
+    got = congruence_kernel(rows, image_width, relation, payload_moduli, section)
     expected = oracles.dense_congruence_kernel(map_rows, image_width, ref, payload_moduli, payload, section)
     if section is not None:
         (got, index), (expected, ref_index) = got, expected
         assert index == ref_index
-    assert all(all(r.values()) for r in got)  # maps of nonzeros
-    assert [dense(r, width) for r in got] == expected
+    assert all(all(r.values()) for r in got.values())  # maps of nonzeros
+    assert all(min(r) == p for p, r in got.items())  # keyed by pivot
+    read = [p - image_width for p in section or ()]
+    basis = [r for r in kernel_basis(got, relation, payload_moduli) if min(r) not in read]
+    assert [dense(r, width) for r in basis] == expected
     assert relation.rows == ref.rows
 
 
 @pytest.mark.parametrize("relation, payload_moduli, expected", [
-    # no map rows: the result is the m_j e_j alone, modulus 1 included
+    # no map rows: the result is the m_j e_j alone, modulus 1 included, and
+    # all of them are implicit
     (ZLattice(0, []), [1], [{0: 1}]),
     (ZLattice(0, []), [0, 3, 1], [{1: 3}, {2: 1}]),
     # a relation without moduli takes no payload moduli either
     (ZLattice(0), [2], []),
 ])
 def test_congruence_kernel_reads_the_implicit_payload_rows(relation, payload_moduli, expected):
-    assert congruence_kernel([], 0, relation, payload_moduli) == expected
+    assert congruence_kernel([], 0, relation, payload_moduli) == {}
+    assert kernel_basis({}, relation, payload_moduli) == expected
     ref = oracles.DenseZLattice(0, relation.moduli)
     width = len(payload_moduli)
     assert oracles.dense_congruence_kernel([], 0, ref, payload_moduli) == [dense(r, width) for r in expected]
 
 
 def test_congruence_kernel_adds_each_row_once_and_checks_both_halves(monkeypatch):
+    """The lattice takes each joined row over as it is, one ``add`` per row
+    and no copy; ``joined_rows`` checks the columns of both halves."""
     relation = ZLattice(2, [4, 4])
     adds = []
     add = ZLattice.add
 
     def counting_add(self, vec, **kwargs):
-        adds.append(dict(vec))
+        adds.append(vec)
         return add(self, vec, **kwargs)
 
     monkeypatch.setattr(ZLattice, "add", counting_add)
     map_rows = [{0: 1}, [2, 0], {1: 3}]
     payload = [{0: 1}, [0, 5, 0], {2: 6}]
-    got = congruence_kernel(map_rows, 2, relation, [4, 4, 4], payload)
-    assert len(adds) == len(map_rows)
+    rows = joined_rows(map_rows, 2, relation, [4, 4, 4], payload)
     # one row, reduced modulo the moduli: 5 and 6 enter as 1 and 2
-    assert adds[1] == {0: 2, 3: 1}
-    assert got == [{0: 2, 1: 1}, {1: 2}, {2: 4}]
+    assert rows[1] == {0: 2, 3: 1}
+    got = congruence_kernel(rows, 2, relation, [4, 4, 4])
+    assert len(adds) == len(map_rows)
+    assert all(a is r for a, r in zip(adds, rows))
+    assert got == {0: {0: 2, 1: 1}, 1: {1: 2}}
+    assert kernel_basis(got, relation, [4, 4, 4]) == [{0: 2, 1: 1}, {1: 2}, {2: 4}]
     assert relation.row_maps() == {0: {0: 4}, 1: {1: 4}}
     for bad_image in ({2: 1}, {-1: 1}, [1, 0, 0]):
         with pytest.raises(ValueError):
-            congruence_kernel([bad_image], 2, relation, [4, 4, 4], [{0: 1}])
+            joined_rows([bad_image], 2, relation, [4, 4, 4], [{0: 1}])
     for bad_payload in ({3: 1}, {-1: 1}, [1, 0]):
         with pytest.raises(ValueError):
-            congruence_kernel([{0: 1}], 2, relation, [4, 4, 4], [bad_payload])
+            joined_rows([{0: 1}], 2, relation, [4, 4, 4], [bad_payload])
     with pytest.raises(ValueError):
-        congruence_kernel([{0: 1}, {1: 1}], 2, relation, [4])  # default payload past its width
+        joined_rows([{0: 1}, {1: 1}], 2, relation, [4])  # default payload past its width
+    with pytest.raises(ValueError):
+        congruence_kernel([], 3, relation)  # the relation's width is the image width

@@ -2,6 +2,8 @@
 to coordinates and back, and the abelian trajectory engine, which applies
 its endomorphism through window maps only."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,23 @@ def test_sums_and_products_share_the_layout(prefix, period, lo, width):
     assert wg.moduli == tuple(d for i in range(lo, hi) for d in lf.block(i).moduli)
     assert starts[0] == 0 and starts[-1] == wg.rank and len(starts) == width + 1
     assert lf.window_layout(lo, hi) is lf.window_layout(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences_and_windows(), st.integers(-2, 2))
+def test_window_layouts_are_kept_per_window_shape(case, periods):
+    """A window's layout is the block-by-block build, in the prefix and past
+    it, over N and over Z on negative blocks too; and past the prefix
+    (everywhere over Z) a window shifted by whole block periods returns the
+    very same layout."""
+    group, lo, hi = case
+    wg, starts = group.window_layout(lo, hi)
+    blocks = [group.block(i) for i in range(lo, hi)]
+    assert wg.moduli == tuple(d for b in blocks for d in b.moduli)
+    assert starts == tuple(itertools.accumulate((b.rank for b in blocks), initial=0))
+    shift = periods * len(group.period)
+    if group.index_set == "Z" or min(lo, lo + shift) >= len(group.prefix):
+        assert group.window_layout(lo + shift, hi + shift) is group.window_layout(lo, hi)
 
 
 def prefix_endo():

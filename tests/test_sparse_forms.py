@@ -4,13 +4,14 @@ A Hom keeps its columns as {row: value} maps and an AbSubgroup only its
 non-unit HNF rows as {pivot: {column: value}} maps; both must behave exactly
 like the dense matrices and bases they stand for."""
 
+import pathlib
 from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from entctl import finabel
+from entctl import cli, depth, discrete, duality, finabel, lattice, profinite
 from entctl.discrete import banded_endo, locally_finite_group
 from entctl.errors import ValidationError
 from entctl.finabel import (
@@ -253,14 +254,16 @@ def sparse_valid_matrix(rnd, a, b, density):
 def test_long_relation_rows_eliminated_last_keep_the_pull_back(monkeypatch):
     """Preimages and intersections against subgroups with long HNF rows, on
     mixed-moduli windows of order <= 4096, equal the enumerated sets; a
-    counter of kernel rows with an empty payload (the deferred relation
-    rows) shows that the long rows were eliminated last in many of them."""
+    counter of the joined rows with an empty payload, no column past the
+    image columns (the deferred relation rows: every map row of these
+    well-defined maps and subgroups carries a payload entry), shows that
+    the long rows were eliminated last in many of them."""
     deferred = []
     kernel = finabel.congruence_kernel
 
-    def counting_kernel(map_rows, image_width, relation, payload_moduli=None, payload=None):
-        deferred.append(sum(1 for row in payload or () if not row))
-        return kernel(map_rows, image_width, relation, payload_moduli, payload)
+    def counting_kernel(rows, image_width, relation, payload_moduli=None, section=None):
+        deferred.append(sum(1 for row in rows if max(row, default=-1) < image_width))
+        return kernel(rows, image_width, relation, payload_moduli, section)
 
     monkeypatch.setattr(finabel, "congruence_kernel", counting_kernel)
 
@@ -286,3 +289,69 @@ def test_long_relation_rows_eliminated_last_keep_the_pull_back(monkeypatch):
     check()
     # 7-10% of the 600 pull-backs deferred a row in sampled runs
     assert sum(map(bool, deferred)) >= 15, (sum(map(bool, deferred)), len(deferred))
+
+
+def test_bundled_runs_build_each_chain_step_row_once(monkeypatch):
+    """Over the 18 bundled runs (each instance's main command and verify):
+    no row of a ``RowFiniteEndo.pull_back`` goes through the joiner of rows
+    held apart, no kernel row map is built for a free coordinate (a payload
+    column of modulus 1, whose unit row stays implicit) and no row map of
+    the lattice with them (``ZLattice.row_maps``) under a pull-back, and the
+    discrete cap and kernel orders read their index in place, building no
+    kernel rows.  The reports stay the goldens."""
+    inside: list[str] = []
+    seen = {"joined": 0, "row_maps": 0}
+
+    def tracked(name, fn):
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(profinite.RowFiniteEndo, "pull_back", tracked("pull_back", profinite.RowFiniteEndo.pull_back))
+    for name in ("f_cap_phit_order", "kernel_cap_t_order"):
+        method = getattr(discrete._AbelianTrajectory, name)
+        monkeypatch.setattr(discrete._AbelianTrajectory, name, tracked("cap", method))
+    joined, row_maps = lattice._joined, lattice.ZLattice.row_maps
+
+    def counting_joined(*args):
+        seen["joined"] += "pull_back" in inside
+        return joined(*args)
+
+    def counting_row_maps(self):
+        seen["row_maps"] += "pull_back" in inside
+        return row_maps(self)
+
+    monkeypatch.setattr(lattice, "_joined", counting_joined)
+    monkeypatch.setattr(lattice.ZLattice, "row_maps", counting_row_maps)
+    kernel = lattice.congruence_kernel
+    kernels = []  # (the caller, the payload moduli, the result)
+
+    def recording_kernel(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        mods = args[3] if len(args) > 3 else kwargs.get("payload_moduli")
+        kernels.append((inside[-1] if inside else None, mods, out))
+        return out
+
+    for module in (finabel, discrete, depth, duality):
+        monkeypatch.setattr(module, "congruence_kernel", recording_kernel)
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    instances = golden.parent.parent / "instances"
+    runs = sorted(golden.glob("*.json"))
+    assert len(runs) == 18
+    for path in runs:
+        name, command, _ = path.name.split(".")
+        inst = cli.parse_instance(str(instances / f"{name}.json"))
+        assert cli.emit_report(cli.run_command(command, inst), "json") == path.read_text(encoding="utf-8")
+    callers = [caller for caller, _, _ in kernels]
+    # the runs reach every checked path
+    assert callers.count("pull_back") > 100 and callers.count("cap") > 10, callers
+    assert seen["joined"] == 0
+    assert seen["row_maps"] == 0
+    results = [(caller, mods, out[0] if isinstance(out, tuple) else out) for caller, mods, out in kernels]
+    assert [rows[p] for _, mods, rows in results if mods for p in rows if mods[p] == 1] == []
+    assert [rows for caller, _, rows in results if caller == "cap" and rows] == []
