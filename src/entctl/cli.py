@@ -361,37 +361,23 @@ def _records_json(records) -> list:
 
 def _run_bridge(inst: Instance) -> Report:
     rep = duality.weiss_bridge_check(inst.group, inst.endo, inst.family, inst.policy)
-    results = []
-    for i, (records, ok) in enumerate(rep.entries):
-        results.append(
-            {
-                "subgroup": i,
-                "status": "certified" if ok else "inconclusive",
-                "checks": _records_json(records),
-            }
-        )
+    results = [
+        {"subgroup": i, "status": "certified" if ok else "inconclusive", "checks": _records_json(records)}
+        for i, (records, ok) in enumerate(rep.entries)
+    ]
     results.append(
-        {
-            "h_alg": rep.h_alg_value.to_json(),
-            "h_top": rep.h_top_value.to_json(),
-            "bridge_equal": rep.ok,
-        }
+        {"h_alg": rep.h_alg_value.to_json(), "h_top": rep.h_top_value.to_json(), "bridge_equal": rep.ok}
     )
     return Report("bridge-check", inst.kind, results, "ok" if rep.ok else "inconclusive")
 
 
 def _run_depth(inst: Instance) -> Report:
     rep = depth_mod.depth_report(inst.endo, inst.cylinders, inst.policy)
-    results = []
-    for i, cand in enumerate(rep.candidates):
-        results.append(
-            {
-                "candidate": i,
-                "status": cand.status,
-                "depth_via_minus": cand.depth_via_minus,
-                "depth_via_plus": cand.depth_via_plus,
-            }
-        )
+    results = [
+        {"candidate": i, "status": cand.status, "depth_via_minus": cand.depth_via_minus,
+         "depth_via_plus": cand.depth_via_plus}
+        for i, cand in enumerate(rep.candidates)
+    ]
     results.append(
         {
             "depth": rep.depth,

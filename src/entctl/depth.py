@@ -138,10 +138,13 @@ def antistable_check(
     ``stall_wait`` of psi and its inverse (band geometry then pins every
     coordinate in the limit); certified not antistable
     when both one-sided chains reach exact fixed points with a nontrivial
-    intersection; unknown otherwise.
+    intersection; unknown otherwise.  The partial intersections are read by
+    ``CylinderSubgroup.meet_index``, a descending one-sided chain stalls
+    when its index holds, and only the not-antistable witness is built.
     """
     if inverse is None:
         inverse = invert(endo, policy)
+    g = endo.parent
     chain_p, chain_m = chain(endo, u), chain(inverse, u)
     cp, cm = next(chain_p), next(chain_m)
     wait = max(stall_wait(endo, policy), stall_wait(inverse, policy))
@@ -150,18 +153,19 @@ def antistable_check(
     for n in range(1, policy.max_n + 1):
         if not stalled_p:
             prev, cp = cp, next(chain_p)
-            stalled_p = cp == prev
+            stalled_p = cp.index == prev.index
         if not stalled_m:
             prev, cm = cm, next(chain_m)
-            stalled_m = cm == prev
-        d = cp.intersect(cm)
-        if d.is_trivial_subgroup():
-            return AntistableCertificate("antistable", n, (d.lo, d.hi))
+            stalled_m = cm.index == prev.index
+        lo, hi, index = cp.meet_index(cm)
+        pinned = index == g.window_layout(lo, hi)[0].order
+        if pinned and g.all_trivial_outside(lo, hi):
+            return AntistableCertificate("antistable", n, (lo, hi))
         if stalled_p and stalled_m:
-            return AntistableCertificate("not_antistable", n, (d.lo, d.hi), witness=d)
-        history.append((d.lo, d.hi, d.core.order == 1))
-        if pins_growing_windows(endo.parent, history, wait):
-            return AntistableCertificate("antistable", n, (d.lo, d.hi))
+            return AntistableCertificate("not_antistable", n, (lo, hi), witness=cp.intersect(cm))
+        history.append((lo, hi, pinned))
+        if pins_growing_windows(g, history, wait):
+            return AntistableCertificate("antistable", n, (lo, hi))
     return AntistableCertificate("unknown", None, None)
 
 
@@ -367,10 +371,10 @@ def depth_report(
 def _preimage_halfline(endo: RowFiniteEndo, obj, policy: StabilizationPolicy):
     """psi^{-1} of an exact cylinder or tail cylinder."""
     if isinstance(obj, CylinderSubgroup):
-        return endo.preimage_cylinder(obj)[0]
+        return endo.preimage_cylinder(obj)
 
     radii = itertools.count(max(abs(obj.pin_from) + 2, 2))
-    preimages = (endo.preimage_cylinder(obj.truncate(m))[0] for m in radii)
+    preimages = (endo.preimage_cylinder(obj.truncate(m)) for m in radii)
     kind, out = next(chain_end(preimages, policy, stall_wait(endo, policy)))
     if kind == "trivial":
         raise Inconclusive("preimage pins every coordinate; no half line", None)

@@ -391,9 +391,10 @@ class _AbelianTrajectory:
     def kernel_cap_t_order(self) -> int:
         """|ker phi n T_n|: the combinations of T_n's echelon rows whose
         image under the window map vanishes, one elimination, its index
-        read off the pivots on the payload columns."""
+        read off the pivots on the payload columns.  An implicit m_j e_j of
+        T_n maps to 0 and is the kernel's implicit row: it is not joined."""
         h = self.map
-        t_rows = list(self.lat_t.row_maps().values())
+        t_rows = list(self.lat_t.stored_rows().values())
         tgt, mods = h.target, h.source.moduli
         rel = tgt.relation_lattice()
         rows = joined_rows([h.apply_map(r) for r in t_rows], tgt.rank, rel, mods, t_rows)

@@ -36,8 +36,8 @@ from .profinite import (
     CylinderSubgroup,
     ProGroup,
     RowFiniteEndo,
-    chain_steps,
     classify_cotrajectory,
+    walk,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
 
@@ -315,8 +315,8 @@ def weiss_bridge_check(
         k_group, psi = dual = dual or dual_map(group, endo)
         u = dual_cylinder(group, k_group, f_gens)
         cs: list[CylinderSubgroup] = []
-        steps = _passing(chain_steps(psi, u), COMPARE_N, operator.itemgetter(0), cs)
-        rep_t = classify_cotrajectory(u, steps, policy)
+        steps = _passing(walk(psi, u), COMPARE_N, operator.itemgetter(0), cs)
+        rep_t = classify_cotrajectory(psi, u, steps, policy)
         engines = trajectory_engines(endo, f_gens)
         engine = next(engines)
         rep_d = classify_trajectory(itertools.chain([engine], engines), policy)

@@ -261,7 +261,7 @@ def chain_limit(endo, u: CylinderSubgroup, policy: StabilizationPolicy = DEFAULT
                 return kind, obj
             for extra in range(policy.stall_window):
                 m = abs(obj.pin_from) + 2 * band + 2 + extra
-                fixed = endo.pull_back(obj.truncate(m), u)[2]
+                fixed = endo.pull_back(obj.truncate(m), u)[1]
                 extent = fixed.hi if obj.side == +1 else -fixed.lo
                 if extent < m - band or fixed != obj.truncate(extent):
                     break
@@ -336,18 +336,18 @@ def _proved_constraint(endo, u: CylinderSubgroup, cur: CylinderSubgroup, k: AbSu
     if _windowed(g, res, s, k, w, t) != cur:
         return None
     local = _windowed(g, g.whole(), t - span, k, w, t)
-    if not CylinderSubgroup(g, t - w + 1, t + 1, k).contains_cylinder(endo.pull_back(local, local)[2]):
+    if not CylinderSubgroup(g, t - w + 1, t + 1, k).contains_cylinder(endo.pull_back(local, local)[1]):
         return None
     x = HalfLineConstraint(g, s, w, _extending(g, k, w, s), res)
     if not u.contains_cylinder(x.truncate(u.hi)):
         return None
     generic = p + span
-    pre = endo.preimage_cylinder(x.truncate(generic + w))[0]
+    pre = endo.preimage_cylinder(x.truncate(generic + w))
     if not pre.contains_cylinder(x.truncate(pre.hi)):
         return None
     local = _windowed(g, g.whole(), generic - span, x.window, w, generic + span)
     at_generic = CylinderSubgroup(g, generic, generic + w, x.window)
-    if not endo.preimage_cylinder(at_generic)[0].contains_cylinder(local):
+    if not endo.preimage_cylinder(at_generic).contains_cylinder(local):
         return None
     last = x.truncate(t + 1)
     if last.pinned_blocks().intersection(range(t - w, t)):

@@ -19,9 +19,9 @@ A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
 it enters as the modulus 1 of column j, not as a row to eliminate.
 The result rows come out echelon, so ``normalize`` alone gives the HNF.
 The pull-back of S x T under x -> (f(x), g(x)), T <= B, gives [B : T +
-g(f^-1(S))] too, as the pivot product on T's coordinates: a ``profinite``
-chain step reads U n psi^{-1}(C) and [K : U + psi^{-1}(C)] off one elimination,
-``stacked_pull_back``, which reads S's and T's rows and never builds S x T.
+g(f^-1(S))] too, as the pivot product on T's coordinates.  No S x T is
+built: ``factor_positions`` re-keys S's and T's rows onto W, and a chain
+step writes its image rows there itself for ``joined_pull_back``.
 
 A sum H + <rows> is the echelon basis H holds with the rows added.
 ``AbSubgroup.sum_with`` normalises it; ``span_index`` reads only
@@ -106,13 +106,7 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(d) for d in self.moduli))
 
     def relation_rows(self) -> list[list[int]]:
-        k = self.rank
-        rows = []
-        for i, d in enumerate(self.moduli):
-            row = [0] * k
-            row[i] = d
-            rows.append(row)
-        return rows
+        return [[d if t == i else 0 for t in range(self.rank)] for i, d in enumerate(self.moduli)]
 
     def relation_lattice(self) -> ZLattice:
         return ZLattice(self.rank, moduli=self.moduli)
@@ -194,10 +188,11 @@ class AbSubgroup:
     def _lattice(self) -> ZLattice:
         if self._lat is None:
             # the lattice only reads the shared maps: membership never changes
-            # a row, and sum_with copies the lattice before adding to it
-            self._lat = ZLattice.from_echelon(
-                self.ambient.rank, dict(enumerate(self.hnf_rows())), self.ambient.moduli
-            )
+            # a row, and sum_with copies the lattice before adding to it; a
+            # unit row e_j is the implicit row of modulus 1 of column j
+            rows = self.rows
+            mods = [m if j in rows else 1 for j, m in enumerate(self.ambient.moduli)]
+            self._lat = ZLattice.from_echelon(self.ambient.rank, rows, mods)
         return self._lat
 
     def __eq__(self, other):
@@ -232,12 +227,7 @@ class AbSubgroup:
         return all(lat.contains(r) for r in other.hnf_rows())
 
     def generators(self) -> list[tuple[int, ...]]:
-        gens = []
-        for row in self.basis:
-            g = self.ambient.reduce(row)
-            if any(g):
-                gens.append(g)
-        return gens
+        return [g for row in self.basis if any(g := self.ambient.reduce(row))]
 
     def elements(self):
         """All elements, by closure from the generators.  Small groups only."""
@@ -323,31 +313,26 @@ def echelon_subgroup(ambient: FiniteAbelianGroup, rows: dict, moduli) -> AbSubgr
     return _normalized(ambient, ZLattice.from_echelon(ambient.rank, rows, moduli))
 
 
-def stacked_pull_back(factors, images, ambient, payload=None, section=None):
+def stacked_pull_back(factors, images, ambient, payload=None):
     """{sum_i c_i payload[i] : sum_i c_i images[i] in S_1 x ... x S_k} in
     ``ambient``, for the subgroups ``factors`` S_1, ..., S_k with their
     coordinates laid out one after another, eliminating on the constrained
-    coordinates W of the product.  With ``section``, a number of leading
-    factors, it returns (that subgroup, the pivot product on the W
-    coordinates of the later factors; ``congruence_kernel``).
+    coordinates W of the product.
 
     ``images`` are maps on the product's coordinates and ``payload`` maps
     on ``ambient``'s (unit rows by default), reduced as subgroup rows and
-    window-map columns are.  The factors' rows are re-keyed onto W in one
-    pass each, and each row (image on W | payload shifted by |W|) in the
-    pass that re-keys its image, as ``congruence_kernel`` takes it over.  A
-    unit payload row e_j whose image vanishes on W is in the result: it is
-    the implicit row of modulus 1 of column j, not eliminated.
-
-    Long relation rows are eliminated last.  A relation row with more
-    entries than the longest (image | payload) row leaves the starting
-    lattice, the modulus row m_p e_p taking its place at pivot p, and
-    is added after the map rows with an empty payload.  Met first, such
-    a row would pass its entries on to every map row eliminated against
-    it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met
-    last, it is reduced once against the finished rows.  The lattice,
-    and so the normal form and the section's pivot product, is the same.
+    window-map columns are.  Each image is re-keyed onto W in one pass and
+    the rows are eliminated by ``joined_pull_back``.
     """
+    pos, relation = factor_positions(factors)
+    on_w = [{pos[t]: x for t, x in image.items() if t in pos} for image in images]
+    return joined_pull_back(on_w, relation, ambient, payload)
+
+
+def factor_positions(factors):
+    """(pos, relation): the position in W of each constrained coordinate of
+    the product of ``factors`` (keyed by product coordinate, in pivot order),
+    and (the factors' stored rows re-keyed onto W, their moduli)."""
     pos, rel_rows, rel_moduli, at = {}, {}, [], 0
     for sub in factors:
         w = {j: len(pos) + i for i, j in enumerate(sorted(sub.rows))}
@@ -356,16 +341,31 @@ def stacked_pull_back(factors, images, ambient, payload=None, section=None):
             rel_rows[k] = {w[t]: x for t, x in sub.rows[j].items()}
             rel_moduli.append(sub.ambient.moduli[j])
         at += sub.ambient.rank
-    width = len(pos)
+    return pos, (rel_rows, rel_moduli)
+
+
+def joined_pull_back(rows, relation, ambient, payload=None, cut=None):
+    """The elimination of ``stacked_pull_back`` for fresh image maps ``rows``,
+    one per coordinate of ``ambient``, keyed by position in W against the
+    ``relation`` of ``factor_positions``; with ``cut``, (the subgroup, the
+    pivot product on the W positions from ``cut`` on).  Each row (image on
+    W | payload shifted by |W|) is joined in place for ``congruence_kernel``;
+    a unit payload row e_j with image 0 on W is in the result, as the
+    implicit row of modulus 1 of column j.
+
+    Long relation rows are eliminated last: one with more entries than the
+    longest joined row leaves the starting lattice for its modulus row
+    m_p e_p and is added after the map rows with an empty payload.  Met
+    first, it would pass its entries on to every map row eliminated against
+    it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met last, it
+    is reduced once.  The lattice, so the normal form and the pivot product,
+    is the same.
+    """
+    rel_rows, rel_moduli = relation
+    width = len(rel_moduli)
     moduli = list(ambient.moduli)
-    rows = []
-    at_w = pos.get
-    for j, image in enumerate(images):
-        row = {}
-        for t, x in image.items():
-            s = at_w(t)
-            if s is not None:
-                row[s] = x
+    joined = []
+    for j, row in enumerate(rows):
         if payload is None or payload[j] == {j: 1}:
             if not row:
                 moduli[j] = 1
@@ -375,25 +375,24 @@ def stacked_pull_back(factors, images, ambient, payload=None, section=None):
         else:
             for t, x in payload[j].items():
                 row[width + t] = x
-        rows.append(row)
+        joined.append(row)
     # Exact although the stored rows may lack some m_t e_t until the long
     # rows come: a step at a pivot q >= t changes the span of the rows
     # with pivots >= t only by multiples of the m_s e_s with s > t, so
     # each relation row, and each m_t e_t as their combination, ends in
     # the finished basis up to those; from the last column down, the
     # basis holds every m_t e_t.
-    if rows and rel_rows:
-        longest = max(map(len, rows))
+    if joined and rel_rows:
+        longest = max(map(len, joined))
         if max(map(len, rel_rows.values())) > longest:
             for p, rel in rel_rows.items():
                 if len(rel) > longest:
                     rel_rows[p] = {p: rel_moduli[p]}
-                    rows.append(rel)
-    relation = ZLattice.from_echelon(width, rel_rows, rel_moduli)
-    if section is None:
-        return echelon_subgroup(ambient, congruence_kernel(rows, width, relation, moduli), moduli)
-    cut = range(sum(len(sub.rows) for sub in factors[:section]), width)
-    kernel, index = congruence_kernel(rows, width, relation, moduli, cut)
+                    joined.append(rel)
+    lattice = ZLattice.from_echelon(width, rel_rows, rel_moduli)
+    if cut is None:
+        return echelon_subgroup(ambient, congruence_kernel(joined, width, lattice, moduli), moduli)
+    kernel, index = congruence_kernel(joined, width, lattice, moduli, range(cut, width))
     return echelon_subgroup(ambient, kernel, moduli), index
 
 

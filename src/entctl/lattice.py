@@ -128,6 +128,10 @@ class ZLattice:
         rows.update(self._rows)
         return {p: rows[p] for p in sorted(rows)}
 
+    def stored_rows(self) -> dict[int, dict[int, int]]:
+        """The stored rows ``{pivot: row}``, implicit ones left out; not copies."""
+        return self._rows
+
     def nonunit_rows(self) -> dict[int, dict[int, int]]:
         """``row_maps`` without the unit rows e_j, and with no map built for
         an implicit one (modulus 1)."""

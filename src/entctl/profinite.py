@@ -10,18 +10,16 @@ whole cotrajectory calculus happens in finite windows, exactly.
 
 Every walk of a cotrajectory chain C_{n+1} = U n psi^{-1}(C_n), here and
 in ``ends``, ``depth`` and ``duality``, reads the one walk of (psi, U)
-kept on the map: ``chain_steps`` (with window maps) or its lazy view
-``chain`` (cylinders only) replay the kept steps and pull back only past
-their end.  How a chain ends is decided in ``ends``.  A power psi^k is
-the ``RowFiniteEndo.compose`` of k copies of psi.  A cylinder is pulled
-back by ``RowFiniteEndo.pull_back`` alone: one elimination gives
-U n psi^{-1}(C), [K : U + psi^{-1}(C)] and the window map of C it read
-(``preimage_cylinder`` is the case U = K), so a new step builds the map
-of C_n once, and ``classify_cotrajectory`` reads [K : Im(psi) * C_n] off
-that map where it needs it: in the identity at a stall, and on the
-trailing steps of an uncertified walk.  Indices that are only read,
-never compared (that one, a window's [window : Im psi], a cokernel
-order), come from ``finabel.span_index`` without a normal form.
+kept on the map, through ``walk`` or its cylinders, ``chain``, which pull
+back only past the kept steps.  How a chain ends is decided in ``ends``;
+psi^k is the ``RowFiniteEndo.compose`` of k copies of psi.  One
+elimination, ``RowFiniteEndo.pull_back``, gives U n psi^{-1}(C) and
+[K : U + psi^{-1}(C)] with rows written from the band (U = K for
+``preimage_cylinder``); no step builds a window map, and
+``classify_cotrajectory`` builds that of C_n only to read [K : Im(psi) C_n]
+at a stall and on the trailing steps of an uncertified walk.  Indices
+that are only read, never compared (that one, a window's [window : Im psi],
+a cokernel order), come from ``finabel.span_index`` without a normal form.
 
 The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
@@ -58,8 +56,9 @@ from .finabel import (
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
+    factor_positions,
+    joined_pull_back,
     span_index,
-    stacked_pull_back,
 )
 from .values import (
     DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy, read_stall, run_start,
@@ -152,10 +151,6 @@ class CylinderSubgroup:
     def is_whole(self) -> bool:
         return self.lo == self.hi
 
-    def is_trivial_subgroup(self) -> bool:
-        """True when the cylinder is the one-element subgroup (finite K only)."""
-        return self.core.order == 1 and self.parent.all_trivial_outside(self.lo, self.hi)
-
     def extended_core(self, lo: int, hi: int) -> AbSubgroup:
         """The same subgroup presented on the larger window [lo, hi).
 
@@ -186,6 +181,22 @@ class CylinderSubgroup:
         a = self.extended_core(lo, hi)
         b = other.extended_core(lo, hi)
         return CylinderSubgroup(self.parent, lo, hi, a.intersect_with(b))
+
+    def meet_index(self, other: "CylinderSubgroup") -> tuple[int, int, int]:
+        """(lo, hi, [K : C n D]) for the canonical window [lo, hi) of C n D, not
+        built.  For C, D not K it is their hull: a boundary block not free in C
+        (its elements not all in C) is not free in C n D.  [K : C n D] =
+        [K : C][K : D] / [K : C + D], the last a ``span_index`` on the hull, to
+        which only D's stored rows and the e_t at C's pivots add; C n D pins its
+        window when that index is the order of the window's group."""
+        if self.is_whole() or other.is_whole():
+            e = other if self.is_whole() else self
+            return e.lo, e.hi, e.index
+        lo, hi = self.hull_with(other)
+        ext = self.extended_core(lo, hi)
+        o_rows = _shifted(other.core.rows, self.parent.window_layout(lo, hi)[1][other.lo - lo])
+        gens = [*o_rows.values(), *({t: 1} for t in ext.rows if t not in o_rows)]
+        return lo, hi, self.index * other.index // span_index(ext, gens)
 
     def contains_cylinder(self, other: "CylinderSubgroup") -> bool:
         lo, hi = self.hull_with(other)
@@ -283,7 +294,7 @@ class RowFiniteEndo(Band):
     output block i (with i = r mod period) receives matrix * x_{i+offset}
     for each term of rows[r].  ``_memo`` remembers the outcomes of the chain
     questions asked of it and, keyed by U, the walk of each chain of U
-    (see ``_walk``), for as long as the map lives.
+    (see ``walk``), for as long as the map lives.
     """
 
     __slots__ = ("_memo",)
@@ -304,35 +315,44 @@ class RowFiniteEndo(Band):
         src_lo, src_hi = (min(deps), max(deps) + 1) if deps else (0, 0)
         return src_lo, src_hi, self.band_map(range(lo, hi), src_lo, src_hi)
 
-    def pull_back(self, c: CylinderSubgroup, u: CylinderSubgroup) -> tuple[Hom, int, CylinderSubgroup]:
-        """(the window map h of C's window, [K : U + psi^{-1}(C)], U n psi^{-1}(C)):
-        C.core x U.core pulled back under x -> (h(x), x on U's window), from
-        the hull of both source windows, the index off U's section
-        (``finabel.stacked_pull_back``).
-        It reads only ``parent`` and ``window_map`` and shares h's columns; the
-        whole group has the empty window, whose map is the zero map."""
+    def pull_back(self, c: CylinderSubgroup, u: CylinderSubgroup) -> tuple[int, CylinderSubgroup]:
+        """([K : U + psi^{-1}(C)], U n psi^{-1}(C)): C.core x U.core pulled back
+        under x -> (psi(x) on C's window, x on U's window), from the hull of
+        both source windows, the index off U's section.  No window map is
+        built: the entry by which coordinate v of block i + o enters C's
+        coordinate t of block i (``row_entries``) goes to t's W position in
+        the image row of v (``finabel.factor_positions``, ``joined_pull_back``)."""
         if c.parent != self.parent or u.parent != self.parent:
             raise AmbientMismatchError("cylinder over a different group")
-        src_lo, src_hi, h = self.window_map(c.lo, c.hi)
-        lo, hi = (src_lo, src_hi) if u.is_whole() else (u.lo, u.hi)
-        if src_lo < src_hi and not u.is_whole():
-            lo, hi = min(lo, src_lo), max(hi, src_hi)
-        wg, starts = self.parent.window_layout(lo, hi)
-        cut = h.target.rank
-        images = [{}] * wg.rank
-        if h.columns:
-            at = starts[src_lo - lo]
-            images[at : at + len(h.columns)] = h.columns
+        g = self.parent
+        terms = [(i, self.row_entries(i)) for i in range(c.lo, c.hi)]
+        deps = [i + o for i, entries in terms for o, _ in entries]
+        lo, hi = u.lo, u.hi
+        if deps:
+            src_lo, src_hi = min(deps), max(deps) + 1
+            lo, hi = (src_lo, src_hi) if u.is_whole() else (min(lo, src_lo), max(hi, src_hi))
+        wg, starts = g.window_layout(lo, hi)
+        c_starts = g.window_layout(c.lo, c.hi)[1]
+        pos, relation = factor_positions((c.core, u.core))
+        at_w = pos.get
+        rows = [{} for _ in range(wg.rank)]
+        for i, entries in terms:
+            a = c_starts[i - c.lo]
+            for o, term in entries:
+                ss = starts[i + o - lo]
+                for v, t, x in term:
+                    s = at_w(a + t)
+                    if s is not None:
+                        rows[ss + v][s] = x
+        cut = c.core.ambient.rank
         for j in u.core.rows:
-            t = starts[u.lo - lo] + j
-            images[t] = {**images[t], cut + j: 1}
-        core, d = stacked_pull_back((c.core, u.core), images, wg, section=1)
-        return h, d, CylinderSubgroup(self.parent, lo, hi, core)
+            rows[starts[u.lo - lo] + j][pos[cut + j]] = 1
+        core, d = joined_pull_back(rows, relation, wg, cut=len(c.core.rows))
+        return d, CylinderSubgroup(g, lo, hi, core)
 
-    def preimage_cylinder(self, c: CylinderSubgroup) -> tuple[CylinderSubgroup, Hom]:
-        """(psi^{-1}(C), the window map of C's window): ``pull_back`` with U = K."""
-        h, _, p = self.pull_back(c, self.parent.whole())
-        return p, h
+    def preimage_cylinder(self, c: CylinderSubgroup) -> CylinderSubgroup:
+        """psi^{-1}(C): ``pull_back`` with U = K."""
+        return self.pull_back(c, self.parent.whole())[1]
 
     def compose(self, inner: "RowFiniteEndo") -> "RowFiniteEndo":
         """self after inner, as a banded spec: product row i multiplies the
@@ -430,46 +450,31 @@ def _memoized(fn):
     return wrapper
 
 
-def _walk(endo, u: CylinderSubgroup):
-    """Yield (C_n, d_n, C_{n+1}, h) for n = 1, 2, ... off the walk of U kept
-    in ``endo._memo``: C_1 = U, C_{n+1} = U n psi^{-1}(C_n) and d_n =
-    [K : U + psi^{-1}(C_n)].  A kept step (C_n, d_n, C_{n+1}: no window map,
-    no lattice) is replayed with h None; past the end of the walk one
-    ``pull_back`` makes and keeps the next step, and h is the window map of
-    C_n it read.  This is the only place the recurrence is written.  The
-    walk is read by index, so interleaved readers of one (map, U) share it
-    and never copy it; each stops it by its own rule.
+def walk(endo, u: CylinderSubgroup):
+    """Yield (C_n, d_n, C_{n+1}) for n = 1, 2, ... off the walk of U kept in
+    ``endo._memo``: C_1 = U, C_{n+1} = U n psi^{-1}(C_n), d_n =
+    [K : U + psi^{-1}(C_n)].  Past its end one ``pull_back`` makes and keeps
+    the next step.  This is the only place the recurrence is written; the
+    walk is read by index, so interleaved readers of one (map, U) share it.
     """
-    walk = endo._memo.setdefault((_walk, u), [])
+    steps = endo._memo.setdefault((walk, u), [])
     for n in itertools.count():
-        if n == len(walk):
-            c = walk[-1][2] if walk else u
-            h, d, c_next = endo.pull_back(c, u)
-            walk.append((c, d, c_next))
-            yield c, d, c_next, h
-        else:
-            yield *walk[n], None
-
-
-def chain_steps(endo, u: CylinderSubgroup):
-    """Yield (C_n, d_n, window map of C_n, C_{n+1}) for n = 1, 2, ... off
-    the walk of U (``_walk``).  A replayed step's window map is rebuilt from
-    the band by ``window_map``, which reads checked entries and runs no
-    elimination; a reader that needs no window map reads ``chain``."""
-    for c, d, c_next, h in _walk(endo, u):
-        yield c, d, endo.window_map(c.lo, c.hi)[2] if h is None else h, c_next
+        if n == len(steps):
+            c = steps[-1][2] if steps else u
+            steps.append((c, *endo.pull_back(c, u)))
+        yield steps[n]
 
 
 def drop_walk(endo, u: CylinderSubgroup) -> None:
     """Forget the walk of U kept on the map, if any."""
-    endo._memo.pop((_walk, u), None)
+    endo._memo.pop((walk, u), None)
 
 
 def chain(endo, u: CylinderSubgroup):
     """Yield C_1 = U, C_2, ... off the walk of U; C_{n+1} is pulled back only
     when asked for and not kept yet."""
     yield u
-    for _, _, c, _ in _walk(endo, u):
+    for _, _, c in walk(endo, u):
         yield c
 
 
@@ -523,29 +528,29 @@ def cotrajectory_limits(
 ) -> CotrajectoryReport:
     """Run the cotrajectory chain until it ends or stalls (see
     ``classify_cotrajectory``)."""
-    return classify_cotrajectory(u, chain_steps(endo, u), policy)
+    return classify_cotrajectory(endo, u, walk(endo, u), policy)
 
 
 def classify_cotrajectory(
-    u: CylinderSubgroup, steps, policy: StabilizationPolicy
+    endo, u: CylinderSubgroup, steps, policy: StabilizationPolicy
 ) -> CotrajectoryReport:
-    """Read the ``chain_steps`` of U with ``values.read_stall``; at most
-    ``policy.max_n`` steps.  The companion is d_n = [K : U + psi^{-1}(C_n)],
-    as the step carries it: [C_n : C_{n+1}] = [K : U] / (d_n [K : Im(psi) C_n])
-    (C_{n+1} = U n psi^{-1}(C_n), and K / psi^{-1}(C) = (Im(psi) + C) / C), so
-    alpha and d_n hold exactly when alpha and [K : Im(psi) C_n] do.
+    """Read the steps (C_n, d_n, C_{n+1}) of U's ``walk`` under ``endo`` with
+    ``values.read_stall``; at most ``policy.max_n`` steps.  The companion is
+    d_n = [K : U + psi^{-1}(C_n)], as the step carries it: [C_n : C_{n+1}] =
+    [K : U] / (d_n [K : Im(psi) C_n]) (C_{n+1} = U n psi^{-1}(C_n), and
+    K / psi^{-1}(C) = (Im(psi) + C) / C), so alpha and d_n hold exactly when
+    alpha and [K : Im(psi) C_n] do.
 
-    Certification requires the identity
-    |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] to hold at the stall, with
-    [K : Im(psi) * C_n] a ``span_index`` of its own on the step's window map
-    of C_n, not read off the step's lattice, whose pivots multiply to both
-    sides of the identity.  An uncertified walk of at least half =
-    max(2, max_n // 2) steps is a hypothesis failure when that index grows
-    on each of its last half steps; it is read there only.
+    Certification requires |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] at the
+    stall, with [K : Im(psi) * C_n] a ``span_index`` on the window map of C_n,
+    built there, not read off the step's lattice, whose pivots multiply to
+    both sides.  An uncertified walk of at least half = max(2, max_n // 2)
+    steps is a hypothesis failure when that index grows on each of its last
+    half steps, where alone it is read too.
     """
     half = max(2, policy.max_n // 2)
     tail = collections.deque(maxlen=half)
-    stall = read_stall(_readings(u, steps, tail), policy, True)
+    stall = read_stall(_readings(endo, u, steps, tail), policy, True)
     n = len(stall.alphas)
     c = tuple(itertools.accumulate(stall.alphas, operator.mul, initial=u.index))
     if stall.certified is not None:
@@ -553,25 +558,26 @@ def classify_cotrajectory(
         return CotrajectoryReport(
             n, c, stall.alphas, stall.n0, stall.alpha, n1, *stall.certified, True, "certified"
         )
-    kmls = (span_index(c_cyl.core, h.columns) for c_cyl, h in tail)
+    kmls = (span_index(c.core, endo.window_map(c.lo, c.hi)[2].columns) for c in tail)
     grows = len(tail) == half and all(a < b for a, b in itertools.pairwise(kmls))
     status = "hypothesis_failure" if grows else "inconclusive"
     return CotrajectoryReport(n, c, stall.alphas, None, None, None, None, None, False, status)
 
 
-def _readings(u: CylinderSubgroup, steps, tail):
+def _readings(endo, u: CylinderSubgroup, steps, tail):
     """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
     [C_n : C_{n+1}], the companion d_n = [K : U + psi^{-1}(C_n)], as the
     step carries it, and the identity, which on success certifies
-    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C].  Each step's
-    (C_n, window map of C_n) is appended to ``tail`` as it passes."""
+    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C].  Each C_n is
+    appended to ``tail`` as it passes."""
     c_prev = u.index
-    for c_cyl, d, h, c_next in steps:
+    for c_cyl, d, c_next in steps:
         if c_next.index % c_prev:
             raise AssertionError("c_n must divide c_{n+1}")
-        tail.append((c_cyl, h))
+        tail.append(c_cyl)
 
         def certify(alpha):
+            h = endo.window_map(c_cyl.lo, c_cyl.hi)[2]
             psi_inv, kml = u.index // d, span_index(c_cyl.core, h.columns)
             return (psi_inv, kml) if psi_inv == alpha * kml else None
 
@@ -622,15 +628,12 @@ def kernel_order(endo, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
 
     def partial_kernel(lo: int, hi: int) -> AbSubgroup:
         """Solutions on window [lo,hi) of all rows fully visible there."""
-        rows_idx = []
-        scan_lo = lo - abs(endo.offset) - endo.width
-        scan_hi = hi + abs(endo.offset) + endo.width
-        for i in range(scan_lo, scan_hi):
-            if not g.valid_index(i):
-                continue
-            deps = [i + o for o, _ in endo.row_entries(i)]
-            if deps and all(lo <= d < hi for d in deps):
-                rows_idx.append(i)
+        band = abs(endo.offset) + endo.width
+        rows_idx = [
+            i for i in range(lo - band, hi + band)
+            if g.valid_index(i) and (terms := endo.row_entries(i))
+            and all(lo <= i + o < hi for o, _ in terms)
+        ]
         if not rows_idx:
             return g.window_layout(lo, hi)[0].whole_subgroup()
         return endo.band_map(rows_idx, lo, hi).kernel()
@@ -767,7 +770,7 @@ def log_law_check(
         kind = None
     power = functools.reduce(RowFiniteEndo.compose, [endo] * k)
     if kind == "cylinder":
-        pk, _ = power.preimage_cylinder(u_minus)
+        pk = power.preimage_cylinder(u_minus)
         lhs = u_minus.index // pk.index
     else:
         # telescope [psi^{-k}(C) : C] through psi^{-j}(C) = C(psi, psi^{-j}(U))
@@ -778,7 +781,7 @@ def log_law_check(
             if not rep.certified:
                 raise Inconclusive("telescoped cotrajectory did not certify", rep)
             lhs *= rep.psi_inv_c_mod_c
-            v, _ = endo.preimage_cylinder(v)
+            v = endo.preimage_cylinder(v)
     # entropy form of the law: psi^k with respect to C_k(psi, U)
     hk = cotrajectory_limits(power, cotrajectory(endo, u, k), policy).entropy_limit
     h1 = base_rep.entropy_limit

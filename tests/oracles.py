@@ -9,7 +9,7 @@ reference for the sparse ``entctl.lattice`` kernel, which must perform
 the same arithmetic in the same order and so shares its ``xgcd``.
 ``cotrajectory_exact`` is the earlier exact-end rule of cotrajectories,
 the reference for ``ends.chain_limit``; it walks the chain by
-``profinite.chain_steps`` and tests pinning by ``pins_growing_windows``.
+``profinite.walk`` and tests pinning by ``pins_growing_windows``.
 ``three_elimination_step`` is the earlier cotrajectory step, the reference
 for ``RowFiniteEndo.pull_back``; it reads the map's window map and uses the
 subgroup operations of ``entctl``, one elimination each.
@@ -40,7 +40,7 @@ from entctl.errors import Inconclusive
 from entctl.finabel import FiniteAbelianGroup, hom_validate, span_index
 from entctl.lattice import xgcd
 from entctl.ends import pins_growing_windows
-from entctl.profinite import CylinderSubgroup, ProGroup, RowFiniteEndo, chain_steps
+from entctl.profinite import CylinderSubgroup, ProGroup, RowFiniteEndo, walk
 from entctl.values import DEFAULT_POLICY
 
 
@@ -488,8 +488,8 @@ def cotrajectory_exact(endo, u, policy=DEFAULT_POLICY):
     raises Inconclusive otherwise.
     """
     windows = []
-    steps = itertools.islice(chain_steps(endo, u), policy.max_n)
-    for n, (c_cyl, _, _, c_next) in enumerate(steps, 1):
+    steps = itertools.islice(walk(endo, u), policy.max_n)
+    for n, (c_cyl, _, c_next) in enumerate(steps, 1):
         if c_next == c_cyl:
             return ("stalled", c_cyl)
         windows.append((c_next.lo, c_next.hi, c_next.core.order == 1))

@@ -1,4 +1,10 @@
+import itertools
+import json
+import pathlib
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entctl import depth
 from entctl.cli import emit_report, instance_from_dict, run_command
@@ -17,6 +23,7 @@ from entctl.finabel import FiniteAbelianGroup
 from entctl.profinite import (
     RowFiniteEndo,
     chain,
+    cotrajectory,
     cotrajectory_limits,
     cylinder,
     identity_endo,
@@ -24,6 +31,7 @@ from entctl.profinite import (
     rowfinite_endo,
 )
 from entctl.values import DEFAULT_POLICY, EntropyValue, StabilizationPolicy
+from test_profinite import topo_map
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -98,9 +106,58 @@ def test_antistable_examples():
     kf = pro_group([z4], [triv], "N")
     idf = rowfinite_endo(kf, 0, 1, 1, [[]], prefix_rows=[[(0, [[1]])]])
     u_triv = cylinder(kf, (0, 1), [])  # the one-element subgroup of finite K
-    assert u_triv.is_trivial_subgroup()
+    assert u_triv.core.order == 1 and kf.all_trivial_outside(u_triv.lo, u_triv.hi)
     cert3 = antistable_check(idf, u_triv, inverse=idf)
     assert cert3.status == "antistable"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_meet_index_matches_the_intersection(perfbench_gen, data):
+    # pairs of cylinders on ``gen.topo_case`` maps (N and Z, rank 1-3, period
+    # 1-2, prefix rows): K, the first cylinders of U's chain and of U's
+    # preimages; the index rule's window, index and pinning are those of
+    # C n D, built
+    inst = topo_map(perfbench_gen, data)
+    endo, u = inst.endo, inst.cylinders[0]
+    k = endo.parent
+    cs = [k.whole(), *itertools.islice(chain(endo, u), 4), *inst.cylinders[1:]]
+    pre = u
+    for _ in range(3):
+        pre = endo.preimage_cylinder(pre)
+        cs.append(pre)
+    for c, d in itertools.product(cs, repeat=2):
+        meet = c.intersect(d)
+        lo, hi, index = c.meet_index(d)
+        assert (lo, hi, index) == (meet.lo, meet.hi, meet.index)
+        assert (index == k.window_layout(lo, hi)[0].order) == (meet.core.order == 1)
+
+
+DEPTH_SHIFT = pathlib.Path(__file__).resolve().parent.parent / "instances" / "depth_shift_z3.json"
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_meet_index_of_both_chains_is_an_index_of_the_chain(perfbench_gen, data):
+    # for an automorphism psi, C_n(psi, U) n C_n(psi^{-1}, U) is the
+    # intersection of the psi^j(U), |j| < n, which is psi^{n-1}(C_{2n-1}(psi, U)):
+    # its index is c_{2n-1}, on twisted and unipotent shifts of the depth
+    # sweep and on the bundled depth instance
+    gen = perfbench_gen
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(("twisted", "unipotent", "bundled")))
+    if kind == "twisted":
+        case = gen.twisted_shift(rng, data.draw(st.sampled_from(gen.TWISTED_BLOCKS)), 3, gen.DEPTH_POLICY)
+    elif kind == "unipotent":
+        case = gen.unipotent_shift(rng, gen.DEPTH_POLICY)
+    else:
+        case = json.loads(DEPTH_SHIFT.read_text(encoding="utf-8"))
+    inst = instance_from_dict(case)
+    psi = inst.endo
+    inverse = invert(psi)
+    for u in inst.cylinders:
+        for n, cp, cm in zip(range(1, 6), chain(psi, u), chain(inverse, u)):
+            assert cp.meet_index(cm)[2] == cotrajectory(psi, u, 2 * n - 1).index, n
 
 
 def test_plus_minus_shift():

@@ -265,17 +265,14 @@ def test_bridge_comparison_fails_on_a_wrong_cotrajectory_step(monkeypatch):
     policy = StabilizationPolicy(max_n=64, stall_window=8, window_budget=32)
     record = comparison_record(weiss_bridge_check(g, beta, family, policy))
     assert record.ok and record.name.endswith("n_le_8")
-    steps = duality.chain_steps
+    steps = duality.walk
 
     def wrong_second_step(endo, u):
-        # C_2 replaced by C_1 = U, which is strictly larger for the shift,
-        # together with the window map of U
-        for n, (c, d, h, c_next) in enumerate(steps(endo, u), 1):
-            if n == 2:
-                c, h = u, endo.pull_back(u, u)[0]
-            yield c, d, h, c_next
+        # C_2 replaced by C_1 = U, which is strictly larger for the shift
+        for n, (c, d, c_next) in enumerate(steps(endo, u), 1):
+            yield (u if n == 2 else c), d, c_next
 
-    monkeypatch.setattr(duality, "chain_steps", wrong_second_step)
+    monkeypatch.setattr(duality, "walk", wrong_second_step)
     rep = weiss_bridge_check(g, beta, family, policy)
     assert not comparison_record(rep).ok
     assert not rep.ok
@@ -366,7 +363,7 @@ def test_is_perp_matches_the_earlier_comparison(perfbench_gen, data):
     # T_n-perp's index but constrains none of T_n's coordinates
     from entctl.duality import _is_perp, dual_cylinder
     from entctl.finabel import AbSubgroup
-    from entctl.profinite import CylinderSubgroup, chain_steps
+    from entctl.profinite import CylinderSubgroup, walk
 
     gen = perfbench_gen
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -378,7 +375,7 @@ def test_is_perp_matches_the_earlier_comparison(perfbench_gen, data):
     k_group, psi = dual_map(inst.group, inst.endo)
     for f_gens in inst.family:
         u = dual_cylinder(inst.group, k_group, f_gens)
-        cs = [c for c, *_ in itertools.islice(chain_steps(psi, u), 9)]
+        cs = [c for c, *_ in itertools.islice(walk(psi, u), 9)]
         engines = itertools.islice(trajectory_engines(inst.endo, f_gens), 8)
         for n, engine in enumerate(engines, 1):
             t_n = engine.snapshot()
@@ -494,7 +491,7 @@ def test_both_companions_are_read_off_the_index_chains(perfbench_gen, data):
     # the dual [K : Im(psi) C_n] = [K : U] / (alpha_n d_n), each exactly
     from entctl.duality import dual_cylinder
     from entctl.finabel import span_index
-    from entctl.profinite import chain_steps
+    from entctl.profinite import walk
 
     gen = perfbench_gen
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -511,6 +508,6 @@ def test_both_companions_are_read_off_the_index_chains(perfbench_gen, data):
             q, r = divmod(f_order * engine.phit_orders[n - 1], engine.orders[n])
             assert r == 0 and engine.f_cap_phit_order() == q
         u = dual_cylinder(inst.group, k_group, f_gens)
-        for c, d, h, c_next in itertools.islice(chain_steps(psi, u), 16):
+        for c, d, c_next in itertools.islice(walk(psi, u), 16):
             q, r = divmod(u.index, c_next.index // c.index * d)
-            assert r == 0 and span_index(c.core, h.columns) == q
+            assert r == 0 and span_index(c.core, psi.window_map(c.lo, c.hi)[2].columns) == q

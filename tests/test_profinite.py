@@ -23,14 +23,13 @@ from entctl.ends import (
     _image,
 )
 from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
-from entctl.finabel import FiniteAbelianGroup, Hom, canonical_subgroup
+from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
 from entctl.lattice import ZLattice
 from entctl.profinite import (
     CotrajectoryReport,
     CylinderSubgroup,
     RowFiniteEndo,
     chain,
-    chain_steps,
     classify_cotrajectory,
     cokernel_order,
     cotrajectory,
@@ -43,6 +42,7 @@ from entctl.profinite import (
     quotient_system,
     rowfinite_endo,
     surjective_on_windows,
+    walk,
     _project_out,
     _project_out_front,
 )
@@ -303,10 +303,9 @@ def test_pull_back_matches_three_eliminations(perfbench_gen, data):
         cs = [k.whole(), *itertools.islice(chain(endo, u), 4)]
         for c in cs:
             for v in (u, k.whole()):
-                h, d, got = endo.pull_back(c, v)
+                d, got = endo.pull_back(c, v)
                 assert (got, d) == oracles.three_elimination_step(endo, c, v)
-                assert h == endo.window_map(c.lo, c.hi)[2]
-            assert endo.preimage_cylinder(c) == (endo.pull_back(c, k.whole())[2], h)
+            assert endo.preimage_cylinder(c) == endo.pull_back(c, k.whole())[1]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -407,7 +406,7 @@ def test_powers_match_the_iterated_window_maps(perfbench_gen, data):
         x = random_elem(rng, k, *span(power))
         assert power.apply(x) == iterated.apply(x)
         for c in cs:
-            _, d, got = power.pull_back(c, u)
+            d, got = power.pull_back(c, u)
             assert (got, d) == oracles.three_elimination_step(iterated, c, u)
 
 
@@ -839,7 +838,7 @@ def test_power_endo_consistency():
     x = {3: (1,)}
     assert p2.apply(x) == sig.apply(sig.apply(x))
     u = u0(k)
-    assert p2.preimage_cylinder(u)[0] == sig.preimage_cylinder(sig.preimage_cylinder(u)[0])[0]
+    assert p2.preimage_cylinder(u) == sig.preimage_cylinder(sig.preimage_cylinder(u))
     rep = cotrajectory_limits(p2, u)
     assert rep.certified and rep.alpha == 2  # same U sees one new pin per step
 
@@ -966,36 +965,31 @@ def test_inconclusive_on_tiny_budget():
         assert exc.value.report is rep
 
 
+def zero_endo(k):
+    """The zero map of a product of Z/2 blocks: its window maps are zero."""
+    return rowfinite_endo(k, 0, 1, 1, [[(0, [[0]])]])
+
+
 def test_exact_end_that_fails_its_identity_is_a_broken_invariant():
     # the identity on (Z/2)^N with U = {x_0 = 0} ends exactly at C_2 = C_1 = U;
-    # with the zero window map in place of the true one, [K : Im(psi) C_1]
-    # reads 2, so |psi^{-1}(C)/C| = 1 = alpha * [K : Im(psi) C] fails at alpha = 1
+    # with the zero map's window maps in place of the true ones,
+    # [K : Im(psi) C_1] reads 2, so |psi^{-1}(C)/C| = 1 = alpha * [K : Im(psi) C]
+    # fails at alpha = 1
     k = k_z2()
     u = u0(k)
-
-    def zero_window_maps(endo, u):
-        for c, d, h, c_next in chain_steps(endo, u):
-            yield c, d, Hom(h.source, h.target, tuple({} for _ in h.columns)), c_next
-
     with pytest.raises(AssertionError, match="exact chain end failed its identity"):
-        classify_cotrajectory(u, zero_window_maps(identity_endo(k), u), DEFAULT_POLICY)
+        classify_cotrajectory(zero_endo(k), u, walk(identity_endo(k), u), DEFAULT_POLICY)
 
 
 def test_image_index_growing_at_every_step_is_a_hypothesis_failure():
     # a hand-built stream on (Z/2)^N: C_n pins the blocks [0, n), so alpha = 2
-    # at every step, and the window map of C_n is the zero map, so
+    # at every step, and the window maps are the zero map's, so
     # [K : Im(psi) C_n] = 2^n grows on every step until the budget ends
     k = k_z2()
     u = u0(k)
-
-    def steps():
-        for n in itertools.count(1):
-            c = u0(k, n)
-            zero = Hom(FiniteAbelianGroup(()), c.core.ambient, ())
-            yield c, 1, zero, u0(k, n + 1)
-
+    steps = ((u0(k, n), 1, u0(k, n + 1)) for n in itertools.count(1))
     policy = StabilizationPolicy(max_n=8, stall_window=3)
-    rep = classify_cotrajectory(u, steps(), policy)
+    rep = classify_cotrajectory(zero_endo(k), u, steps, policy)
     assert (rep.n_max, rep.alphas, rep.certified) == (8, (2,) * 8, False)
     assert rep.status == "hypothesis_failure"
     with pytest.raises(HypothesisFailure, match="keeps growing"):
@@ -1009,20 +1003,20 @@ def test_a_wrong_step_index_fails_the_identity():
     k = k_z2()
     u = u0(k)
 
-    def with_d(endo, change):
-        for c, d, h, c_next in chain_steps(endo, u):
-            yield c, change(d), h, c_next
+    def classified(endo, change):
+        steps = ((c, change(d), c_next) for c, d, c_next in walk(endo, u))
+        return classify_cotrajectory(endo, u, steps, DEFAULT_POLICY)
 
     # the left shift stalls at alpha = 2 with d = 1; with d = 2 it never certifies
     sig = left_shift(k)
-    assert classify_cotrajectory(u, with_d(sig, lambda d: d), DEFAULT_POLICY).certified
-    rep = classify_cotrajectory(u, with_d(sig, lambda d: 2 * d), DEFAULT_POLICY)
+    assert classified(sig, lambda d: d).certified
+    rep = classified(sig, lambda d: 2 * d)
     assert (rep.certified, rep.status, rep.n_max) == (False, "inconclusive", DEFAULT_POLICY.max_n)
     # the identity ends exactly at alpha = 1 with d = 2; with d = 1 it is broken
     ident = identity_endo(k)
-    assert classify_cotrajectory(u, with_d(ident, lambda d: d), DEFAULT_POLICY).certified
+    assert classified(ident, lambda d: d).certified
     with pytest.raises(AssertionError, match="exact chain end failed its identity"):
-        classify_cotrajectory(u, with_d(ident, lambda d: d // 2), DEFAULT_POLICY)
+        classified(ident, lambda d: d // 2)
 
 
 def test_entropy_of_growing_correction_term_is_hypothesis_failure():
@@ -1063,17 +1057,56 @@ def test_chain_computes_each_cylinder_on_demand(monkeypatch):
     assert c3 == cotrajectory(sig, u, 3)
 
 
-def test_walk_builds_one_window_map_per_step(monkeypatch):
-    # psi^{-1}(C_n) and [K : Im(psi) C_n] are read off the same map of C_n,
-    # for psi^2 too: it is one band
-    calls = count_calls(monkeypatch, "window_map")
+def test_pull_back_builds_no_window_map(monkeypatch):
+    # a chain step writes its rows straight from the band: walking chains of
+    # the left shift, its square (one band too) and the Z-shift, and pulling
+    # each cylinder back under U = K, builds no window map
+    maps = count_calls(monkeypatch, "window_map")
+    bands = count_calls(monkeypatch, "band_map")
     k = k_z2()
     sig = left_shift(k)
+    kz, shift_z = z_shift()
+    for endo, u in ((sig, u0(k, 2)), (sig.compose(sig), u0(k)), (shift_z, cylinder(kz, (-1, 2), []))):
+        for c in itertools.islice(chain(endo, u), 8):
+            endo.preimage_cylinder(c)
+    assert maps == [] and bands == []
+
+
+def test_a_certified_walk_builds_one_window_map(monkeypatch):
+    # [K : Im(psi) C_n] is read off the map of C_n at the stall only, for
+    # psi^2 too; a replay of the kept walk builds none
+    k = k_z2()
+    sig = left_shift(k)
+    u = u0(k, 2)
     for endo in (sig, sig.compose(sig)):
-        calls.clear()
-        rep = cotrajectory_limits(endo, u0(k, 2))
-        assert rep.certified
-        assert len(calls) == rep.n_max
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, "window_map")
+            rep = cotrajectory_limits(endo, u)
+        assert rep.certified and rep.n_max >= 3
+        assert calls == ["certify"]
+        with monkeypatch.context() as mp:
+            maps, pulls = count_calls(mp, "window_map"), count_calls(mp, "pull_back")
+            kept = list(itertools.islice(walk(endo, u), rep.n_max))
+            assert list(itertools.islice(chain(endo, u), 1, rep.n_max + 1)) == [c for *_, c in kept]
+        assert maps == [] and pulls == []
+
+
+def test_a_budget_walk_builds_window_maps_on_its_tail_only(monkeypatch):
+    # the left shift never stalls within max_n = 12 when the stall window is
+    # longer: only the hypothesis-failure rule builds maps, of C_n on at most
+    # the last half = 6 steps
+    k = k_z2()
+    u = u0(k)
+    policy = StabilizationPolicy(max_n=12, stall_window=13)
+    built = []
+    window_map = RowFiniteEndo.window_map
+    monkeypatch.setattr(
+        RowFiniteEndo, "window_map", lambda self, lo, hi: built.append((lo, hi)) or window_map(self, lo, hi)
+    )
+    rep = cotrajectory_limits(left_shift(k), u, policy)
+    assert (rep.status, rep.n_max) == ("inconclusive", 12)
+    tail = [(c.lo, c.hi) for c in itertools.islice(chain(left_shift(k), u), 6, 12)]
+    assert 0 < len(built) <= 6 and all(w in tail for w in built)
 
 
 def z_shift():
@@ -1192,34 +1225,33 @@ def test_left_shift_chain_ends_on_a_window_constraint(monkeypatch):
     assert (x.start, x.width) == (0, 2) and x.residual.is_whole()
     assert x.window == canonical_subgroup(FiniteAbelianGroup((2, 2)), [(1, 1)])
     assert x.truncate(6) == cotrajectory(inst.endo, inst.cylinders[1], 5)
-    assert 0 < calls.count("_walk") < 16
+    assert 0 < calls.count("walk") < 16
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_a_replayed_walk_is_the_same_walk(perfbench_gen, monkeypatch, data):
-    # k steps walked, then a reader of chain_steps interleaved with a reader
-    # of chain one step ahead of it: both match a walk on an equal map built
-    # afresh, window maps column for column, and only the steps past the
-    # kept walk are pulled back
+    # k steps walked, then a reader of walk interleaved with a reader of
+    # chain one step ahead of it: both match a walk on an equal map built
+    # afresh, the kept steps are replayed as they are, and only the steps
+    # past the kept walk are pulled back
     inst = topo_map(perfbench_gen, data)
     endo, u = inst.endo, inst.cylinders[0]
     fresh = rowfinite_endo(endo.parent, endo.offset, endo.width, endo.period, endo.rows, endo.prefix_rows)
     assert fresh.equals_spec(endo)
     k = data.draw(st.integers(1, 5))
-    expected = list(itertools.islice(chain_steps(fresh, u), k + 3))
-    first = list(itertools.islice(chain_steps(endo, u), k))
+    expected = list(itertools.islice(walk(fresh, u), k + 3))
+    first = list(itertools.islice(walk(endo, u), k))
     with monkeypatch.context() as mp:
         calls = count_calls(mp, "pull_back")
-        second, third = chain_steps(endo, u), chain(endo, u)
+        second, third = walk(endo, u), chain(endo, u)
         next(third)
-        for n, (c, d, h, c_next) in enumerate(expected):
-            assert next(third) == c_next
+        for n, step in enumerate(expected):
+            assert next(third) == step[2]
             got = next(second)
             if n < k:
-                assert got[0] is first[n][0] and got[3] is first[n][3]
-            assert (got[0], got[1], got[3]) == (c, d, c_next)
-            assert (got[2].source, got[2].target, got[2].columns) == (h.source, h.target, h.columns)
+                assert got is first[n]
+            assert got == step
     assert len(calls) == 3
 
 
@@ -1327,15 +1359,10 @@ def test_a_growing_image_index_is_read_on_the_whole_tail(monkeypatch):
 
     k = k_z2()
     u = u0(k)
-
-    def steps():
-        for n in itertools.count(1):
-            c = u0(k, n)
-            yield c, 1, Hom(FiniteAbelianGroup(()), c.core.ambient, ()), u0(k, n + 1)
-
+    steps = ((u0(k, n), 1, u0(k, n + 1)) for n in itertools.count(1))
     with monkeypatch.context() as mp:
         certifies, spans = count_certify_and_index(mp, profinite, "span_index")
-        rep = classify_cotrajectory(u, steps(), StabilizationPolicy(max_n=8, stall_window=3))
+        rep = classify_cotrajectory(zero_endo(k), u, steps, StabilizationPolicy(max_n=8, stall_window=3))
     assert rep.status == "hypothesis_failure" and certifies == [2] * 6
     assert [name for name, _ in spans] == ["certify"] * 6 + ["<genexpr>"] * 4
     assert [core for _, core in spans[6:]] == [u0(k, n).core for n in range(5, 9)]
@@ -1349,10 +1376,10 @@ def test_image_index_is_read_off_the_index_chain(perfbench_gen, data):
     # exactly (C_{n+1} = U n psi^{-1}(C_n), K / psi^{-1}(C) = (Im psi + C) / C)
     inst = topo_map(perfbench_gen, data)
     u = inst.cylinders[0]
-    for c, d, h, c_next in itertools.islice(chain_steps(inst.endo, u), 16):
+    for c, d, c_next in itertools.islice(walk(inst.endo, u), 16):
         alpha = c_next.index // c.index
         q, r = divmod(u.index, alpha * d)
-        assert r == 0 and finabel.span_index(c.core, h.columns) == q
+        assert r == 0 and finabel.span_index(c.core, inst.endo.window_map(c.lo, c.hi)[2].columns) == q
 
 
 def test_verify_walks_the_left_shift_briefly(monkeypatch):
