@@ -11,17 +11,18 @@ the unit vectors as sparse columns, with a well-definedness certificate;
 kernel, image and preimage are computed on the lattice side, never by
 enumeration.
 
-A n B and f^-1(S) are one elimination each: rows (b|_W | b) for B's HNF rows
-b, or (f(e_j)|_W | e_j), against A's (or S's) rows on W, the coordinates whose
-HNF row is not e_j.  That is exact: a unit row's pivot is 1, so the other rows
-vanish in its column, and x is in A iff x_W is in the span of A's rows on W.
-A unit row e_j with e_j|_W = 0 (or f(e_j)|_W = 0) is in the result already;
-it enters as the modulus 1 of column j, not as a row to eliminate.
-The result rows come out echelon, so ``normalize`` alone gives the HNF.
+A n B and f^-1(S) are one elimination each, in A's (or S's) coordinates:
+rows (b | b) for B's HNF rows b, or (f(e_j) | e_j), against A's stored rows,
+with modulus 1 at each free coordinate (HNF row e_j).  That is exact: a unit
+row's pivot is 1, so the other rows vanish in its column; an image entry
+there is not written, so only the constrained coordinates are touched.  A
+unit row e_j whose image has no entry on them is in the result already; it
+enters as the modulus 1 of payload column j.  ``ZLattice.normalize`` turns
+the echelon result into the non-unit HNF rows the subgroup takes over.
 The pull-back of S x T under x -> (f(x), g(x)), T <= B, gives [B : T +
-g(f^-1(S))] too, as the pivot product on T's coordinates.  No S x T is
-built: ``factor_positions`` re-keys S's and T's rows onto W, and a chain
-step writes its image rows there itself for ``joined_pull_back``.
+g(f^-1(S))] too, as the pivot product on T's coordinates, after S's.  No
+S x T is built: its relation is S's and T's own rows, T's shifted by S's
+rank, and a chain step writes its image rows there for ``joined_pull_back``.
 
 A sum H + <rows> is the echelon basis H holds with the rows added.
 ``AbSubgroup.sum_with`` normalises it; ``span_index`` reads only
@@ -185,14 +186,19 @@ class AbSubgroup:
         rows = self.rows
         return [rows[j] if j in rows else {j: 1} for j in range(self.ambient.rank)]
 
+    def lattice_moduli(self) -> list[int]:
+        """The moduli of the lattice of the stored rows: m_j at a pivot, 1 at
+        a free coordinate (its unit row e_j is the implicit row of modulus 1)."""
+        mods = [1] * self.ambient.rank
+        for j in self.rows:
+            mods[j] = self.ambient.moduli[j]
+        return mods
+
     def _lattice(self) -> ZLattice:
         if self._lat is None:
             # the lattice only reads the shared maps: membership never changes
-            # a row, and sum_with copies the lattice before adding to it; a
-            # unit row e_j is the implicit row of modulus 1 of column j
-            rows = self.rows
-            mods = [m if j in rows else 1 for j, m in enumerate(self.ambient.moduli)]
-            self._lat = ZLattice.from_echelon(self.ambient.rank, rows, mods)
+            # a row, and sum_with copies the lattice before adding to it
+            self._lat = ZLattice.from_echelon(self.ambient.rank, self.rows, self.lattice_moduli())
         return self._lat
 
     def __eq__(self, other):
@@ -249,7 +255,10 @@ class AbSubgroup:
     def sum_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroup sum across ambient groups")
-        return _normalized(self.ambient, _spanned(self, other.hnf_rows()))
+        lat = self._lattice().copy()
+        for row in other.hnf_rows():
+            lat.add(row)
+        return AbSubgroup.from_rows(self.ambient, lat.normalize())
 
     def intersect_with(self, other: "AbSubgroup") -> "AbSubgroup":
         if other.ambient != self.ambient:
@@ -303,63 +312,59 @@ def canonical_subgroup(ambient: FiniteAbelianGroup, gens) -> AbSubgroup:
         if not isinstance(g, dict):
             ambient.check_vector(g)
         lat.add(g)
-    return _normalized(ambient, lat)
+    return AbSubgroup.from_rows(ambient, lat.normalize())
 
 
 def echelon_subgroup(ambient: FiniteAbelianGroup, rows: dict, moduli) -> AbSubgroup:
     """Subgroup with the echelon rows ``{pivot: {column: value}}``, which it
     takes over, and the implicit rows m_j e_j of ``moduli`` at the other
     pivots (``ZLattice.from_echelon``), relations included."""
-    return _normalized(ambient, ZLattice.from_echelon(ambient.rank, rows, moduli))
+    return AbSubgroup.from_rows(ambient, ZLattice.from_echelon(ambient.rank, rows, moduli).normalize())
 
 
 def stacked_pull_back(factors, images, ambient, payload=None):
     """{sum_i c_i payload[i] : sum_i c_i images[i] in S_1 x ... x S_k} in
     ``ambient``, for the subgroups ``factors`` S_1, ..., S_k with their
-    coordinates laid out one after another, eliminating on the constrained
-    coordinates W of the product.
+    coordinates laid out one after another, eliminated in them.
 
     ``images`` are maps on the product's coordinates and ``payload`` maps
     on ``ambient``'s (unit rows by default), reduced as subgroup rows and
-    window-map columns are.  Each image is re-keyed onto W in one pass and
-    the rows are eliminated by ``joined_pull_back``.
+    window-map columns are.  The relation is the factors' own rows, each
+    shifted by the ranks before it; an image entry on a free coordinate is
+    not written.  ``joined_pull_back`` eliminates the rows.
     """
-    pos, relation = factor_positions(factors)
-    on_w = [{pos[t]: x for t, x in image.items() if t in pos} for image in images]
-    return joined_pull_back(on_w, relation, ambient, payload)
-
-
-def factor_positions(factors):
-    """(pos, relation): the position in W of each constrained coordinate of
-    the product of ``factors`` (keyed by product coordinate, in pivot order),
-    and (the factors' stored rows re-keyed onto W, their moduli)."""
-    pos, rel_rows, rel_moduli, at = {}, {}, [], 0
+    rel_rows, rel_moduli = {}, []
     for sub in factors:
-        w = {j: len(pos) + i for i, j in enumerate(sorted(sub.rows))}
-        for j, k in w.items():
-            pos[at + j] = k
-            rel_rows[k] = {w[t]: x for t, x in sub.rows[j].items()}
-            rel_moduli.append(sub.ambient.moduli[j])
-        at += sub.ambient.rank
-    return pos, (rel_rows, rel_moduli)
+        rel_rows.update(shifted(sub.rows, len(rel_moduli)))
+        rel_moduli += sub.lattice_moduli()
+    rows = [{t: x for t, x in image.items() if t in rel_rows} for image in images]
+    return joined_pull_back(rows, (rel_rows, rel_moduli), ambient, payload)
+
+
+def shifted(rows: dict, off: int) -> dict:
+    """Rows ``{pivot: {column: value}}`` with every column moved by ``off``;
+    the rows themselves when ``off`` is 0."""
+    if not off:
+        return rows
+    return {p + off: {t + off: x for t, x in row.items()} for p, row in rows.items()}
 
 
 def joined_pull_back(rows, relation, ambient, payload=None, cut=None):
     """The elimination of ``stacked_pull_back`` for fresh image maps ``rows``,
-    one per coordinate of ``ambient``, keyed by position in W against the
-    ``relation`` of ``factor_positions``; with ``cut``, (the subgroup, the
-    pivot product on the W positions from ``cut`` on).  Each row (image on
-    W | payload shifted by |W|) is joined in place for ``congruence_kernel``;
-    a unit payload row e_j with image 0 on W is in the result, as the
-    implicit row of modulus 1 of column j.
+    one per coordinate of ``ambient``, against ``relation`` = (a fresh dict
+    of rows ``{pivot: row}``, maps shared, and the moduli, 1 at a free
+    coordinate); with ``cut``, (the subgroup, the pivot product on the image
+    columns from ``cut`` on).  Each row (image | payload) is joined in place
+    for ``congruence_kernel``; a unit payload row e_j with image 0 is in the
+    result, as the implicit row of modulus 1 of column j.
 
     Long relation rows are eliminated last: one with more entries than the
     longest joined row leaves the starting lattice for its modulus row
-    m_p e_p and is added after the map rows with an empty payload.  Met
-    first, it would pass its entries on to every map row eliminated against
-    it (on (Z/2)^n, {x_0 = ... = x_n} has the row (1, ..., 1)); met last, it
-    is reduced once.  The lattice, so the normal form and the pivot product,
-    is the same.
+    m_p e_p and a copy of it is added after the map rows with an empty
+    payload.  Met first, it would pass its entries on to every map row
+    eliminated against it (on (Z/2)^n, {x_0 = ... = x_n} has the row
+    (1, ..., 1)); met last, it is reduced once.  The lattice, so the normal
+    form and the pivot product, is the same.
     """
     rel_rows, rel_moduli = relation
     width = len(rel_moduli)
@@ -388,7 +393,7 @@ def joined_pull_back(rows, relation, ambient, payload=None, cut=None):
             for p, rel in rel_rows.items():
                 if len(rel) > longest:
                     rel_rows[p] = {p: rel_moduli[p]}
-                    joined.append(rel)
+                    joined.append(dict(rel))
     lattice = ZLattice.from_echelon(width, rel_rows, rel_moduli)
     if cut is None:
         return echelon_subgroup(ambient, congruence_kernel(joined, width, lattice, moduli), moduli)
@@ -396,29 +401,17 @@ def joined_pull_back(rows, relation, ambient, payload=None, cut=None):
     return echelon_subgroup(ambient, kernel, moduli), index
 
 
-def _spanned(sub: AbSubgroup, rows) -> ZLattice:
-    """An echelon basis of the lattice of sub + <rows>, relations included:
-    a copy of the lattice that ``sub`` holds, with ``rows`` added."""
-    lat = sub._lattice().copy()
-    for row in rows:
-        lat.add(row)
-    return lat
-
-
 def span_index(sub: AbSubgroup, rows) -> int:
     """[A : sub + <rows>] for vectors or {coordinate: value} maps ``rows``.
 
     The pivot product of any echelon basis of a full-rank lattice that
-    contains the relations is its index, so no normal form is built.
+    contains the relations is its index, so no normal form is built, and
+    ``add`` changes no stored row in place, so ``sub``'s maps are shared.
     """
-    return _spanned(sub, rows).pivot_product()
-
-
-def _normalized(ambient: FiniteAbelianGroup, lat: ZLattice) -> AbSubgroup:
-    """The subgroup of a full-rank lattice that contains the relations,
-    read off its HNF; the lattice's rows are taken over, not copied."""
-    lat.normalize()
-    return AbSubgroup.from_rows(ambient, lat.nonunit_rows())
+    lat = ZLattice.from_echelon(sub.ambient.rank, dict(sub.rows), sub.lattice_moduli())
+    for row in rows:
+        lat.add(row)
+    return lat.pivot_product()
 
 
 def subgroup_index(h: AbSubgroup, l: AbSubgroup) -> int:
@@ -474,19 +467,25 @@ class BlockSequence:
         One layout is kept per window shape: past the prefix (everywhere
         over Z) a window's blocks are fixed by its width and its first
         block's residue modulo the block period, so it is shifted by whole
-        periods to start in [len(prefix), len(prefix) + period)."""
+        periods to start in [len(prefix), len(prefix) + period).  A new
+        shape is a prefix of the longest layout from its first block."""
         k, per = len(self.prefix), len(self.period)
         if lo >= k or self.index_set == "Z":
             shift = lo - k - (lo - k) % per
             lo, hi = lo - shift, hi - shift
         layout = self._layouts.get((lo, hi))
         if layout is None:
-            starts = [0]
-            moduli: list[int] = []
-            for i in range(lo, hi):
-                moduli.extend(self.block(i).moduli)
-                starts.append(len(moduli))
-            layout = self._layouts[lo, hi] = (FiniteAbelianGroup(tuple(moduli)), tuple(starts))
+            # the windows from lo on are prefixes of the longest one laid out,
+            # kept under the key lo
+            moduli, starts = self._layouts.get(lo, ((), (0,)))
+            if len(starts) <= hi - lo:
+                moduli, starts = list(moduli), list(starts)
+                for i in range(lo + len(starts) - 1, hi):
+                    moduli.extend(self.block(i).moduli)
+                    starts.append(len(moduli))
+                moduli, starts = self._layouts[lo] = tuple(moduli), tuple(starts)
+            n = max(hi - lo, 0)
+            layout = self._layouts[lo, hi] = (FiniteAbelianGroup(moduli[: starts[n]]), starts[: n + 1])
         return layout
 
     def coords(self, elem: dict, lo: int, hi: int) -> dict[int, int]:

@@ -22,12 +22,13 @@ elimination into ``finabel`` without a dense detour.
 ``congruence_kernel`` is the one elimination behind intersections, preimages,
 annihilators and kernel orders, as in Zassenhaus's intersection algorithm.
 The caller joins each (image | payload) row in the elimination's own
-columns, once: ``stacked_pull_back`` as it re-keys its images, the callers
-that hold the halves apart through ``joined_rows``.  The kernel comes back
-as ``{pivot: row}`` maps with its implicit rows left implicit, or, for a
-reader of orders only, as the pivot product over its columns, read in
-place.  ``normalize`` is needed only for a canonical form: ``pivot_product``
-reads the index of a full-rank lattice off any of its echelon bases.
+columns, once: ``finabel.joined_pull_back`` in the coordinates of the
+subgroups it pulls back, their own rows the relation, the callers that hold
+the halves apart through ``joined_rows``.  The kernel comes back as
+``{pivot: row}`` maps with its implicit rows left implicit, or, for a reader
+of orders only, as the pivot product over its columns, read in place.
+``normalize``, which returns the non-unit HNF rows, is needed only for a
+canonical form: ``pivot_product`` reads the index off any echelon basis.
 """
 
 from __future__ import annotations
@@ -132,14 +133,6 @@ class ZLattice:
         """The stored rows ``{pivot: row}``, implicit ones left out; not copies."""
         return self._rows
 
-    def nonunit_rows(self) -> dict[int, dict[int, int]]:
-        """``row_maps`` without the unit rows e_j, and with no map built for
-        an implicit one (modulus 1)."""
-        rows = self._rows
-        out = {p: r for p, r in rows.items() if len(r) > 1 or r[p] != 1}
-        out.update((j, {j: m}) for j, m in enumerate(self.moduli or ()) if m > 1 and j not in rows)
-        return dict(sorted(out.items()))
-
     def _entries(self, vec) -> dict[int, int]:
         """A fresh sparse copy of ``vec``, reduced modulo the moduli."""
         mods = self.moduli
@@ -157,8 +150,8 @@ class ZLattice:
 
         With ``fresh``, ``vec`` is a map that nobody else holds, with its
         columns checked and its entries reduced modulo the moduli (as
-        ``joined_rows`` and ``finabel.stacked_pull_back`` build them): the
-        lattice takes it over as it is.
+        ``joined_rows`` and ``finabel.joined_pull_back`` build them): the
+        lattice takes it over and reduces it in place.
 
         Against a row with one entry, p e_j (the implicit m_j e_j among
         them), the unimodular step below is (g e_j + y v', (p/g) v') for
@@ -243,23 +236,29 @@ class ZLattice:
                     raise ValueError("extension of a reduced lattice needs new moduli")
                 self.moduli.extend(int(m) for m in new_moduli)
 
-    def normalize(self) -> None:
-        """Reduce entries above each pivot into [0, pivot)."""
+    def normalize(self) -> dict[int, dict[int, int]]:
+        """Reduce entries above each pivot into [0, pivot); return the HNF rows
+        that are not unit rows e_p, ``{pivot: row}`` in pivot order: the stored
+        maps, reduced in place (one that reduces to e_p left out), and {j: m_j}
+        for an implicit row with m_j > 1."""
         rows, implicit = self._rows, self._implicit()
         pivots = sorted(rows.keys() | implicit.keys() if implicit else rows)
+        out = {}
         for i, p in enumerate(pivots):
-            row_r = rows.get(p)
-            if row_r is None or len(row_r) == 1:
-                continue
-            # a step at pivot j changes only columns >= j, so one pass over
-            # the later pivots in increasing order meets each of them once
-            for j in pivots[i + 1 :]:
-                x = row_r.get(j)
-                if x is not None:
-                    row_s = rows.get(j) or {j: implicit[j]}
-                    q = x // row_s[j]
-                    if q:
-                        _add_multiple(row_r, -q, row_s, j, None)
+            row_r = rows.get(p) or {p: implicit[p]}
+            if len(row_r) > 1:
+                # a step at pivot j changes only columns >= j, so one pass over
+                # the later pivots in increasing order meets each of them once
+                for j in pivots[i + 1 :]:
+                    x = row_r.get(j)
+                    if x is not None:
+                        row_s = rows.get(j) or {j: implicit[j]}
+                        q = x // row_s[j]
+                        if q:
+                            _add_multiple(row_r, -q, row_s, j, None)
+            if len(row_r) > 1 or row_r[p] != 1:
+                out[p] = row_r
+        return out
 
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows))
@@ -350,9 +349,10 @@ def congruence_kernel(map_rows, image_width, relation: ZLattice, payload_moduli=
     the payload width, by default the number of rows).
 
     ``map_rows`` are fresh maps (image | payload), the payload shifted by
-    ``image_width`` and every entry reduced (``joined_rows``, or written by
-    ``stacked_pull_back``); the lattice takes them over.  They are eliminated
-    against the rows of ``relation``, shared, and the implicit rows m_j e_j.
+    ``image_width`` and every entry reduced (``joined_rows``, or joined by
+    ``finabel.joined_pull_back``), which the lattice takes over and reduces
+    in place.  They are eliminated against the rows of ``relation``,
+    shared, and the implicit rows m_j e_j.
     The rows left with a pivot right of the image columns have image 0
     modulo ``relation``: the result is their payloads, ``{pivot: row}`` in
     payload coordinates, an implicit m_j e_j left implicit.  With

@@ -56,8 +56,8 @@ from .finabel import (
     FiniteAbelianGroup,
     Hom,
     canonical_subgroup,
-    factor_positions,
     joined_pull_back,
+    shifted,
     span_index,
 )
 from .values import (
@@ -110,10 +110,11 @@ class CylinderSubgroup:
     """Open subgroup {x : x restricted to [lo, hi) lies in core}.
 
     Stored in canonical form: boundary blocks on which the core is the
-    full block are shrunk away, so equality is structural.
+    full block are shrunk away, so equality is structural.  ``starts`` are
+    the coordinate starts of that window (``window_layout``).
     """
 
-    __slots__ = ("parent", "lo", "hi", "core")
+    __slots__ = ("parent", "lo", "hi", "core", "starts")
 
     def __init__(self, parent: ProGroup, lo: int, hi: int, core: AbSubgroup):
         wg, starts = parent.window_layout(lo, hi)
@@ -123,7 +124,8 @@ class CylinderSubgroup:
         # its unit vectors, i.e. when no non-unit HNF row has its pivot there
         if not core.rows:
             lo = hi = 0
-            core = parent.window_layout(0, 0)[0].whole_subgroup()
+            wg, starts = parent.window_layout(0, 0)
+            core = wg.whole_subgroup()
         else:
             new_lo, new_hi = lo, hi
             last, first = max(core.rows), min(core.rows)
@@ -137,11 +139,14 @@ class CylinderSubgroup:
                 core = _project_out_front(
                     core, starts[new_lo - lo], parent.window_layout(new_lo, new_hi)[0]
                 )
+            if (new_lo, new_hi) != (lo, hi):
+                starts = parent.window_layout(new_lo, new_hi)[1]
             lo, hi = new_lo, new_hi
         self.parent = parent
         self.lo = lo
         self.hi = hi
         self.core = core
+        self.starts = starts
 
     @property
     def index(self) -> int:
@@ -165,7 +170,7 @@ class CylinderSubgroup:
         if lo > self.lo or hi < self.hi:
             raise ValidationError("extension window must contain the current window")
         wg, starts = self.parent.window_layout(lo, hi)
-        return AbSubgroup.from_rows(wg, _shifted(self.core.rows, starts[self.lo - lo]))
+        return AbSubgroup.from_rows(wg, shifted(self.core.rows, starts[self.lo - lo]))
 
     def hull_with(self, other: "CylinderSubgroup") -> tuple[int, int]:
         if self.parent != other.parent:
@@ -194,7 +199,7 @@ class CylinderSubgroup:
             return e.lo, e.hi, e.index
         lo, hi = self.hull_with(other)
         ext = self.extended_core(lo, hi)
-        o_rows = _shifted(other.core.rows, self.parent.window_layout(lo, hi)[1][other.lo - lo])
+        o_rows = shifted(other.core.rows, self.parent.window_layout(lo, hi)[1][other.lo - lo])
         gens = [*o_rows.values(), *({t: 1} for t in ext.rows if t not in o_rows)]
         return lo, hi, self.index * other.index // span_index(ext, gens)
 
@@ -207,8 +212,7 @@ class CylinderSubgroup:
 
     def pinned_blocks(self) -> set[int]:
         """Blocks i in the window forced to 0 for every element."""
-        wg, starts = self.parent.window_layout(self.lo, self.hi)
-        mods, rows = wg.moduli, self.core.rows
+        mods, rows, starts = self.core.ambient.moduli, self.core.rows, self.starts
         # coordinate t is forced to 0 iff every HNF row is 0 there mod d_t;
         # a unit row e_t is 0 there iff d_t = 1
         free = {t for row in rows.values() for t, x in row.items() if x % mods[t]}
@@ -234,13 +238,6 @@ class CylinderSubgroup:
         return f"Cylinder([{self.lo},{self.hi}) index={self.index})"
 
 
-def _shifted(rows: dict, off: int) -> dict:
-    """HNF rows ``{pivot: {column: value}}`` with every column moved by ``off``."""
-    if not off:
-        return rows
-    return {p + off: {t + off: x for t, x in row.items()} for p, row in rows.items()}
-
-
 def _project_out(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> AbSubgroup:
     """The projection of ``core`` onto its first ``cut`` coordinates, in ``wg``,
     for a core containing every e_j with j >= ``cut`` (a free back block).
@@ -262,7 +259,7 @@ def _project_out_front(core: AbSubgroup, cut: int, wg: FiniteAbelianGroup) -> Ab
     to the left give the HNF of the projection.
     """
     assert min(core.rows, default=cut) >= cut, "the front block is not free"
-    return AbSubgroup.from_rows(wg, _shifted(core.rows, -cut))
+    return AbSubgroup.from_rows(wg, shifted(core.rows, -cut))
 
 
 def pro_group(prefix, period, index_set: str = "N") -> ProGroup:
@@ -318,10 +315,10 @@ class RowFiniteEndo(Band):
     def pull_back(self, c: CylinderSubgroup, u: CylinderSubgroup) -> tuple[int, CylinderSubgroup]:
         """([K : U + psi^{-1}(C)], U n psi^{-1}(C)): C.core x U.core pulled back
         under x -> (psi(x) on C's window, x on U's window), from the hull of
-        both source windows, the index off U's section.  No window map is
-        built: the entry by which coordinate v of block i + o enters C's
-        coordinate t of block i (``row_entries``) goes to t's W position in
-        the image row of v (``finabel.factor_positions``, ``joined_pull_back``)."""
+        both source windows, the index off U's section, in the cores' own
+        coordinates (U's after C's).  No window map is built: the entry by
+        which coordinate v of block i + o enters C's pivot t of block i
+        (``row_entries``) goes to column t of v's row (``joined_pull_back``)."""
         if c.parent != self.parent or u.parent != self.parent:
             raise AmbientMismatchError("cylinder over a different group")
         g = self.parent
@@ -332,22 +329,19 @@ class RowFiniteEndo(Band):
             src_lo, src_hi = min(deps), max(deps) + 1
             lo, hi = (src_lo, src_hi) if u.is_whole() else (min(lo, src_lo), max(hi, src_hi))
         wg, starts = g.window_layout(lo, hi)
-        c_starts = g.window_layout(c.lo, c.hi)[1]
-        pos, relation = factor_positions((c.core, u.core))
-        at_w = pos.get
+        c_rows, c_starts, cut = c.core.rows, c.starts, c.core.ambient.rank
         rows = [{} for _ in range(wg.rank)]
         for i, entries in terms:
             a = c_starts[i - c.lo]
             for o, term in entries:
                 ss = starts[i + o - lo]
                 for v, t, x in term:
-                    s = at_w(a + t)
-                    if s is not None:
-                        rows[ss + v][s] = x
-        cut = c.core.ambient.rank
+                    if a + t in c_rows:
+                        rows[ss + v][a + t] = x
         for j in u.core.rows:
-            rows[starts[u.lo - lo] + j][pos[cut + j]] = 1
-        core, d = joined_pull_back(rows, relation, wg, cut=len(c.core.rows))
+            rows[starts[u.lo - lo] + j][cut + j] = 1
+        relation = ({**c_rows, **shifted(u.core.rows, cut)}, c.core.lattice_moduli() + u.core.lattice_moduli())
+        core, d = joined_pull_back(rows, relation, wg, cut=cut)
         return d, CylinderSubgroup(g, lo, hi, core)
 
     def preimage_cylinder(self, c: CylinderSubgroup) -> CylinderSubgroup:

@@ -236,7 +236,10 @@ def test_trajectory_kernel_and_cap_orders(rnd):
 
 def test_one_elimination_on_the_constrained_coordinates(monkeypatch):
     """A one-block U against a 40-block Z/2 window: neither operation
-    re-eliminates its result, and no lattice is wider than k + |W|."""
+    re-eliminates its result, no lattice is wider than the subgroup's own
+    coordinates and the payload (2k), and no row added to one has an entry
+    on a free image coordinate (the unit rows of the eliminated subgroup
+    stay implicit, of modulus 1)."""
     k = 40
     g = FiniteAbelianGroup((2,) * k)
     u = canonical_subgroup(g, [g.unit(j) for j in range(1, k)])
@@ -244,8 +247,8 @@ def test_one_elimination_on_the_constrained_coordinates(monkeypatch):
     shift = hom_validate([[int(j == i + 1) for j in range(k)] for i in range(k)], g, g)
     assert list(u.rows) == [0] and len(c.rows) > k // 2
 
-    widths = []
-    init, extend = ZLattice.__init__, ZLattice.extend
+    widths, free = [], []
+    init, extend, add = ZLattice.__init__, ZLattice.extend, ZLattice.add
 
     def recording_init(self, width, moduli=None):
         init(self, width, moduli)
@@ -255,16 +258,22 @@ def test_one_elimination_on_the_constrained_coordinates(monkeypatch):
         extend(self, new_width, new_moduli)
         widths.append(self.width)
 
+    def recording_add(self, vec, **kwargs):
+        free.extend(t for t in vec if t < k and self.moduli[t] == 1)
+        return add(self, vec, **kwargs)
+
     def no_reelimination(*args, **kwargs):
         raise AssertionError("result eliminated a second time")
 
     with monkeypatch.context() as patch:
         patch.setattr(ZLattice, "__init__", recording_init)
         patch.setattr(ZLattice, "extend", recording_extend)
+        patch.setattr(ZLattice, "add", recording_add)
         patch.setattr(finabel, "canonical_subgroup", no_reelimination)
         inter = u.intersect_with(c)
         pre = shift.preimage(u)
-    assert widths and max(widths) <= k + 1
+    assert widths and max(widths) <= 2 * k
+    assert free == []
 
     combos = eliminated_kernel(c.basis, g.moduli, u.basis, [2] * k)
     assert inter == canonical_subgroup(g, combine(combos, c.basis, k))

@@ -230,6 +230,60 @@ def test_sparse_lattice_repeats_the_dense_reference(data):
         assert lat.contains(probe) == ref.contains(probe) == copy.contains(probe)
 
 
+def nonunit_hnf(ref):
+    """The rows of a normalized dense reference that are not unit rows e_p,
+    as {pivot: {column: value}} in pivot order."""
+    rows = {p: {t: x for t, x in enumerate(row) if x} for p, row in zip(ref.pivots, ref.rows)}
+    return {p: row for p, row in rows.items() if row != {p: 1}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_returns_the_nonunit_rows_of_the_dense_reference(data):
+    """``normalize`` returns the HNF rows of the dense reference that are not
+    unit rows, in pivot order: implicit rows of modulus 1 are left out,
+    those of larger moduli come back as {j: m_j}."""
+    width = data.draw(st.integers(0, 6))
+    moduli = data.draw(st.one_of(st.none(), st.lists(kill_moduli, min_size=width, max_size=width)))
+    lat, ref = ZLattice(width, moduli), oracles.DenseZLattice(width, moduli)
+    for row in data.draw(dense_rows(width)):
+        lat.add(row)
+        ref.add(row)
+    got = lat.normalize()
+    ref.normalize()
+    assert got == nonunit_hnf(ref)
+    assert list(got) == sorted(got)
+    assert lat.basis() == tuple(map(tuple, ref.rows))
+
+
+@pytest.mark.parametrize(
+    "moduli, rows, expected",
+    [
+        # implicit rows: modulus 1 is a unit row, 4 is not, 0 has no row
+        ([1, 4, 0], [], {1: {1: 4}}),
+        # (1, 3) reduces to e_0 against the stored unit row e_1
+        (None, [[1, 3], [0, 1]], {}),
+        # (1, 2) keeps its entry below the implicit row 4 e_1
+        ([6, 4], [[1, 2]], {0: {0: 1, 1: 2}, 1: {1: 4}}),
+    ],
+)
+def test_normalize_drops_rows_that_reduce_to_unit_rows(moduli, rows, expected):
+    width = len(moduli or rows[0])
+    lat, ref = ZLattice(width, moduli), oracles.DenseZLattice(width, moduli)
+    for row in rows:
+        lat.add(row)
+        ref.add(row)
+    ref.normalize()
+    assert lat.normalize() == nonunit_hnf(ref) == expected
+
+
+def test_normalize_drops_a_row_that_reduces_to_a_unit_row_against_an_implicit_one():
+    # (1, 0, 5) reduces to e_0 against the implicit unit row of column 2
+    lat = ZLattice.from_echelon(3, {0: {0: 1, 2: 5}}, [0, 3, 1])
+    assert lat.normalize() == {1: {1: 3}}
+    assert lat.basis() == ((1, 0, 0), (0, 3, 0), (0, 0, 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_congruence_kernel_repeats_the_dense_reference(data):

@@ -96,6 +96,31 @@ def test_window_layouts_are_kept_per_window_shape(case, periods):
         assert group.window_layout(lo + shift, hi + shift) is group.window_layout(lo, hi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_kept_layout_is_the_block_by_block_build(data):
+    """Windows asked one after another of one group, growing and shrinking
+    by a block as walks and hulls do, and at random (over N with prefix
+    blocks, over Z on negative blocks too, block period 1-2): each layout,
+    new or kept, is the block-by-block build."""
+    period = data.draw(block_lists(1).filter(lambda blocks: len(blocks) <= 2))
+    if data.draw(st.booleans()):
+        group, low = pro_group([], period, "Z"), -6
+    else:
+        make = data.draw(st.sampled_from((locally_finite_group, pro_group)))
+        group, low = make(data.draw(block_lists(0)), period), 0
+    lo = data.draw(st.integers(low, 3))
+    # (first block, width): growing to the right, then to the left, then at random
+    windows = [(lo, w) for w in range(6)] + [(lo - w, 5 + w) for w in range(lo - low + 1)]
+    windows += data.draw(st.lists(st.tuples(st.integers(low, 4), st.integers(0, 7)), max_size=8))
+    for lo, width in windows:
+        hi = lo + width
+        wg, starts = group.window_layout(lo, hi)
+        blocks = [group.block(i) for i in range(lo, hi)]
+        assert wg == FiniteAbelianGroup(tuple(d for b in blocks for d in b.moduli))
+        assert starts == tuple(itertools.accumulate((b.rank for b in blocks), initial=0))
+
+
 def prefix_endo():
     """x_i + x_{i+1} (doubled into Z/4) on Z/8 followed by Z/2, Z/4 repeated:
     a prefix block, mixed moduli and period 2."""

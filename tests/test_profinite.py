@@ -308,6 +308,71 @@ def test_pull_back_matches_three_eliminations(perfbench_gen, data):
             assert endo.preimage_cylinder(c) == endo.pull_back(c, k.whole())[1]
 
 
+def snapshot(sub):
+    """A deep copy of a subgroup's stored rows."""
+    return {p: dict(row) for p, row in sub.rows.items()}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pull_backs_intersections_and_preimages_leave_their_inputs_unchanged(perfbench_gen, data):
+    # the eliminations share the cores' own row maps as their relation and
+    # the window maps' columns as images: on the first cylinders of U's
+    # chain of ``gen.topo_case`` maps (N and Z, block period 1-2, prefix
+    # rows), no pull-back, intersection, preimage or index of a meet (a
+    # ``span_index`` on the shared rows) changes a core or a map
+    inst = topo_map(perfbench_gen, data)
+    endo, k, u = inst.endo, inst.endo.parent, inst.cylinders[0]
+    cs = [k.whole(), *itertools.islice(chain(endo, u), 4)]
+    maps = [endo.window_map(c.lo, c.hi)[2] for c in cs]
+    cores = [c.core for c in cs] + [c.extended_core(*c.hull_with(u)) for c in cs]
+    cores += [u.extended_core(*c.hull_with(u)) for c in cs]
+    rows = [snapshot(sub) for sub in cores]
+    columns = [[dict(col) for col in h.columns] for h in maps]
+
+    def results(c, h):
+        return endo.pull_back(c, u), endo.preimage_cylinder(c), c.intersect(u), c.meet_index(u), h.preimage(c.core)
+
+    for c, h, a, b in zip(cs, maps, cores[len(cs):], cores[2 * len(cs):]):
+        first = results(c, h)
+        assert a.intersect_with(b) == b.intersect_with(a)
+        assert results(c, h) == first
+    assert [snapshot(sub) for sub in cores] == rows
+    assert [list(h.columns) for h in maps] == columns
+
+
+def test_a_deferred_long_relation_row_stays_in_its_core(monkeypatch):
+    # the all-ones constraint on (Z/2)^n: its HNF row (1, ..., 1) is longer
+    # than every joined row of a pull-back, so it is eliminated last, as a
+    # copy, and the core that holds it keeps it
+    n = 8
+    deferred = []
+    kernel = finabel.congruence_kernel
+
+    def counting_kernel(rows, image_width, relation, payload_moduli=None, section=None):
+        deferred.append(sum(1 for row in rows if max(row, default=-1) < image_width))
+        return kernel(rows, image_width, relation, payload_moduli, section)
+
+    monkeypatch.setattr(finabel, "congruence_kernel", counting_kernel)
+    k = pro_group([], [FiniteAbelianGroup((2,))])
+    u = cylinder(k, (0, n), [(1,) * n])
+    assert u.core.rows[0] == dict.fromkeys(range(n), 1)
+    before = snapshot(u.core)
+    shift = rowfinite_endo(k, 1, 1, 1, [[(1, [[1]])]])
+    c = u
+    for _ in range(3):
+        c = shift.pull_back(c, u)[1]
+    h = shift.window_map(0, n)[2]
+    pre = h.preimage(u.core)
+    whole = u.core.ambient.whole_subgroup()
+    ones = canonical_subgroup(u.core.ambient, [(1,) * n])
+    assert whole.intersect_with(u.core) == u.core and u.core.intersect_with(ones) == ones
+    assert pre == canonical_subgroup(h.source, [(1,) * n])  # h reads the blocks [1, n + 1)
+    assert snapshot(u.core) == before and max(deferred) >= 1
+    # C_4 = {x_0 = ... = x_{n+2}}
+    assert c == cylinder(k, (0, n + 3), [(1,) * (n + 3)])
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_window_maps_match_the_earlier_construction(perfbench_gen, data):

@@ -204,3 +204,26 @@ def test_congruence_kernel_takes_image_width_second():
         len(call.args) >= 2 and not any(isinstance(a, ast.Starred) for a in call.args[:2])
         for call in calls
     )
+
+
+# targets that name nothing in entctl already and stay listed until the
+# benchmark next changes: ``cotrajectory_exact`` lives in tests/oracles.py
+STALE_TRACER_TARGETS = {"profinite.cotrajectory_exact"}
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    """Every (module, qualified name) that ``perfbench/tracer.py`` wraps names
+    a callable in ``src/entctl``: the tracer skips a name that is gone, so a
+    rename would silently drop its per-layer metrics."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    modules = {p.stem: importlib.import_module(f"entctl.{p.stem}") for p in MODULES}
+    targets = {f"{module}.{name}" for module, name, *_ in tracer.TARGETS}
+    assert len(targets) == len(tracer.TARGETS) > 20
+
+    def resolves(target):
+        head, *attrs = target.split(".")
+        return head in modules and _has_path(modules[head], attrs)
+
+    unresolved = {t for t in targets if not resolves(t)}
+    assert unresolved <= STALE_TRACER_TARGETS, sorted(unresolved - STALE_TRACER_TARGETS)
