@@ -222,7 +222,7 @@ class Report:
     command: str
     kind: str
     results: list
-    status: str  # ok | inconclusive | hypothesis_failure
+    status: str  # ok | inconclusive
 
     def to_dict(self) -> dict:
         return {
@@ -312,10 +312,7 @@ def run_command(cmd: str, inst: Instance, method: str | None = None) -> Report:
 def _status_of(results) -> str:
     """The report status: a result's status, and any failed check, even in a
     result without a status (the depth summary), is read."""
-    statuses = [r.get("status", "ok") for r in results]
-    if any(s == "hypothesis_failure" for s in statuses):
-        return "hypothesis_failure"
-    if any(s == "inconclusive" for s in statuses) or any(
+    if any(r.get("status") == "inconclusive" for r in results) or any(
         not c["ok"] for r in results for c in r.get("checks", ())
     ):
         return "inconclusive"
@@ -538,8 +535,6 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
     sys.stdout.write(emit_report(report, args.format))
-    if report.status == "hypothesis_failure":
-        return EXIT_HYPOTHESIS
     if report.status != "ok":
         return EXIT_INCONCLUSIVE
     return EXIT_OK

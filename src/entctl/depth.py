@@ -8,11 +8,15 @@ coordinate of monotonically growing windows.  The depth index is computed
 through both one-sided cotrajectories and must agree; the entropy-depth
 identity is cross-checked over the canonical shrinking base.
 
-Every one-sided chain here (antistability, U_+/U_-, the shrinking base)
-is read off the walk of (psi, U) kept on the map by ``profinite.chain``,
-so the checks of one run pull each step back once; the walks of a
-candidate that is not certified antistable are dropped at once.  Pinning
-is decided by ``ends.pins_growing_windows``.  U_+ and U_- are the limits
+Antistability is decided in constraint form, on the characters that
+vanish on the partial intersections: one echelon lattice grows by the
+layers psi-hat^{+-n}(U-perp) (``antistable_check``), so no cylinder is
+pulled back and no walk is left on either map, and pinning is decided by
+``ends.pins_growing_windows``.  The depth values come from the other
+engine: every one-sided chain here (U_+/U_-, the depth indices, the
+shrinking base) is read off the walk of (psi, U) kept on the map by
+``profinite.chain``, so the checks of one run pull each step back once,
+and only for a candidate certified antistable.  U_+ and U_- are the limits
 ``ends.chain_limit`` finds, and the preimage of a half line is read by
 ``ends.chain_end`` off the preimages of its truncations.
 """
@@ -21,18 +25,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
+from .duality import annihilator, dual_group
 from .errors import Inconclusive, InversionFailure, HypothesisFailure, ValidationError
 from .ends import TailCylinder, chain_end, chain_limit, pins_growing_windows, stall_wait
-from .finabel import image_rows
-from .lattice import congruence_kernel, joined_rows
+from .finabel import canonical_subgroup, image_rows
+from .lattice import ZLattice, congruence_kernel, joined_rows
 from .profinite import (
     CylinderSubgroup,
+    ProGroup,
     RowFiniteEndo,
     chain,
     cotrajectory_limits,
-    drop_walk,
     identity_endo,
 )
 from .values import DEFAULT_POLICY, CheckRecord, EntropyValue, StabilizationPolicy
@@ -125,6 +130,140 @@ class AntistableCertificate:
     witness: object = None
 
 
+def _dual_entries(endo: RowFiniteEndo, i: int) -> list[list[tuple[int, int, int]]]:
+    """Row i of the band transposed for characters, the rule of
+    ``duality.dual_map`` read backwards: for coordinate u of block i, the
+    (o, v, c) by which a character's entry at u enters chi o psi at
+    coordinate v of block i + o, c = x d_v / d_u mod d_v for each entry
+    (v, u, x) of ``row_entries(i)``, d the moduli of the two blocks.  Kept
+    per row class in the map's memo."""
+    p, l = endo.repeat()
+    key = i if 0 <= i < p else p + (i - p) % l
+    memo = endo._memo.setdefault(_dual_entries, {})
+    out = memo.get(key)
+    if out is None:
+        g = endo.parent
+        tgt = g.block(i).moduli
+        out = memo[key] = [[] for _ in tgt]
+        for o, term in endo.row_entries(i):
+            src = g.block(i + o).moduli
+            for v, u, x in term:
+                if c := x * src[v] // tgt[u] % src[v]:
+                    out[u].append((o, v, c))
+    return out
+
+
+class _Span:
+    """S = T+ + T-, the characters that vanish on C_n(psi, U) n C_n(psi^{-1}, U),
+    as one echelon lattice that only grows: |S| = [K : C n D], the product
+    of the moduli over the pivot product, and the support hull of S, the
+    hull of the characters added, is the canonical window of C n D.
+
+    A character is a {column: value} map; a block's coordinates take the
+    next columns, with its moduli, when a character first reaches it."""
+
+    def __init__(self, g: ProGroup):
+        self.g = g
+        self.first: dict[int, int] = {}  # block -> its first column
+        self.block: list[int] = []  # column -> block
+        self.mods: list[int] = []
+        self.total = 1  # the product of the moduli
+        self.lat = ZLattice(0, [])
+        self.lo = self.hi = 0
+
+    def columns(self, i: int) -> int:
+        """The first column of block i."""
+        at = self.first.get(i)
+        if at is None:
+            mods = self.g.block(i).moduli
+            at = self.first[i] = len(self.mods)
+            self.mods += mods
+            self.block += [i] * len(mods)
+            self.total *= prod(mods)
+            self.lat.extend(len(self.mods), mods)
+        return at
+
+    def add(self, layer) -> bool:
+        """Add the characters of ``layer``, which the caller keeps; True if S grew."""
+        grew = False
+        for chi in layer:
+            blocks = [self.block[c] for c in chi]
+            if self.lo < self.hi:
+                blocks += (self.lo, self.hi - 1)
+            self.lo, self.hi = min(blocks), max(blocks) + 1
+            grew |= self.lat.add(dict(chi), True)
+        return grew
+
+    def order(self) -> int:
+        return self.total // self.lat.pivot_product()
+
+    def perp(self) -> CylinderSubgroup:
+        """C n D = S-perp: ``duality.annihilator`` of S on its hull's coordinates."""
+        g, lo, hi = self.g, self.lo, self.hi
+        if lo == hi:
+            return g.whole()
+        wg, starts = g.window_layout(lo, hi)
+        shift = {i: starts[i - lo] - at for i, at in self.first.items() if lo <= i < hi}
+        rows = [{c + shift[self.block[c]]: x for c, x in row.items()} for row in self.lat.stored_rows().values()]
+        return CylinderSubgroup(g, lo, hi, annihilator(canonical_subgroup(wg, rows), dual_group(wg)[1]))
+
+
+class _Side:
+    """The layers psi-hat^k(U-perp), k = 0, 1, ..., of one map: each is
+    chi o psi of the one before, with the terms of each column read once
+    off ``_dual_entries``.  T, their sum, takes them in only when asked."""
+
+    def __init__(self, span: _Span, endo: RowFiniteEndo, perp: list[dict]):
+        self.span, self.endo = span, endo
+        self.layers = [perp]
+        self.images: dict[int, list[tuple[int, int]]] = {}  # column -> (column, factor) terms
+        self.lat, self.added = ZLattice(0, []), 0  # T, and the layers it holds
+        self.stalled = False
+
+    def step(self) -> list[dict]:
+        span, images, mods = self.span, self.images, self.span.mods
+        layer = []
+        for chi in self.layers[-1]:
+            acc: dict[int, int] = {}
+            for c, x in chi.items():
+                terms = images.get(c)
+                if terms is None:
+                    i = span.block[c]
+                    entries = _dual_entries(self.endo, i)[c - span.first[i]]
+                    terms = images[c] = [(span.columns(i + o) + v, y) for o, v, y in entries]
+                for t, y in terms:
+                    acc[t] = acc.get(t, 0) + x * y
+            if image := {t: r for t, x in acc.items() if (r := x % mods[t])}:
+                layer.append(image)
+        self.layers.append(layer)
+        return layer
+
+    def holds_last_layer(self) -> bool:
+        """Whether the last layer lies in T, the sum of the layers before it."""
+        lat, mods = self.lat, self.span.mods
+        lat.extend(len(mods), mods[lat.width :])
+        *before, last = self.layers[self.added :]
+        self.added = len(self.layers)
+        for chi in itertools.chain.from_iterable(before):
+            lat.add(dict(chi), True)
+        return not any([lat.add(dict(chi), True) for chi in last])
+
+
+def _perp(span: _Span, u: CylinderSubgroup) -> list[dict]:
+    """U-perp's generators as characters: the unit characters when U's core
+    is trivial, else the HNF rows of ``duality.annihilator``."""
+    if u.is_whole():
+        return []
+    mods = u.core.ambient.moduli
+    if u.core.order == 1:
+        rows = [{t: 1} for t, d in enumerate(mods) if d > 1]
+    else:
+        hnf = annihilator(u.core, dual_group(u.core.ambient)[1]).hnf_rows()
+        rows = [{t: x for t, x in r.items() if x % mods[t]} for r in hnf]
+    col = [span.columns(i) + v for i, a, b in zip(range(u.lo, u.hi), u.starts, u.starts[1:]) for v in range(b - a)]
+    return [{col[t]: x for t, x in r.items()} for r in rows if r]
+
+
 def antistable_check(
     endo: RowFiniteEndo,
     u: CylinderSubgroup,
@@ -138,31 +277,36 @@ def antistable_check(
     ``stall_wait`` of psi and its inverse (band geometry then pins every
     coordinate in the limit); certified not antistable
     when both one-sided chains reach exact fixed points with a nontrivial
-    intersection; unknown otherwise.  The partial intersections are read by
-    ``CylinderSubgroup.meet_index``, a descending one-sided chain stalls
-    when its index holds, and only the not-antistable witness is built.
+    intersection; unknown otherwise.
+
+    Decided in constraint form, by duality: C_{n+1}-perp = U-perp +
+    psi-hat(C_n-perp) and (C n D)-perp = C-perp + D-perp, so the partial
+    intersection C_n(psi, U) n C_n(psi^{-1}, U) is the annihilator of
+    S_n = T+_n + T-_n, T+-_n the sum of the layers psi-hat^{+-k}(U-perp),
+    k < n.  Its index is |S_n|, its window the support hull of S_n, and a
+    side stalls when its layer adds nothing to its T (looked at only when
+    the layer adds nothing to S).  No cylinder is pulled back; only the
+    witness of a not-antistable verdict, S's annihilator, is built.
     """
     if inverse is None:
         inverse = invert(endo, policy)
     g = endo.parent
-    chain_p, chain_m = chain(endo, u), chain(inverse, u)
-    cp, cm = next(chain_p), next(chain_m)
+    span = _Span(g)
+    perp = _perp(span, u)
+    span.add(perp)
+    sides = (_Side(span, endo, perp), _Side(span, inverse, perp))
     wait = max(stall_wait(endo, policy), stall_wait(inverse, policy))
-    stalled_p = stalled_m = False
     history = []
     for n in range(1, policy.max_n + 1):
-        if not stalled_p:
-            prev, cp = cp, next(chain_p)
-            stalled_p = cp.index == prev.index
-        if not stalled_m:
-            prev, cm = cm, next(chain_m)
-            stalled_m = cm.index == prev.index
-        lo, hi, index = cp.meet_index(cm)
-        pinned = index == g.window_layout(lo, hi)[0].order
+        for side in sides:
+            if not side.stalled and not span.add(side.step()):
+                side.stalled = side.holds_last_layer()
+        lo, hi = span.lo, span.hi
+        pinned = span.order() == g.window_layout(lo, hi)[0].order
         if pinned and g.all_trivial_outside(lo, hi):
             return AntistableCertificate("antistable", n, (lo, hi))
-        if stalled_p and stalled_m:
-            return AntistableCertificate("not_antistable", n, (lo, hi), witness=cp.intersect(cm))
+        if sides[0].stalled and sides[1].stalled:
+            return AntistableCertificate("not_antistable", n, (lo, hi), witness=span.perp())
         history.append((lo, hi, pinned))
         if pins_growing_windows(g, history, wait):
             return AntistableCertificate("antistable", n, (lo, hi))
@@ -215,7 +359,8 @@ def tail_relative_index(big, small, radius: int) -> int:
     cb = vb.extended_core(lo, hi)
     csml = vs.extended_core(lo, hi)
     if not cb.contains_subgroup(csml):
-        raise ValidationError("tail index of non-nested subgroups")
+        # depth_report passes a preimage of U_-+ that holds it: a broken invariant
+        raise AssertionError("tail index of subgroups that are not nested")
     return cb.order // csml.order
 
 
@@ -274,10 +419,6 @@ def depth_report(
     def evaluate(u):
         cert = antistable_check(endo, u, policy, inverse)
         if cert.status != "antistable":
-            # nothing reads a rejected candidate's walks again, and a failed
-            # run's exception would keep them alive with the maps
-            drop_walk(endo, u)
-            drop_walk(inverse, u)
             return CandidateResult(cert.status, None, None)
         rep_minus = cotrajectory_limits(endo, u, policy)
         rep_plus = cotrajectory_limits(inverse, u, policy)

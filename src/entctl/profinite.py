@@ -17,7 +17,8 @@ elimination, ``RowFiniteEndo.pull_back``, gives U n psi^{-1}(C) and
 [K : U + psi^{-1}(C)] with rows written from the band (U = K for
 ``preimage_cylinder``); no step builds a window map, and
 ``classify_cotrajectory`` builds that of C_n only to read [K : Im(psi) C_n]
-at a stall and on the trailing steps of an uncertified walk.  Indices
+at a stall.  (``depth.antistable_check`` walks no chain: it decides
+antistability on the annihilators, in constraint form.)  Indices
 that are only read, never compared (that one, a window's [window : Im psi],
 a cokernel order), come from ``finabel.span_index`` without a normal form.
 
@@ -25,15 +26,15 @@ The chain questions (cotrajectory limits, the chain's limit, window
 surjectivity, kernel and cokernel order) are deterministic in the map,
 the subgroup and the policy.  A map object remembers the outcomes it has
 computed, keyed per question, subgroup and policy, so that the checks of
-one run ask each of them once, and the walk of each U it was asked about
+one run ask each of them once, the walk of each U it was asked about
 (per step C_n, d_n and C_{n+1}; no window maps, no lattices), so that the
-questions of one run pull each step back once.  The memory is never
+questions of one run pull each step back once, and its band transposed
+for characters (``depth._dual_entries``).  The memory is never
 shared between maps and goes away with the map.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import inspect
 import itertools
@@ -42,13 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    AmbientMismatchError,
-    DimensionError,
-    HypothesisFailure,
-    Inconclusive,
-    ValidationError,
-)
+from .errors import AmbientMismatchError, DimensionError, Inconclusive, ValidationError
 from .finabel import (
     AbSubgroup,
     Band,
@@ -187,22 +182,6 @@ class CylinderSubgroup:
         b = other.extended_core(lo, hi)
         return CylinderSubgroup(self.parent, lo, hi, a.intersect_with(b))
 
-    def meet_index(self, other: "CylinderSubgroup") -> tuple[int, int, int]:
-        """(lo, hi, [K : C n D]) for the canonical window [lo, hi) of C n D, not
-        built.  For C, D not K it is their hull: a boundary block not free in C
-        (its elements not all in C) is not free in C n D.  [K : C n D] =
-        [K : C][K : D] / [K : C + D], the last a ``span_index`` on the hull, to
-        which only D's stored rows and the e_t at C's pivots add; C n D pins its
-        window when that index is the order of the window's group."""
-        if self.is_whole() or other.is_whole():
-            e = other if self.is_whole() else self
-            return e.lo, e.hi, e.index
-        lo, hi = self.hull_with(other)
-        ext = self.extended_core(lo, hi)
-        o_rows = shifted(other.core.rows, self.parent.window_layout(lo, hi)[1][other.lo - lo])
-        gens = [*o_rows.values(), *({t: 1} for t in ext.rows if t not in o_rows)]
-        return lo, hi, self.index * other.index // span_index(ext, gens)
-
     def contains_cylinder(self, other: "CylinderSubgroup") -> bool:
         lo, hi = self.hull_with(other)
         return self.extended_core(lo, hi).contains_subgroup(other.extended_core(lo, hi))
@@ -290,8 +269,9 @@ class RowFiniteEndo(Band):
     """Continuous endomorphism of a full product: a ``finabel.Band``, whose
     output block i (with i = r mod period) receives matrix * x_{i+offset}
     for each term of rows[r].  ``_memo`` remembers the outcomes of the chain
-    questions asked of it and, keyed by U, the walk of each chain of U
-    (see ``walk``), for as long as the map lives.
+    questions asked of it, keyed by U, the walk of each chain of U (see
+    ``walk``), and the rows of its dual map read so far
+    (``depth._dual_entries``), for as long as the map lives.
     """
 
     __slots__ = ("_memo",)
@@ -459,11 +439,6 @@ def walk(endo, u: CylinderSubgroup):
         yield steps[n]
 
 
-def drop_walk(endo, u: CylinderSubgroup) -> None:
-    """Forget the walk of U kept on the map, if any."""
-    endo._memo.pop((walk, u), None)
-
-
 def chain(endo, u: CylinderSubgroup):
     """Yield C_1 = U, C_2, ... off the walk of U; C_{n+1} is pulled back only
     when asked for and not kept yet."""
@@ -498,8 +473,6 @@ class CotrajectoryReport:
     status: str
 
     def _certified(self) -> "CotrajectoryReport":
-        if self.status == "hypothesis_failure":
-            raise HypothesisFailure("[K : Im(psi) C_n] keeps growing; quotient not finite")
         if not self.certified:
             raise Inconclusive("cotrajectory did not stall within budget", self)
         return self
@@ -538,13 +511,10 @@ def classify_cotrajectory(
     Certification requires |psi^{-1}(C)/C| = alpha * [K : Im(psi) * C] at the
     stall, with [K : Im(psi) * C_n] a ``span_index`` on the window map of C_n,
     built there, not read off the step's lattice, whose pivots multiply to
-    both sides.  An uncertified walk of at least half = max(2, max_n // 2)
-    steps is a hypothesis failure when that index grows on each of its last
-    half steps, where alone it is read too.
+    both sides.  A walk that does not certify within the budget is
+    inconclusive: on a compact K, [K : Im(psi) C_n] <= [K : U] is finite.
     """
-    half = max(2, policy.max_n // 2)
-    tail = collections.deque(maxlen=half)
-    stall = read_stall(_readings(endo, u, steps, tail), policy, True)
+    stall = read_stall(_readings(endo, u, steps), policy, True)
     n = len(stall.alphas)
     c = tuple(itertools.accumulate(stall.alphas, operator.mul, initial=u.index))
     if stall.certified is not None:
@@ -552,23 +522,18 @@ def classify_cotrajectory(
         return CotrajectoryReport(
             n, c, stall.alphas, stall.n0, stall.alpha, n1, *stall.certified, True, "certified"
         )
-    kmls = (span_index(c.core, endo.window_map(c.lo, c.hi)[2].columns) for c in tail)
-    grows = len(tail) == half and all(a < b for a, b in itertools.pairwise(kmls))
-    status = "hypothesis_failure" if grows else "inconclusive"
-    return CotrajectoryReport(n, c, stall.alphas, None, None, None, None, None, False, status)
+    return CotrajectoryReport(n, c, stall.alphas, None, None, None, None, None, False, "inconclusive")
 
 
-def _readings(endo, u: CylinderSubgroup, steps, tail):
+def _readings(endo, u: CylinderSubgroup, steps):
     """The readings of ``read_stall`` for n = 1, 2, ...: alpha_n =
     [C_n : C_{n+1}], the companion d_n = [K : U + psi^{-1}(C_n)], as the
     step carries it, and the identity, which on success certifies
-    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C].  Each C_n is
-    appended to ``tail`` as it passes."""
+    |psi^{-1}(C)/C| = [K : U] / d_n and [K : Im(psi) * C]."""
     c_prev = u.index
     for c_cyl, d, c_next in steps:
         if c_next.index % c_prev:
             raise AssertionError("c_n must divide c_{n+1}")
-        tail.append(c_cyl)
 
         def certify(alpha):
             h = endo.window_map(c_cyl.lo, c_cyl.hi)[2]

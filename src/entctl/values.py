@@ -67,13 +67,11 @@ class StabilizationPolicy:
     """Budgets of the chain walks and window searches.
 
     ``max_n`` bounds the steps of every chain walk: the trajectory and
-    cotrajectory limits, ``depth.antistable_check``, and
-    ``ends.chain_end``, which decides how a chain ends (for
-    ``ends.chain_limit`` and the half-line preimages of ``depth``)
-    from at most max_n + 1 cylinders.  A cotrajectory whose correction
-    term grows on each of its last max(2, max_n // 2) steps is a
-    hypothesis failure; the term is at most [K : U] and at least doubles
-    at each rise, so that needs [K : U] >= 2^(max(2, max_n // 2) - 1).
+    cotrajectory limits, the character layers of
+    ``depth.antistable_check``, and ``ends.chain_end``, which decides how
+    a chain ends (for ``ends.chain_limit`` and the half-line preimages of
+    ``depth``) from at most max_n + 1 cylinders.  A walk that ends at
+    max_n without a certificate is inconclusive.
 
     ``stall_window`` is the number of consecutive agreeing values that are
     taken as a stall: of the chain indices and their companion (in

@@ -136,6 +136,30 @@ def test_depth_out_of_budget_exits_inconclusive(capsys):
     assert err["error"] == "inconclusive" and "max_n = 1" in err["message"]
 
 
+# a profinite map whose [K : Im(psi) C_n] rises on each of the last steps
+# of a walk cut at max_n 4; under the default policy it ends exactly at
+# step 6 (alpha = 8, 4, 4, 2, 2, 1)
+RISING_IMAGE_INDEX = {
+    "schema": 1, "kind": "profinite",
+    "group": {"index_set": "N", "blocks": {"period": 1, "types": [[8, 8]], "prefix": []}},
+    "endo": {"offset": 1, "width": 1, "period": 1, "rows": [[[1, [[4, 2], [1, 2]]]]]},
+    "cylinders": [{"window": [0, 1], "core_gens": [[2, 6]]}],
+    "policy": {"max_n": 64, "stall_window": 3, "window_budget": 32},
+}
+
+
+def test_a_walk_cut_while_its_image_index_rises_exits_inconclusive(tmp_path, capsys):
+    # on a compact group [K : Im(psi) C_n] <= [K : U] is finite: a walk that
+    # ends at the budget while it rises ran out of budget, no hypothesis failed
+    path = tmp_path / "rising.json"
+    path.write_text(json.dumps(RISING_IMAGE_INDEX))
+    assert main(["top-entropy", str(path), "--max-n", "4"]) == EXIT_INCONCLUSIVE
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "inconclusive"
+    assert [r["status"] for r in report["results"]] == ["inconclusive"]
+    assert main(["top-entropy", str(path)]) == EXIT_OK
+
+
 def test_incompatible_command_kind():
     inst = parse_instance(str(INSTANCES / "shift_sum_z2.json"))
     with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from entctl import depth
 from entctl.cli import emit_report, instance_from_dict, run_command
 from entctl.depth import (
+    AntistableCertificate,
     TailCylinder,
     _preimage_halfline,
     antistable_check,
@@ -18,6 +19,7 @@ from entctl.depth import (
     plus_minus,
     tail_relative_index,
 )
+from entctl.ends import pins_growing_windows, stall_wait
 from entctl.errors import HypothesisFailure, Inconclusive, InversionFailure
 from entctl.finabel import FiniteAbelianGroup
 from entctl.profinite import (
@@ -111,13 +113,35 @@ def test_antistable_examples():
     assert cert3.status == "antistable"
 
 
+def span_of(k, *cylinders):
+    """The span of antistable_check holding the annihilators of ``cylinders``."""
+    span = depth._Span(k)
+    for c in cylinders:
+        span.add(depth._perp(span, c))
+    return span
+
+
+def spans(psi, inverse, u):
+    """antistable_check's S_1 = U-perp, S_2, ...: one span, yielded after
+    each step, both sides stepped at every step."""
+    span = span_of(psi.parent)
+    perp = depth._perp(span, u)
+    span.add(perp)
+    sides = [depth._Side(span, psi, perp), depth._Side(span, inverse, perp)]
+    while True:
+        yield span
+        for side in sides:
+            span.add(side.step())
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_meet_index_matches_the_intersection(perfbench_gen, data):
     # pairs of cylinders on ``gen.topo_case`` maps (N and Z, rank 1-3, period
     # 1-2, prefix rows): K, the first cylinders of U's chain and of U's
-    # preimages; the index rule's window, index and pinning are those of
-    # C n D, built
+    # preimages; the order of the span of C-perp + D-perp, its support hull
+    # and its pinning are the index, window and pinning of C n D, built, and
+    # its annihilator is C n D
     inst = topo_map(perfbench_gen, data)
     endo, u = inst.endo, inst.cylinders[0]
     k = endo.parent
@@ -128,9 +152,11 @@ def test_meet_index_matches_the_intersection(perfbench_gen, data):
         cs.append(pre)
     for c, d in itertools.product(cs, repeat=2):
         meet = c.intersect(d)
-        lo, hi, index = c.meet_index(d)
+        span = span_of(k, c, d)
+        lo, hi, index = span.lo, span.hi, span.order()
         assert (lo, hi, index) == (meet.lo, meet.hi, meet.index)
         assert (index == k.window_layout(lo, hi)[0].order) == (meet.core.order == 1)
+        assert span.perp() == meet
 
 
 DEPTH_SHIFT = pathlib.Path(__file__).resolve().parent.parent / "instances" / "depth_shift_z3.json"
@@ -142,7 +168,9 @@ def test_meet_index_of_both_chains_is_an_index_of_the_chain(perfbench_gen, data)
     # for an automorphism psi, C_n(psi, U) n C_n(psi^{-1}, U) is the
     # intersection of the psi^j(U), |j| < n, which is psi^{n-1}(C_{2n-1}(psi, U)):
     # its index is c_{2n-1}, on twisted and unipotent shifts of the depth
-    # sweep and on the bundled depth instance
+    # sweep and on the bundled depth instance; antistable_check reads it as
+    # |S_n|, and its not-antistable witness, S_n's annihilator, is that
+    # intersection, built from the two chains
     gen = perfbench_gen
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     kind = data.draw(st.sampled_from(("twisted", "unipotent", "bundled")))
@@ -156,8 +184,104 @@ def test_meet_index_of_both_chains_is_an_index_of_the_chain(perfbench_gen, data)
     psi = inst.endo
     inverse = invert(psi)
     for u in inst.cylinders:
-        for n, cp, cm in zip(range(1, 6), chain(psi, u), chain(inverse, u)):
-            assert cp.meet_index(cm)[2] == cotrajectory(psi, u, 2 * n - 1).index, n
+        steps = zip(range(1, 6), chain(psi, u), chain(inverse, u), spans(psi, inverse, u))
+        for n, cp, cm, span in steps:
+            meet = cp.intersect(cm)
+            assert span.order() == meet.index == cotrajectory(psi, u, 2 * n - 1).index, n
+            assert span.perp() == meet, n
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_the_character_layers_span_the_annihilator_of_the_chain(perfbench_gen, data):
+    # on ``gen.topo_case`` maps (N and Z, rank 1-3, period 1-2, prefix rows),
+    # T_n(psi-hat, U-perp), the sum of the layers psi-hat^k(U-perp), k < n,
+    # is C_n-perp along the walk, n <= 12: its order is [K : C_n], its
+    # support hull C_n's window, and its annihilator C_n
+    inst = topo_map(perfbench_gen, data)
+    endo, u = inst.endo, inst.cylinders[0]
+    span = span_of(endo.parent)
+    perp = depth._perp(span, u)
+    span.add(perp)
+    side = depth._Side(span, endo, perp)
+    for n, c in zip(range(1, 13), chain(endo, u)):
+        assert (span.order(), span.lo, span.hi) == (c.index, c.lo, c.hi), n
+        assert span.perp() == c, n
+        span.add(side.step())
+
+
+def chain_certificate(psi, inverse, u, policy):
+    """antistable_check's verdict read off the two pull-back chains, each
+    partial intersection built: the reference of the constraint form."""
+    g = psi.parent
+    chain_p, chain_m = chain(psi, u), chain(inverse, u)
+    cp, cm = next(chain_p), next(chain_m)
+    wait = max(stall_wait(psi, policy), stall_wait(inverse, policy))
+    stalled_p = stalled_m = False
+    history = []
+    for n in range(1, policy.max_n + 1):
+        if not stalled_p:
+            prev, cp = cp, next(chain_p)
+            stalled_p = cp == prev
+        if not stalled_m:
+            prev, cm = cm, next(chain_m)
+            stalled_m = cm == prev
+        meet = cp.intersect(cm)
+        window, pinned = (meet.lo, meet.hi), meet.core.order == 1
+        if pinned and g.all_trivial_outside(*window):
+            return AntistableCertificate("antistable", n, window)
+        if stalled_p and stalled_m:
+            return AntistableCertificate("not_antistable", n, window, meet)
+        history.append((*window, pinned))
+        if pins_growing_windows(g, history, wait):
+            return AntistableCertificate("antistable", n, window)
+    return AntistableCertificate("unknown")
+
+
+# ``gen.topo_case`` draws over Z on which a side's layer adds nothing to S
+# but grows its own sum T (the first two), or adds to T only with the
+# second character of a layer (the third)
+LAYER_IN_S_NOT_IN_T = [
+    {"group": {"index_set": "Z", "blocks": {"period": 2, "types": [[6, 3], [2, 2]]}},
+     "endo": {"offset": -1, "width": 2, "period": 2, "rows": [
+         [[-1, [[3, 0], [0, 0]]], [0, [[1, 2], [0, 1]]]], [[-1, [[0, 0], [1, 0]]], [0, [[1, 0], [0, 1]]]]]},
+     "cylinders": [{"window": [0, 2], "core_gens": [[5, 0, 0, 0], [1, 2, 1, 0]]}]},
+    {"group": {"index_set": "Z", "blocks": {"period": 2, "types": [[3, 3], [6, 3]]}},
+     "endo": {"offset": 0, "width": 1, "period": 2, "rows": [[[0, [[1, 1], [0, 1]]]], [[0, [[5, 2], [0, 1]]]]]},
+     "cylinders": [{"window": [0, 2], "core_gens": [[0, 0, 2, 2], [1, 0, 2, 0], [1, 2, 0, 1]]}]},
+    {"group": {"index_set": "Z", "blocks": {"period": 1, "types": [[9, 9]]}},
+     "endo": {"offset": 0, "width": 1, "period": 2, "rows": [[[0, [[5, 1], [0, 2]]]], [[0, [[2, 1], [0, 7]]]]]},
+     "cylinders": [{"window": [-1, 1], "core_gens": [[7, 6, 0, 7]]}]},
+]
+
+
+@pytest.mark.parametrize("case", LAYER_IN_S_NOT_IN_T)
+def test_antistable_check_repeats_the_pull_back_chains(case):
+    inst = instance_from_dict({"schema": 1, "kind": "depth", **case})
+    psi, u = inst.endo, inst.cylinders[0]
+    inverse = invert(psi)
+    cert = antistable_check(psi, u, inst.policy, inverse)
+    assert cert.status == "not_antistable"
+    assert cert == chain_certificate(psi, inverse, u, inst.policy)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_antistable_check_repeats_the_pull_back_chains_on_drawn_maps(perfbench_gen, data):
+    # surjective ``gen.topo_case`` maps over Z (rank 1-2, block period 1-2)
+    # with a banded inverse: the same verdict, step, window and witness
+    gen = perfbench_gen
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rank, period = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    case = gen.topo_case(rng, "Z", rank, period, True, None, data.draw(st.sampled_from(gen.MODULI_FAMILIES)))
+    inst = instance_from_dict(case)
+    try:
+        inverse = invert(inst.endo)
+    except InversionFailure:
+        return
+    policy = StabilizationPolicy(max_n=16)
+    u = inst.cylinders[0]
+    assert antistable_check(inst.endo, u, policy, inverse) == chain_certificate(inst.endo, inverse, u, policy)
 
 
 def test_plus_minus_shift():
@@ -203,6 +327,15 @@ def test_tail_relative_index():
 
     pre_minus = _preimage_halfline(shift, um, DEFAULT_POLICY)
     assert tail_relative_index(pre_minus, um, 2) == 3
+
+
+def test_tail_index_of_subgroups_that_are_not_nested_is_a_broken_invariant():
+    # depth_report passes tail_relative_index a preimage of U_-+ and U_-+
+    # itself, which are nested; two that are not are a defect, not an input
+    k, shift = full_shift((3,))
+    a, b = cylinder(k, (0, 1), []), cylinder(k, (1, 2), [])
+    with pytest.raises(AssertionError, match="not nested"):
+        tail_relative_index(a, b, 2)
 
 
 @pytest.mark.parametrize("mods,expected", [((2,), 2), ((3,), 3), ((2, 2), 4), ((6,), 6)])
@@ -286,6 +419,36 @@ def test_mixing_automorphism_returns_unknown():
     assert cert.status == "unknown"
     with pytest.raises(Inconclusive, match=f"max_n = {DEFAULT_POLICY.max_n}"):
         depth_report(psi, [u])
+
+
+def test_an_unknown_antistability_check_pulls_nothing_back(monkeypatch):
+    # the mixing automorphism above runs to max_n on both sides; the check
+    # grows the span of the character layers and pulls back no cylinder,
+    # so neither map keeps a walk
+    z4 = FiniteAbelianGroup((4,))
+    k = pro_group([], [z4], "Z")
+    psi = rowfinite_endo(k, 1, 2, 1, [[(1, [[1]]), (2, [[2]])]])
+    inv = invert(psi)
+    u = cylinder(k, (0, 1), [])
+    calls = []
+    original = RowFiniteEndo.pull_back
+    monkeypatch.setattr(RowFiniteEndo, "pull_back", lambda *args: calls.append(1) or original(*args))
+    assert antistable_check(psi, u, inverse=inv).status == "unknown"
+    assert calls == []
+
+
+def test_depth_report_checks_each_candidate_through_the_module_attribute(monkeypatch):
+    # the benchmark counts verdicts by replacing ``depth.antistable_check``:
+    # depth_report must call it through that attribute, once per candidate
+    k, shift = full_shift((3,))
+    cands = [k.whole(), cylinder(k, (0, 1), []), cylinder(k, (-1, 1), [])]
+    seen = []
+    monkeypatch.setattr(
+        depth, "antistable_check", lambda endo, u, *args: seen.append(u) or antistable_check(endo, u, *args)
+    )
+    rep = depth_report(shift, cands)
+    assert seen == cands
+    assert [c.status for c in rep.candidates] == ["not_antistable", "antistable", "antistable"]
 
 
 def test_alternating_blocks_shift_by_two():

@@ -22,7 +22,7 @@ from entctl.ends import (
     _constraint_end,
     _image,
 )
-from entctl.errors import HypothesisFailure, Inconclusive, ValidationError
+from entctl.errors import Inconclusive, ValidationError
 from entctl.finabel import FiniteAbelianGroup, canonical_subgroup
 from entctl.lattice import ZLattice
 from entctl.profinite import (
@@ -319,8 +319,7 @@ def test_pull_backs_intersections_and_preimages_leave_their_inputs_unchanged(per
     # the eliminations share the cores' own row maps as their relation and
     # the window maps' columns as images: on the first cylinders of U's
     # chain of ``gen.topo_case`` maps (N and Z, block period 1-2, prefix
-    # rows), no pull-back, intersection, preimage or index of a meet (a
-    # ``span_index`` on the shared rows) changes a core or a map
+    # rows), no pull-back, intersection or preimage changes a core or a map
     inst = topo_map(perfbench_gen, data)
     endo, k, u = inst.endo, inst.endo.parent, inst.cylinders[0]
     cs = [k.whole(), *itertools.islice(chain(endo, u), 4)]
@@ -331,7 +330,7 @@ def test_pull_backs_intersections_and_preimages_leave_their_inputs_unchanged(per
     columns = [[dict(col) for col in h.columns] for h in maps]
 
     def results(c, h):
-        return endo.pull_back(c, u), endo.preimage_cylinder(c), c.intersect(u), c.meet_index(u), h.preimage(c.core)
+        return endo.pull_back(c, u), endo.preimage_cylinder(c), c.intersect(u), h.preimage(c.core)
 
     for c, h, a, b in zip(cs, maps, cores[len(cs):], cores[2 * len(cs):]):
         first = results(c, h)
@@ -1046,19 +1045,26 @@ def test_exact_end_that_fails_its_identity_is_a_broken_invariant():
         classify_cotrajectory(zero_endo(k), u, walk(identity_endo(k), u), DEFAULT_POLICY)
 
 
-def test_image_index_growing_at_every_step_is_a_hypothesis_failure():
-    # a hand-built stream on (Z/2)^N: C_n pins the blocks [0, n), so alpha = 2
-    # at every step, and the window maps are the zero map's, so
-    # [K : Im(psi) C_n] = 2^n grows on every step until the budget ends
+def rising_image_index_stream(k):
+    """A hand-built stream on (Z/2)^N, read with the zero map's window maps:
+    C_n pins the blocks [0, n), so alpha = 2 at every step, and
+    [K : Im(psi) C_n] = 2^n grows on every step until the budget ends.  No
+    real map makes it: [K : Im(psi) C_n] <= [K : U]."""
+    return ((u0(k, n), 1, u0(k, n + 1)) for n in itertools.count(1))
+
+
+def test_image_index_growing_at_every_step_is_inconclusive():
+    # a walk that ends at the budget while [K : Im(psi) C_n] still rises ran
+    # out of budget: its report is inconclusive, and so are its entropies
     k = k_z2()
     u = u0(k)
-    steps = ((u0(k, n), 1, u0(k, n + 1)) for n in itertools.count(1))
     policy = StabilizationPolicy(max_n=8, stall_window=3)
-    rep = classify_cotrajectory(zero_endo(k), u, steps, policy)
+    rep = classify_cotrajectory(zero_endo(k), u, rising_image_index_stream(k), policy)
     assert (rep.n_max, rep.alphas, rep.certified) == (8, (2,) * 8, False)
-    assert rep.status == "hypothesis_failure"
-    with pytest.raises(HypothesisFailure, match="keeps growing"):
-        rep.entropy
+    assert rep.status == "inconclusive"
+    for formula in ("entropy", "entropy_limit"):
+        with pytest.raises(Inconclusive, match="did not stall within budget"):
+            getattr(rep, formula)
 
 
 def test_a_wrong_step_index_fails_the_identity():
@@ -1082,18 +1088,6 @@ def test_a_wrong_step_index_fails_the_identity():
     assert classified(ident, lambda d: d).certified
     with pytest.raises(AssertionError, match="exact chain end failed its identity"):
         classified(ident, lambda d: d // 2)
-
-
-def test_entropy_of_growing_correction_term_is_hypothesis_failure():
-    # the status classify_cotrajectory gives when [K : Im(psi) C_n] keeps growing
-    rep = CotrajectoryReport(
-        n_max=4, c=(2, 4, 8, 16, 32), alphas=(2, 2, 2, 2), n0=None, alpha=None,
-        n1=None, psi_inv_c_mod_c=None, k_mod_l=None, certified=False,
-        status="hypothesis_failure",
-    )
-    for formula in ("entropy", "entropy_limit"):
-        with pytest.raises(HypothesisFailure, match="keeps growing"):
-            getattr(rep, formula)
 
 
 def count_calls(monkeypatch, method: str) -> list:
@@ -1154,24 +1148,6 @@ def test_a_certified_walk_builds_one_window_map(monkeypatch):
             kept = list(itertools.islice(walk(endo, u), rep.n_max))
             assert list(itertools.islice(chain(endo, u), 1, rep.n_max + 1)) == [c for *_, c in kept]
         assert maps == [] and pulls == []
-
-
-def test_a_budget_walk_builds_window_maps_on_its_tail_only(monkeypatch):
-    # the left shift never stalls within max_n = 12 when the stall window is
-    # longer: only the hypothesis-failure rule builds maps, of C_n on at most
-    # the last half = 6 steps
-    k = k_z2()
-    u = u0(k)
-    policy = StabilizationPolicy(max_n=12, stall_window=13)
-    built = []
-    window_map = RowFiniteEndo.window_map
-    monkeypatch.setattr(
-        RowFiniteEndo, "window_map", lambda self, lo, hi: built.append((lo, hi)) or window_map(self, lo, hi)
-    )
-    rep = cotrajectory_limits(left_shift(k), u, policy)
-    assert (rep.status, rep.n_max) == ("inconclusive", 12)
-    tail = [(c.lo, c.hi) for c in itertools.islice(chain(left_shift(k), u), 6, 12)]
-    assert 0 < len(built) <= 6 and all(w in tail for w in built)
 
 
 def z_shift():
@@ -1398,39 +1374,39 @@ def test_a_certified_walk_reads_each_independent_index_once(monkeypatch):
     assert len(caps) == len(alg_certifies)
 
 
-def test_a_budget_walk_reads_the_image_index_on_its_tail_only(monkeypatch):
+def test_a_budget_walk_reads_no_image_index(monkeypatch):
     # the left shift never stalls within max_n when the stall window is
-    # longer: no certify call, and the hypothesis-failure rule reads
-    # [K : Im(psi) C_n] on at most the last half = max_n // 2 steps
+    # longer: no certify call, so [K : Im(psi) C_n] is never read and no
+    # window map is built, and the walk is inconclusive
     from entctl import profinite
 
     k = k_z2()
     u = u0(k)
     policy = StabilizationPolicy(max_n=12, stall_window=13)
+    built = []
+    window_map = RowFiniteEndo.window_map
     with monkeypatch.context() as mp:
         certifies, spans = count_certify_and_index(mp, profinite, "span_index")
+        mp.setattr(RowFiniteEndo, "window_map", lambda self, lo, hi: built.append((lo, hi)) or window_map(self, lo, hi))
         rep = cotrajectory_limits(left_shift(k), u, policy)
-    assert (rep.status, rep.n_max, certifies) == ("inconclusive", 12, [])
-    tail = [c.core for c in itertools.islice(chain(left_shift(k), u), 6, 12)]
-    assert 0 < len(spans) <= 6
-    assert all(name == "<genexpr>" and core in tail for name, core in spans)
+    assert (rep.status, rep.n_max, certifies, spans, built) == ("inconclusive", 12, [], [], [])
 
 
 def test_a_growing_image_index_is_read_on_the_whole_tail(monkeypatch):
-    # the hand-built stream of the hypothesis-failure test: alpha and d hold
-    # from step 3 on, so each of steps 3-8 is a failed certify call, and the
-    # rule then reads all half = 4 trailing indices, which grow
+    # the hand-built stream with a rising [K : Im(psi) C_n]: alpha and d hold
+    # from step 3 on, so each of steps 3-8 is a failed certify call, which
+    # reads the index; nothing else reads it
     from entctl import profinite
 
     k = k_z2()
     u = u0(k)
-    steps = ((u0(k, n), 1, u0(k, n + 1)) for n in itertools.count(1))
     with monkeypatch.context() as mp:
         certifies, spans = count_certify_and_index(mp, profinite, "span_index")
+        steps = rising_image_index_stream(k)
         rep = classify_cotrajectory(zero_endo(k), u, steps, StabilizationPolicy(max_n=8, stall_window=3))
-    assert rep.status == "hypothesis_failure" and certifies == [2] * 6
-    assert [name for name, _ in spans] == ["certify"] * 6 + ["<genexpr>"] * 4
-    assert [core for _, core in spans[6:]] == [u0(k, n).core for n in range(5, 9)]
+    assert rep.status == "inconclusive" and certifies == [2] * 6
+    assert [name for name, _ in spans] == ["certify"] * 6
+    assert [core for _, core in spans] == [u0(k, n).core for n in range(3, 9)]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
