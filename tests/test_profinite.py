@@ -1067,6 +1067,19 @@ def test_image_index_growing_at_every_step_is_inconclusive():
             getattr(rep, formula)
 
 
+def test_entropy_of_growing_correction_term_is_inconclusive():
+    # the report classify_cotrajectory gives when [K : Im(psi) C_n] still
+    # rises at the budget: uncertified, so neither entropy formula is read
+    rep = CotrajectoryReport(
+        n_max=4, c=(2, 4, 8, 16, 32), alphas=(2, 2, 2, 2), n0=None, alpha=None,
+        n1=None, psi_inv_c_mod_c=None, k_mod_l=None, certified=False,
+        status="inconclusive",
+    )
+    for formula in ("entropy", "entropy_limit"):
+        with pytest.raises(Inconclusive, match="did not stall within budget"):
+            getattr(rep, formula)
+
+
 def test_a_wrong_step_index_fails_the_identity():
     # the steps' d = [K : U + psi^{-1}(C_n)] enter the identity
     # |psi^{-1}(C)/C| = [K : U] / d = alpha * [K : Im(psi) C]; a wrong d
@@ -1376,20 +1389,28 @@ def test_a_certified_walk_reads_each_independent_index_once(monkeypatch):
 
 def test_a_budget_walk_reads_no_image_index(monkeypatch):
     # the left shift never stalls within max_n when the stall window is
-    # longer: no certify call, so [K : Im(psi) C_n] is never read and no
-    # window map is built, and the walk is inconclusive
+    # longer: no certify call, so [K : Im(psi) C_n] is never read, and the
+    # walk is inconclusive
     from entctl import profinite
 
     k = k_z2()
     u = u0(k)
     policy = StabilizationPolicy(max_n=12, stall_window=13)
-    built = []
-    window_map = RowFiniteEndo.window_map
     with monkeypatch.context() as mp:
         certifies, spans = count_certify_and_index(mp, profinite, "span_index")
-        mp.setattr(RowFiniteEndo, "window_map", lambda self, lo, hi: built.append((lo, hi)) or window_map(self, lo, hi))
         rep = cotrajectory_limits(left_shift(k), u, policy)
-    assert (rep.status, rep.n_max, certifies, spans, built) == ("inconclusive", 12, [], [], [])
+    assert (rep.status, rep.n_max, certifies, spans) == ("inconclusive", 12, [], [])
+
+
+def test_a_budget_walk_builds_no_window_map(monkeypatch):
+    # the same walk: only a certify call builds a window map, and there is none
+    k = k_z2()
+    u = u0(k)
+    policy = StabilizationPolicy(max_n=12, stall_window=13)
+    with monkeypatch.context() as mp:
+        calls = count_calls(mp, "window_map")
+        rep = cotrajectory_limits(left_shift(k), u, policy)
+    assert (rep.status, rep.n_max, calls) == ("inconclusive", 12, [])
 
 
 def test_a_growing_image_index_is_read_on_the_whole_tail(monkeypatch):
